@@ -23,10 +23,11 @@ Usage::
     python benchmarks/perf_engine.py [--jobs N] [--events N] [--out PATH]
     python benchmarks/perf_engine.py --compare OLD_BENCH.json
 
-``--compare`` gates the fresh numbers against a previous payload using the
-validation subsystem's perf verdict (throughput ratio >= 0.8 passes,
->= 0.5 warns, below fails; host mismatches cap at warn) and exits
-non-zero on a confirmed regression.
+``--compare`` gates the fresh ``packet.events_per_sec`` against a previous
+payload's using the validation subsystem's perf verdict (throughput ratio
+>= 0.8 passes, >= 0.5 warns, below fails; host mismatches cap at warn) and
+exits non-zero on a confirmed regression.  The bare-dispatch figure is
+recorded but not gated: no experiment runs on that path alone.
 
 Not a pytest module on purpose: perf numbers belong in a JSON artifact,
 not in an assertion.  Run it on a quiet machine; the sweep speedup is only

@@ -92,19 +92,20 @@ class EcnSharp(Aqm):
 
     # ------------------------------------------------------- Algorithm 1
 
-    def _is_persistent_queue_buildup(self, packet: Packet, now: float) -> bool:
-        """``IsPersistentQueueBuildups`` (Algorithm 1, lines 21-33)."""
-        if packet.sojourn_time(now) < self.config.pst_target:
+    def _should_persistent_mark(self, sojourn: float, now: float) -> bool:
+        """``ShouldPersistentMark`` with ``IsPersistentQueueBuildups``
+        folded in (Algorithm 1), on a sojourn time the caller read once."""
+        config = self.config
+        # IsPersistentQueueBuildups (lines 21-33).
+        if sojourn < config.pst_target:
             self._first_above_time = None
-            return False
-        if self._first_above_time is None:
+            detected = False
+        elif self._first_above_time is None:
             self._first_above_time = now
-            return False
-        return now > self._first_above_time + self.config.pst_interval
-
-    def _should_persistent_mark(self, packet: Packet, now: float) -> bool:
-        """``ShouldPersistentMark`` (Algorithm 1, lines 1-20)."""
-        detected = self._is_persistent_queue_buildup(packet, now)
+            detected = False
+        else:
+            detected = now > self._first_above_time + config.pst_interval
+        # ShouldPersistentMark (lines 1-20).
         if self._marking_state:
             if not detected:
                 self._marking_state = False
@@ -112,14 +113,14 @@ class EcnSharp(Aqm):
             if now > self._marking_next:
                 self._marking_count += 1
                 self._marking_next += (
-                    self.config.pst_interval / math.sqrt(self._marking_count)
+                    config.pst_interval / math.sqrt(self._marking_count)
                 )
                 return True
             return False
         if detected:
             self._marking_state = True
             self._marking_count = 1
-            self._marking_next = now + self.config.pst_interval
+            self._marking_next = now + config.pst_interval
             return True
         return False
 
@@ -127,11 +128,13 @@ class EcnSharp(Aqm):
 
     def on_dequeue(self, packet: Packet, now: float) -> bool:
         self.stats.packets_seen += 1
+        sojourn = packet.sojourn_time(now)
+        # The persistent state machine observes every packet, also those
+        # the instantaneous cut-off marks, so that first_above_time and
+        # marking_state track the queue continuously.
+        persistent = self._should_persistent_mark(sojourn, now)
         # Instantaneous marking: aggressive cut-off for burst tolerance.
-        # The persistent state machine still observes every packet so that
-        # first_above_time/marking_state track the queue continuously.
-        persistent = self._should_persistent_mark(packet, now)
-        if packet.sojourn_time(now) > self.config.ins_target:
+        if sojourn > self.config.ins_target:
             return self._congestion_signal(packet, kind="instant", now=now)
         if persistent:
             return self._congestion_signal(packet, kind="persistent", now=now)

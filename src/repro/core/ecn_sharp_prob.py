@@ -88,8 +88,8 @@ class EcnSharpProbabilistic(EcnSharp):
 
     def on_dequeue(self, packet: Packet, now: float) -> bool:
         self.stats.packets_seen += 1
-        persistent = self._should_persistent_mark(packet, now)
         sojourn = packet.sojourn_time(now)
+        persistent = self._should_persistent_mark(sojourn, now)
         probability = self.marking_probability(sojourn)
         if probability >= 1.0 or (
             probability > 0.0 and self._rng.random() < probability

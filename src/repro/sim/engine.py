@@ -1,17 +1,20 @@
 """Discrete-event simulation engine.
 
-A :class:`Simulator` owns a monotonic virtual clock and a pluggable event
-queue (see :mod:`repro.sim.eventq`).  The dispatch contract is a total
-order by ``(time, insertion sequence)``: earlier virtual times first, and
-among events carrying the same timestamp, the one scheduled first runs
-first -- which keeps runs fully deterministic regardless of which queue
-implementation is selected.
+A :class:`Simulator` owns a monotonic virtual clock and an event queue (see
+:mod:`repro.sim.eventq`).  The dispatch contract is a total order by
+``(time, insertion sequence)``: earlier virtual times first, and among
+events carrying the same timestamp, the one scheduled first runs first --
+which keeps runs fully deterministic.
 
-Two queues are available, selected by ``Simulator(scheduler=...)`` or the
-``REPRO_SCHEDULER`` environment variable: ``"calendar"`` (default, a lazy
-sorted-batch queue with O(1) amortized insert for the near-monotonic
-timestamps a network DES produces) and ``"heap"`` (the classic binary
-heap).  Both dispatch in byte-identical order.
+The queue is a binary heap.  ``Simulator(scheduler="calendar")`` builds the
+sorted-batch queue that used to be the default; it dispatches in
+byte-identical order and survives as the oracle of the differential tests
+(it lost to the heap on every packet workload, see DESIGN.md section 9).
+
+The queue also *is* the clock: ``Simulator.now`` reads ``_q.now``, and the
+per-packet components of this package (:class:`Timer`, ``Port``) keep a
+reference to the queue and read ``now`` off it directly, skipping the
+property call.
 
 Cancellable timers (used heavily by TCP retransmission logic) are provided
 by :class:`Timer`.  A timer keeps at most a handful of queue entries alive
@@ -29,20 +32,9 @@ from typing import Any, Callable, List, Optional
 
 from ..telemetry.profiler import HEAP_SAMPLE_MASK, RunProfiler
 from ..telemetry.runtime import get_active
-from .eventq import (
-    SCHEDULER_ENV,
-    SimulationError,
-    SimulationStalled,
-    make_event_queue,
-)
+from .eventq import SimulationError, SimulationStalled, make_event_queue
 
-__all__ = [
-    "Simulator",
-    "Timer",
-    "SimulationError",
-    "SimulationStalled",
-    "SCHEDULER_ENV",
-]
+__all__ = ["Simulator", "Timer", "SimulationError", "SimulationStalled"]
 
 _INF = float("inf")
 
@@ -56,11 +48,10 @@ class Simulator:
         sim.schedule(0.001, callback, arg1, arg2)
         sim.run(until=1.0)
 
-    ``scheduler`` selects the event-queue implementation by name
-    (``"calendar"`` or ``"heap"``); when omitted, ``REPRO_SCHEDULER``
-    decides, defaulting to ``"calendar"``.  (This is the *event*
-    scheduler; packet schedulers -- FIFO/DWRR/strict-priority -- live in
-    :mod:`repro.sim.scheduler` and are per-port.)
+    ``scheduler`` names the event-queue implementation: ``"heap"`` (the
+    default) or ``"calendar"`` (the differential-test oracle).  (This is
+    the *event* scheduler; packet schedulers -- FIFO/DWRR/strict-priority
+    -- live in :mod:`repro.sim.scheduler` and are per-port.)
 
     ``schedule`` and ``schedule_at`` are instance attributes bound
     directly to the queue's methods, so the per-event insert path has no
@@ -92,16 +83,10 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events dispatched so far.
-
-        With the ``"heap"`` scheduler this is updated per dispatch, so a
-        callback can observe a live value mid-run.  The ``"calendar"``
-        scheduler's fast drain path synchronizes it at batch boundaries
-        instead (that is where its throughput comes from); it is always
-        exact between ``run()`` calls, and exact per-event whenever a
-        profiler or ``no_progress_limit`` puts the engine on the
-        instrumented loop.
-        """
+        """Number of events dispatched so far, live per event: a callback
+        sees the count of prior dispatches.  (The ``"calendar"`` oracle
+        synchronizes it at batch boundaries on its drain path; it is exact
+        between ``run()`` calls and on the instrumented loop.)"""
         return self._q.events_processed
 
     @property
@@ -274,47 +259,42 @@ class Timer:
     queue traffic at all until an RTO interval actually elapses.
     """
 
-    __slots__ = ("_sim", "_callback", "_armed", "expiry", "_wakes")
+    __slots__ = ("_q", "_callback", "armed", "expiry", "_wakes")
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
-        self._sim = sim
+        self._q = sim._q  # clock reads and inserts go straight to the queue
         self._callback = callback
-        self._armed = False
+        self.armed = False  # whether a firing is currently pending
         self.expiry: float = _INF
         self._wakes: List[float] = []
 
-    @property
-    def armed(self) -> bool:
-        """Whether a firing is currently pending."""
-        return self._armed
-
     def restart(self, delay: float) -> None:
         """(Re)schedule the timer ``delay`` seconds from now."""
-        self._armed = True
-        self.expiry = when = self._sim.now + delay
+        self.armed = True
+        self.expiry = when = self._q.now + delay
         wakes = self._wakes
         if not wakes or when < wakes[0]:
             wakes.insert(0, when)
-            self._sim.schedule(delay, self._wake)
+            self._q.schedule(delay, self._wake)
 
     def cancel(self) -> None:
         """Suppress any pending firing.  Outstanding wake-ups stay queued
         and discard themselves when they pop (lazy cancellation)."""
-        self._armed = False
+        self.armed = False
         self.expiry = _INF
 
     def _wake(self) -> None:
         wakes = self._wakes
         del wakes[0]  # wake-ups pop in time order: this is the earliest
-        if not self._armed:
+        if not self.armed:
             return
         expiry = self.expiry
-        if expiry <= self._sim.now:
-            self._armed = False
+        if expiry <= self._q.now:
+            self.armed = False
             self.expiry = _INF
             self._callback()
         elif not wakes or expiry < wakes[0]:
             # Restore the invariant: no outstanding wake-up at or before
             # the (moved-later) expiry, so plant one exactly there.
             wakes.insert(0, expiry)
-            self._sim.schedule_at(expiry, self._wake)
+            self._q.schedule_at(expiry, self._wake)

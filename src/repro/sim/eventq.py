@@ -1,65 +1,47 @@
-"""Pluggable event queues for the DES engine.
+"""Event queues for the DES engine.
 
 The engine's dispatch contract is a total order over events by
 ``(time, insertion sequence)``: earlier virtual times first, and among
 events carrying the same timestamp, the one scheduled first runs first.
-Two interchangeable implementations of that contract live here:
 
 :class:`HeapEventQueue`
-    The classic binary heap (the seed implementation).  Every event is a
-    ``(when, seq, callback, args)`` tuple; ``heappush``/``heappop`` cost
-    O(log n) each.  ``events_processed`` is updated per dispatch, so a
-    callback can observe a live value mid-run.
+    The production queue, and the only one an experiment runs on.  Every
+    event is a ``(when, seq, callback, args)`` tuple on a binary heap;
+    ``heappush``/``heappop`` cost O(log n) each with n a few hundred on
+    real traffic (pending depth p50 132 on the star rig, 241 on the
+    leaf-spine fabric, max 649).  ``events_processed`` is updated per
+    dispatch, so a callback can observe a live value mid-run.
 
 :class:`CalendarEventQueue`
-    A lazy sorted-batch queue ("calendar" in the bucket-queue sense of
-    deferring order work until dispatch time).  Inserts are a plain
-    ``list.append`` -- O(1), no comparisons -- into an unsorted *far*
-    tier; dispatch peels sorted *batches* of up to :data:`BATCH_EVENTS`
-    events off that tier and runs them with a bare ``for`` loop.  For the
-    near-monotonic timestamp streams a network DES produces this is
-    amortized O(1) per event and roughly 3-4x the heap's throughput in
-    CPython, because both the insert and the dispatch path stay inside C
-    bytecode fast paths (append / timsort / list iteration) instead of
-    paying ~2 log2(n) Python-level comparisons per event.
+    A lazy sorted-batch queue kept as a **differential-test oracle**: an
+    independent implementation of the same contract that the tests run
+    against the heap, and that ``benchmarks/ledger`` still probes by name.
+    It was the default for one release and lost on every packet workload:
+    far-future flow arrivals and RTO wake-ups pin its batch horizon, so
+    22-46 % of inserts are Python-level binary inserts ("stragglers") until
+    its irreversible heap fallback engages -- which it did on every
+    checked-in workload (DESIGN.md section 9).  Inserts are a plain
+    ``list.append`` into an unsorted *far* tier; dispatch peels sorted
+    *batches* of up to :data:`BATCH_EVENTS` events off that tier.  Events
+    are 3-tuples ``(when, callback, args)`` sorted with the stable
+    ``list.sort(key=itemgetter(0))``, so insertion order is the tie-break.
+    A straggler (an event scheduled inside the active batch's window) is
+    binary-inserted into the live batch, always ahead of the dispatch
+    cursor.  Two semantic differences from the heap: ``events_processed``
+    is synchronized at batch boundaries on the drain path, and a callback
+    that raises mid-batch leaves the dispatch position at the first event
+    of the current timestamp (discard the simulator after an exception).
 
-    Ordering is preserved without storing sequence numbers: events are
-    3-tuples ``(when, callback, args)`` and batches are sorted with
-    ``list.sort(key=itemgetter(0))`` -- timsort is stable, so insertion
-    order is the tie-break, which is exactly the ``(time, sequence)``
-    contract.  An event scheduled *inside* the active batch's time window
-    (a "straggler") is binary-inserted into the live batch; since its
-    time is ``>= now`` and its implicit sequence number is the largest so
-    far, its slot is always ahead of the dispatch cursor, and Python's
-    index-based list iterators pick up insertions ahead of the cursor.
-
-    Pathological insert patterns (a large fraction of stragglers, e.g. a
-    workload that keeps scheduling into a wide active window) degrade the
-    binary-insert path toward O(batch) memmoves, so the queue watches the
-    straggler ratio and irreversibly converts itself to a heap when it
-    crosses :data:`FALLBACK_RATIO` -- correctness never depends on the
-    timestamp distribution, only speed does.
-
-    Two deliberate semantic differences from the heap, both documented in
-    DESIGN.md: ``events_processed`` is synchronized at batch boundaries
-    (not per event) on the fast drain path, and a callback that raises
-    mid-batch leaves the dispatch position at the first event of the
-    current timestamp (events at exactly ``now`` may be re-dispatched if
-    the simulation is resumed after the exception; discard the simulator
-    instead).
-
-Selection is by name -- ``"calendar"`` (default) or ``"heap"`` -- via
-``Simulator(scheduler=...)`` or the ``REPRO_SCHEDULER`` environment
-variable; see :func:`resolve_scheduler`.
+``Simulator()`` builds the heap; ``Simulator(scheduler="calendar")`` is the
+oracle's only entry point.  There is no environment override.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from heapq import heappop, heappush
 from itertools import islice
 from operator import itemgetter
+from sys import maxsize
 from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = [
@@ -67,21 +49,17 @@ __all__ = [
     "SimulationStalled",
     "HeapEventQueue",
     "CalendarEventQueue",
-    "SCHEDULER_ENV",
     "SCHEDULER_NAMES",
-    "resolve_scheduler",
+    "DEFAULT_SCHEDULER",
     "make_event_queue",
 ]
 
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-"""Environment variable selecting the default event queue by name."""
+SCHEDULER_NAMES = ("heap", "calendar")
 
-SCHEDULER_NAMES = ("calendar", "heap")
-
-DEFAULT_SCHEDULER = "calendar"
+DEFAULT_SCHEDULER = "heap"
 
 BATCH_EVENTS = 4096
-"""Maximum events per dispatch batch.  Large enough to amortize the
+"""Maximum events per calendar dispatch batch.  Large enough to amortize the
 per-batch sort and bookkeeping, small enough that a straggler's binary
 insert stays a short memmove."""
 
@@ -122,50 +100,24 @@ class SimulationStalled(SimulationError):
         )
 
 
-def resolve_scheduler(name: Optional[str] = None) -> str:
-    """Resolve the event-queue name: explicit argument, then the
-    ``REPRO_SCHEDULER`` environment variable, then ``"calendar"``.
-
-    An unknown explicit argument raises; an unknown environment value
-    warns and falls back to the default (matching how ``REPRO_FULL``
-    handles garbage), so a typo in CI cannot silently change semantics
-    *and* cannot hard-crash every run.
-    """
-    if name is not None:
-        resolved = name.strip().lower()
-        if resolved not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"unknown scheduler {name!r}: expected one of {SCHEDULER_NAMES}"
-            )
-        return resolved
-    raw = os.environ.get(SCHEDULER_ENV, "").strip().lower()
-    if not raw:
-        return DEFAULT_SCHEDULER
-    if raw not in SCHEDULER_NAMES:
-        warnings.warn(
-            f"{SCHEDULER_ENV}={raw!r} is not a recognized scheduler "
-            f"(expected one of {SCHEDULER_NAMES}); using {DEFAULT_SCHEDULER!r}",
-            stacklevel=2,
-        )
-        return DEFAULT_SCHEDULER
-    return raw
-
-
 def make_event_queue(name: Optional[str] = None):
-    """Build the event queue selected by ``name`` (see
-    :func:`resolve_scheduler` for the resolution order)."""
-    resolved = resolve_scheduler(name)
-    if resolved == "heap":
-        return HeapEventQueue()
-    return CalendarEventQueue()
+    """Build the event queue called ``name`` (default: the heap).  An
+    unknown name raises."""
+    resolved = DEFAULT_SCHEDULER if name is None else name.strip().lower()
+    if resolved not in SCHEDULER_NAMES:
+        raise ValueError(
+            f"unknown scheduler {name!r}: expected one of {SCHEDULER_NAMES}"
+        )
+    return HeapEventQueue() if resolved == "heap" else CalendarEventQueue()
 
 
 class HeapEventQueue:
-    """Binary-heap event queue: the seed engine's data structure.
+    """Binary-heap event queue: the production data structure.
 
-    ``events_processed`` is incremented per dispatch (not batched at
-    return) so monitors and profilers can read a live value mid-run; the
-    dispatch budget folds into the loop condition either way.
+    ``events_processed`` is stored per dispatch (not batched at return) so
+    monitors and profilers can read a live value mid-run; ``drain`` counts
+    in a local and only *writes* the attribute, which is safe because
+    ``Simulator.run`` is not reentrant.
     """
 
     kind = "heap"
@@ -185,8 +137,8 @@ class HeapEventQueue:
         """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
-        self._sequence += 1
-        heappush(self._heap, (self.now + delay, self._sequence, callback, args))
+        self._sequence = seq = self._sequence + 1
+        heappush(self._heap, (self.now + delay, seq, callback, args))
 
     def schedule_at(self, when: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute virtual time ``when``."""
@@ -194,8 +146,8 @@ class HeapEventQueue:
             raise SimulationError(
                 f"cannot schedule at {when}, current time is {self.now}"
             )
-        self._sequence += 1
-        heappush(self._heap, (when, self._sequence, callback, args))
+        self._sequence = seq = self._sequence + 1
+        heappush(self._heap, (when, seq, callback, args))
 
     def peek_when(self) -> Optional[float]:
         """Timestamp of the next event, or None when empty."""
@@ -220,29 +172,16 @@ class HeapEventQueue:
         ``limit`` (an absolute count, not a delta)."""
         heap = self._heap
         pop = heappop  # local binding: dominant call in the hot loop
+        n = self.events_processed
         if until is None:
-            if limit is None:
-                while heap:
-                    when, _, callback, args = pop(heap)
-                    self.now = when
-                    callback(*args)
-                    self.events_processed += 1
-            else:
-                while heap and self.events_processed < limit:
-                    when, _, callback, args = pop(heap)
-                    self.now = when
-                    callback(*args)
-                    self.events_processed += 1
-        else:
-            while heap:
-                if heap[0][0] > until:
-                    break
-                if limit is not None and self.events_processed >= limit:
-                    break
-                when, _, callback, args = pop(heap)
-                self.now = when
-                callback(*args)
-                self.events_processed += 1
+            until = _INF
+        if limit is None:
+            limit = maxsize
+        while heap and heap[0][0] <= until and n < limit:
+            when, _, callback, args = pop(heap)
+            self.now = when
+            callback(*args)
+            self.events_processed = n = n + 1
 
 
 class CalendarEventQueue:

@@ -100,15 +100,20 @@ class Host(Node):
         super().__init__(network, name)
         self._endpoints: Dict[int, Endpoint] = {}
         self.egress_delay_fn: Optional[Callable[[Packet], float]] = None
+        self._uplink: Optional[Port] = None  # set while exactly one port is attached
+
+    def attach_port(self, port: Port, neighbor_name: str) -> None:
+        super().attach_port(port, neighbor_name)
+        self._uplink = port if len(self.ports) == 1 else None
 
     @property
     def uplink(self) -> Port:
         """The host's single egress port (hosts are single-homed here)."""
-        if len(self.ports) != 1:
+        if self._uplink is None:
             raise RuntimeError(
                 f"host {self.name} has {len(self.ports)} ports; expected 1"
             )
-        return self.ports[0]
+        return self._uplink
 
     def register_endpoint(self, flow_id: int, endpoint: Endpoint) -> None:
         if flow_id in self._endpoints:
@@ -120,7 +125,9 @@ class Host(Node):
 
     def transmit(self, packet: Packet) -> None:
         """Send a packet from a local transport towards the network."""
-        port = self.uplink
+        port = self._uplink
+        if port is None:
+            port = self.uplink  # raises: not single-homed
         if self.egress_delay_fn is not None:
             delay = self.egress_delay_fn(packet)
             if delay > 0:

@@ -7,37 +7,20 @@ serialization rate and the propagation delay to the peer node.
 The transmit loop is event-driven: a port is either idle or has exactly one
 in-flight serialization event.  ``send`` enqueues (running the AQM's enqueue
 hook and buffer admission) and kicks the loop if idle; each serialization
-completion hands the packet to the peer after the propagation delay and pulls
-the next packet (running the AQM's dequeue hook, where sojourn-time markers
-act).
+completion hands the packet to the peer after the propagation delay and, if
+anything is queued, pulls the next packet (running the AQM's dequeue hook,
+where sojourn-time markers act).  That is two events per packet per hop, in
+the same ``(time, insertion-sequence)`` order on every port, which is what
+keeps results bit-identical across changes to this file.
 
-Ports with nothing to observe -- a ``NullAqm``, the plain FIFO scheduler and
-no telemetry attached (i.e. host NIC ports in every experiment) -- can take a
-closed-form fast path instead: because FIFO service at a fixed rate is just a
-running ``free_at`` clock, the delivery time of each packet is computable at
-admission (``start = max(free_at, now)``, ``done = start + serialization``),
-so one event delivers the packet and the serialization-completion event
-disappears.  Buffer admission stays exact via a lazy in-flight ledger that
-releases each packet's reservation once its service has started, which is the
-same instant the event-driven loop releases it.
-
-The fast path is **opt-in** (``REPRO_PORT_FAST=1``), off by default: every
-delivery lands at the float-identical instant, but the delivery event is
-*inserted* at admission time rather than at serialization-complete time, so
-its ``(time, insertion-sequence)`` tie-break against coincident events from
-other components differs from the event-driven loop's -- and a DES is
-chaotic, so a single reordered tie cascades into bit-level result drift
-(observed as a few per-mille difference in AQM mark counts at fig10 scale).
-Enable it for throughput studies where bit-reproducibility against the
-default event chain does not matter; it is skipped automatically the moment
-anything needs per-packet hooks.
+These are the hottest handlers of a packet run, so they read the clock
+straight off the event queue (``sim._q.now``, not the ``Simulator.now``
+property) and the occupancy off the scheduler's O(1) counters.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..telemetry.runtime import dataplane_telemetry
 from .engine import Simulator
@@ -50,21 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.base import Aqm
     from .network import Node
 
-__all__ = ["Port", "PortStats", "PORT_FAST_ENV"]
-
-PORT_FAST_ENV = "REPRO_PORT_FAST"
-"""Set to ``1``/``true``/``on`` to let hook-free FIFO ports use the
-closed-form fast path.  Off by default: delivery *times* are float-identical
-but event insertion order is not, which perturbs same-timestamp tie-breaks
-and therefore bit-level reproducibility (see the module docstring)."""
-
-
-def _fast_path_enabled() -> bool:
-    return os.environ.get(PORT_FAST_ENV, "0").strip().lower() in (
-        "1",
-        "true",
-        "on",
-    )
+__all__ = ["Port", "PortStats"]
 
 
 class PortStats:
@@ -106,9 +75,7 @@ class Port:
         "_busy",
         "on_drop",
         "telemetry",
-        "_fast",
-        "_free_at",
-        "_inflight",
+        "_q",
     )
 
     def __init__(
@@ -130,6 +97,7 @@ class Port:
         from ..core.base import NullAqm
 
         self.sim = sim
+        self._q = sim._q  # the clock and the insert path, minus a hop each
         self.name = name
         self.rate_bps = rate_bps
         self.propagation_delay = propagation_delay
@@ -145,164 +113,82 @@ class Port:
         self.telemetry = dataplane_telemetry()
         if self.telemetry is not None:
             self.telemetry.register_port(self)
-        # Fast-path state: eligibility is resolved lazily on the first send
-        # (after experiment wiring has installed AQMs/telemetry), and the
-        # in-flight ledger holds (service_start, service_done, size) triples
-        # whose buffer reservations are released once service has started.
-        self._fast: Optional[bool] = None
-        self._free_at = 0.0
-        self._inflight: Deque[Tuple[float, float, int]] = deque()
 
     # ------------------------------------------------------------- queueing
 
     @property
     def queue_bytes(self) -> int:
         """Instantaneous queue occupancy in bytes (all service queues)."""
-        if self._fast:
-            now = self.sim.now
-            return sum(entry[2] for entry in self._inflight if entry[0] > now)
         return self.scheduler.total_bytes
 
     @property
     def queue_packets(self) -> int:
         """Instantaneous queue occupancy in packets (all service queues)."""
-        if self._fast:
-            now = self.sim.now
-            return sum(1 for entry in self._inflight if entry[0] > now)
         return self.scheduler.total_packets
-
-    def _resolve_fast(self) -> bool:
-        """Decide once, at first send, whether this port can skip the
-        event-driven loop: nothing may need per-packet hooks."""
-        from ..core.base import NullAqm
-
-        fast = (
-            _fast_path_enabled()
-            and type(self.aqm) is NullAqm
-            and type(self.scheduler) is FifoScheduler
-            and self.telemetry is None
-        )
-        self._fast = fast
-        return fast
 
     def send(self, packet: Packet) -> None:
         """Admit a packet to the port: buffer check, AQM enqueue hook,
         enqueue, and start transmitting if the line is idle."""
-        fast = self._fast
-        if fast or (fast is None and self._resolve_fast()):
-            self._send_fast(packet)
-            return
         if self.peer is None:
             raise RuntimeError(f"port {self.name} is not connected")
-        now = self.sim.now
-        telemetry = self.telemetry
-        queue_bytes = self.scheduler.total_bytes
-        if not self.buffer.try_reserve(packet.size):
-            self.stats.dropped_overflow += 1
-            if self.on_drop is not None:
-                self.on_drop(packet, "overflow")
-            if telemetry is not None:
-                telemetry.on_drop(self, packet, "overflow", now)
-            return
-        if not self.aqm.on_enqueue(packet, now, queue_bytes):
-            self.buffer.release(packet.size)
-            self.stats.dropped_aqm += 1
-            if self.on_drop is not None:
-                self.on_drop(packet, "aqm")
-            if telemetry is not None:
-                telemetry.on_drop(self, packet, "aqm", now)
-            return
-        packet.enqueue_time = now
-        self.scheduler.enqueue(packet)
-        self.stats.enqueued_packets += 1
-        if telemetry is not None:
-            telemetry.on_enqueue(self, packet, now)
-        if not self._busy:
-            self._transmit_next()
-
-    def _send_fast(self, packet: Packet) -> None:
-        """Closed-form admission + delivery for hook-free FIFO ports.
-
-        Event-for-event equivalent of ``send`` + the transmit loop, minus
-        the serialization-completion event: the arithmetic is the *same
-        float operations* the event-driven loop performs (``start`` equals
-        the time the loop would have dequeued this packet; the delivery is
-        scheduled at ``done + propagation_delay`` exactly as
-        ``_transmission_complete`` would), so packet timings are
-        bit-identical.  What is *not* identical is the insertion moment of
-        the delivery event (admission vs serialization-complete), hence the
-        opt-in status -- see the module docstring.
-        """
-        if self.peer is None:
-            raise RuntimeError(f"port {self.name} is not connected")
-        sim = self.sim
-        now = sim.now
-        buffer = self.buffer
-        inflight = self._inflight
-        # Release reservations of packets whose service has started -- the
-        # instant the event loop's dequeue would have released them.
-        while inflight and inflight[0][0] <= now:
-            buffer.release(inflight.popleft()[2])
+        now = self._q.now
+        scheduler = self.scheduler
         size = packet.size
-        if not buffer.try_reserve(size):
-            self.stats.dropped_overflow += 1
-            if self.on_drop is not None:
-                self.on_drop(packet, "overflow")
+        if not self.buffer.try_reserve(size):
+            self._drop(packet, "overflow", now)
             return
-        self.aqm.stats.packets_seen += 1  # NullAqm.on_enqueue, inlined
+        if not self.aqm.on_enqueue(packet, now, scheduler.total_bytes):
+            self.buffer.release(size)
+            self._drop(packet, "aqm", now)
+            return
         packet.enqueue_time = now
+        scheduler.enqueue(packet)
         self.stats.enqueued_packets += 1
-        free_at = self._free_at
-        start = free_at if free_at > now else now
-        done = start + transmission_delay(size, self.rate_bps)
-        self._free_at = done
-        inflight.append((start, done, size))
-        sim.schedule_at(done + self.propagation_delay, self._deliver_fast, packet)
+        if self.telemetry is not None:
+            self.telemetry.on_enqueue(self, packet, now)
+        if not self._busy:
+            self._transmit_next(now)
 
-    def _deliver_fast(self, packet: Packet) -> None:
-        """Delivery event of the fast path: settle the ledger (this packet's
-        own service has started by now, so the buffer drains to zero once the
-        port goes idle), count the transmission, and hand over to the peer."""
-        now = self.sim.now
-        buffer = self.buffer
-        inflight = self._inflight
-        while inflight and inflight[0][0] <= now:
-            buffer.release(inflight.popleft()[2])
-        stats = self.stats
-        stats.tx_packets += 1
-        stats.tx_bytes += packet.size
-        self.peer.receive(packet)  # type: ignore[union-attr]
+    def _drop(self, packet: Packet, reason: str, now: float) -> None:
+        if reason == "overflow":
+            self.stats.dropped_overflow += 1
+        else:
+            self.stats.dropped_aqm += 1
+        if self.on_drop is not None:
+            self.on_drop(packet, reason)
+        if self.telemetry is not None:
+            self.telemetry.on_drop(self, packet, reason, now)
 
     # --------------------------------------------------------- transmit loop
 
-    def _transmit_next(self) -> None:
-        now = self.sim.now
+    def _transmit_next(self, now: float) -> None:
+        """Pull packets until one survives the AQM's dequeue hook and goes
+        on the wire, or the queues run dry and the line goes idle."""
+        scheduler = self.scheduler
         telemetry = self.telemetry
         while True:
-            packet = self.scheduler.dequeue()
+            packet = scheduler.dequeue()
             if packet is None:
                 self._busy = False
                 return
             self.buffer.release(packet.size)
-            if not self.aqm.on_dequeue(packet, now):
-                # AQM chose to drop at dequeue (not-ECT under marking).
-                self.stats.dropped_aqm += 1
-                if self.on_drop is not None:
-                    self.on_drop(packet, "aqm")
-                if telemetry is not None:
-                    telemetry.on_drop(self, packet, "aqm", now)
-                continue
-            if telemetry is not None:
-                telemetry.on_dequeue(self, packet, now)
-            self._busy = True
-            delay = transmission_delay(packet.size, self.rate_bps)
-            self.sim.schedule(delay, self._transmission_complete, packet)
-            return
+            if self.aqm.on_dequeue(packet, now):
+                break
+            # AQM chose to drop at dequeue (not-ECT under marking).
+            self._drop(packet, "aqm", now)
+        if telemetry is not None:
+            telemetry.on_dequeue(self, packet, now)
+        self._busy = True
+        delay = transmission_delay(packet.size, self.rate_bps)
+        self._q.schedule(delay, self._transmission_complete, packet)
 
     def _transmission_complete(self, packet: Packet) -> None:
-        self.stats.tx_packets += 1
-        self.stats.tx_bytes += packet.size
-        peer = self.peer
-        assert peer is not None
-        self.sim.schedule(self.propagation_delay, peer.receive, packet)
-        self._transmit_next()
+        stats = self.stats
+        stats.tx_packets += 1
+        stats.tx_bytes += packet.size
+        q = self._q
+        q.schedule(self.propagation_delay, self.peer.receive, packet)  # type: ignore[union-attr]
+        if self.scheduler.total_packets:
+            self._transmit_next(q.now)
+        else:
+            self._busy = False

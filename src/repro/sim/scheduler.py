@@ -32,12 +32,19 @@ __all__ = [
 
 
 class Scheduler(ABC):
-    """Base class: a set of queues plus a service discipline."""
+    """Base class: a set of queues plus a service discipline.
+
+    ``total_bytes`` / ``total_packets`` are the occupancy over all queues,
+    kept as plain counters: :meth:`enqueue` adds, and every discipline
+    removes through :meth:`_pop`.  A port reads them on each admission.
+    """
 
     def __init__(self, num_queues: int) -> None:
         if num_queues <= 0:
             raise ValueError("scheduler needs at least one queue")
         self.queues: List[PacketQueue] = [PacketQueue(service=i) for i in range(num_queues)]
+        self.total_bytes = 0
+        self.total_packets = 0
 
     @property
     def num_queues(self) -> int:
@@ -53,21 +60,22 @@ class Scheduler(ABC):
     def enqueue(self, packet: Packet) -> None:
         """Append ``packet`` to its service queue."""
         self.queue_for(packet).push(packet)
+        self.total_bytes += packet.size
+        self.total_packets += 1
+
+    def _pop(self, queue: PacketQueue) -> Packet:
+        """Remove ``queue``'s head packet and account for it."""
+        packet = queue.pop()
+        self.total_bytes -= packet.size
+        self.total_packets -= 1
+        return packet
 
     @abstractmethod
     def dequeue(self) -> Optional[Packet]:
         """Remove and return the next packet to transmit, or None if idle."""
 
     def is_empty(self) -> bool:
-        return all(queue.is_empty() for queue in self.queues)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(queue.byte_length for queue in self.queues)
-
-    @property
-    def total_packets(self) -> int:
-        return sum(queue.packet_length for queue in self.queues)
+        return not self.total_packets
 
 
 class FifoScheduler(Scheduler):
@@ -77,8 +85,7 @@ class FifoScheduler(Scheduler):
         super().__init__(num_queues=1)
 
     def dequeue(self) -> Optional[Packet]:
-        queue = self.queues[0]
-        return queue.pop() if not queue.is_empty() else None
+        return self._pop(self.queues[0]) if self.total_packets else None
 
 
 class StrictPriorityScheduler(Scheduler):
@@ -87,7 +94,7 @@ class StrictPriorityScheduler(Scheduler):
     def dequeue(self) -> Optional[Packet]:
         for queue in self.queues:
             if not queue.is_empty():
-                return queue.pop()
+                return self._pop(queue)
         return None
 
 
@@ -139,7 +146,7 @@ class DwrrScheduler(Scheduler):
             assert head is not None
             if head.size <= self._deficits[self._current]:
                 self._deficits[self._current] -= head.size
-                packet = queue.pop()
+                packet = self._pop(queue)
                 if queue.is_empty():
                     self._deficits[self._current] = 0
                     self._advance()
@@ -170,7 +177,7 @@ class DwrrScheduler(Scheduler):
             assert head is not None
             if head.size <= self._deficits[self._current]:
                 self._deficits[self._current] -= head.size
-                packet = queue.pop()
+                packet = self._pop(queue)
                 if queue.is_empty():
                     self._deficits[self._current] = 0
                     self._advance()

@@ -179,6 +179,7 @@ class TcpSender:
     def _try_send(self) -> None:
         window = max(1, int(self.cwnd))
         sent_any = False
+        now = self.sim.now  # nothing below advances the clock
         while (
             not self.completed
             and self.send_next < self.total_segments
@@ -188,7 +189,7 @@ class TcpSender:
             retransmission = seq in self._retransmitted_segments
             packet = self._make_segment(seq, retransmission)
             if seq not in self._send_times:
-                self._send_times[seq] = self.sim.now
+                self._send_times[seq] = now
             self.host.transmit(packet)
             self.stats.segments_sent += 1
             if retransmission:
@@ -306,10 +307,11 @@ class TcpSender:
         # Sample from the highest segment this ACK newly covers that has a
         # recorded (non-retransmitted) send time.
         sample: Optional[float] = None
+        now = self.sim.now
         for seq in range(self.highest_acked, ack):
             sent = self._send_times.pop(seq, None)
             if sent is not None and seq not in self._retransmitted_segments:
-                sample = self.sim.now - sent
+                sample = now - sent
         if sample is None:
             return
         if self._srtt is None:

@@ -64,7 +64,8 @@ class TcpSink:
         if packet.is_ack:
             return  # sinks only consume data
         self.segments_received += 1
-        if packet.ce_marked:
+        ce_marked = packet.ce_marked
+        if ce_marked:
             self.ce_received += 1
 
         seq = packet.seq
@@ -80,7 +81,7 @@ class TcpSink:
         else:
             self.duplicates_received += 1
 
-        self._send_ack(ece=packet.ce_marked)
+        self._send_ack(ece=ce_marked)
 
         if not self.completed and self.expected >= self.total_segments:
             self.completed = True

@@ -5,8 +5,8 @@ per-seed metric samples into a checked-in JSON baseline.  ``run_gate``
 re-executes the *same* grid (pure cache hits when nothing changed),
 compares cell-by-cell against the baseline with the statistical machinery
 in :mod:`.stats`, evaluates the paper-trend invariants in
-:mod:`.invariants`, and optionally applies an engine-throughput perf gate
-against a benchmark payload embedded at capture time.
+:mod:`.invariants`, and optionally applies a packet-run throughput perf
+gate against a benchmark payload embedded at capture time.
 
 Every verdict is mirrored into telemetry
 (``validation_verdicts_total{kind,status}`` plus ``validation`` trace
@@ -80,7 +80,7 @@ PERF_FAIL_RATIO = 0.5
 
 @dataclass(frozen=True)
 class PerfVerdict:
-    """Engine-throughput comparison against the baseline bench payload."""
+    """Packet-run throughput comparison against the baseline bench payload."""
 
     status: str
     ratio: Optional[float]
@@ -101,15 +101,17 @@ class PerfVerdict:
 def _bench_eps(payload: Optional[dict]) -> Optional[float]:
     if not payload:
         return None
-    engine = payload.get("engine") or {}
-    eps = engine.get("events_per_sec")
+    packet = payload.get("packet") or {}
+    eps = packet.get("events_per_sec")
     return float(eps) if eps else None
 
 
 def evaluate_perf(
     current: Optional[dict], baseline: Optional[dict]
 ) -> PerfVerdict:
-    """Compare ``events_per_sec`` of two ``BENCH_engine.json`` payloads.
+    """Compare ``packet.events_per_sec`` -- the 250-flow star run, the path
+    experiments actually sit on -- of two ``BENCH_engine.json`` payloads
+    (bare-dispatch ``engine.events_per_sec`` is recorded, not gated).
 
     Missing either side skips the gate.  A host mismatch (different CPU
     count or Python version) caps the verdict at WARN -- absolute

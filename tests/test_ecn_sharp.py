@@ -255,3 +255,109 @@ class TestAlgorithmProperties:
             return [feed(aqm, now=t, sojourn=s).ce_marked for t, s in trace]
 
         assert run() == run()
+
+
+class _Algorithm1Oracle:
+    """Algorithm 1 transcribed line by line from the paper, as the two
+    functions it is written as (the implementation folds them into one).
+    Returns None / "instant" / "persistent" per packet."""
+
+    def __init__(self, config):
+        self.c = config
+        self.first_above_time = None  # the paper's 0 sentinel; t=0 is valid here
+        self.marking_state = False
+        self.marking_count = 0
+        self.marking_next = 0.0
+
+    def is_persistent_queue_buildups(self, sojourn, now):
+        if sojourn < self.c.pst_target:
+            self.first_above_time = None
+            return False
+        if self.first_above_time is None:
+            self.first_above_time = now
+            return False
+        return now > self.first_above_time + self.c.pst_interval
+
+    def should_persistent_mark(self, sojourn, now):
+        detected = self.is_persistent_queue_buildups(sojourn, now)
+        if self.marking_state:
+            if not detected:
+                self.marking_state = False
+                return False
+            if now > self.marking_next:
+                self.marking_count += 1
+                self.marking_next += self.c.pst_interval / math.sqrt(self.marking_count)
+                return True
+            return False
+        if detected:
+            self.marking_state = True
+            self.marking_count = 1
+            self.marking_next = now + self.c.pst_interval
+            return True
+        return False
+
+    def decide(self, sojourn, now):
+        persistent = self.should_persistent_mark(sojourn, now)
+        if sojourn > self.c.ins_target:
+            return "instant"
+        return "persistent" if persistent else None
+
+
+class TestAgainstAlgorithm1Oracle:
+    """The flattened ``on_dequeue`` against the paper's two-function form,
+    through the AQM<->packet contract only: ``StampedPacket`` answers
+    ``sojourn_time(now)`` and has no ``enqueue_time`` to peek at."""
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=120),  # gap to the previous dequeue, us
+                st.sampled_from(
+                    [0.0, 5e-6, 9.99e-6, 10e-6, 20e-6, 60e-6, 199e-6, 200e-6, 250e-6]
+                ),
+            ),
+            min_size=1,
+            max_size=400,
+        ),
+        interval_us=st.sampled_from([30, 100, 240]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_decision_and_state_on_every_packet(self, steps, interval_us):
+        aqm = make_aqm(interval=us(interval_us))
+        oracle = _Algorithm1Oracle(aqm.config)
+        now = 0.0
+        expected = {"instant": 0, "persistent": 0}
+        for gap_us, sojourn in steps:
+            now += us(gap_us)
+            decision = oracle.decide(sojourn, now)
+            packet = feed(aqm, now=now, sojourn=sojourn)
+            assert packet.ce_marked == (decision is not None)
+            if decision is not None:
+                expected[decision] += 1
+            assert (
+                aqm._first_above_time,
+                aqm._marking_state,
+                aqm._marking_count,
+                aqm._marking_next,
+            ) == (
+                oracle.first_above_time,
+                oracle.marking_state,
+                oracle.marking_count,
+                oracle.marking_next,
+            )
+        assert aqm.stats.instant_marks == expected["instant"]
+        assert aqm.stats.persistent_marks == expected["persistent"]
+        assert aqm.stats.packets_seen == len(steps)
+
+    def test_reads_the_sojourn_exactly_once(self):
+        class Counting(StampedPacket):
+            reads = 0
+
+            def sojourn_time(self, now):
+                self.reads += 1
+                return super().sojourn_time(now)
+
+        aqm = make_aqm()
+        packet = Counting(sojourn=us(50))
+        aqm.on_dequeue(packet, 1e-3)
+        assert packet.reads == 1

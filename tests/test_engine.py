@@ -110,10 +110,10 @@ class TestRunControl:
         assert sim.events_processed == 5
 
     def test_events_processed_is_live_mid_run_on_heap(self):
-        # The heap scheduler updates the counter per dispatch: each
+        # The default (heap) queue stores the counter per dispatch: each
         # callback sees the count of *prior* dispatches, not a value
         # batched in at the end of run().
-        sim = Simulator(scheduler="heap")
+        sim = Simulator()
         observed = []
         for index in range(4):
             sim.schedule(0.1 * (index + 1), lambda: observed.append(sim.events_processed))
@@ -122,9 +122,9 @@ class TestRunControl:
         assert sim.events_processed == 4
 
     def test_events_processed_exact_between_runs_on_calendar(self):
-        # The calendar scheduler's fast drain syncs the counter at batch
-        # boundaries (that is where its throughput comes from), so only
-        # exactness *between* run() calls is contractual there.
+        # The calendar oracle's drain syncs the counter at batch
+        # boundaries, so only exactness *between* run() calls is
+        # contractual there.
         sim = Simulator(scheduler="calendar")
         for index in range(4):
             sim.schedule(0.1 * (index + 1), lambda: None)

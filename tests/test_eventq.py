@@ -1,13 +1,13 @@
-"""Equivalence tests for the pluggable event queues (``repro.sim.eventq``).
+"""Equivalence tests for the event queues (``repro.sim.eventq``).
 
 The engine's dispatch contract is a total order by ``(time, insertion
-sequence)``.  The calendar queue earns its throughput with lazy batch
-sorting, straggler inserts into the live batch, and a heap fallback --
-none of which may change *what* gets dispatched *when*.  Every test here
-runs the identical workload through both queues and demands identical
-traces: same callbacks, same order, same clock readings, under timestamp
-ties, stragglers, ``until``/``max_events`` boundaries, Timer lazy
-cancellation, and the fallback itself.
+sequence)``.  The heap is the production queue; the calendar queue -- lazy
+batch sorting, straggler inserts into the live batch, a heap fallback -- is
+an independent implementation of the same contract, kept as the oracle.
+Every test here runs the identical workload through both queues and demands
+identical traces: same callbacks, same order, same clock readings, under
+timestamp ties, stragglers, ``until``/``max_events`` boundaries, Timer lazy
+cancellation, the fallback itself, and whole leaf-spine / incast cells.
 """
 
 import random
@@ -16,15 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import eventq
 from repro.sim.engine import Simulator, Timer
 from repro.sim.eventq import (
     FALLBACK_MIN_STRAGGLERS,
-    SCHEDULER_ENV,
     SCHEDULER_NAMES,
     CalendarEventQueue,
     HeapEventQueue,
     make_event_queue,
-    resolve_scheduler,
 )
 
 SCHEDULERS = list(SCHEDULER_NAMES)
@@ -32,31 +31,27 @@ SCHEDULERS = list(SCHEDULER_NAMES)
 
 class TestResolution:
     def test_explicit_names(self):
-        assert resolve_scheduler("calendar") == "calendar"
-        assert resolve_scheduler("heap") == "heap"
-        assert resolve_scheduler(" HEAP ") == "heap"
+        assert Simulator(scheduler="calendar").scheduler == "calendar"
+        assert Simulator(scheduler="heap").scheduler == "heap"
+        assert Simulator(scheduler=" HEAP ").scheduler == "heap"
 
     def test_unknown_explicit_name_raises(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
-            resolve_scheduler("btree")
+            Simulator(scheduler="btree")
 
-    def test_default_is_calendar(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-        assert resolve_scheduler() == "calendar"
-        assert Simulator().scheduler == "calendar"
+    def test_default_is_heap(self):
+        assert Simulator().scheduler == "heap"
+        assert isinstance(make_event_queue(), HeapEventQueue)
 
-    def test_env_var_selects_heap(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "heap")
+    def test_env_var_is_ignored(self, monkeypatch):
+        # The REPRO_SCHEDULER knob is gone: the calendar oracle is reachable
+        # by explicit name only.
+        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
         assert Simulator().scheduler == "heap"
 
     def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "heap")
+        monkeypatch.setenv("REPRO_SCHEDULER", "heap")
         assert Simulator(scheduler="calendar").scheduler == "calendar"
-
-    def test_garbage_env_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "splay-tree")
-        with pytest.warns(UserWarning, match="splay-tree"):
-            assert resolve_scheduler() == "calendar"
 
     def test_factory_returns_matching_kind(self):
         assert isinstance(make_event_queue("heap"), HeapEventQueue)
@@ -287,6 +282,16 @@ class TestHeapFallback:
         assert order == ["a", "b", "c"]
 
 
+def _on_each_queue(monkeypatch, run):
+    """``run()`` once per queue, by re-pointing the default the rigs build
+    their simulators from (they take no scheduler argument)."""
+    results = {}
+    for scheduler in SCHEDULERS:
+        monkeypatch.setattr(eventq, "DEFAULT_SCHEDULER", scheduler)
+        results[scheduler] = run(scheduler)
+    return results
+
+
 class TestFigureEquivalence:
     def test_fig10_cell_bit_identical_across_schedulers(self, monkeypatch):
         """A full microscopic incast cell (topology, DCTCP, RED, monitors)
@@ -294,15 +299,60 @@ class TestFigureEquivalence:
         from repro.experiments.executor import Executor
         from repro.experiments.figures import fig10
 
-        cells = {}
-        for scheduler in SCHEDULERS:
-            monkeypatch.setenv(SCHEDULER_ENV, scheduler)
+        def cell(_scheduler):
             result = fig10.run_fig10(
                 fanout=20,
                 schemes=("DCTCP-RED-Tail",),
                 executor=Executor(jobs=1),
             )
-            summary = fig10.summarize_for_validation(result)
-            cells[scheduler] = summary["cells"]
+            return fig10.summarize_for_validation(result)["cells"]
+
+        cells = _on_each_queue(monkeypatch, cell)
         assert cells["calendar"] == cells["heap"]
         assert cells["calendar"]  # non-empty: the run actually happened
+
+    def test_leafspine_cell_with_losses_identical(self, monkeypatch):
+        """ECMP fabric, 4 hops a packet, with overflow drops and an RTO:
+        the loss-recovery path must not depend on the queue either."""
+        from repro.experiments import runner
+        from repro.experiments.schemes import simulation_scheme_specs
+        from repro.workloads import WEB_SEARCH
+
+        def cell(scheduler):
+            result = runner.run_leafspine_fct(
+                simulation_scheme_specs()["ECN#"].build,
+                WEB_SEARCH, 0.9, 60, 7, dims=(4, 4, 4),
+            )
+            assert result.manifest.scheduler == scheduler
+            return (
+                result.events, result.marks, result.drops, result.timeouts,
+                sum(record.fct for record in result.collector.records),
+            )
+
+        cells = _on_each_queue(monkeypatch, cell)
+        assert cells["calendar"] == cells["heap"]
+        events, _marks, drops, timeouts, _fct = cells["heap"]
+        assert events > 50_000 and drops > 0 and timeouts > 0
+
+    def test_incast_cell_with_losses_identical(self, monkeypatch):
+        """A 100-way CoDel burst: buffer overflow, RTO expiry, go-back-N
+        retransmission."""
+        from repro.experiments.figures import fig10
+        from repro.experiments.schemes import simulation_scheme_specs
+        from repro.sim.units import ms
+
+        def cell(_scheduler):
+            run = fig10.run_microscopic(
+                simulation_scheme_specs()["CoDel"].build, "CoDel",
+                fanout=100, seed=61,
+                warmup=ms(1), burst_time=ms(3), end_time=ms(12),
+            )
+            return (
+                run.events, run.marks, run.drops, run.query_timeouts,
+                run.queries_completed, sum(run.query_fcts),
+            )
+
+        cells = _on_each_queue(monkeypatch, cell)
+        assert cells["calendar"] == cells["heap"]
+        _events, _marks, drops, timeouts, completed, _fct = cells["heap"]
+        assert drops > 0 and timeouts > 0 and completed == 100

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.base import Aqm, NullAqm
 from repro.core.red import DctcpRed
-from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.packet import Ecn
 from repro.sim.port import Port
@@ -102,6 +101,18 @@ class TestBuffering:
         sim.run()
         assert port.buffer.used_bytes == 0
 
+    def test_overflow_drops_and_buffer_settles(self, sim):
+        port, sink = make_port(sim, buffer_bytes=3000)
+        # The head packet's reservation frees at service start (t=0), so 3
+        # of 5 are admitted.
+        for _ in range(5):
+            port.send(make_packet(size=1500))
+        sim.run()
+        assert port.stats.dropped_overflow == 2
+        assert len(sink.arrivals) == 3
+        assert port.buffer.used_bytes == 0
+        assert port.stats.tx_packets == 3
+
     def test_queue_accessors(self, sim):
         port, _ = make_port(sim)
         for seq in range(5):
@@ -163,77 +174,3 @@ class TestAqmHooks:
         sim.run()
         _, packet = sink.arrivals[0]
         assert packet.enqueue_time == pytest.approx(us(5))
-
-
-class TestFastPath:
-    """Opt-in closed-form path (REPRO_PORT_FAST=1): delivery times must be
-    float-identical to the event-driven loop's; buffer accounting and stats
-    must settle identically at idle."""
-
-    def _deliveries(self, monkeypatch, enabled, sends):
-        monkeypatch.setenv("REPRO_PORT_FAST", "1" if enabled else "0")
-        sim = Simulator()
-        port, sink = make_port(sim)
-        for at, size in sends:
-            sim.schedule(at, port.send, make_packet(size=size))
-        sim.run()
-        return (
-            [(t, p.size) for t, p in sink.arrivals],
-            port.stats.tx_packets,
-            port.stats.tx_bytes,
-            port.stats.enqueued_packets,
-            port.buffer.used_bytes,
-        )
-
-    def test_delivery_times_float_identical_to_event_loop(self, monkeypatch):
-        sends = [(0.0, 1500), (0.0, 1500), (us(1), 40), (us(1.2), 9000),
-                 (us(30), 1500)]
-        assert self._deliveries(monkeypatch, True, sends) == self._deliveries(
-            monkeypatch, False, sends
-        )
-
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PORT_FAST", raising=False)
-        sim = Simulator()
-        port, _ = make_port(sim)
-        port.send(make_packet())
-        sim.run()
-        assert port._fast is False
-
-    def test_opt_in_engages_only_without_hooks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PORT_FAST", "1")
-        sim = Simulator()
-        plain, _ = make_port(sim)
-        plain.send(make_packet())
-        assert plain._fast is True
-        aqmed, _ = make_port(sim, aqm=DctcpRed(30000))
-        aqmed.send(make_packet())
-        assert aqmed._fast is False
-        sim.run()
-
-    def test_overflow_drops_and_buffer_settles(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PORT_FAST", "1")
-        sim = Simulator()
-        port, sink = make_port(sim, buffer_bytes=3000)
-        # The head packet's reservation frees at service start (t=0), so 3
-        # of 5 are admitted -- identical to the event-driven loop.
-        for _ in range(5):
-            port.send(make_packet(size=1500))
-        sim.run()
-        assert port.stats.dropped_overflow == 2
-        assert len(sink.arrivals) == 3
-        assert port.buffer.used_bytes == 0
-        assert port.stats.tx_packets == 3
-
-    def test_queue_occupancy_counts_unserved_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PORT_FAST", "1")
-        sim = Simulator()
-        port, _ = make_port(sim)
-        for _ in range(3):
-            port.send(make_packet(size=1500))
-        # First packet entered service immediately; two are waiting.
-        assert port.queue_packets == 2
-        assert port.queue_bytes == 3000
-        sim.run()
-        assert port.queue_packets == 0
-        assert port.queue_bytes == 0

@@ -143,3 +143,54 @@ class TestDwrrShares:
         for _ in range(100):
             served[scheduler.dequeue().service] += 1
         assert abs(served[0] - served[1]) <= 2
+
+
+class TestOccupancyCounters:
+    """``total_bytes`` / ``total_packets`` are O(1) counters a port reads on
+    every admission; they must equal the sum over the queues after any
+    interleaving of enqueues and dequeues, for every discipline."""
+
+    BUILDERS = {
+        "fifo": FifoScheduler,
+        "strict": lambda: StrictPriorityScheduler(num_queues=3),
+        "dwrr": lambda: DwrrScheduler(weights=[2, 1, 1]),
+        "dwrr-small-quantum": lambda: DwrrScheduler(weights=[1, 3], base_quantum=100),
+    }
+
+    @given(
+        kind=st.sampled_from(sorted(BUILDERS)),
+        ops=st.lists(
+            st.one_of(
+                st.none(),  # dequeue
+                st.tuples(  # enqueue (service, size); service may be out of range
+                    st.integers(min_value=-1, max_value=4),
+                    st.integers(min_value=40, max_value=9000),
+                ),
+            ),
+            max_size=120,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counters_equal_recomputed_sums(self, kind, ops):
+        scheduler = self.BUILDERS[kind]()
+        inside = 0
+        for op in ops:
+            if op is None:
+                packet = scheduler.dequeue()
+                assert (packet is None) == (inside == 0)
+                inside -= packet is not None
+            else:
+                service, size = op
+                scheduler.enqueue(make_packet(service=service, size=size))
+                inside += 1
+            assert scheduler.total_packets == inside
+            assert scheduler.total_packets == sum(
+                q.packet_length for q in scheduler.queues
+            )
+            assert scheduler.total_bytes == sum(
+                q.byte_length for q in scheduler.queues
+            )
+            assert scheduler.is_empty() == (inside == 0)
+        while scheduler.dequeue() is not None:
+            pass
+        assert (scheduler.total_packets, scheduler.total_bytes) == (0, 0)
