@@ -514,13 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="baselines",
             help="directory holding <scale>.json baselines (default: baselines)",
         )
-        verb.add_argument(
-            "--bench",
-            metavar="PATH",
-            default=None,
-            help="BENCH_engine.json payload (embedded at capture; compared "
-            "at run)",
-        )
         _add_executor_args(verb)
     capture.add_argument(
         "--force",
@@ -745,7 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trend",
         metavar="PATH",
         default=None,
-        help="benchmark trend JSONL (e.g. benchmarks/results/trend.jsonl)",
+        help="perf ledger trend JSONL "
+        "(e.g. benchmarks/ledger/results/trend.jsonl)",
     )
     o_report.add_argument(
         "--out",
@@ -1285,7 +1279,6 @@ def _main_validate(args, parser: argparse.ArgumentParser) -> int:
                         executor,
                         baseline_dir=args.baseline_dir,
                         force=args.force,
-                        bench_path=args.bench,
                     )
                 except DirtyTreeError as exc:
                     log.error(f"# error: {exc}")
@@ -1313,7 +1306,6 @@ def _main_validate(args, parser: argparse.ArgumentParser) -> int:
                     executor,
                     baseline_path=args.baseline,
                     baseline_dir=args.baseline_dir,
-                    bench_path=args.bench,
                 )
             except (StaleBaselineError, FileNotFoundError) as exc:
                 log.error(f"# error: {exc}")

@@ -40,7 +40,7 @@ from .schemes import (
     testbed_scheme_specs,
     testbed_schemes,
 )
-from .specs import AqmSpec, RunSpec
+from .specs import AqmSpec, Cell, RunSpec
 
 __all__ = [
     "LARGE_FLOW_MIN",
@@ -69,6 +69,7 @@ __all__ = [
     "testbed_schemes",
     "testbed_scheme_specs",
     "AqmSpec",
+    "Cell",
     "RunSpec",
     "Executor",
     "ResultCache",

@@ -51,8 +51,8 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry.spans import maybe_span
-from .faults import RunFailure, maybe_inject_fault
-from .specs import RunSpec, resolve_workload, stable_hash
+from .faults import RunFailure, is_failure, maybe_inject_fault
+from .specs import Cell, RunSpec, resolve_workload, stable_hash
 
 try:  # per-process peak RSS; stdlib on Unix, absent on Windows
     import resource as _resource
@@ -73,7 +73,9 @@ __all__ = [
     "get_default_executor",
     "set_default_executor",
     "seed_specs",
+    "split_by_cell",
     "run_grid",
+    "cell_metrics",
 ]
 
 CACHE_SCHEMA_VERSION = 2
@@ -1084,6 +1086,20 @@ def seed_specs(spec: RunSpec, n_seeds: int) -> List[RunSpec]:
     return [spec.with_seed(spec.seed + offset) for offset in range(n_seeds)]
 
 
+def split_by_cell(
+    cells: Sequence[Sequence[RunSpec]], flat: Sequence[Any]
+) -> List[Sequence[Any]]:
+    """Regroup a flat per-spec sequence (results, attribution rows) into
+    one slice per cell, in submission order.  ``cells`` are spec lists or
+    :class:`~repro.experiments.specs.Cell` objects."""
+    per_cell: List[Sequence[Any]] = []
+    cursor = 0
+    for cell in cells:
+        per_cell.append(flat[cursor:cursor + len(cell)])
+        cursor += len(cell)
+    return per_cell
+
+
 def run_grid(
     cells: Sequence[Sequence[RunSpec]],
     executor: Optional[Executor] = None,
@@ -1097,7 +1113,8 @@ def run_grid(
     :class:`RunFailure` entries on the pooled result's ``failures`` list
     and degrades a fully-failed cell to a
     :class:`~repro.experiments.faults.FailedCell` (renders as gaps);
-    custom ``pool`` callables receive the raw result/failure mix.
+    custom ``pool`` callables receive the raw result/failure mix, so
+    ``pool=list`` returns each cell's raw runs.
     """
     executor = executor or get_default_executor()
     if pool is None:
@@ -1105,10 +1122,14 @@ def run_grid(
 
         pool = pool_results
     flat: List[RunSpec] = [spec for cell in cells for spec in cell]
-    results = executor.run(flat)
-    pooled: List[Any] = []
-    cursor = 0
-    for cell in cells:
-        pooled.append(pool(results[cursor:cursor + len(cell)]))
-        cursor += len(cell)
-    return pooled
+    return [pool(runs) for runs in split_by_cell(cells, executor.run(flat))]
+
+
+def cell_metrics(cell: Cell, result: Any) -> Optional[Dict[str, float]]:
+    """Flat metric map of one of ``cell``'s results -- a single seed run or
+    the cell's pooled result -- or ``None`` when it failed."""
+    if result is None or is_failure(result):
+        return None
+    if cell.metric_source == "fct":
+        return result.summary.metrics()
+    return result.metrics()

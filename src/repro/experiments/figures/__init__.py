@@ -29,7 +29,22 @@ from . import (
     table1,
 )
 
+GRIDS = {
+    "fig6": (fig6_fig7.fig6_cells, fig6_fig7.assemble),
+    "fig7": (fig6_fig7.fig7_cells, fig6_fig7.assemble),
+    "fig8": (fig8.cells, fig8.assemble),
+    "fig10": (fig10.cells, fig10.assemble),
+    "fig11": (fig11.cells, fig11.assemble),
+    "fig12": (fig12.cells, fig12.assemble),
+}
+"""Figure name -> ``(cells, assemble)`` for the figures whose grid is data:
+``cells(**params)`` maps each sweep coordinate to its
+:class:`~repro.experiments.specs.Cell`, and ``assemble(cells, runs)`` turns
+the cells' raw runs (one list per cell, same order) into the figure's result
+object.  ``run_figN`` and the validation gates both go through this pair."""
+
 __all__ = [
+    "GRIDS",
     "table1",
     "fig2",
     "fig3",

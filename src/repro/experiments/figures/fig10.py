@@ -14,7 +14,7 @@ arrive at once.  The paper's observations, which this module measures:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,15 +25,20 @@ from ...sim.units import gbps, mb, ms, us
 from ...topology.star import build_incast
 from ...workloads.arrivals import TransportConfig
 from ...workloads.incast import launch_query
+from ..executor import run_grid
 from ..faults import is_failure
 from ..fct import FctCollector
 from ..report import format_table
 from ..runner import estimate_star_network_rtt
+from ..schemes import simulation_scheme_specs
+from ..specs import Cell, RunSpec
 
 __all__ = [
     "Fig10Result",
     "MicroscopicRun",
     "run_microscopic",
+    "cells",
+    "assemble",
     "run_fig10",
     "render",
     "summarize_for_validation",
@@ -204,27 +209,43 @@ def _best_window_average(
     return best if best != float("inf") else float(np.mean([p for _, p in samples]))
 
 
-def run_fig10(
+def cells(
     fanout: int = 100,
     seed: int = 51,
     schemes: Tuple[str, ...] = DEFAULT_SCHEMES,
-    executor=None,
-) -> Fig10Result:
-    """Run the microscopic trace for each scheme at one fanout."""
-    from ..executor import get_default_executor
-    from ..schemes import simulation_scheme_specs
-    from ..specs import RunSpec
-
+) -> Dict[Tuple[int, str], Cell]:
+    """One single-run cell per ``(fanout, scheme)`` coordinate."""
     scheme_specs = simulation_scheme_specs()
-    specs = [
-        RunSpec.microscopic(
-            scheme_specs[name], seed=seed, label=name, fanout=fanout
+    return {
+        (fanout, name): Cell(
+            group="fig10",
+            key=f"scheme={name}",
+            specs=(
+                RunSpec.microscopic(
+                    scheme_specs[name], seed=seed, label=name, fanout=fanout
+                ),
+            ),
+            metric_source="micro",
         )
         for name in schemes
-    ]
-    executor = executor or get_default_executor()
-    runs: Dict[str, MicroscopicRun] = dict(zip(schemes, executor.run(specs)))
-    return Fig10Result(runs=runs, fanout=fanout, burst_time=ms(20))
+    }
+
+
+def assemble(
+    cells: Dict[Tuple[int, str], Cell], runs: Sequence[Sequence[Any]]
+) -> Fig10Result:
+    return Fig10Result(
+        runs={name: cell_runs[0] for (_, name), cell_runs in zip(cells, runs)},
+        fanout=next(fanout for fanout, _ in cells),
+        burst_time=ms(20),
+    )
+
+
+def run_fig10(executor=None, **params: Any) -> Fig10Result:
+    """Run the microscopic trace for each scheme at one fanout (parameters
+    and defaults: :func:`cells`)."""
+    grid = cells(**params)
+    return assemble(grid, run_grid(grid.values(), executor, pool=list))
 
 
 def summarize_for_validation(result: Fig10Result) -> dict:

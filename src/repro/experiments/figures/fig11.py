@@ -10,19 +10,21 @@ suffering at ~175 senders -- a 1.75x burst-tolerance advantage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..executor import Executor, get_default_executor
+from ..executor import Executor, run_grid
 from ..faults import is_failure
 from ..report import fmt_opt, format_table
 from ..schemes import simulation_scheme_specs
-from ..specs import RunSpec
+from ..specs import Cell, RunSpec
 from .fig10 import MicroscopicRun
 
 __all__ = [
     "Fig11Result",
+    "cells",
+    "assemble",
     "run_fig11",
     "render",
     "summarize_for_validation",
@@ -63,26 +65,49 @@ class Fig11Result:
         return None
 
 
-def run_fig11(
+def cells(
     fanouts: Tuple[int, ...] = DEFAULT_FANOUTS,
     schemes: Tuple[str, ...] = DEFAULT_SCHEMES,
     seed: int = 61,
-    executor: Optional[Executor] = None,
-) -> Fig11Result:
-    """Run the fanout sweep for every scheme (one executor pass)."""
+) -> Dict[Tuple[int, str], Cell]:
+    """One single-run cell per ``(fanout, scheme)`` coordinate."""
     scheme_specs = simulation_scheme_specs()
-    keys = [(fanout, name) for fanout in fanouts for name in schemes]
-    specs = [
-        RunSpec.microscopic(
-            scheme_specs[name], seed=seed, label=name, fanout=fanout
+    return {
+        (fanout, name): Cell(
+            group="fig11",
+            key=f"fanout={fanout}|scheme={name}",
+            specs=(
+                RunSpec.microscopic(
+                    scheme_specs[name], seed=seed, label=name, fanout=fanout
+                ),
+            ),
+            metric_source="micro",
         )
-        for fanout, name in keys
-    ]
-    executor = executor or get_default_executor()
-    runs: Dict[int, Dict[str, MicroscopicRun]] = {fanout: {} for fanout in fanouts}
-    for (fanout, name), run in zip(keys, executor.run(specs)):
-        runs[fanout][name] = run
-    return Fig11Result(fanouts=fanouts, schemes=schemes, runs=runs)
+        for fanout in fanouts
+        for name in schemes
+    }
+
+
+def assemble(
+    cells: Dict[Tuple[int, str], Cell], runs: Sequence[Sequence[Any]]
+) -> Fig11Result:
+    by_fanout: Dict[int, Dict[str, MicroscopicRun]] = {}
+    for (fanout, name), cell_runs in zip(cells, runs):
+        by_fanout.setdefault(fanout, {})[name] = cell_runs[0]
+    return Fig11Result(
+        fanouts=tuple(by_fanout),
+        schemes=tuple(dict.fromkeys(name for _, name in cells)),
+        runs=by_fanout,
+    )
+
+
+def run_fig11(
+    executor: Optional[Executor] = None, **params: Any
+) -> Fig11Result:
+    """Run the fanout sweep for every scheme in one executor pass
+    (parameters and defaults: :func:`cells`)."""
+    grid = cells(**params)
+    return assemble(grid, run_grid(grid.values(), executor, pool=list))
 
 
 def summarize_for_validation(result: Fig11Result) -> dict:

@@ -9,17 +9,24 @@ conservatively small).  The paper's claim: overall average FCT moves by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...sim.units import us
 from ...workloads.datamining import DATA_MINING
-from ...workloads.distributions import EmpiricalCdf
 from ...workloads.websearch import WEB_SEARCH
 from ..executor import Executor, run_grid, seed_specs
 from ..report import fmt_ratio, format_table
-from ..specs import AqmSpec, RunSpec
+from ..runner import pool_results
+from ..specs import AqmSpec, Cell, RunSpec
 
-__all__ = ["Fig12Result", "run_fig12", "render", "summarize_for_validation"]
+__all__ = [
+    "Fig12Result",
+    "cells",
+    "assemble",
+    "run_fig12",
+    "render",
+    "summarize_for_validation",
+]
 
 DEFAULT_INTERVALS_US: Tuple[float, ...] = (100.0, 150.0, 200.0, 250.0)
 DEFAULT_TARGETS_US: Tuple[float, ...] = (6.0, 10.0, 14.0, 18.0)
@@ -50,35 +57,7 @@ def _spread(values) -> Optional[float]:
     return (max(present) - min(present)) / min(present)
 
 
-def _sweep_specs(
-    workload: EmpiricalCdf,
-    configs: List[Tuple[float, AqmSpec]],
-    load: float,
-    n_flows: int,
-    seed: int,
-    rtt_min: float,
-    n_seeds: int,
-    panel: str,
-) -> List[List[RunSpec]]:
-    return [
-        seed_specs(
-            RunSpec.star(
-                aqm,
-                workload=workload.name,
-                load=load,
-                n_flows=n_flows,
-                seed=seed,
-                label=f"ECN# {panel}={key:g}us",
-                variation=3.0,
-                rtt_min=rtt_min,
-            ),
-            n_seeds,
-        )
-        for key, aqm in configs
-    ]
-
-
-def run_fig12(
+def cells(
     load: float = 0.5,
     n_flows_web: int = 120,
     n_flows_mining: int = 50,
@@ -86,66 +65,72 @@ def run_fig12(
     intervals_us: Tuple[float, ...] = DEFAULT_INTERVALS_US,
     targets_us: Tuple[float, ...] = DEFAULT_TARGETS_US,
     n_seeds: int = 2,
-    executor: Optional[Executor] = None,
-) -> Fig12Result:
-    """Sweep pst_interval and pst_target on both workloads (one grid)."""
-    workloads = {"web-search": (WEB_SEARCH, n_flows_web), "data-mining": (DATA_MINING, n_flows_mining)}
-
-    keys: List[Tuple[str, str, float]] = []
-    cells: List[List[RunSpec]] = []
-    for name, (workload, n_flows) in workloads.items():
+) -> Dict[Tuple[str, str, float], Cell]:
+    """Both sweep panels on both workloads, one cell per
+    ``(workload, panel, value in us)`` coordinate."""
+    panels = (
         # Panel (a): testbed-style parameters (70-210 us band), interval sweep.
-        interval_configs = [
-            (
-                value,
-                AqmSpec.make(
-                    "ecn-sharp",
-                    ins_target=us(200),
-                    pst_target=us(85),
-                    pst_interval=us(value),
-                ),
-            )
-            for value in intervals_us
-        ]
-        keys.extend((name, "interval", value) for value in intervals_us)
-        cells.extend(
-            _sweep_specs(workload, interval_configs, load, n_flows, seed,
-                         us(70), n_seeds, "pst_interval")
-        )
+        ("interval", "pst_interval", intervals_us,
+         {"ins_target": us(200), "pst_target": us(85)}, us(70)),
         # Panel (b): simulation-style parameters (80-240 us band), target sweep.
-        target_configs = [
-            (
-                value,
-                AqmSpec.make(
-                    "ecn-sharp",
-                    ins_target=us(220),
-                    pst_target=us(value),
-                    pst_interval=us(240),
-                ),
-            )
-            for value in targets_us
-        ]
-        keys.extend((name, "target", value) for value in targets_us)
-        cells.extend(
-            _sweep_specs(workload, target_configs, load, n_flows, seed,
-                         us(80), n_seeds, "pst_target")
-        )
-
-    interval_fct: Dict[str, Dict[float, Optional[float]]] = {
-        name: {} for name in workloads
-    }
-    target_fct: Dict[str, Dict[float, Optional[float]]] = {
-        name: {} for name in workloads
-    }
-    for (name, panel, value), result in zip(keys, run_grid(cells, executor)):
-        out = interval_fct if panel == "interval" else target_fct
-        out[name][value] = result.summary.overall_avg
-    return Fig12Result(
-        intervals_us=intervals_us,
-        targets_us=targets_us,
-        interval_fct=interval_fct,
-        target_fct=target_fct,
+        ("target", "pst_target", targets_us,
+         {"ins_target": us(220), "pst_interval": us(240)}, us(80)),
     )
+    grid: Dict[Tuple[str, str, float], Cell] = {}
+    for workload, n_flows in (
+        (WEB_SEARCH, n_flows_web), (DATA_MINING, n_flows_mining)
+    ):
+        for panel, param, values, fixed, rtt_min in panels:
+            for value in values:
+                spec = RunSpec.star(
+                    AqmSpec.make("ecn-sharp", **fixed, **{param: us(value)}),
+                    workload=workload.name,
+                    load=load,
+                    n_flows=n_flows,
+                    seed=seed,
+                    label=f"ECN# {param}={value:g}us",
+                    variation=3.0,
+                    rtt_min=rtt_min,
+                )
+                grid[(workload.name, panel, value)] = Cell(
+                    group="fig12",
+                    key=f"{workload.name}|{param}={value:g}us",
+                    specs=tuple(seed_specs(spec, n_seeds)),
+                    metric_source="fct",
+                )
+    return grid
+
+
+def assemble(
+    cells: Dict[Tuple[str, str, float], Cell], runs: Sequence[Sequence[Any]]
+) -> Fig12Result:
+    """Pool each cell's seed runs into the per-panel overall-average maps."""
+    workloads = dict.fromkeys(workload for workload, _, _ in cells)
+    fct: Dict[str, Dict[str, Dict[float, Optional[float]]]] = {
+        panel: {workload: {} for workload in workloads}
+        for panel in ("interval", "target")
+    }
+    for (workload, panel, value), cell_runs in zip(cells, runs):
+        fct[panel][workload][value] = pool_results(cell_runs).summary.overall_avg
+    return Fig12Result(
+        intervals_us=tuple(
+            dict.fromkeys(v for _, panel, v in cells if panel == "interval")
+        ),
+        targets_us=tuple(
+            dict.fromkeys(v for _, panel, v in cells if panel == "target")
+        ),
+        interval_fct=fct["interval"],
+        target_fct=fct["target"],
+    )
+
+
+def run_fig12(
+    executor: Optional[Executor] = None, **params: Any
+) -> Fig12Result:
+    """Sweep pst_interval and pst_target on both workloads in one grid
+    (parameters and defaults: :func:`cells`)."""
+    grid = cells(**params)
+    return assemble(grid, run_grid(grid.values(), executor, pool=list))
 
 
 def summarize_for_validation(result: Fig12Result) -> dict:

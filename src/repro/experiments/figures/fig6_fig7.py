@@ -13,7 +13,7 @@ flows; CoDel loses badly on short flows (timeouts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...sim.units import us
 from ...workloads.datamining import DATA_MINING
@@ -22,11 +22,16 @@ from ...workloads.websearch import WEB_SEARCH
 from ..executor import Executor, run_grid, seed_specs
 from ..fct import FctSummary, NormalizedFct
 from ..report import fmt_ratio, format_table
+from ..runner import pool_results
 from ..schemes import SCHEME_ORDER, testbed_scheme_specs
-from ..specs import AqmSpec, RunSpec
+from ..specs import AqmSpec, Cell, RunSpec
 
 __all__ = [
     "FctVsLoadResult",
+    "cells",
+    "assemble",
+    "fig6_cells",
+    "fig7_cells",
     "run_fct_vs_load",
     "run_fig6",
     "run_fig7",
@@ -62,6 +67,64 @@ class FctVsLoadResult:
         return max(gains) if gains else None
 
 
+def _figure_name(workload_name: str) -> str:
+    return "fig6" if workload_name == WEB_SEARCH.name else "fig7"
+
+
+def cells(
+    workload: EmpiricalCdf,
+    loads: Tuple[float, ...],
+    n_flows: int,
+    seed: int,
+    schemes: Optional[Dict[str, AqmSpec]] = None,
+    variation: float = 3.0,
+    rtt_min: float = us(70),
+    n_seeds: int = 2,
+) -> Dict[Tuple[float, str], Cell]:
+    """The (load x scheme x seed) grid over the testbed star, one cell per
+    ``(load, scheme)`` coordinate."""
+    scheme_specs = schemes if schemes is not None else testbed_scheme_specs()
+    return {
+        (load, name): Cell(
+            group=_figure_name(workload.name),
+            key=f"load={load:g}|scheme={name}",
+            specs=tuple(
+                seed_specs(
+                    RunSpec.star(
+                        scheme_specs[name],
+                        workload=workload.name,
+                        load=load,
+                        n_flows=n_flows,
+                        seed=seed,
+                        label=name,
+                        variation=variation,
+                        rtt_min=rtt_min,
+                    ),
+                    n_seeds,
+                )
+            ),
+            metric_source="fct",
+        )
+        for load in loads
+        for name in scheme_specs
+    }
+
+
+def assemble(
+    cells: Dict[Tuple[float, str], Cell], runs: Sequence[Sequence[Any]]
+) -> FctVsLoadResult:
+    """Pool each cell's seed runs into ``summaries[load][scheme]``."""
+    summaries: Dict[float, Dict[str, FctSummary]] = {}
+    for (load, name), cell_runs in zip(cells, runs):
+        summaries.setdefault(load, {})[name] = pool_results(cell_runs).summary
+    return FctVsLoadResult(
+        workload_name=next(iter(cells.values())).specs[0].workload,
+        loads=tuple(summaries),
+        schemes=tuple(dict.fromkeys(name for _, name in cells)),
+        summaries=summaries,
+    )
+
+
 def run_fct_vs_load(
     workload: EmpiricalCdf,
     loads: Tuple[float, ...],
@@ -78,59 +141,46 @@ def run_fct_vs_load(
     The full (load x scheme x seed) grid is submitted through the executor
     in one pass, so it parallelizes and caches per cell.
     """
-    scheme_specs = schemes if schemes is not None else testbed_scheme_specs()
-    keys = [(load, name) for load in loads for name in scheme_specs]
-    cells = [
-        seed_specs(
-            RunSpec.star(
-                scheme_specs[name],
-                workload=workload.name,
-                load=load,
-                n_flows=n_flows,
-                seed=seed,
-                label=name,
-                variation=variation,
-                rtt_min=rtt_min,
-            ),
-            n_seeds,
-        )
-        for load, name in keys
-    ]
-    summaries: Dict[float, Dict[str, FctSummary]] = {load: {} for load in loads}
-    for (load, name), result in zip(keys, run_grid(cells, executor)):
-        summaries[load][name] = result.summary
-    return FctVsLoadResult(
-        workload_name=workload.name,
-        loads=loads,
-        schemes=tuple(scheme_specs.keys()),
-        summaries=summaries,
+    grid = cells(
+        workload, loads, n_flows, seed, schemes, variation, rtt_min, n_seeds
     )
+    return assemble(grid, run_grid(grid.values(), executor, pool=list))
 
 
-def run_fig6(
+def fig6_cells(
     loads: Tuple[float, ...] = (0.3, 0.5, 0.8),
     n_flows: int = 150,
     seed: int = 21,
     n_seeds: int = 2,
-    executor: Optional[Executor] = None,
-) -> FctVsLoadResult:
-    """Figure 6: web search workload."""
-    return run_fct_vs_load(
-        WEB_SEARCH, loads, n_flows, seed, n_seeds=n_seeds, executor=executor
-    )
+) -> Dict[Tuple[float, str], Cell]:
+    """Figure 6's grid: web search workload."""
+    return cells(WEB_SEARCH, loads, n_flows, seed, n_seeds=n_seeds)
 
 
-def run_fig7(
+def fig7_cells(
     loads: Tuple[float, ...] = (0.3, 0.5, 0.8),
     n_flows: int = 60,
     seed: int = 22,
     n_seeds: int = 2,
-    executor: Optional[Executor] = None,
+) -> Dict[Tuple[float, str], Cell]:
+    """Figure 7's grid: data mining workload."""
+    return cells(DATA_MINING, loads, n_flows, seed, n_seeds=n_seeds)
+
+
+def run_fig6(
+    executor: Optional[Executor] = None, **params: Any
 ) -> FctVsLoadResult:
-    """Figure 7: data mining workload."""
-    return run_fct_vs_load(
-        DATA_MINING, loads, n_flows, seed, n_seeds=n_seeds, executor=executor
-    )
+    """Figure 6 (parameters and defaults: :func:`fig6_cells`)."""
+    grid = fig6_cells(**params)
+    return assemble(grid, run_grid(grid.values(), executor, pool=list))
+
+
+def run_fig7(
+    executor: Optional[Executor] = None, **params: Any
+) -> FctVsLoadResult:
+    """Figure 7 (parameters and defaults: :func:`fig7_cells`)."""
+    grid = fig7_cells(**params)
+    return assemble(grid, run_grid(grid.values(), executor, pool=list))
 
 
 def summarize_for_validation(result: FctVsLoadResult) -> dict:
@@ -145,7 +195,7 @@ def summarize_for_validation(result: FctVsLoadResult) -> dict:
     if gain is not None:
         derived["best_short_avg_gain"] = gain
     return {
-        "figure": "fig6" if result.workload_name == "web-search" else "fig7",
+        "figure": _figure_name(result.workload_name),
         "params": {"workload": result.workload_name},
         "cells": cells,
         "derived": derived,

@@ -8,18 +8,21 @@ grows (paper: -37% at 3x, -71% at 4x, -73% at 5x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...sim.units import us
 from ...workloads.websearch import WEB_SEARCH
 from ..executor import Executor, run_grid, seed_specs
 from ..fct import FctSummary
 from ..report import fmt_ratio, format_table
+from ..runner import pool_results
 from ..schemes import testbed_scheme_specs
-from ..specs import RunSpec
+from ..specs import Cell, RunSpec
 
 __all__ = [
     "Fig8Result",
+    "cells",
+    "assemble",
     "run_fig8",
     "render",
     "summarize_for_validation",
@@ -27,6 +30,7 @@ __all__ = [
 ]
 
 DEFAULT_VARIATIONS: Tuple[float, ...] = (3.0, 4.0, 5.0)
+SCHEMES: Tuple[str, ...] = ("DCTCP-RED-Tail", "ECN#")
 
 
 @dataclass
@@ -47,49 +51,66 @@ class Fig8Result:
         return mine / base
 
 
-def run_fig8(
+def cells(
     variations: Tuple[float, ...] = DEFAULT_VARIATIONS,
     loads: Tuple[float, ...] = (0.5, 0.8),
     n_flows: int = 150,
     seed: int = 31,
     rtt_min: float = us(70),
     n_seeds: int = 2,
-    executor: Optional[Executor] = None,
-) -> Fig8Result:
-    """Run ECN# vs DCTCP-RED-Tail across RTT variations and loads."""
-    schemes = {
-        name: spec
-        for name, spec in testbed_scheme_specs().items()
-        if name in ("DCTCP-RED-Tail", "ECN#")
-    }
-    keys = [
-        (variation, load, name)
+) -> Dict[Tuple[float, float, str], Cell]:
+    """The (variation x load x scheme x seed) grid, one cell per
+    ``(variation, load, scheme)`` coordinate."""
+    schemes = testbed_scheme_specs()
+    return {
+        (variation, load, name): Cell(
+            group="fig8",
+            key=f"variation={variation:g}|load={load:g}|scheme={name}",
+            specs=tuple(
+                seed_specs(
+                    RunSpec.star(
+                        schemes[name],
+                        workload=WEB_SEARCH.name,
+                        load=load,
+                        n_flows=n_flows,
+                        seed=seed,
+                        label=name,
+                        variation=variation,
+                        rtt_min=rtt_min,
+                    ),
+                    n_seeds,
+                )
+            ),
+            metric_source="fct",
+        )
         for variation in variations
         for load in loads
-        for name in schemes
-    ]
-    cells = [
-        seed_specs(
-            RunSpec.star(
-                schemes[name],
-                workload=WEB_SEARCH.name,
-                load=load,
-                n_flows=n_flows,
-                seed=seed,
-                label=name,
-                variation=variation,
-                rtt_min=rtt_min,
-            ),
-            n_seeds,
-        )
-        for variation, load, name in keys
-    ]
-    summaries: Dict[float, Dict[float, Dict[str, FctSummary]]] = {
-        variation: {load: {} for load in loads} for variation in variations
+        for name in SCHEMES
     }
-    for (variation, load, name), result in zip(keys, run_grid(cells, executor)):
-        summaries[variation][load][name] = result.summary
-    return Fig8Result(variations=variations, loads=loads, summaries=summaries)
+
+
+def assemble(
+    cells: Dict[Tuple[float, float, str], Cell],
+    runs: Sequence[Sequence[Any]],
+) -> Fig8Result:
+    """Pool each cell's seed runs into ``summaries[variation][load][scheme]``."""
+    summaries: Dict[float, Dict[float, Dict[str, FctSummary]]] = {}
+    for (variation, load, name), cell_runs in zip(cells, runs):
+        summaries.setdefault(variation, {}).setdefault(load, {})[name] = (
+            pool_results(cell_runs).summary
+        )
+    return Fig8Result(
+        variations=tuple(summaries),
+        loads=tuple(dict.fromkeys(load for _, load, _ in cells)),
+        summaries=summaries,
+    )
+
+
+def run_fig8(executor: Optional[Executor] = None, **params: Any) -> Fig8Result:
+    """Run ECN# vs DCTCP-RED-Tail across RTT variations and loads
+    (parameters and defaults: :func:`cells`)."""
+    grid = cells(**params)
+    return assemble(grid, run_grid(grid.values(), executor, pool=list))
 
 
 def summarize_for_validation(result: Fig8Result) -> dict:

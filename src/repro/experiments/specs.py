@@ -21,11 +21,12 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "AqmSpec",
     "RunSpec",
+    "Cell",
     "resolve_workload",
     "stable_hash",
     "FIDELITIES",
@@ -348,4 +349,39 @@ class RunSpec:
         return (
             f"{self.kind}|{self.label or self.aqm.kind}|"
             f"seed={self.seed}|{self.spec_hash()[:16]}"
+        )
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One grid cell: the seed-expanded specs of one sweep point.
+
+    ``group`` is the figure or scenario workload component the cell belongs
+    to and ``key`` its stable human-readable name within the grid.  A cell
+    is sized and iterable like its spec tuple, so a list of cells can go
+    wherever a list of per-cell spec lists can
+    (:func:`~repro.experiments.executor.run_grid`).
+    """
+
+    group: str
+    key: str
+    specs: Tuple[RunSpec, ...]
+    metric_source: str  # "fct" (ExperimentResult) or "micro" (MicroscopicRun)
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __iter__(self) -> Iterator[RunSpec]:
+        return iter(self.specs)
+
+    def tokens(self) -> List[str]:
+        return [spec.token() for spec in self.specs]
+
+    def with_fidelity(self, fidelity: str) -> "Cell":
+        """The same cell with every spec at another fidelity."""
+        return Cell(
+            group=self.group,
+            key=self.key,
+            specs=tuple(spec.with_fidelity(fidelity) for spec in self.specs),
+            metric_source=self.metric_source,
         )

@@ -7,13 +7,13 @@ Data sources -- all optional, all read-only, none trigger a simulation:
   time, simulated events, events/sec, peak RSS, cache hits (the latest
   row per ``(scenario, cell_key)`` wins -- the sidecar is append-only
   across campaign resumes);
-* the benchmark trend file (``benchmarks/results/trend.jsonl``): one
-  engine-throughput row per ``perf_engine.py`` run, keyed by commit.
+* the perf ledger's trend file (``benchmarks/ledger/results/trend.jsonl``):
+  one row per ``benchmarks/ledger/run.py`` run, keyed by commit.
 
 The report renders the questions a campaign owner actually asks: where
 did the wall time go (slowest cells, per-scheme breakdown), what failed
-and why (status/kind tables), and is the engine getting faster or slower
-over commits (events/sec trend with a sparkline).
+and why (status/kind tables), and is each ledger workload getting faster
+or slower over commits (``run_s`` trend with a sparkline per workload).
 """
 
 from __future__ import annotations
@@ -25,25 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..scenarios.campaign import CampaignStore, read_jsonl_rows
+
 __all__ = ["ObsReport", "build_report", "summarize_metricz"]
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def _load_jsonl(path: Path) -> List[Dict[str, Any]]:
-    rows: List[Dict[str, Any]] = []
-    if not path.exists():
-        return rows
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn trailing line: same policy as the store
-    return rows
 
 
 def _scheme_of(cell_key: str, component: str = "") -> str:
@@ -138,6 +124,13 @@ class ObsReport:
             reverse=True,
         )
         return ranked[: self.top]
+
+    def trend_columns(self) -> List[str]:
+        """Every ``<workload>.run_s`` key found in the trend rows."""
+        return sorted(
+            {key for row in self.trend for key in row
+             if key.endswith(".run_s")}
+        )
 
     # ------------------------------------------------------------ markdown
 
@@ -259,29 +252,22 @@ class ObsReport:
                      for r in requests],
                 ) + [""]
 
-        lines += ["## Engine throughput trend", ""]
+        lines += ["## Perf ledger trend", ""]
         if not self.trend:
-            lines += ["No trend data (run `benchmarks/perf_engine.py`).", ""]
+            lines += ["No trend data (run `benchmarks/ledger/run.py`).", ""]
         else:
-            rates = [row.get("events_per_sec") for row in self.trend]
-            spark = sparkline([r for r in rates if r is not None])
-            if spark:
-                lines += [f"`{spark}` (oldest → newest events/sec)", ""]
+            columns = self.trend_columns()
+            for column in columns:
+                spark = sparkline([row.get(column) for row in self.trend])
+                if spark:
+                    lines += [f"`{spark}` {column} (oldest → newest)", ""]
             lines += self._md_table(
-                ["commit", "python", "cpus", "events/sec", "pkt events/sec",
-                 "fluid flows/sec", "fluid speedup", "sweep speedup",
-                 "svc warm q/s", "svc p99 ms"],
+                ["commit", "python", "host", "quick", *columns],
                 [
                     [
                         (row.get("git_sha") or "-")[:12],
-                        row.get("python"), row.get("cpu_count"),
-                        row.get("events_per_sec"),
-                        row.get("packet_events_per_sec"),
-                        row.get("fluid_flows_per_sec"),
-                        row.get("fluid_speedup_vs_packet"),
-                        row.get("sweep_speedup"),
-                        row.get("service_warm_qps"),
-                        row.get("service_warm_p99_ms"),
+                        row.get("python"), row.get("host"), row.get("quick"),
+                        *[row.get(column) for column in columns],
                     ]
                     for row in self.trend
                 ],
@@ -330,11 +316,11 @@ class ObsReport:
                 body.append(f"<p>{html.escape(line)}</p>")
         flush_table()
 
-        rates = [row.get("events_per_sec") for row in self.trend]
-        svg = _trend_svg([r for r in rates if r is not None])
-        if svg:
-            body.append("<h2>Trend chart</h2>")
-            body.append(svg)
+        for column in self.trend_columns():
+            svg = _trend_svg([row.get(column) for row in self.trend])
+            if svg:
+                body.append(f"<h2>Trend: {html.escape(column)}</h2>")
+                body.append(svg)
 
         style = (
             "body{font-family:system-ui,sans-serif;margin:2em;max-width:70em}"
@@ -415,8 +401,6 @@ def build_report(
 
     records: List[Dict[str, Any]] = []
     if store is not None:
-        from ..scenarios.campaign import CampaignStore
-
         campaign_store = CampaignStore(store)
         report.store_path = str(campaign_store.path)
         index = campaign_store.load()
@@ -446,7 +430,7 @@ def build_report(
 
     if resources is not None:
         latest: Dict[tuple, Dict[str, Any]] = {}
-        for row in _load_jsonl(Path(resources)):
+        for row in read_jsonl_rows(Path(resources)):
             latest[(row.get("scenario"), row.get("cell_key"))] = row
         report.resources = list(latest.values())
 
@@ -470,7 +454,7 @@ def build_report(
         )
 
     if trend is not None:
-        rows = _load_jsonl(Path(trend))
+        rows = read_jsonl_rows(Path(trend))
         rows.sort(key=lambda r: r.get("unix_time") or 0.0)
         report.trend = rows
 

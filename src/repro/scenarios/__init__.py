@@ -41,7 +41,6 @@ from .coordination import (
 )
 from .compile import (
     CompiledScenario,
-    ScenarioCell,
     check_scenario,
     compile_scenario,
     summarize_cell,
@@ -61,7 +60,6 @@ __all__ = [
     "load_scenario",
     "load_scenario_dir",
     "CompiledScenario",
-    "ScenarioCell",
     "compile_scenario",
     "check_scenario",
     "summarize_cell",

@@ -29,11 +29,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..experiments.executor import Executor, get_default_executor
+from ..experiments.executor import (
+    Executor,
+    get_default_executor,
+    split_by_cell,
+)
+from ..experiments.specs import Cell
 from ..telemetry.provenance import git_sha
 from ..telemetry.runtime import get_active
 from ..telemetry.spans import maybe_span
-from .compile import CompiledScenario, ScenarioCell, compile_scenario, summarize_cell
+from .compile import CompiledScenario, compile_scenario, summarize_cell
 from .schema import Scenario
 
 __all__ = [
@@ -41,6 +46,8 @@ __all__ = [
     "CampaignStore",
     "CampaignResult",
     "StoreLoadStats",
+    "read_jsonl_rows",
+    "needs_trailing_newline",
     "run_campaign",
     "render_store_report",
     "DEFAULT_STORE",
@@ -127,7 +134,30 @@ class StoreLoadStats:
     torn_lines: int = 0
 
 
-def _needs_trailing_newline(path: Path) -> bool:
+def read_jsonl_rows(path: Path) -> List[Dict[str, Any]]:
+    """The readable object rows of an append-only JSONL file, in append
+    order.  A line that does not parse -- or parses to anything but a JSON
+    object -- is a torn or foreign write and is skipped; a missing file
+    has no rows.  The store's sidecars, the lease ledger and the obs
+    report's trend file all read through here."""
+    rows: List[Dict[str, Any]] = []
+    if not path.exists():
+        return rows
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(row, dict):
+                rows.append(row)
+    return rows
+
+
+def needs_trailing_newline(path: Path) -> bool:
     """Whether ``path`` ends mid-line (torn write from a crash) and must be
     newline-terminated before the next append, so the torn line cannot glue
     onto the next record and make both unreadable."""
@@ -181,7 +211,7 @@ class CampaignStore:
         if not rows:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        needs_newline = _needs_trailing_newline(self.resources_path)
+        needs_newline = needs_trailing_newline(self.resources_path)
         with open(self.resources_path, "a", encoding="utf-8") as handle:
             if needs_newline:
                 handle.write("\n")
@@ -193,19 +223,7 @@ class CampaignStore:
 
     def load_resources(self) -> List[Dict[str, Any]]:
         """All readable sidecar rows, in append order (torn lines skipped)."""
-        rows: List[Dict[str, Any]] = []
-        if not self.resources_path.exists():
-            return rows
-        with open(self.resources_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue
-        return rows
+        return read_jsonl_rows(self.resources_path)
 
     def load(self) -> Dict[RecordKey, CellRecord]:
         """Record index, latest record per key winning.  Unparseable lines
@@ -255,7 +273,7 @@ class CampaignStore:
         # A crash mid-write can leave a torn line with no trailing newline;
         # terminate it first so the next record does not glue onto it and
         # become unreadable too.
-        needs_newline = _needs_trailing_newline(self.path)
+        needs_newline = needs_trailing_newline(self.path)
         with open(self.path, "a", encoding="utf-8") as handle:
             if needs_newline:
                 handle.write("\n")
@@ -305,7 +323,7 @@ def _package_version() -> str:
 
 def _settle(
     compiled: CompiledScenario,
-    cell: ScenarioCell,
+    cell: Cell,
     runs: Sequence[Any],
     provenance: Tuple[Optional[str], str],
 ) -> CellRecord:
@@ -315,7 +333,7 @@ def _settle(
         scenario=compiled.scenario.name,
         scenario_hash=compiled.scenario.content_hash(),
         cell_key=cell.key,
-        component=cell.component,
+        component=cell.group,
         tokens=tuple(cell.tokens()),
         status=summary["status"],
         metrics=summary["metrics"],
@@ -357,7 +375,7 @@ def _cell_resources(
 
 def _iter_cells(
     compiled: Sequence[CompiledScenario],
-) -> Iterator[Tuple[CompiledScenario, ScenarioCell, str]]:
+) -> Iterator[Tuple[CompiledScenario, Cell, str]]:
     """Cells in deterministic scenario-order x cell-order with each
     scenario's content hash computed once."""
     for comp in compiled:
@@ -368,7 +386,7 @@ def _iter_cells(
 
 def _execute_shard(
     executor: Executor,
-    shard: Sequence[Tuple[CompiledScenario, ScenarioCell]],
+    shard: Sequence[Tuple[CompiledScenario, Cell]],
     provenance: Tuple[Optional[str], str],
     result: CampaignResult,
     progress: Optional[Any],
@@ -376,20 +394,19 @@ def _execute_shard(
     """Execute one shard through the executor and settle its records
     (store appends are the caller's job -- shared mode does them under
     the store lock)."""
-    flat = [spec for _, cell in shard for spec in cell.specs]
+    cells = [cell for _, cell in shard]
     retried_before = executor.stats.retried
-    outcomes = executor.run(flat)
+    outcomes = executor.run([spec for cell in cells for spec in cell.specs])
     if progress is not None:
         for _ in range(executor.stats.retried - retried_before):
             progress.retry()
-    attribution = executor.last_run_attribution
     shard_records: List[CellRecord] = []
     shard_resources: List[Dict[str, Any]] = []
-    cursor = 0
-    for comp, cell in shard:
-        runs = outcomes[cursor:cursor + len(cell.specs)]
-        cell_attrs = attribution[cursor:cursor + len(cell.specs)]
-        cursor += len(cell.specs)
+    for (comp, cell), runs, cell_attrs in zip(
+        shard,
+        split_by_cell(cells, outcomes),
+        split_by_cell(cells, executor.last_run_attribution),
+    ):
         record = _settle(comp, cell, runs, provenance)
         shard_records.append(record)
         result.records.append(record)
@@ -433,7 +450,7 @@ def _run_single(
     """The single-writer path: no locks, no leases, store byte-identical
     to the pre-coordination format."""
     index = store.load()
-    pending: List[Tuple[CompiledScenario, ScenarioCell]] = []
+    pending: List[Tuple[CompiledScenario, Cell]] = []
     skipped: List[Tuple[str, str]] = []
     for comp, cell, scenario_hash in _iter_cells(compiled):
         record = index.get((scenario_hash, tuple(cell.tokens())))
@@ -516,7 +533,7 @@ def _run_shared(
             index = store.load()
             newly_skipped: List[Tuple[str, str]] = []
             pending_keys: List[RecordKey] = []
-            by_key: Dict[RecordKey, Tuple[CompiledScenario, ScenarioCell]] = {}
+            by_key: Dict[RecordKey, Tuple[CompiledScenario, Cell]] = {}
             for comp, cell, scenario_hash in _iter_cells(compiled):
                 key: RecordKey = (scenario_hash, tuple(cell.tokens()))
                 if key in accounted:

@@ -2,7 +2,8 @@
 
 :func:`compile_scenario` is a pure function from a validated
 :class:`~repro.scenarios.schema.Scenario` to an ordered list of
-:class:`ScenarioCell` -- each carrying a stable cell key and the seed-expanded
+:class:`~repro.experiments.specs.Cell` (the figure grids' cell type) -- each
+carrying a stable cell key and the seed-expanded
 :class:`~repro.experiments.specs.RunSpec` list the existing
 :class:`~repro.experiments.executor.Executor` knows how to run.  Compilation
 touches no executor/cache/fault code: compiled scenarios flow through those
@@ -24,14 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..experiments.executor import seed_specs
+from ..experiments.executor import cell_metrics, seed_specs
 from ..experiments.faults import is_failure
-from ..experiments.specs import AqmSpec, RunSpec, resolve_fidelity
+from ..experiments.specs import AqmSpec, Cell, RunSpec, resolve_fidelity
 from ..sim.units import us
 from .schema import Scenario, ScenarioError, WorkloadSpec
 
-__all__ = ["ScenarioCell", "CompiledScenario", "compile_scenario",
-           "summarize_cell", "check_scenario"]
+__all__ = ["CompiledScenario", "compile_scenario", "summarize_cell",
+           "check_scenario"]
 
 # The rig defaults the compiler elides against (run_star_fct /
 # run_leafspine_fct / run_microscopic keyword defaults).
@@ -43,24 +44,11 @@ _DEFAULT_N_SENDERS = 7
 
 
 @dataclass(frozen=True)
-class ScenarioCell:
-    """One compiled cell: a workload component point, its seed specs."""
-
-    component: str
-    key: str
-    specs: Tuple[RunSpec, ...]
-    metric_source: str  # "fct" (ExperimentResult) or "micro" (MicroscopicRun)
-
-    def tokens(self) -> List[str]:
-        return [spec.token() for spec in self.specs]
-
-
-@dataclass(frozen=True)
 class CompiledScenario:
     """A scenario's full deterministic grid, in presentation order."""
 
     scenario: Scenario
-    cells: Tuple[ScenarioCell, ...]
+    cells: Tuple[Cell, ...]
 
     def specs(self) -> List[RunSpec]:
         return [spec for cell in self.cells for spec in cell.specs]
@@ -89,7 +77,7 @@ def compile_scenario(
     its own transport).
     """
     resolved = resolve_fidelity(fidelity or scenario.fidelity)
-    cells: List[ScenarioCell] = []
+    cells: List[Cell] = []
     for index, component in enumerate(scenario.workloads):
         path = f"{scenario.name}.workloads[{index}]"
         if component.kind == "fct":
@@ -99,15 +87,7 @@ def compile_scenario(
             component_cells = _incast_cells(scenario, component)
         if resolved != "packet":
             component_cells = [
-                ScenarioCell(
-                    component=cell.component,
-                    key=cell.key,
-                    specs=tuple(
-                        spec.with_fidelity(resolved) for spec in cell.specs
-                    ),
-                    metric_source=cell.metric_source,
-                )
-                for cell in component_cells
+                cell.with_fidelity(resolved) for cell in component_cells
             ]
         cells.extend(component_cells)
     return CompiledScenario(scenario=scenario, cells=tuple(cells))
@@ -116,7 +96,7 @@ def compile_scenario(
 # ------------------------------------------------------------ fct components
 
 
-def _fct_cells(scenario: Scenario, component: WorkloadSpec) -> List[ScenarioCell]:
+def _fct_cells(scenario: Scenario, component: WorkloadSpec) -> List[Cell]:
     topology = scenario.topology
     rtt = scenario.rtt_for(component)
     n_seeds = scenario.seeds_for(component)
@@ -152,8 +132,8 @@ def _fct_cells(scenario: Scenario, component: WorkloadSpec) -> List[ScenarioCell
                 **extras,
             )
             cells.append(
-                ScenarioCell(
-                    component=component.name,
+                Cell(
+                    group=component.name,
                     key=f"{component.name}|load={load:g}|scheme={name}",
                     specs=tuple(seed_specs(spec, n_seeds)),
                     metric_source="fct",
@@ -191,9 +171,7 @@ def _check_incast(
         )
 
 
-def _incast_cells(
-    scenario: Scenario, component: WorkloadSpec
-) -> List[ScenarioCell]:
+def _incast_cells(scenario: Scenario, component: WorkloadSpec) -> List[Cell]:
     rtt = scenario.rtt_for(component)
     cells = []
     for fanout in component.fanouts:
@@ -207,8 +185,8 @@ def _incast_cells(
                 aqm, seed=scenario.seed, label=name, **extras
             )
             cells.append(
-                ScenarioCell(
-                    component=component.name,
+                Cell(
+                    group=component.name,
                     key=f"{component.name}|fanout={fanout}|scheme={name}",
                     specs=(spec,),
                     metric_source="micro",
@@ -220,7 +198,7 @@ def _incast_cells(
 # ------------------------------------------------------------- summarising
 
 
-def summarize_cell(cell: ScenarioCell, runs: Sequence[Any]) -> Dict[str, Any]:
+def summarize_cell(cell: Cell, runs: Sequence[Any]) -> Dict[str, Any]:
     """One cell's deterministic summary from its raw executor results.
 
     ``{"status": "ok"|"failed", "metrics": {...}, "failures": [...]}`` --
@@ -240,9 +218,10 @@ def summarize_cell(cell: ScenarioCell, runs: Sequence[Any]) -> Dict[str, Any]:
         from ..experiments.runner import pool_results
 
         pooled = pool_results(list(runs))
-        return {"status": "ok", "metrics": pooled.summary.metrics(),
-                "failures": []}
-    return {"status": "ok", "metrics": runs[0].metrics(), "failures": []}
+    else:
+        pooled = runs[0]
+    return {"status": "ok", "metrics": cell_metrics(cell, pooled),
+            "failures": []}
 
 
 # ---------------------------------------------------------------- checking

@@ -41,7 +41,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .campaign import CampaignStore, CellRecord, RecordKey
+from .campaign import (
+    CampaignStore,
+    CellRecord,
+    RecordKey,
+    needs_trailing_newline,
+    read_jsonl_rows,
+)
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -297,29 +303,19 @@ class LeaseBoard:
 
     def load(self) -> Dict[RecordKey, Lease]:
         index: Dict[RecordKey, Lease] = {}
-        if not self.path.exists():
-            return index
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn trailing line from a crash
-                key = _key_from_json(row.get("key"))
-                if key is None:
-                    continue
-                try:
-                    lease = Lease(
-                        worker=str(row["worker"]),
-                        state=str(row["state"]),
-                        acquired_at=float(row["t"]),
-                    )
-                except (KeyError, TypeError, ValueError):
-                    continue
-                index[key] = lease
+        for row in read_jsonl_rows(self.path):
+            key = _key_from_json(row.get("key"))
+            if key is None:
+                continue
+            try:
+                lease = Lease(
+                    worker=str(row["worker"]),
+                    state=str(row["state"]),
+                    acquired_at=float(row["t"]),
+                )
+            except (KeyError, TypeError, ValueError):
+                continue
+            index[key] = lease
         return index
 
     def partition(
@@ -391,7 +387,7 @@ class LeaseBoard:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # Same torn-trailing-line probe as the main store: a crash mid-
         # lease-write must not glue the next lease onto the torn line.
-        needs_newline = _needs_newline(self.path)
+        needs_newline = needs_trailing_newline(self.path)
         with open(self.path, "a", encoding="utf-8") as handle:
             if needs_newline:
                 handle.write("\n")
@@ -402,19 +398,6 @@ class LeaseBoard:
                 handle.write("\n")
             handle.flush()
             os.fsync(handle.fileno())
-
-
-def _needs_newline(path: Path) -> bool:
-    """Whether ``path`` ends mid-line (torn write) and needs termination
-    before the next append."""
-    try:
-        if path.stat().st_size == 0:
-            return False
-    except OSError:
-        return False
-    with open(path, "rb") as probe:
-        probe.seek(-1, os.SEEK_END)
-        return probe.read(1) != b"\n"
 
 
 # ------------------------------------------------------------- shutdown

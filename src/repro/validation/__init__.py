@@ -9,8 +9,9 @@ Layers (dependency order):
   provenance and staleness detection;
 * :mod:`.invariants` -- declarative registry of the paper's directional
   claims (Figures 6-12), evaluated against assembled figure results;
-* :mod:`.grids` -- the single owner of validation run-spec construction,
-  shared by capture and gate runs so warm gates replay from cache;
+* :mod:`.grids` -- named scales over the figure modules' own grids
+  (``experiments.figures.GRIDS``), shared by capture, gate and crossfid
+  runs so warm gates replay from cache;
 * :mod:`.gates` -- ``repro validate capture`` / ``repro validate run``;
 * :mod:`.crossfid` -- ``repro validate crossfid``, the fluid-vs-packet
   agreement gate over the hybrid-fidelity sampled cells.
@@ -32,17 +33,14 @@ from .crossfid import (
     run_crossfid,
 )
 from .gates import (
-    PerfVerdict,
     ValidationReport,
     band_for,
     capture_baselines,
     default_baseline_path,
-    evaluate_perf,
     run_gate,
 )
 from .grids import (
     SCALES,
-    GridCell,
     GridOutcome,
     ValidationScale,
     build_cells,
@@ -81,15 +79,12 @@ __all__ = [
     "CrossfidReport",
     "crossfid_band_for",
     "run_crossfid",
-    "PerfVerdict",
     "ValidationReport",
     "band_for",
     "capture_baselines",
     "default_baseline_path",
-    "evaluate_perf",
     "run_gate",
     "SCALES",
-    "GridCell",
     "GridOutcome",
     "ValidationScale",
     "build_cells",

@@ -141,7 +141,6 @@ class Baseline:
 
     manifest: BaselineManifest
     figures: Dict[str, dict] = field(default_factory=dict)
-    bench: Optional[dict] = None
 
     # ------------------------------------------------------------- access
 
@@ -192,13 +191,10 @@ class Baseline:
     # ------------------------------------------------------------ storage
 
     def to_dict(self) -> dict:
-        payload: Dict[str, Any] = {
+        return {
             "manifest": self.manifest.to_dict(),
             "figures": self.figures,
         }
-        if self.bench is not None:
-            payload["bench"] = self.bench
-        return payload
 
     def save(self, path: Path) -> None:
         path = Path(path)
@@ -209,10 +205,34 @@ class Baseline:
 
     @classmethod
     def load(cls, path: Path) -> "Baseline":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        """Read a baseline file; anything that is not the documented shape
+        raises :class:`StaleBaselineError` naming the file.  Unknown
+        top-level keys (e.g. the retired ``bench`` payload) are ignored."""
+
+        def obj(value: Any, what: str) -> dict:
+            if not isinstance(value, dict):
+                raise StaleBaselineError(
+                    f"baseline {path} is malformed ({what} is not a JSON "
+                    "object); recapture with 'repro validate capture'"
+                )
+            return value
+
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except ValueError as exc:
+            raise StaleBaselineError(
+                f"baseline {path} is not valid JSON ({exc}); recapture "
+                "with 'repro validate capture'"
+            ) from None
+        data = obj(data, "the file")
+        manifest = obj(data.get("manifest", {}), "'manifest'")
+        figures = obj(data.get("figures", {}), "'figures'")
+        for figure, entry in figures.items():
+            entry = obj(entry, f"figure {figure!r}")
+            cells = obj(entry.get("cells", {}), f"{figure!r} cells")
+            for key, cell in cells.items():
+                obj(cell, f"cell {figure}:{key}")
         return cls(
-            manifest=BaselineManifest.from_dict(data.get("manifest", {})),
-            figures=data.get("figures", {}),
-            bench=data.get("bench"),
+            manifest=BaselineManifest.from_dict(manifest), figures=figures
         )

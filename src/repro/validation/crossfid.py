@@ -34,16 +34,22 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..experiments.executor import Executor, get_default_executor
+from ..experiments.executor import (
+    Executor,
+    cell_metrics,
+    get_default_executor,
+    run_grid,
+)
 from ..experiments.faults import RunFailure, is_failure
 from ..experiments.report import format_failure_table, format_table, to_json
+from ..experiments.specs import Cell
 from ..sim.units import MSS
 from ..telemetry.runtime import get_active
 from .grids import (
-    GridCell,
     ValidationScale,
-    _assemble_figure,
+    assemble_figures,
     build_cells,
+    cell_samples,
     resolve_scale,
 )
 from .invariants import InvariantVerdict, evaluate_figure
@@ -99,7 +105,11 @@ def crossfid_band_for(metric: str) -> ToleranceBand:
 
 
 def _crossfid_scale(scale: ValidationScale) -> ValidationScale:
-    figures = tuple(f for f in scale.figures if f in CROSSFID_FIGURES)
+    figures = {
+        figure: params
+        for figure, params in scale.figures.items()
+        if figure in CROSSFID_FIGURES
+    }
     if not figures:
         raise ValueError(
             f"scale {scale.name!r} has no cross-fidelity figure "
@@ -111,14 +121,17 @@ def _crossfid_scale(scale: ValidationScale) -> ValidationScale:
 # ------------------------------------------------------ metric extraction
 
 
-def _fct_metrics(run: Any) -> Optional[Dict[str, float]]:
-    if run is None or is_failure(run):
+def _crossfid_metrics(cell: Cell, run: Any) -> Optional[Dict[str, float]]:
+    """One run's metrics inside the fluid validity domain: the two queue
+    averages for microscopic cells; the FCT statistics plus the aggregate
+    marking fraction for FCT cells."""
+    metrics = cell_metrics(cell, run)
+    if metrics is None:
         return None
-    metrics = {
-        name: value
-        for name, value in run.summary.metrics().items()
-        if value is not None
-    }
+    if cell.metric_source == "micro":
+        return {
+            name: metrics[name] for name in MICRO_METRICS if name in metrics
+        }
     total_pkts = sum(
         math.ceil(record.size_bytes / MSS)
         for record in run.collector.records
@@ -127,22 +140,6 @@ def _fct_metrics(run: Any) -> Optional[Dict[str, float]]:
         run.marks / total_pkts if total_pkts > 0 else 0.0
     )
     return metrics
-
-
-def _micro_metrics(run: Any) -> Optional[Dict[str, float]]:
-    if run is None or is_failure(run):
-        return None
-    return {
-        name: value
-        for name, value in run.metrics().items()
-        if name in MICRO_METRICS and value is not None
-    }
-
-
-def _extract(cell: GridCell, run: Any) -> Optional[Dict[str, float]]:
-    if cell.metric_source == "fct":
-        return _fct_metrics(run)
-    return _micro_metrics(run)
 
 
 def _wall_seconds(run: Any) -> Optional[float]:
@@ -401,44 +398,22 @@ def run_crossfid(
     executor = executor or get_default_executor()
 
     cells = build_cells(scale)
-    packet_flat = [spec for cell in cells for spec in cell.specs]
-    fluid_flat = [spec.with_fidelity("fluid") for spec in packet_flat]
-    results = executor.run(packet_flat + fluid_flat)
-    packet_results = results[: len(packet_flat)]
-    fluid_results = results[len(packet_flat):]
-
-    def split(flat_results: List[Any]) -> List[List[Any]]:
-        per_cell: List[List[Any]] = []
-        cursor = 0
-        for cell in cells:
-            per_cell.append(flat_results[cursor:cursor + len(cell.specs)])
-            cursor += len(cell.specs)
-        return per_cell
-
-    packet_per_cell = split(packet_results)
-    fluid_per_cell = split(fluid_results)
+    fluid_cells = [cell.with_fidelity("fluid") for cell in cells]
+    per_cell = run_grid(cells + fluid_cells, executor, pool=list)
+    fluid_per_cell = per_cell[len(cells):]
 
     comparisons: List[CellComparison] = []
     failures: List[RunFailure] = []
     packet_wall = 0.0
     fluid_wall = 0.0
-    for cell, packet_runs, fluid_runs in zip(
-        cells, packet_per_cell, fluid_per_cell
-    ):
-        packet_samples: Dict[str, List[float]] = {}
-        fluid_samples: Dict[str, List[float]] = {}
-        for runs, samples in (
-            (packet_runs, packet_samples),
-            (fluid_runs, fluid_samples),
-        ):
-            for run in runs:
-                if isinstance(run, RunFailure):
-                    failures.append(run)
-                metrics = _extract(cell, run)
-                if metrics is None:
-                    continue
-                for name, value in metrics.items():
-                    samples.setdefault(name, []).append(value)
+    for cell, packet_runs, fluid_runs in zip(cells, per_cell, fluid_per_cell):
+        failures.extend(
+            run
+            for run in (*packet_runs, *fluid_runs)
+            if isinstance(run, RunFailure)
+        )
+        packet_samples = cell_samples(cell, packet_runs, _crossfid_metrics)
+        fluid_samples = cell_samples(cell, fluid_runs, _crossfid_metrics)
         for run in packet_runs:
             packet_wall += _wall_seconds(run) or 0.0
         for run in fluid_runs:
@@ -446,7 +421,7 @@ def run_crossfid(
         for metric in sorted(set(packet_samples) & set(fluid_samples)):
             comparisons.append(
                 compare_samples(
-                    cell.figure,
+                    cell.group,
                     cell.key,
                     metric,
                     fluid_samples[metric],   # "current" = fluid
@@ -457,13 +432,12 @@ def run_crossfid(
             )
 
     invariants: List[InvariantVerdict] = []
-    for figure in scale.figures:
-        fluid_figure = _assemble_figure(scale, figure, cells, fluid_per_cell)
-        invariants.extend(evaluate_figure(figure, fluid_figure))
+    for figure, result in assemble_figures(scale, fluid_per_cell).items():
+        invariants.extend(evaluate_figure(figure, result))
 
     report = CrossfidReport(
         scale=scale.name,
-        figures=scale.figures,
+        figures=tuple(scale.figures),
         comparisons=comparisons,
         invariants=invariants,
         failures=failures,

@@ -4,9 +4,8 @@
 per-seed metric samples into a checked-in JSON baseline.  ``run_gate``
 re-executes the *same* grid (pure cache hits when nothing changed),
 compares cell-by-cell against the baseline with the statistical machinery
-in :mod:`.stats`, evaluates the paper-trend invariants in
-:mod:`.invariants`, and optionally applies a packet-run throughput perf
-gate against a benchmark payload embedded at capture time.
+in :mod:`.stats`, and evaluates the paper-trend invariants in
+:mod:`.invariants`.
 
 Every verdict is mirrored into telemetry
 (``validation_verdicts_total{kind,status}`` plus ``validation`` trace
@@ -15,7 +14,6 @@ events) when a telemetry hub is active.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -46,8 +44,6 @@ from .stats import (
 
 __all__ = [
     "band_for",
-    "PerfVerdict",
-    "evaluate_perf",
     "ValidationReport",
     "capture_baselines",
     "run_gate",
@@ -72,95 +68,6 @@ def default_baseline_path(baseline_dir: Union[str, Path], scale_name: str) -> Pa
     return Path(baseline_dir) / f"{scale_name}.json"
 
 
-# ------------------------------------------------------------- perf gate
-
-PERF_WARN_RATIO = 0.8
-PERF_FAIL_RATIO = 0.5
-
-
-@dataclass(frozen=True)
-class PerfVerdict:
-    """Packet-run throughput comparison against the baseline bench payload."""
-
-    status: str
-    ratio: Optional[float]
-    current_eps: Optional[float]
-    baseline_eps: Optional[float]
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "ratio": self.ratio,
-            "current_events_per_sec": self.current_eps,
-            "baseline_events_per_sec": self.baseline_eps,
-            "detail": self.detail,
-        }
-
-
-def _bench_eps(payload: Optional[dict]) -> Optional[float]:
-    if not payload:
-        return None
-    packet = payload.get("packet") or {}
-    eps = packet.get("events_per_sec")
-    return float(eps) if eps else None
-
-
-def evaluate_perf(
-    current: Optional[dict], baseline: Optional[dict]
-) -> PerfVerdict:
-    """Compare ``packet.events_per_sec`` -- the 250-flow star run, the path
-    experiments actually sit on -- of two ``BENCH_engine.json`` payloads
-    (bare-dispatch ``engine.events_per_sec`` is recorded, not gated).
-
-    Missing either side skips the gate.  A host mismatch (different CPU
-    count or Python version) caps the verdict at WARN -- absolute
-    throughput is not comparable across machines.
-    """
-    current_eps = _bench_eps(current)
-    baseline_eps = _bench_eps(baseline)
-    if current_eps is None or baseline_eps is None:
-        return PerfVerdict(
-            status=SKIP,
-            ratio=None,
-            current_eps=current_eps,
-            baseline_eps=baseline_eps,
-            detail="bench payload missing on one side; perf gate skipped",
-        )
-    ratio = current_eps / baseline_eps
-    host_mismatch = []
-    for key, current_value in (
-        ("cpu_count", (current or {}).get("cpu_count")),
-        ("python", (current or {}).get("python")),
-    ):
-        baseline_value = (baseline or {}).get(key)
-        if (
-            current_value is not None
-            and baseline_value is not None
-            and current_value != baseline_value
-        ):
-            host_mismatch.append(key)
-    if ratio >= PERF_WARN_RATIO:
-        status = PASS
-        detail = f"throughput ratio {ratio:.2f} >= {PERF_WARN_RATIO}"
-    elif ratio >= PERF_FAIL_RATIO:
-        status = WARN
-        detail = f"throughput ratio {ratio:.2f} in [{PERF_FAIL_RATIO}, {PERF_WARN_RATIO})"
-    else:
-        status = FAIL
-        detail = f"throughput ratio {ratio:.2f} < {PERF_FAIL_RATIO}"
-    if host_mismatch and status == FAIL:
-        status = WARN
-        detail += f"; capped at warn (host mismatch: {', '.join(host_mismatch)})"
-    return PerfVerdict(
-        status=status,
-        ratio=ratio,
-        current_eps=current_eps,
-        baseline_eps=baseline_eps,
-        detail=detail,
-    )
-
-
 # -------------------------------------------------------------- reporting
 
 
@@ -171,7 +78,6 @@ class ValidationReport:
     scale: str
     comparisons: List[CellComparison] = field(default_factory=list)
     invariants: List[InvariantVerdict] = field(default_factory=list)
-    perf: Optional[PerfVerdict] = None
     failures: List[RunFailure] = field(default_factory=list)
     executor_line: str = ""
     baseline_manifest: Optional[BaselineManifest] = None
@@ -180,8 +86,6 @@ class ValidationReport:
     def status(self) -> str:
         statuses = [c.status for c in self.comparisons]
         statuses += [v.status for v in self.invariants]
-        if self.perf is not None:
-            statuses.append(self.perf.status)
         if self.failures:
             return FAIL  # cells that did not run cannot confirm fidelity
         if FAIL in statuses:
@@ -203,8 +107,6 @@ class ValidationReport:
             if c.status == FAIL
         ]
         names += [v.name for v in self.invariants if v.status == FAIL]
-        if self.perf is not None and self.perf.status == FAIL:
-            names.append("perf.engine_events_per_sec")
         return names
 
     def to_dict(self) -> dict:
@@ -215,7 +117,6 @@ class ValidationReport:
             "failed": self.failed_names(),
             "comparisons": [c.to_dict() for c in self.comparisons],
             "invariants": [v.to_dict() for v in self.invariants],
-            "perf": None if self.perf is None else self.perf.to_dict(),
             "run_failures": len(self.failures),
             "executor": self.executor_line,
             "baseline_manifest": (
@@ -277,10 +178,6 @@ class ValidationReport:
                     title="Paper-trend invariants",
                 )
             )
-        if self.perf is not None:
-            sections.append(
-                f"Perf gate: {self.perf.status.upper()} ({self.perf.detail})"
-            )
         if self.failures:
             sections.append(format_failure_table(self.failures))
         counts = self.counts()
@@ -313,64 +210,9 @@ def _emit_verdicts(report: ValidationReport) -> None:
             figure=v.figure,
             detail=v.detail,
         )
-    if report.perf is not None:
-        telemetry.on_validation_verdict(
-            "perf",
-            "engine_events_per_sec",
-            report.perf.status,
-            detail=report.perf.detail,
-        )
 
 
 # --------------------------------------------------------------- capture
-
-
-def _figure_params(scale: ValidationScale, figure: str) -> dict:
-    params: Dict[str, object] = {"n_seeds": scale.n_seeds}
-    if figure in ("fig6", "fig7"):
-        prefix = figure
-        params.update(
-            loads=list(getattr(scale, f"{prefix}_loads")),
-            n_flows=getattr(scale, f"{prefix}_flows"),
-            seed=getattr(scale, f"{prefix}_seed"),
-            schemes=list(scale.fig6_schemes),
-        )
-    elif figure == "fig8":
-        params.update(
-            variations=list(scale.fig8_variations),
-            loads=list(scale.fig8_loads),
-            n_flows=scale.fig8_flows,
-            seed=scale.fig8_seed,
-        )
-    elif figure == "fig10":
-        params.update(
-            fanout=scale.fig10_fanout,
-            seed=scale.fig10_seed,
-            schemes=list(scale.fig10_schemes),
-        )
-    elif figure == "fig11":
-        params.update(
-            fanouts=list(scale.fig11_fanouts),
-            seed=scale.fig11_seed,
-            schemes=list(scale.fig11_schemes),
-        )
-    elif figure == "fig12":
-        params.update(
-            load=scale.fig12_load,
-            intervals_us=list(scale.fig12_intervals_us),
-            targets_us=list(scale.fig12_targets_us),
-            n_flows_web=scale.fig12_flows_web,
-            n_flows_mining=scale.fig12_flows_mining,
-            seed=scale.fig12_seed,
-        )
-    return params
-
-
-def _load_bench(bench_path: Optional[Union[str, Path]]) -> Optional[dict]:
-    if bench_path is None:
-        return None
-    with open(bench_path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def capture_baselines(
@@ -378,7 +220,6 @@ def capture_baselines(
     executor: Optional[Executor] = None,
     baseline_dir: Union[str, Path] = "baselines",
     force: bool = False,
-    bench_path: Optional[Union[str, Path]] = None,
 ) -> Tuple[Baseline, Path, GridOutcome]:
     """Run the validation grid and write ``baselines/<scale>.json``.
 
@@ -406,13 +247,12 @@ def capture_baselines(
             for key in outcome.samples.get(figure, {})
         }
         figures[figure] = {
-            "params": _figure_params(scale, figure),
+            "params": scale.figures[figure],
             "cells": cells,
         }
     baseline = Baseline(
         manifest=BaselineManifest.collect(scale.name, dirty=dirty),
         figures=figures,
-        bench=_load_bench(bench_path),
     )
     path = default_baseline_path(baseline_dir, scale.name)
     baseline.save(path)
@@ -427,7 +267,6 @@ def run_gate(
     executor: Optional[Executor] = None,
     baseline_path: Optional[Union[str, Path]] = None,
     baseline_dir: Union[str, Path] = "baselines",
-    bench_path: Optional[Union[str, Path]] = None,
     seed: int = 0,
 ) -> ValidationReport:
     """Execute the grid and evaluate every gate against the baseline.
@@ -479,13 +318,10 @@ def run_gate(
             evaluate_figure(figure, outcome.figure_results.get(figure))
         )
 
-    perf = evaluate_perf(_load_bench(bench_path), baseline.bench)
-
     report = ValidationReport(
         scale=scale.name,
         comparisons=comparisons,
         invariants=invariants,
-        perf=perf,
         failures=outcome.failures,
         executor_line=executor.stats.merge_line(),
         baseline_manifest=baseline.manifest,

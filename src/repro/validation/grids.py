@@ -1,124 +1,86 @@
-"""Validation grids: reduced-scale run-spec construction and assembly.
+"""Validation grids: which figure grids a validation pass runs, and at what size.
 
-This module is the *single owner* of the specs a validation pass executes.
-``repro validate capture`` and ``repro validate run`` both call
-:func:`build_cells` with the same :class:`ValidationScale`, producing
-byte-identical :class:`~repro.experiments.specs.RunSpec` lists -- which is
-what makes a warm ``validate run`` immediately after ``capture`` replay
-entirely from the executor's result cache (``executed=0``).
+The figure modules own their grids
+(:data:`repro.experiments.figures.GRIDS`): how a figure's cells are built
+and how its result object is assembled is defined there, once.  This module
+is a view over them.  A :class:`ValidationScale` names the figures to run
+and the keyword arguments each figure's ``cells`` is called with;
+:func:`build_cells` concatenates those grids, and
+:func:`run_validation_grid` executes them in one executor pass, extracts
+*per-seed* metric samples for the statistical gates and assembles the
+ordinary figure result objects (``FctVsLoadResult``, ``Fig10Result``, ...)
+for the paper-trend invariants.
 
-Each :class:`GridCell` carries the figure it belongs to, a stable
-human-readable cell key (matching the figure modules'
-``summarize_for_validation`` key format), and its seed-expanded spec list.
-After execution, :func:`run_validation_grid` extracts *per-seed* metric
-samples for the statistical gates and assembles the ordinary figure result
-objects (``FctVsLoadResult``, ``Fig10Result``, ...) for the paper-trend
-invariants -- without calling the figure run functions, so the validator
-never runs more simulation than its own grid.
+``repro validate capture``, ``run`` and ``crossfid`` all build their cells
+from the same scale, producing byte-identical
+:class:`~repro.experiments.specs.RunSpec` lists -- which is what makes a
+warm ``validate run`` immediately after ``capture`` replay entirely from the
+executor's result cache (``executed=0``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from itertools import islice
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..experiments.executor import Executor, get_default_executor, seed_specs
+from ..experiments.executor import Executor, cell_metrics, run_grid
 from ..experiments.faults import RunFailure, is_failure
-from ..experiments.figures.fig6_fig7 import FctVsLoadResult
-from ..experiments.figures.fig8 import Fig8Result
-from ..experiments.figures.fig10 import Fig10Result
-from ..experiments.figures.fig11 import Fig11Result
-from ..experiments.figures.fig12 import Fig12Result
-from ..experiments.runner import pool_results
-from ..experiments.schemes import simulation_scheme_specs, testbed_scheme_specs
-from ..experiments.specs import AqmSpec, RunSpec
-from ..sim.units import ms, us
-from ..workloads.datamining import DATA_MINING
-from ..workloads.websearch import WEB_SEARCH
+from ..experiments.figures import GRIDS
+from ..experiments.specs import Cell
 
 __all__ = [
     "ValidationScale",
     "SCALES",
     "resolve_scale",
-    "GridCell",
     "GridOutcome",
     "build_cells",
+    "cell_samples",
+    "assemble_figures",
     "run_validation_grid",
 ]
-
-ALL_TESTBED_SCHEMES: Tuple[str, ...] = (
-    "DCTCP-RED-Tail",
-    "DCTCP-RED-AVG",
-    "CoDel",
-    "ECN#",
-)
-MICRO_SCHEMES: Tuple[str, ...] = ("DCTCP-RED-Tail", "CoDel", "ECN#")
 
 
 @dataclass(frozen=True)
 class ValidationScale:
-    """Per-figure parameters of one validation grid.
-
-    ``figures`` selects which figures run; the per-figure fields mirror the
-    figure modules' run-function parameters (reduced for speed).  The
-    scheme-subset knobs exist so tests can gate on two-scheme micro grids.
-    """
+    """A named validation grid: the figures to run, in order, each with
+    the keyword arguments its ``cells`` function is called with (``{}``
+    runs the figure at its own defaults)."""
 
     name: str
-    figures: Tuple[str, ...]
-    n_seeds: int = 2
-    # fig6 / fig7: FCT vs load over the testbed star
-    fig6_loads: Tuple[float, ...] = (0.5, 0.8)
-    fig6_flows: int = 80
-    fig6_seed: int = 21
-    fig6_schemes: Tuple[str, ...] = ALL_TESTBED_SCHEMES
-    fig7_loads: Tuple[float, ...] = (0.5, 0.8)
-    fig7_flows: int = 60
-    fig7_seed: int = 22
-    # fig8: NFCT vs RTT variation
-    fig8_variations: Tuple[float, ...] = (3.0, 5.0)
-    fig8_loads: Tuple[float, ...] = (0.8,)
-    fig8_flows: int = 80
-    fig8_seed: int = 31
-    # fig10: microscopic queue occupancy
-    fig10_fanout: int = 100
-    fig10_seed: int = 51
-    fig10_schemes: Tuple[str, ...] = MICRO_SCHEMES
-    # fig11: query FCT vs fanout
-    fig11_fanouts: Tuple[int, ...] = (150, 175)
-    fig11_seed: int = 61
-    fig11_schemes: Tuple[str, ...] = MICRO_SCHEMES
-    # fig12: ECN# parameter sensitivity
-    fig12_load: float = 0.5
-    fig12_intervals_us: Tuple[float, ...] = (100.0, 250.0)
-    fig12_targets_us: Tuple[float, ...] = (6.0, 18.0)
-    fig12_flows_web: int = 60
-    fig12_flows_mining: int = 30
-    fig12_seed: int = 71
+    figures: Dict[str, Dict[str, Any]]
 
 
 SCALES: Dict[str, ValidationScale] = {
     "tiny": ValidationScale(
         name="tiny",
-        figures=("fig6", "fig8", "fig10", "fig11", "fig12"),
+        figures={
+            "fig6": {"loads": (0.5, 0.8), "n_flows": 80},
+            "fig8": {"variations": (3.0, 5.0), "loads": (0.8,), "n_flows": 80},
+            "fig10": {},
+            "fig11": {"fanouts": (150, 175)},
+            "fig12": {
+                "intervals_us": (100.0, 250.0),
+                "targets_us": (6.0, 18.0),
+                "n_flows_web": 60,
+                "n_flows_mining": 30,
+            },
+        },
     ),
     "reduced": ValidationScale(
         name="reduced",
-        figures=("fig6", "fig7", "fig8", "fig10", "fig11", "fig12"),
-        fig6_loads=(0.3, 0.5, 0.8),
-        fig6_flows=150,
-        fig8_variations=(3.0, 4.0, 5.0),
-        fig8_loads=(0.5, 0.8),
-        fig8_flows=150,
-        fig11_fanouts=(25, 50, 100, 150, 175, 200),
-        fig12_intervals_us=(100.0, 150.0, 200.0, 250.0),
-        fig12_targets_us=(6.0, 10.0, 14.0, 18.0),
-        fig12_flows_web=120,
-        fig12_flows_mining=50,
+        figures={
+            "fig6": {},
+            "fig7": {"loads": (0.5, 0.8)},
+            "fig8": {},
+            "fig10": {},
+            "fig11": {},
+            "fig12": {},
+        },
     ),
 }
 """Named grids: ``tiny`` is the CI smoke gate (~1 minute serial), and
-``reduced`` matches the default figure-run parameters."""
+``reduced`` is the default figure-run parameters."""
 
 
 def resolve_scale(scale: Union[str, ValidationScale]) -> ValidationScale:
@@ -132,223 +94,54 @@ def resolve_scale(scale: Union[str, ValidationScale]) -> ValidationScale:
         ) from None
 
 
-@dataclass(frozen=True)
-class GridCell:
-    """One validation cell: a figure, a stable key, its seed specs."""
-
-    figure: str
-    key: str
-    specs: Tuple[RunSpec, ...]
-    metric_source: str  # "fct" (ExperimentResult) or "micro" (MicroscopicRun)
-
-    def tokens(self) -> List[str]:
-        return [spec.token() for spec in self.specs]
-
-
-# ------------------------------------------------------- spec construction
-
-
-def _fct_vs_load_cells(
-    figure: str,
-    workload,
-    loads: Tuple[float, ...],
-    n_flows: int,
-    seed: int,
-    schemes: Tuple[str, ...],
-    n_seeds: int,
-) -> List[GridCell]:
-    """Mirror of ``run_fct_vs_load``'s spec construction (testbed star,
-    3x variation, 70 us base RTT)."""
-    scheme_specs = testbed_scheme_specs()
-    cells = []
-    for load in loads:
-        for name in schemes:
-            spec = RunSpec.star(
-                scheme_specs[name],
-                workload=workload.name,
-                load=load,
-                n_flows=n_flows,
-                seed=seed,
-                label=name,
-                variation=3.0,
-                rtt_min=us(70),
-            )
-            cells.append(
-                GridCell(
-                    figure=figure,
-                    key=f"load={load:g}|scheme={name}",
-                    specs=tuple(seed_specs(spec, n_seeds)),
-                    metric_source="fct",
-                )
-            )
-    return cells
-
-
-def _fig8_cells(scale: ValidationScale) -> List[GridCell]:
-    scheme_specs = testbed_scheme_specs()
-    cells = []
-    for variation in scale.fig8_variations:
-        for load in scale.fig8_loads:
-            for name in ("DCTCP-RED-Tail", "ECN#"):
-                spec = RunSpec.star(
-                    scheme_specs[name],
-                    workload=WEB_SEARCH.name,
-                    load=load,
-                    n_flows=scale.fig8_flows,
-                    seed=scale.fig8_seed,
-                    label=name,
-                    variation=variation,
-                    rtt_min=us(70),
-                )
-                cells.append(
-                    GridCell(
-                        figure="fig8",
-                        key=(
-                            f"variation={variation:g}|load={load:g}|"
-                            f"scheme={name}"
-                        ),
-                        specs=tuple(seed_specs(spec, scale.n_seeds)),
-                        metric_source="fct",
-                    )
-                )
-    return cells
-
-
-def _fig10_cells(scale: ValidationScale) -> List[GridCell]:
-    scheme_specs = simulation_scheme_specs()
-    return [
-        GridCell(
-            figure="fig10",
-            key=f"scheme={name}",
-            specs=(
-                RunSpec.microscopic(
-                    scheme_specs[name],
-                    seed=scale.fig10_seed,
-                    label=name,
-                    fanout=scale.fig10_fanout,
-                ),
-            ),
-            metric_source="micro",
-        )
-        for name in scale.fig10_schemes
-    ]
-
-
-def _fig11_cells(scale: ValidationScale) -> List[GridCell]:
-    scheme_specs = simulation_scheme_specs()
-    return [
-        GridCell(
-            figure="fig11",
-            key=f"fanout={fanout}|scheme={name}",
-            specs=(
-                RunSpec.microscopic(
-                    scheme_specs[name],
-                    seed=scale.fig11_seed,
-                    label=name,
-                    fanout=fanout,
-                ),
-            ),
-            metric_source="micro",
-        )
-        for fanout in scale.fig11_fanouts
-        for name in scale.fig11_schemes
-    ]
-
-
-def _fig12_cells(scale: ValidationScale) -> List[GridCell]:
-    """Mirror of ``run_fig12``'s two sweep panels on both workloads."""
-    workloads = (
-        ("web-search", WEB_SEARCH, scale.fig12_flows_web),
-        ("data-mining", DATA_MINING, scale.fig12_flows_mining),
-    )
-    cells = []
-    for workload_name, workload, n_flows in workloads:
-        for value in scale.fig12_intervals_us:
-            aqm = AqmSpec.make(
-                "ecn-sharp",
-                ins_target=us(200),
-                pst_target=us(85),
-                pst_interval=us(value),
-            )
-            spec = RunSpec.star(
-                aqm,
-                workload=workload.name,
-                load=scale.fig12_load,
-                n_flows=n_flows,
-                seed=scale.fig12_seed,
-                label=f"ECN# pst_interval={value:g}us",
-                variation=3.0,
-                rtt_min=us(70),
-            )
-            cells.append(
-                GridCell(
-                    figure="fig12",
-                    key=f"{workload_name}|pst_interval={value:g}us",
-                    specs=tuple(seed_specs(spec, scale.n_seeds)),
-                    metric_source="fct",
-                )
-            )
-        for value in scale.fig12_targets_us:
-            aqm = AqmSpec.make(
-                "ecn-sharp",
-                ins_target=us(220),
-                pst_target=us(value),
-                pst_interval=us(240),
-            )
-            spec = RunSpec.star(
-                aqm,
-                workload=workload.name,
-                load=scale.fig12_load,
-                n_flows=n_flows,
-                seed=scale.fig12_seed,
-                label=f"ECN# pst_target={value:g}us",
-                variation=3.0,
-                rtt_min=us(80),
-            )
-            cells.append(
-                GridCell(
-                    figure="fig12",
-                    key=f"{workload_name}|pst_target={value:g}us",
-                    specs=tuple(seed_specs(spec, scale.n_seeds)),
-                    metric_source="fct",
-                )
-            )
-    return cells
-
-
-def build_cells(scale: Union[str, ValidationScale]) -> List[GridCell]:
-    """Every cell of the scale's grid, in deterministic order."""
-    scale = resolve_scale(scale)
-    cells: List[GridCell] = []
-    for figure in scale.figures:
-        if figure == "fig6":
-            cells.extend(
-                _fct_vs_load_cells(
-                    "fig6", WEB_SEARCH, scale.fig6_loads, scale.fig6_flows,
-                    scale.fig6_seed, scale.fig6_schemes, scale.n_seeds,
-                )
-            )
-        elif figure == "fig7":
-            cells.extend(
-                _fct_vs_load_cells(
-                    "fig7", DATA_MINING, scale.fig7_loads, scale.fig7_flows,
-                    scale.fig7_seed, scale.fig6_schemes, scale.n_seeds,
-                )
-            )
-        elif figure == "fig8":
-            cells.extend(_fig8_cells(scale))
-        elif figure == "fig10":
-            cells.extend(_fig10_cells(scale))
-        elif figure == "fig11":
-            cells.extend(_fig11_cells(scale))
-        elif figure == "fig12":
-            cells.extend(_fig12_cells(scale))
-        else:
+def _figure_grids(scale: ValidationScale) -> Dict[str, Dict[Any, Cell]]:
+    """Each figure's coordinate -> cell map, in the scale's figure order."""
+    grids = {}
+    for figure, params in scale.figures.items():
+        if figure not in GRIDS:
             raise ValueError(f"unknown validation figure {figure!r}")
-    return cells
+        cells, _assemble = GRIDS[figure]
+        grids[figure] = cells(**params)
+    return grids
 
 
-# -------------------------------------------------------------- execution
+def build_cells(scale: Union[str, ValidationScale]) -> List[Cell]:
+    """Every cell of the scale's grid, in deterministic order."""
+    grids = _figure_grids(resolve_scale(scale))
+    return [cell for grid in grids.values() for cell in grid.values()]
+
+
+def cell_samples(
+    cell: Cell,
+    runs: Sequence[Any],
+    extract: Callable[[Cell, Any], Optional[Dict[str, float]]] = cell_metrics,
+) -> Dict[str, List[float]]:
+    """Per-seed sample list of every metric ``extract`` reads off the
+    cell's surviving runs."""
+    samples: Dict[str, List[float]] = {}
+    for run in runs:
+        for name, value in (extract(cell, run) or {}).items():
+            samples.setdefault(name, []).append(value)
+    return samples
+
+
+def assemble_figures(
+    scale: ValidationScale, per_cell: Sequence[Sequence[Any]]
+) -> Dict[str, Optional[object]]:
+    """The scale's figure result objects from raw per-cell runs (aligned
+    with :func:`build_cells`); ``None`` for a figure in which some cell has
+    no surviving run."""
+    remaining = iter(per_cell)
+    results: Dict[str, Optional[object]] = {}
+    for figure, grid in _figure_grids(scale).items():
+        runs = list(islice(remaining, len(grid)))
+        dead = any(
+            all(run is None or is_failure(run) for run in cell_runs)
+            for cell_runs in runs
+        )
+        _cells, assemble = GRIDS[figure]
+        results[figure] = None if dead else assemble(grid, runs)
+    return results
 
 
 @dataclass
@@ -356,7 +149,7 @@ class GridOutcome:
     """Everything one validation grid pass produced."""
 
     scale: ValidationScale
-    cells: List[GridCell]
+    cells: List[Cell]
     # figure -> cell key -> metric -> per-seed sample list
     samples: Dict[str, Dict[str, Dict[str, List[float]]]]
     # figure -> cell key -> RunSpec tokens (baseline staleness detection)
@@ -366,200 +159,29 @@ class GridOutcome:
     failures: List[RunFailure] = field(default_factory=list)
 
 
-def _extract_metrics(cell: GridCell, run: Any) -> Optional[Dict[str, float]]:
-    """Flat metric map of one per-seed run result, or ``None`` on failure."""
-    if run is None or is_failure(run):
-        return None
-    if cell.metric_source == "fct":
-        return run.summary.metrics()
-    return run.metrics()
-
-
 def run_validation_grid(
     scale: Union[str, ValidationScale],
     executor: Optional[Executor] = None,
 ) -> GridOutcome:
     """Execute the grid in one executor pass and organise the outputs."""
     scale = resolve_scale(scale)
-    executor = executor or get_default_executor()
     cells = build_cells(scale)
-    flat = [spec for cell in cells for spec in cell.specs]
-    results = executor.run(flat)
-
-    per_cell: List[List[Any]] = []
-    cursor = 0
-    for cell in cells:
-        per_cell.append(results[cursor:cursor + len(cell.specs)])
-        cursor += len(cell.specs)
-
+    per_cell = run_grid(cells, executor, pool=list)
     samples: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
     tokens: Dict[str, Dict[str, List[str]]] = {}
-    failures: List[RunFailure] = []
     for cell, runs in zip(cells, per_cell):
-        cell_metrics: Dict[str, List[float]] = {}
-        for run in runs:
-            if isinstance(run, RunFailure):
-                failures.append(run)
-            metrics = _extract_metrics(cell, run)
-            if metrics is None:
-                continue
-            for name, value in metrics.items():
-                cell_metrics.setdefault(name, []).append(value)
-        samples.setdefault(cell.figure, {})[cell.key] = cell_metrics
-        tokens.setdefault(cell.figure, {})[cell.key] = cell.tokens()
-
-    figure_results = {
-        figure: _assemble_figure(scale, figure, cells, per_cell)
-        for figure in scale.figures
-    }
+        samples.setdefault(cell.group, {})[cell.key] = cell_samples(cell, runs)
+        tokens.setdefault(cell.group, {})[cell.key] = cell.tokens()
     return GridOutcome(
         scale=scale,
         cells=cells,
         samples=samples,
         tokens=tokens,
-        figure_results=figure_results,
-        failures=failures,
-    )
-
-
-# --------------------------------------------------------------- assembly
-
-
-def _cell_runs(
-    figure: str, cells: List[GridCell], per_cell: List[List[Any]]
-) -> List[Tuple[GridCell, List[Any]]]:
-    return [
-        (cell, runs)
-        for cell, runs in zip(cells, per_cell)
-        if cell.figure == figure
-    ]
-
-
-def _assemble_figure(
-    scale: ValidationScale,
-    figure: str,
-    cells: List[GridCell],
-    per_cell: List[List[Any]],
-) -> Optional[object]:
-    """Build the ordinary figure result object from raw cell runs; returns
-    ``None`` when a required cell has no surviving seed run."""
-    mine = _cell_runs(figure, cells, per_cell)
-    try:
-        if figure in ("fig6", "fig7"):
-            return _assemble_fct_vs_load(scale, figure, mine)
-        if figure == "fig8":
-            return _assemble_fig8(scale, mine)
-        if figure == "fig10":
-            return _assemble_fig10(scale, mine)
-        if figure == "fig11":
-            return _assemble_fig11(scale, mine)
-        if figure == "fig12":
-            return _assemble_fig12(scale, mine)
-    except _AssemblyFailed:
-        return None
-    return None
-
-
-class _AssemblyFailed(Exception):
-    """A required cell lost every seed run."""
-
-
-def _pooled_summary(runs: List[Any]):
-    pooled = pool_results(runs)
-    if is_failure(pooled):
-        raise _AssemblyFailed()
-    return pooled.summary
-
-
-def _single_micro(runs: List[Any]):
-    run = runs[0]
-    if run is None or is_failure(run):
-        raise _AssemblyFailed()
-    return run
-
-
-def _assemble_fct_vs_load(scale, figure, mine) -> FctVsLoadResult:
-    loads = scale.fig6_loads if figure == "fig6" else scale.fig7_loads
-    schemes = scale.fig6_schemes
-    summaries: Dict[float, Dict[str, Any]] = {load: {} for load in loads}
-    iterator = iter(mine)
-    for load in loads:
-        for name in schemes:
-            _cell, runs = next(iterator)
-            summaries[load][name] = _pooled_summary(runs)
-    return FctVsLoadResult(
-        workload_name=(
-            WEB_SEARCH.name if figure == "fig6" else DATA_MINING.name
-        ),
-        loads=loads,
-        schemes=schemes,
-        summaries=summaries,
-    )
-
-
-def _assemble_fig8(scale, mine) -> Fig8Result:
-    summaries: Dict[float, Dict[float, Dict[str, Any]]] = {
-        variation: {load: {} for load in scale.fig8_loads}
-        for variation in scale.fig8_variations
-    }
-    iterator = iter(mine)
-    for variation in scale.fig8_variations:
-        for load in scale.fig8_loads:
-            for name in ("DCTCP-RED-Tail", "ECN#"):
-                _cell, runs = next(iterator)
-                summaries[variation][load][name] = _pooled_summary(runs)
-    return Fig8Result(
-        variations=scale.fig8_variations,
-        loads=scale.fig8_loads,
-        summaries=summaries,
-    )
-
-
-def _assemble_fig10(scale, mine) -> Fig10Result:
-    runs = {}
-    iterator = iter(mine)
-    for name in scale.fig10_schemes:
-        _cell, cell_runs = next(iterator)
-        runs[name] = _single_micro(cell_runs)
-    return Fig10Result(
-        runs=runs, fanout=scale.fig10_fanout, burst_time=ms(20)
-    )
-
-
-def _assemble_fig11(scale, mine) -> Fig11Result:
-    runs: Dict[int, Dict[str, Any]] = {f: {} for f in scale.fig11_fanouts}
-    iterator = iter(mine)
-    for fanout in scale.fig11_fanouts:
-        for name in scale.fig11_schemes:
-            _cell, cell_runs = next(iterator)
-            runs[fanout][name] = _single_micro(cell_runs)
-    return Fig11Result(
-        fanouts=scale.fig11_fanouts,
-        schemes=scale.fig11_schemes,
-        runs=runs,
-    )
-
-
-def _assemble_fig12(scale, mine) -> Fig12Result:
-    interval_fct: Dict[str, Dict[float, Optional[float]]] = {}
-    target_fct: Dict[str, Dict[float, Optional[float]]] = {}
-    iterator = iter(mine)
-    for workload_name in ("web-search", "data-mining"):
-        interval_fct[workload_name] = {}
-        target_fct[workload_name] = {}
-        for value in scale.fig12_intervals_us:
-            _cell, runs = next(iterator)
-            interval_fct[workload_name][value] = _pooled_summary(
-                runs
-            ).overall_avg
-        for value in scale.fig12_targets_us:
-            _cell, runs = next(iterator)
-            target_fct[workload_name][value] = _pooled_summary(
-                runs
-            ).overall_avg
-    return Fig12Result(
-        intervals_us=scale.fig12_intervals_us,
-        targets_us=scale.fig12_targets_us,
-        interval_fct=interval_fct,
-        target_fct=target_fct,
+        figure_results=assemble_figures(scale, per_cell),
+        failures=[
+            run
+            for runs in per_cell
+            for run in runs
+            if isinstance(run, RunFailure)
+        ],
     )

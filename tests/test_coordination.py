@@ -139,6 +139,7 @@ class TestLeaseBoard:
         board = LeaseBoard(path, ttl=60.0)
         board.claim([self.key("a")], "w1")
         with open(path, "a", encoding="utf-8") as handle:
+            handle.write('[1]\n"x"\n')  # parses, but is not a lease object
             handle.write('{"key": ["h", ["b"]], "worker": "w')  # torn
         assert set(board.load()) == {self.key("a")}
         # the next append heals the torn trailing line first

@@ -380,12 +380,17 @@ def synthetic_inputs(tmp_path):
     trend = tmp_path / "trend.jsonl"
     trend_rows = [
         {"unix_time": 1.0, "git_sha": "aaa", "python": "3.11.7",
-         "cpu_count": 4, "events_per_sec": 600000.0, "sweep_speedup": 2.0},
+         "host": "vm", "quick": False, "star_websearch.run_s": 2.4,
+         "star_websearch.setup_s": 0.3, "campaign_replay.run_s": 0.97},
         {"unix_time": 2.0, "git_sha": "bbb", "python": "3.11.7",
-         "cpu_count": 4, "events_per_sec": 650000.0, "sweep_speedup": 2.1},
+         "host": "vm", "quick": False, "star_websearch.run_s": 2.1,
+         "star_websearch.setup_s": 0.3, "campaign_replay.run_s": 0.95},
     ]
     trend.write_text(
-        "".join(json.dumps(r) + "\n" for r in trend_rows), encoding="utf-8"
+        # a non-object line and a torn tail must both be skipped
+        '[1]\n' + "".join(json.dumps(r) + "\n" for r in trend_rows)
+        + '{"unix_time": 3.0, "git_',
+        encoding="utf-8",
     )
     return store, resources, trend
 
@@ -399,7 +404,10 @@ class TestObsReport:
         assert "## Slowest cells" in md
         assert "## Per-scheme time breakdown" in md
         assert "## Failures" in md
-        assert "## Engine throughput trend" in md
+        assert "## Perf ledger trend" in md
+        # trend columns are discovered from the rows: every *.run_s key
+        assert ("| commit | python | host | quick | campaign_replay.run_s "
+                "| star_websearch.run_s |") in md
         assert "crash" in md
         assert "ECN#" in md and "CoDel" in md
         assert "aaa" in md and "bbb" in md

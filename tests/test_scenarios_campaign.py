@@ -178,11 +178,11 @@ class TestStore:
         store = CampaignStore(tmp_path / "s.jsonl")
         store.append_resources([{"cell": "a"}])
         with open(store.resources_path, "a", encoding="utf-8") as handle:
+            handle.write('[1]\n"x"\n')  # parses, but is not a row object
             handle.write('{"cell": "to')  # torn write, no newline
         store.append_resources([{"cell": "b"}])
-        rows = store.load_resources()
-        assert rows[0] == {"cell": "a"}
-        assert rows[-1] == {"cell": "b"}  # not glued onto the torn line
+        # only object rows come back; "b" is not glued onto the torn line
+        assert store.load_resources() == [{"cell": "a"}, {"cell": "b"}]
 
     def test_sidecar_gap_does_not_affect_resume(self, tmp_path, monkeypatch):
         """A crash between store.append and append_resources (records

@@ -1,5 +1,7 @@
 """Tests for golden-baseline serialization and staleness detection."""
 
+import json
+
 import pytest
 
 from repro.validation.baselines import (
@@ -29,7 +31,6 @@ def make_baseline(**manifest_overrides) -> Baseline:
                 },
             }
         },
-        bench={"cpu_count": 4, "engine": {"events_per_sec": 1e6}},
     )
 
 
@@ -38,6 +39,11 @@ class TestRoundTrip:
         baseline = make_baseline()
         path = tmp_path / "tiny.json"
         baseline.save(path)
+        # a top-level key this version does not know (the retired perf
+        # payload of older baselines) is ignored on load
+        payload = json.loads(path.read_text())
+        payload["bench"] = {"packet": {"events_per_sec": 1e6}}
+        path.write_text(json.dumps(payload))
         loaded = Baseline.load(path)
         assert loaded.manifest.scale == "tiny"
         assert loaded.manifest.git_sha == "abc1234"
@@ -46,7 +52,6 @@ class TestRoundTrip:
         assert loaded.cell_tokens("fig10", "scheme=ECN#") == [
             "microscopic|ECN#|seed=51|deadbeef"
         ]
-        assert loaded.bench["engine"]["events_per_sec"] == 1e6
 
     def test_save_creates_parent_dirs(self, tmp_path):
         path = tmp_path / "nested" / "dir" / "tiny.json"

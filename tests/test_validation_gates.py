@@ -23,9 +23,12 @@ from repro.validation.stats import FAIL, PASS
 def micro_scale(fanout: int = 40) -> ValidationScale:
     return ValidationScale(
         name="micro",
-        figures=("fig10",),
-        fig10_fanout=fanout,
-        fig10_schemes=("DCTCP-RED-Tail", "ECN#"),
+        figures={
+            "fig10": {
+                "fanout": fanout,
+                "schemes": ("DCTCP-RED-Tail", "ECN#"),
+            }
+        },
     )
 
 
@@ -151,55 +154,18 @@ class TestStaleness:
             run_gate(
                 micro_scale(), executor, baseline_path=tmp_path / "nope.json"
             )
+        # a malformed file is refused the same way, naming the file
+        bad = tmp_path / "bad.json"
+        for text in (
+            "not json",
+            "[1]",
+            '{"manifest": 3}',
+            '{"figures": {"fig10": {"cells": {"scheme=ECN#": 3}}}}',
+        ):
+            bad.write_text(text)
+            with pytest.raises(StaleBaselineError, match="bad.json"):
+                run_gate(micro_scale(), executor, baseline_path=bad)
         assert executor.stats.submitted == 0
-
-
-class TestPerfGate:
-    @staticmethod
-    def bench(eps, cpu=4, python="3.11.7"):
-        return {
-            "cpu_count": cpu,
-            "python": python,
-            "packet": {"events_per_sec": eps},
-        }
-
-    def test_same_throughput_passes(self):
-        from repro.validation.gates import evaluate_perf
-
-        verdict = evaluate_perf(self.bench(1e6), self.bench(1e6))
-        assert verdict.status == "pass"
-        assert verdict.ratio == pytest.approx(1.0)
-
-    def test_mild_slowdown_warns(self):
-        from repro.validation.gates import evaluate_perf
-
-        verdict = evaluate_perf(self.bench(0.6e6), self.bench(1e6))
-        assert verdict.status == "warn"
-
-    def test_severe_slowdown_fails(self):
-        from repro.validation.gates import evaluate_perf
-
-        verdict = evaluate_perf(self.bench(0.3e6), self.bench(1e6))
-        assert verdict.status == "fail"
-
-    def test_host_mismatch_caps_at_warn(self):
-        from repro.validation.gates import evaluate_perf
-
-        verdict = evaluate_perf(
-            self.bench(0.3e6, cpu=2), self.bench(1e6, cpu=16)
-        )
-        assert verdict.status == "warn"
-        assert "host mismatch" in verdict.detail
-
-    def test_missing_bench_skips(self):
-        from repro.validation.gates import evaluate_perf
-
-        assert evaluate_perf(None, self.bench(1e6)).status == "skip"
-        assert evaluate_perf(self.bench(1e6), None).status == "skip"
-        assert evaluate_perf(self.bench(1e6), {"packet": {}}).status == "skip"
-        # The bare-dispatch figure alone is not a gateable payload.
-        bare = {"engine": {"events_per_sec": 1e6}}
-        assert evaluate_perf(bare, bare).status == "skip"
 
 
 class TestBandSelection:
@@ -228,6 +194,15 @@ class TestCli:
         )
         assert code == 2
         assert "validate capture" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        code = main(
+            ["validate", "run", "--scale", "tiny", "--baseline", str(bad)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("# error: ") and err.count("\n") == 1
+        assert "bad.json" in err
 
     def test_validate_capture_dirty_tree_exits_2(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
