@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one paper table/figure at reduced scale (set
-``REPRO_FULL=1`` for larger runs) and prints the same rows/series the paper
-reports.  The ``report`` fixture bypasses pytest's output capture so the
+Every benchmark regenerates one paper table/figure at the figure's own
+(reduced) defaults -- ``REPRO_FULL=1`` adds its ``PAPER_SCALE`` keywords, as
+``repro run X --full`` does -- and prints the rows/series the paper reports.  The ``report`` fixture bypasses pytest's output capture so the
 tables appear on the console, and also archives them under
 ``benchmarks/results/``.
 """
@@ -13,16 +13,18 @@ import pathlib
 
 import pytest
 
+from repro import settings
 from repro.experiments.executor import Executor, set_default_executor
-from repro.experiments.runner import Scale
+from repro.experiments.figures import PAPER_SCALE
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def scale() -> Scale:
-    """Run-size knobs (reduced by default, REPRO_FULL=1 for paper scale)."""
-    return Scale.from_env()
+def scale() -> dict:
+    """``{figure: run kwargs}``: empty (every figure runs its defaults)
+    unless ``REPRO_FULL=1`` selects ``PAPER_SCALE``."""
+    return PAPER_SCALE if settings.resolve("full") else {}
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -31,8 +33,9 @@ def executor():
 
     ``REPRO_JOBS=N`` parallelizes every figure's run grid; setting
     ``REPRO_CACHE_DIR`` additionally memoizes completed cells on disk so a
-    re-run only re-simulates what changed.  Installed as the process
-    default, so the figure modules pick it up without plumbing.
+    re-run only re-simulates what changed (a malformed value is an error).
+    Installed as the process default, so the figure modules pick it up
+    without plumbing.
     """
     executor = Executor.from_env()
     previous = set_default_executor(executor)

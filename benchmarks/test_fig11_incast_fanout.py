@@ -12,7 +12,7 @@ from repro.experiments.figures import fig11
 def test_fig11_incast_fanout_sweep(benchmark, report, scale):
     result = benchmark.pedantic(
         fig11.run_fig11,
-        kwargs={"fanouts": scale.fanouts, "seed": 61},
+        kwargs=scale.get("fig11", {}),
         rounds=1,
         iterations=1,
     )

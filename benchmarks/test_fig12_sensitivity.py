@@ -12,11 +12,7 @@ from repro.experiments.figures import fig12
 def test_fig12_parameter_sensitivity(benchmark, report, scale):
     result = benchmark.pedantic(
         fig12.run_fig12,
-        kwargs={
-            "n_flows_web": max(60, scale.n_flows_web_search // 2),
-            "n_flows_mining": max(30, scale.n_flows_data_mining // 2),
-            "seed": 71,
-        },
+        kwargs=scale.get("fig12", {}),
         rounds=1,
         iterations=1,
     )
@@ -27,6 +23,6 @@ def test_fig12_parameter_sensitivity(benchmark, report, scale):
         target_spread = result.target_spread(workload)
         assert interval_spread is not None and target_spread is not None
         # Paper: <1%; reduced-scale runs carry ~10% seed noise (data mining
-        # especially: 60 flows per point), so the bound here is loose.
+        # especially: 50 flows per point), so the bound here is loose.
         assert interval_spread < 0.15
         assert target_spread < 0.15

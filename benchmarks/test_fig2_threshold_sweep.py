@@ -12,7 +12,7 @@ from repro.experiments.figures import fig2
 def test_fig2_threshold_sweep(benchmark, report, scale):
     result = benchmark.pedantic(
         fig2.run_fig2,
-        kwargs={"n_flows": scale.n_flows_web_search, "seed": 7, "n_seeds": scale.n_seeds},
+        kwargs=scale.get("fig2", {}),
         rounds=1,
         iterations=1,
     )

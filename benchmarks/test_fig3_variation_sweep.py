@@ -21,7 +21,7 @@ from repro.experiments.figures import fig3
 def test_fig3_variation_sweep(benchmark, report, scale):
     result = benchmark.pedantic(
         fig3.run_fig3,
-        kwargs={"n_flows": scale.n_flows_web_search, "seed": 11, "n_seeds": scale.n_seeds},
+        kwargs=scale.get("fig3", {}),
         rounds=1,
         iterations=1,
     )

@@ -14,16 +14,11 @@ from repro.experiments.figures import fig6_fig7
 def test_fig6_websearch_fct_vs_load(benchmark, report, scale):
     result = benchmark.pedantic(
         fig6_fig7.run_fig6,
-        kwargs={
-            "loads": scale.loads,
-            "n_flows": scale.n_flows_web_search,
-            "seed": 21,
-            "n_seeds": scale.n_seeds,
-        },
+        kwargs=scale.get("fig6", {}),
         rounds=1,
         iterations=1,
     )
-    report(fig6_fig7.render(result, "Figure 6"))
+    report(fig6_fig7.render(result))
 
     high_load = max(result.loads)
     mid_load = sorted(result.loads)[len(result.loads) // 2]

@@ -11,16 +11,11 @@ from repro.experiments.figures import fig6_fig7
 def test_fig7_datamining_fct_vs_load(benchmark, report, scale):
     result = benchmark.pedantic(
         fig6_fig7.run_fig7,
-        kwargs={
-            "loads": scale.loads,
-            "n_flows": scale.n_flows_data_mining,
-            "seed": 22,
-            "n_seeds": scale.n_seeds,
-        },
+        kwargs=scale.get("fig7", {}),
         rounds=1,
         iterations=1,
     )
-    report(fig6_fig7.render(result, "Figure 7"))
+    report(fig6_fig7.render(result))
 
     # ECN# improves short flows somewhere in the load range without a
     # large-flow penalty.

@@ -11,7 +11,7 @@ from repro.experiments.figures import fig8
 def test_fig8_larger_rtt_variations(benchmark, report, scale):
     result = benchmark.pedantic(
         fig8.run_fig8,
-        kwargs={"n_flows": scale.n_flows_web_search, "seed": 31, "n_seeds": scale.n_seeds},
+        kwargs=scale.get("fig8", {}),
         rounds=1,
         iterations=1,
     )

@@ -14,13 +14,7 @@ from repro.experiments.figures import fig9
 def test_fig9_leafspine_fct(benchmark, report, scale):
     result = benchmark.pedantic(
         fig9.run_fig9,
-        kwargs={
-            "loads": scale.leafspine_loads,
-            "n_flows": scale.n_flows_leafspine,
-            "dims": scale.leafspine_dims,
-            "seed": 41,
-            "n_seeds": scale.n_seeds,
-        },
+        kwargs=scale.get("fig9", {}),
         rounds=1,
         iterations=1,
     )

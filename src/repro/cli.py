@@ -25,30 +25,29 @@ Usage::
     python -m repro query --url http://127.0.0.1:8077 --metric avg_query_fct
     python -m repro query --store-dir results/ --scheme ECN# --format csv
 
-``--full`` switches to paper-scale parameters (equivalent to REPRO_FULL=1);
-experiments accept a ``--seed`` for reproducibility.  ``--jobs N`` (or
-``REPRO_JOBS=N``) fans the experiment's run grid across N worker processes;
-results are bit-identical to ``--jobs 1``.  Completed cells are memoized
-under ``~/.cache/repro`` (``--cache-dir``/``REPRO_CACHE_DIR`` to move it,
-``--no-cache`` to bypass), so re-rendering a figure skips the simulations
-it has already run.
+``run X`` is ``FIGURES[X].run`` then ``render``: the figure's defaults, plus
+its ``PAPER_SCALE`` keywords under ``--full``, plus ``--seed``.  Every flag
+with a ``REPRO_*`` twin resolves through :mod:`repro.settings` (flag >
+variable > default; a malformed value is one ``# error:`` line, exit 2).
+``--jobs N`` fans the run grid across N worker processes, bit-identical to
+``--jobs 1``; completed cells are memoized under ``~/.cache/repro``
+(``--no-cache`` to bypass), so re-rendering skips simulations already run.
 
 Every run prints a ``# profile:`` line (events dispatched, events/second,
 wall seconds per virtual second, peak heap depth) -- the perf baseline
 optimization work is judged against.  ``--trace`` turns on the
 flight-recorder event trace, ``--trace-out`` exports it as JSONL,
 ``--metrics-out`` writes the metrics registry snapshot plus a run manifest
-(seed, scale, git SHA, event counts) as JSON, and ``--results-out`` dumps
-the experiment's structured result grid (JSON, or CSV with a ``.csv``
-suffix).  See DESIGN.md ("Telemetry & instrumentation").
+(seed, scale, resolved settings, git SHA, event counts) as JSON, and
+``--results-out`` dumps the experiment's structured result grid (JSON, or
+CSV with a ``.csv`` suffix).  See DESIGN.md ("Telemetry & instrumentation").
 
 Fault tolerance: a cell that crashes, stalls or hangs does not abort the
-figure.  Failed cells are retried (``--retries``/``REPRO_RETRIES``, default
-1), optionally bounded by a per-spec wall-clock budget
-(``--spec-timeout``/``REPRO_SPEC_TIMEOUT``, off by default), and finally
-recorded; the figure renders the surviving cells with gaps, a failure
-summary table is printed, and the exit code is non-zero only when *no*
-cell produced a usable result.
+figure.  Failed cells are retried (``--retries``, default 1), optionally
+bounded by a per-spec wall-clock budget (``--spec-timeout``, off by
+default), and finally recorded; the figure renders the surviving cells with
+gaps, a failure summary table is printed, and the exit code is non-zero
+only when *no* cell produced a usable result.
 
 ``scenario`` runs declarative scenario files (see the README's "Scenarios"
 section): ``list``/``check`` inspect and validate them without simulating,
@@ -97,26 +96,15 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from .experiments.figures import (
-    fig2,
-    fig3,
-    fig5,
-    fig6_fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    table1,
-)
+from . import settings
 from .experiments.executor import (
     Executor,
     default_cache_dir,
     set_default_executor,
 )
+from .experiments.figures import FIGURES, PAPER_SCALE
 from .experiments.report import (
     format_failure_table,
     format_manifest,
@@ -124,130 +112,13 @@ from .experiments.report import (
     to_csv,
     to_json,
 )
-from .experiments.runner import Scale
 from .logs import configure_logging, get_logger
 from .sim.units import ms
 from .telemetry import CATEGORIES, RunManifest, Telemetry, activate, make_progress
 
-__all__ = ["main", "EXPERIMENTS"]
+__all__ = ["main"]
 
 log = get_logger("cli")
-
-RunnerResult = Tuple[str, object]
-
-
-def _run_table1(scale: Scale, seed: int) -> RunnerResult:
-    result = table1.run_table1(seed=seed)
-    return table1.render(result), result
-
-
-def _run_fig2(scale: Scale, seed: int) -> RunnerResult:
-    result = fig2.run_fig2(
-        seed=seed, n_flows=scale.n_flows_web_search, n_seeds=scale.n_seeds
-    )
-    return fig2.render(result), result
-
-
-def _run_fig3(scale: Scale, seed: int) -> RunnerResult:
-    result = fig3.run_fig3(
-        seed=seed, n_flows=scale.n_flows_web_search, n_seeds=scale.n_seeds
-    )
-    return fig3.render(result), result
-
-
-def _run_fig5(scale: Scale, seed: int) -> RunnerResult:
-    result = fig5.run_fig5()
-    return fig5.render(result), result
-
-
-def _run_fig6(scale: Scale, seed: int) -> RunnerResult:
-    result = fig6_fig7.run_fig6(
-        loads=scale.loads,
-        n_flows=scale.n_flows_web_search,
-        seed=seed,
-        n_seeds=scale.n_seeds,
-    )
-    return fig6_fig7.render(result, "Figure 6"), result
-
-
-def _run_fig7(scale: Scale, seed: int) -> RunnerResult:
-    result = fig6_fig7.run_fig7(
-        loads=scale.loads,
-        n_flows=scale.n_flows_data_mining,
-        seed=seed,
-        n_seeds=scale.n_seeds,
-    )
-    return fig6_fig7.render(result, "Figure 7"), result
-
-
-def _run_fig8(scale: Scale, seed: int) -> RunnerResult:
-    result = fig8.run_fig8(
-        n_flows=scale.n_flows_web_search, seed=seed, n_seeds=scale.n_seeds
-    )
-    return fig8.render(result), result
-
-
-def _run_fig9(scale: Scale, seed: int) -> RunnerResult:
-    result = fig9.run_fig9(
-        loads=scale.leafspine_loads,
-        n_flows=scale.n_flows_leafspine,
-        seed=seed,
-        dims=scale.leafspine_dims,
-        n_seeds=scale.n_seeds,
-    )
-    return fig9.render(result), result
-
-
-def _run_fig10(scale: Scale, seed: int) -> RunnerResult:
-    result = fig10.run_fig10(seed=seed)
-    return fig10.render(result), result
-
-
-def _run_fig11(scale: Scale, seed: int) -> RunnerResult:
-    result = fig11.run_fig11(fanouts=scale.fanouts, seed=seed)
-    return fig11.render(result), result
-
-
-def _run_fig12(scale: Scale, seed: int) -> RunnerResult:
-    result = fig12.run_fig12(seed=seed)
-    return fig12.render(result), result
-
-
-def _run_fig13(scale: Scale, seed: int) -> RunnerResult:
-    result = fig13.run_fig13(seed=seed)
-    return fig13.render(result), result
-
-
-EXPERIMENTS: Dict[str, Tuple[str, Callable[[Scale, int], RunnerResult]]] = {
-    "table1": ("Table 1 / Fig 1: RTT variations from processing components", _run_table1),
-    "fig2": ("Fig 2: instantaneous-threshold sweep dilemma", _run_fig2),
-    "fig3": ("Fig 3: degradation vs RTT-variation magnitude", _run_fig3),
-    "fig5": ("Fig 5: workload flow-size CDFs", _run_fig5),
-    "fig6": ("Fig 6: testbed FCT vs load (web search)", _run_fig6),
-    "fig7": ("Fig 7: testbed FCT vs load (data mining)", _run_fig7),
-    "fig8": ("Fig 8: FCT under 3x-5x RTT variations", _run_fig8),
-    "fig9": ("Fig 9: leaf-spine large-scale FCT vs load", _run_fig9),
-    "fig10": ("Fig 10: microscopic queue occupancy", _run_fig10),
-    "fig11": ("Fig 11: query FCT vs incast fanout", _run_fig11),
-    "fig12": ("Fig 12: ECN# parameter sensitivity", _run_fig12),
-    "fig13": ("Fig 13: ECN# under DWRR scheduling vs TCN", _run_fig13),
-}
-
-SUMMARIZERS: Dict[str, Callable[[object], dict]] = {
-    "table1": table1.summarize_for_validation,
-    "fig2": fig2.summarize_for_validation,
-    "fig3": fig3.summarize_for_validation,
-    "fig5": fig5.summarize_for_validation,
-    "fig6": fig6_fig7.summarize_for_validation,
-    "fig7": fig6_fig7.summarize_for_validation,
-    "fig8": fig8.summarize_for_validation,
-    "fig9": fig9.summarize_for_validation,
-    "fig10": fig10.summarize_for_validation,
-    "fig11": fig11.summarize_for_validation,
-    "fig12": fig12.summarize_for_validation,
-    "fig13": fig13.summarize_for_validation,
-}
-
 
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     """Shared worker-pool / cache / fault-tolerance options."""
@@ -359,55 +230,13 @@ def _finish_observability(args, telemetry, progress, progress_stream) -> None:
             log.info(f"# spans written to {args.spans_out}")
 
 
-def _build_executor(args, parser: argparse.ArgumentParser) -> Executor:
-    """Resolve the executor options (CLI flag beats environment)."""
-    if args.jobs is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    jobs = args.jobs
-    if jobs is None:
-        raw_jobs = os.environ.get("REPRO_JOBS", "").strip()
-        try:
-            jobs = max(1, int(raw_jobs)) if raw_jobs else 1
-        except ValueError:
-            parser.error(f"REPRO_JOBS={raw_jobs!r} is not an integer")
-    retries = args.retries
-    if retries is None:
-        raw_retries = os.environ.get("REPRO_RETRIES", "").strip()
-        try:
-            retries = max(0, int(raw_retries)) if raw_retries else 1
-        except ValueError:
-            parser.error(f"REPRO_RETRIES={raw_retries!r} is not an integer")
-    if retries < 0:
-        parser.error("--retries must be >= 0")
-    retry_backoff = args.retry_backoff
-    if retry_backoff is None:
-        raw_backoff = os.environ.get("REPRO_RETRY_BACKOFF", "").strip()
-        try:
-            retry_backoff = float(raw_backoff) if raw_backoff else None
-        except ValueError:
-            parser.error(
-                f"REPRO_RETRY_BACKOFF={raw_backoff!r} is not a number"
-            )
-    if retry_backoff is not None and retry_backoff <= 0:
-        retry_backoff = None  # 0 / negative = explicitly off
-    spec_timeout = args.spec_timeout
-    if spec_timeout is None:
-        raw_timeout = os.environ.get("REPRO_SPEC_TIMEOUT", "").strip()
-        try:
-            spec_timeout = float(raw_timeout) if raw_timeout else None
-        except ValueError:
-            parser.error(f"REPRO_SPEC_TIMEOUT={raw_timeout!r} is not a number")
-    if spec_timeout is not None and spec_timeout <= 0:
-        spec_timeout = None  # 0 / negative = explicitly off
-    cache_dir = args.cache_dir or default_cache_dir()
-    return Executor(
-        jobs=jobs,
-        cache=not args.no_cache,
-        cache_dir=cache_dir,
-        retries=retries,
-        retry_backoff=retry_backoff,
-        spec_timeout=spec_timeout,
-    )
+def _executor_settings(args) -> dict:
+    """The executor flags as explicit settings (``None`` = flag not given,
+    so the ``REPRO_*`` variable or the default applies).  Unlike a library
+    executor the CLI always names a cache directory."""
+    explicit = {name: getattr(args, name) for name in Executor.SETTINGS}
+    explicit["cache_dir"] = default_cache_dir(args.cache_dir)
+    return explicit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list the available experiments")
 
     run = sub.add_parser("run", help="run one experiment and print its table")
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS), metavar="experiment")
+    run.add_argument("experiment", choices=sorted(FIGURES), metavar="experiment")
     run.add_argument(
         "--full",
         action="store_true",
@@ -605,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s_run.add_argument(
         "--fidelity",
-        choices=["packet", "fluid"],
+        choices=settings.FIDELITIES,
         default=None,
         help="engine fidelity for every cell (beats the scenario's "
         "[run] fidelity and REPRO_FIDELITY; default: packet)",
@@ -629,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="seconds before another worker may reclaim a claimed cell "
-        "(--shared; default: REPRO_LEASE_TTL or 60)",
+        "(--shared; default: 60)",
     )
     s_run.add_argument(
         "--lock-timeout",
@@ -903,12 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_SEEDS = {
-    "table1": 1, "fig2": 7, "fig3": 11, "fig5": 0, "fig6": 21, "fig7": 22,
-    "fig8": 31, "fig9": 41, "fig10": 51, "fig11": 61, "fig12": 71, "fig13": 81,
-}
-
-
 def _write_results(path: str, summary: dict) -> None:
     """Dump a ``summarize_for_validation`` grid as JSON or (flattened) CSV."""
     if path.endswith(".csv"):
@@ -936,14 +759,22 @@ def _dry_run_table(specs, is_cached) -> Tuple[str, int]:
 
 
 def _main_run(args, parser: argparse.ArgumentParser) -> int:
-    description, runner = EXPERIMENTS[args.experiment]
-    scale = Scale.paper() if args.full else Scale.from_env()
-    seed = args.seed if args.seed is not None else _DEFAULT_SEEDS[args.experiment]
+    name = args.experiment
+    figure = FIGURES[name]
+    full = settings.resolve("full", args.full or None)
+    params = PAPER_SCALE.get(name, {}) if full else {}
+    if full and not params:
+        log.info(f"# {name} has no paper-scale parameters; running defaults")
+    seed = figure.seed if args.seed is None else args.seed
+
+    def run():
+        return figure.run(seed=seed, **params)
 
     if args.dry_run:
-        return _dry_run_experiment(args, runner, scale, seed)
+        return _dry_run_experiment(args, run, seed)
 
-    executor = _build_executor(args, parser)
+    explicit = _executor_settings(args)
+    executor = Executor.from_env(cache=not args.no_cache, **explicit)
 
     trace_enabled = (
         args.trace or args.trace_out is not None or args.trace_categories is not None
@@ -981,18 +812,25 @@ def _main_run(args, parser: argparse.ArgumentParser) -> int:
         snapshot_interval=ms(1) if collect_metrics else None,
         spans=args.spans or args.spans_out is not None,
     )
-    manifest = RunManifest.collect(args.experiment, seed=seed, scale=scale)
-    manifest.retry_backoff = executor.retry_backoff
+    manifest = RunManifest.collect(
+        name,
+        seed=seed,
+        scale={"name": "paper" if params else "reduced", "params": params},
+    )
+    manifest.settings = settings.snapshot(full=full, **explicit)
     progress, progress_stream = _build_progress(args)
     executor.progress = progress
 
-    log.info(f"# {description} (seed={seed}, {'full' if scale.full else 'reduced'} scale)")
+    log.info(
+        f"# {figure.title} (seed={seed}, "
+        f"{'full' if params else 'reduced'} scale)"
+    )
     started = time.time()
     previous_executor = set_default_executor(executor)
     try:
         with activate(telemetry):
-            text, result = runner(scale, seed)
-            print(text)
+            result = run()
+            print(figure.render(result))
     finally:
         set_default_executor(previous_executor)
         _finish_observability(args, telemetry, progress, progress_stream)
@@ -1026,7 +864,7 @@ def _main_run(args, parser: argparse.ArgumentParser) -> int:
             handle.write("\n")
         log.info(f"# metrics written to {args.metrics_out}")
     if args.results_out is not None:
-        _write_results(args.results_out, SUMMARIZERS[args.experiment](result))
+        _write_results(args.results_out, figure.summarize(result))
     stats = executor.stats
     if stats.submitted and stats.failed >= stats.submitted:
         # Partial grids render with gaps and exit 0; only a figure with
@@ -1036,7 +874,7 @@ def _main_run(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _dry_run_experiment(args, runner, scale: Scale, seed: int) -> int:
+def _dry_run_experiment(args, run, seed: int) -> int:
     """``run --dry-run``: capture the experiment's resolved spec grid via a
     :class:`DryRunExecutor` and print it with cache status -- no simulation
     (experiments that build no executor grid, e.g. fig5, simply report so).
@@ -1045,13 +883,13 @@ def _dry_run_experiment(args, runner, scale: Scale, seed: int) -> int:
 
     dry = DryRunExecutor(
         cache=not args.no_cache,
-        cache_dir=args.cache_dir or default_cache_dir(),
+        cache_dir=default_cache_dir(args.cache_dir),
     )
     previous_executor = set_default_executor(dry)
     captured = False
     try:
         try:
-            runner(scale, seed)
+            run()
         except DryRunComplete:
             captured = True
     finally:
@@ -1164,7 +1002,7 @@ def _main_scenario(args, parser: argparse.ArgumentParser) -> int:
 
         cache = (
             None if args.no_cache
-            else ResultCache(args.cache_dir or default_cache_dir())
+            else ResultCache(default_cache_dir(args.cache_dir))
         )
 
         def is_cached(spec) -> bool:
@@ -1197,7 +1035,9 @@ def _main_scenario(args, parser: argparse.ArgumentParser) -> int:
 
     from .scenarios import GracefulShutdown, LockTimeout
 
-    executor = _build_executor(args, parser)
+    executor = Executor.from_env(
+        cache=not args.no_cache, **_executor_settings(args)
+    )
     telemetry = Telemetry(spans=args.spans or args.spans_out is not None)
     progress, progress_stream = _build_progress(args)
     started = time.time()
@@ -1255,7 +1095,9 @@ def _main_validate(args, parser: argparse.ArgumentParser) -> int:
     )
     from .validation.stats import FAIL
 
-    executor = _build_executor(args, parser)
+    executor = Executor.from_env(
+        cache=not args.no_cache, **_executor_settings(args)
+    )
     telemetry = Telemetry()
     previous_executor = set_default_executor(executor)
     try:
@@ -1351,7 +1193,7 @@ def _main_cache(args, parser: argparse.ArgumentParser) -> int:
     )
     if args.max_age is not None and args.max_age < 0:
         parser.error("--max-age must be >= 0")
-    cache = ResultCache(args.cache_dir or default_cache_dir())
+    cache = ResultCache(default_cache_dir(args.cache_dir))
     stats = cache.gc(
         max_bytes=max_bytes,
         max_age_seconds=args.max_age,
@@ -1477,29 +1319,35 @@ def _main_query(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _main_list(args, parser: argparse.ArgumentParser) -> int:
+    width = max(len(name) for name in FIGURES)
+    for name, figure in FIGURES.items():
+        print(f"{name.ljust(width)}  {figure.title}")
+    return 0
+
+
+_COMMANDS = {
+    "list": _main_list,
+    "run": _main_run,
+    "validate": _main_validate,
+    "scenario": _main_scenario,
+    "cache": _main_cache,
+    "obs": _main_obs,
+    "serve": _main_serve,
+    "query": _main_query,
+}
+
+
 def main(argv: Optional[list] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(quiet=args.quiet, verbose=args.verbose)
-    if args.command == "list":
-        width = max(len(name) for name in EXPERIMENTS)
-        for name, (description, _) in EXPERIMENTS.items():
-            print(f"{name.ljust(width)}  {description}")
-        return 0
-    if args.command == "validate":
-        return _main_validate(args, parser)
-    if args.command == "scenario":
-        return _main_scenario(args, parser)
-    if args.command == "cache":
-        return _main_cache(args, parser)
-    if args.command == "obs":
-        return _main_obs(args, parser)
-    if args.command == "serve":
-        return _main_serve(args, parser)
-    if args.command == "query":
-        return _main_query(args, parser)
-    return _main_run(args, parser)
+    try:
+        return _COMMANDS[args.command](args, parser)
+    except settings.SettingError as exc:
+        log.error(f"# error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

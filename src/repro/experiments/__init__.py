@@ -26,7 +26,6 @@ from .fct import (
 from .report import format_failure_table, format_table
 from .runner import (
     ExperimentResult,
-    Scale,
     estimate_star_network_rtt,
     pool_results,
     run_leafspine_fct,
@@ -55,7 +54,6 @@ __all__ = [
     "FailedCell",
     "InjectedFault",
     "RunFailure",
-    "Scale",
     "estimate_star_network_rtt",
     "gather_failures",
     "is_failure",

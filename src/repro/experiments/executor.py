@@ -6,17 +6,17 @@ The paper's figures are grids of independent, seed-deterministic DES runs
 :class:`~repro.experiments.specs.RunSpec` cells across worker processes and
 memoizes each cell's result on disk, so that
 
-* a sweep saturates the machine instead of one core (``--jobs N`` /
-  ``REPRO_JOBS=N``),
+* a sweep saturates the machine instead of one core (``jobs``),
 * re-rendering a figure replays completed cells from the cache instead of
-  re-simulating them (``REPRO_CACHE_DIR``, default ``~/.cache/repro``), and
+  re-simulating them (``cache_dir``), and
 * one crashed, hung or OOM-killed cell degrades to a recorded
   :class:`~repro.experiments.faults.RunFailure` instead of aborting the
   grid: worker exceptions are caught *inside* the worker, failed specs are
-  retried (``--retries``/``REPRO_RETRIES``), a per-spec wall-clock budget
-  (``--spec-timeout``/``REPRO_SPEC_TIMEOUT``) abandons hung workers, and a
-  ``BrokenProcessPool`` is recovered by rebuilding the pool and requeueing
-  only the unfinished specs.
+  retried (``retries``, ``retry_backoff``), a per-spec wall-clock budget
+  (``spec_timeout``) abandons hung workers, and a ``BrokenProcessPool`` is
+  recovered by rebuilding the pool and requeueing only the unfinished
+  specs.  (Those five are :mod:`repro.settings` rows, resolved by
+  :meth:`Executor.from_env`.)
 
 Determinism guarantee: every run owns its own
 :class:`~repro.sim.engine.Simulator` and ``numpy.random.default_rng(seed)``,
@@ -50,6 +50,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import settings
 from ..telemetry.spans import maybe_span
 from .faults import RunFailure, is_failure, maybe_inject_fault
 from .specs import Cell, RunSpec, resolve_workload, stable_hash
@@ -91,12 +92,11 @@ def _code_tag() -> str:
     return f"{__version__}/schema{CACHE_SCHEMA_VERSION}"
 
 
-def default_cache_dir() -> Path:
-    """``REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
-    env = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro"
+def default_cache_dir(explicit: Optional[str] = None) -> Path:
+    """Where the CLI caches: ``--cache-dir`` > ``REPRO_CACHE_DIR`` >
+    ``~/.cache/repro``."""
+    named = settings.resolve("cache_dir", explicit)
+    return Path(named) if named else Path.home() / ".cache" / "repro"
 
 
 # --------------------------------------------------------------- execution
@@ -610,30 +610,25 @@ class Executor:
         self._spans_requested = False
         self._attribution: List[Optional[SpecAttribution]] = []
 
+    SETTINGS = ("jobs", "retries", "retry_backoff", "spec_timeout", "cache_dir")
+    """The constructor arguments that are :mod:`repro.settings` rows."""
+
     @classmethod
-    def from_env(cls) -> "Executor":
-        """``REPRO_JOBS`` sets the worker count (default 1, in-process);
-        the cache activates only when ``REPRO_CACHE_DIR`` names a directory,
-        so plain test runs never touch ``~/.cache``.  ``REPRO_RETRIES``,
-        ``REPRO_RETRY_BACKOFF`` and ``REPRO_SPEC_TIMEOUT`` configure the
-        fault-tolerance knobs."""
-        jobs = _env_int("REPRO_JOBS", 1, minimum=1)
-        retries = _env_int("REPRO_RETRIES", 1, minimum=0)
-        backoff = _env_float("REPRO_RETRY_BACKOFF", None)
-        if backoff is not None and backoff <= 0:
-            backoff = None  # 0 / negative = explicitly off
-        timeout = _env_float("REPRO_SPEC_TIMEOUT", None)
-        if timeout is not None and timeout <= 0:
-            timeout = None  # 0 / negative = explicitly off
-        cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
-        return cls(
-            jobs=jobs,
-            cache=bool(cache_dir),
-            cache_dir=Path(cache_dir) if cache_dir else None,
-            retries=retries,
-            retry_backoff=backoff,
-            spec_timeout=timeout,
-        )
+    def from_env(cls, cache: Optional[bool] = None, **explicit: Any) -> "Executor":
+        """The only constructor from settings: each :attr:`SETTINGS` keyword
+        left out (or ``None``) falls back to its ``REPRO_*`` variable, then
+        its default.  With ``cache=None`` the cache activates only when a
+        directory is named, so plain test runs never touch ``~/.cache``."""
+        unknown = set(explicit) - set(cls.SETTINGS)
+        if unknown:
+            raise TypeError(f"not executor settings: {sorted(unknown)}")
+        values = {
+            name: settings.resolve(name, explicit.get(name))
+            for name in cls.SETTINGS
+        }
+        if cache is None:
+            cache = values["cache_dir"] is not None
+        return cls(cache=cache, **values)
 
     def _backoff_delay(self, spec: RunSpec, attempt: int) -> float:
         """Seconds to wait before ``attempt`` (0 = first try, never
@@ -985,34 +980,6 @@ class Executor:
             telemetry.add_manifest(manifest)
 
 
-def _env_int(name: str, default: int, minimum: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return max(minimum, int(raw))
-    except ValueError:
-        warnings.warn(
-            f"{name}={raw!r} is not an integer; using {default}",
-            stacklevel=3,
-        )
-        return default
-
-
-def _env_float(name: str, default: Optional[float]) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        warnings.warn(
-            f"{name}={raw!r} is not a number; using {default}",
-            stacklevel=3,
-        )
-        return default
-
-
 # ---------------------------------------------------------------- dry run
 
 
@@ -1057,8 +1024,7 @@ _default_executor: Optional[Executor] = None
 def get_default_executor() -> Executor:
     """The executor used when a figure/runner is not handed one explicitly.
 
-    Lazily built from the environment (``REPRO_JOBS``/``REPRO_CACHE_DIR``/
-    ``REPRO_RETRIES``/``REPRO_SPEC_TIMEOUT``) on first use; the CLI and the
+    Lazily built by :meth:`Executor.from_env` on first use; the CLI and the
     benchmark harness install their own via :func:`set_default_executor`.
     """
     global _default_executor

@@ -24,8 +24,10 @@ class Fig5Result:
     cdf_at_probe: Dict[str, Dict[int, float]]
 
 
-def run_fig5() -> Fig5Result:
-    """Evaluate both workload CDFs (curves, means, probe points)."""
+def run_fig5(seed: int = 0) -> Fig5Result:
+    """Evaluate both workload CDFs (curves, means, probe points).  The CDFs
+    are deterministic; ``seed`` is accepted (and unused) so every figure's
+    ``run`` takes one."""
     workloads: Dict[str, EmpiricalCdf] = {
         "web-search": WEB_SEARCH,
         "data-mining": DATA_MINING,

@@ -202,8 +202,9 @@ def summarize_for_validation(result: FctVsLoadResult) -> dict:
     }
 
 
-def render(result: FctVsLoadResult, figure_name: str = "Figure 6/7") -> str:
+def render(result: FctVsLoadResult) -> str:
     """Render the normalized FCT-vs-load table plus the headline gain."""
+    figure_name = _figure_name(result.workload_name).replace("fig", "Figure ")
     rows: List[List[str]] = []
     for load in result.loads:
         for scheme in result.schemes:

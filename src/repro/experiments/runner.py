@@ -1,18 +1,15 @@
 """Experiment runners: single FCT runs over the paper's topologies.
 
-Scale handling: the paper's experiments run seconds of 10 Gbps traffic; a
-pure-Python DES cannot.  :class:`Scale` centralises the reduction -- flow
-counts and load grids shrink by default, and ``REPRO_FULL=1`` in the
-environment switches to larger runs.  Normalized FCT comparisons (all the
-paper's figures) are preserved under this reduction because every scheme
-sees the identical arrival process (same seed -> same flow sizes, arrival
-times, endpoints and base RTTs).
+The paper's experiments run seconds of 10 Gbps traffic; a pure-Python DES
+cannot, so figures default to reduced flow counts and load grids
+(``figures.PAPER_SCALE`` has the ``--full`` values).  Normalized FCT
+comparisons survive the reduction because every scheme sees the identical
+arrival process (same seed -> same flow sizes, arrival times, endpoints and
+base RTTs).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -40,7 +37,6 @@ from .fct import FctCollector, FctSummary
 from .specs import AqmSpec, RunSpec
 
 __all__ = [
-    "Scale",
     "ExperimentResult",
     "estimate_star_network_rtt",
     "run_star_fct",
@@ -55,70 +51,6 @@ AqmFactory = Callable[[], Aqm]
 
 MAX_EVENTS_PER_RUN = 200_000_000
 """Hard stop against runaway runs; far above any configured experiment."""
-
-
-@dataclass(frozen=True)
-class Scale:
-    """Run-size knobs shared by the benchmark harness.
-
-    ``reduced()`` (the default) targets minutes of wall clock for the whole
-    bench suite; ``full()`` approaches the paper's flow counts and load
-    grids (hours of wall clock in pure Python).
-    """
-
-    n_flows_web_search: int
-    n_flows_data_mining: int
-    n_flows_leafspine: int
-    n_seeds: int
-    loads: Tuple[float, ...]
-    leafspine_loads: Tuple[float, ...]
-    fanouts: Tuple[int, ...]
-    leafspine_dims: Tuple[int, int, int]  # spines, leaves, hosts/leaf
-    full: bool
-
-    @classmethod
-    def reduced(cls) -> "Scale":
-        return cls(
-            n_flows_web_search=150,
-            n_flows_data_mining=60,
-            n_flows_leafspine=150,
-            n_seeds=2,
-            loads=(0.3, 0.5, 0.8),
-            leafspine_loads=(0.3, 0.5),
-            fanouts=(25, 50, 100, 150, 175, 200),
-            leafspine_dims=(4, 4, 4),
-            full=False,
-        )
-
-    @classmethod
-    def paper(cls) -> "Scale":
-        return cls(
-            n_flows_web_search=2000,
-            n_flows_data_mining=500,
-            n_flows_leafspine=2000,
-            n_seeds=3,
-            loads=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-            leafspine_loads=(0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-            fanouts=(25, 50, 75, 100, 125, 150, 175, 200),
-            leafspine_dims=(8, 8, 16),
-            full=True,
-        )
-
-    @classmethod
-    def from_env(cls) -> "Scale":
-        """``REPRO_FULL=1`` (case-insensitive: ``true``/``yes``/``on`` too)
-        selects paper-scale runs; unrecognized values warn and fall back to
-        the reduced scale."""
-        raw = os.environ.get("REPRO_FULL", "").strip().lower()
-        if raw in ("1", "true", "yes", "on"):
-            return cls.paper()
-        if raw not in ("", "0", "false", "no", "off"):
-            warnings.warn(
-                f"REPRO_FULL={raw!r} is not a recognized truth value "
-                "(use 1/true/yes/on or 0/false/no/off); using reduced scale",
-                stacklevel=2,
-            )
-        return cls.reduced()
 
 
 @dataclass
@@ -154,23 +86,6 @@ def estimate_star_network_rtt(
     return 4.0 * link_delay + 2.0 * data_tx + 2.0 * ack_tx
 
 
-def _stall_budget() -> int:
-    """Dispatch budget for one run's drain; ``REPRO_STALL_EVENTS`` lowers
-    it (e.g. to force a quick :class:`SimulationStalled` in tests)."""
-    raw = os.environ.get("REPRO_STALL_EVENTS", "").strip()
-    if not raw:
-        return MAX_EVENTS_PER_RUN
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn(
-            f"REPRO_STALL_EVENTS={raw!r} is not an integer; "
-            f"using {MAX_EVENTS_PER_RUN}",
-            stacklevel=2,
-        )
-        return MAX_EVENTS_PER_RUN
-
-
 def _drain(network, collector: FctCollector, expected: int) -> None:
     """Run the event loop to completion and verify every flow finished.
 
@@ -180,7 +95,7 @@ def _drain(network, collector: FctCollector, expected: int) -> None:
     result.  A drained loop with incomplete flows (events exhausted
     *cleanly* -- e.g. every remaining flow lost its retransmission timer)
     is still an error."""
-    network.sim.run_until_idle(max_events=_stall_budget())
+    network.sim.run_until_idle(max_events=MAX_EVENTS_PER_RUN)
     if len(collector) < expected:
         raise RuntimeError(
             f"only {len(collector)}/{expected} flows completed; "

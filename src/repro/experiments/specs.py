@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from ..settings import FIDELITIES
 
 __all__ = [
     "AqmSpec",
@@ -30,35 +31,9 @@ __all__ = [
     "resolve_workload",
     "stable_hash",
     "FIDELITIES",
-    "FIDELITY_ENV",
-    "resolve_fidelity",
 ]
 
 Params = Tuple[Tuple[str, Any], ...]
-
-FIDELITIES: Tuple[str, ...] = ("packet", "fluid")
-"""Simulation fidelities: per-packet DES or the flow-level fluid model."""
-
-FIDELITY_ENV = "REPRO_FIDELITY"
-"""Environment default for the fidelity (overridden by explicit flags).
-
-Resolution happens where specs are *built* (CLI, scenario compiler), never
-inside the executor: a spec's result must be a pure function of the spec so
-cache entries stay valid across environments.
-"""
-
-
-def resolve_fidelity(explicit: Optional[str] = None) -> str:
-    """Effective fidelity: ``explicit`` > ``$REPRO_FIDELITY`` > ``packet``."""
-    value = explicit if explicit is not None else os.environ.get(FIDELITY_ENV)
-    if value is None or value == "":
-        return "packet"
-    if value not in FIDELITIES:
-        raise ValueError(
-            f"unknown fidelity {value!r} (choose from {', '.join(FIDELITIES)})"
-        )
-    return value
-
 
 # Rig-specific knobs each RunSpec kind accepts in ``extras``.  Anything
 # else raises at construction time: a typo'd key (``fidelity=fliud``,

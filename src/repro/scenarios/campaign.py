@@ -506,15 +506,15 @@ def _run_shared(
     (rerun later to pick up whatever they drop).
     """
     from .coordination import (
+        DEFAULT_LEASE_TTL,
         DEFAULT_LOCK_TIMEOUT,
         LeaseBoard,
         StoreLock,
         default_worker_id,
-        lease_ttl_from_env,
     )
 
     worker = worker_id or default_worker_id()
-    ttl = lease_ttl if lease_ttl is not None else lease_ttl_from_env()
+    ttl = lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL
     timeout = (
         lock_timeout if lock_timeout is not None else DEFAULT_LOCK_TIMEOUT
     )

@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .. import settings
 from ..experiments.executor import cell_metrics, seed_specs
 from ..experiments.faults import is_failure
-from ..experiments.specs import AqmSpec, Cell, RunSpec, resolve_fidelity
+from ..experiments.specs import AqmSpec, Cell, RunSpec
 from ..sim.units import us
 from .schema import Scenario, ScenarioError, WorkloadSpec
 
@@ -76,7 +77,7 @@ def compile_scenario(
     transport overrides alongside an incast component (the incast rig pins
     its own transport).
     """
-    resolved = resolve_fidelity(fidelity or scenario.fidelity)
+    resolved = settings.resolve("fidelity", fidelity or scenario.fidelity)
     cells: List[Cell] = []
     for index, component in enumerate(scenario.workloads):
         path = f"{scenario.name}.workloads[{index}]"

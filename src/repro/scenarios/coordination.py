@@ -77,23 +77,10 @@ while executing one shard, and re-running a cell is merely wasted work
 DEFAULT_LOCK_TIMEOUT = 60.0
 DEFAULT_LOCK_STALE = 30.0
 
-LEASE_TTL_ENV = "REPRO_LEASE_TTL"
-
 
 def default_worker_id() -> str:
     """``host:pid`` -- unique per concurrently live worker process."""
     return f"{socket.gethostname()}:{os.getpid()}"
-
-
-def lease_ttl_from_env(default: float = DEFAULT_LEASE_TTL) -> float:
-    raw = os.environ.get(LEASE_TTL_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
 
 
 # ------------------------------------------------------------------- lock

@@ -14,7 +14,7 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 __all__ = ["RunManifest", "git_sha"]
@@ -42,8 +42,6 @@ def git_sha(cwd: Optional[str] = None) -> Optional[str]:
 
 def _plain(value: Any) -> Any:
     """Best-effort conversion to JSON-serializable data."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return {k: _plain(v) for k, v in asdict(value).items()}
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -69,11 +67,11 @@ class RunManifest:
     events: Optional[int] = None
     scheduler: Optional[str] = None
     """Event-queue implementation the run used (``repro.sim.eventq``)."""
-    retry_backoff: Optional[float] = None
-    """Base seconds of the executor's seeded retry backoff, when enabled
-    (``--retry-backoff`` / ``REPRO_RETRY_BACKOFF``): delays are a pure
-    function of (spec token, attempt, this base), so recording the base
-    makes retried runs bit-reproducible end to end."""
+    settings: Optional[dict] = None
+    """:func:`repro.settings.snapshot` of the run: every resolved setting
+    plus any fault/canary hook that was set.  Retry delays are a pure
+    function of (spec token, attempt, ``retry_backoff``), so recording the
+    base makes retried runs bit-reproducible end to end."""
 
     @classmethod
     def collect(

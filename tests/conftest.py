@@ -13,21 +13,15 @@ from repro.sim.units import gbps, mb, us
 
 @pytest.fixture(autouse=True)
 def _hermetic_executor(tmp_path, monkeypatch):
-    """Isolate every test from ambient executor state: no inherited
-    parallelism, and any cache use (e.g. CLI invocations, which cache by
+    """Isolate every test from ambient state: no inherited ``REPRO_*``
+    setting or hook (the list is the settings table's, so a new knob cannot
+    be forgotten), and any cache use (e.g. CLI invocations, which cache by
     default) lands in a per-test temp dir instead of ``~/.cache/repro``."""
+    from repro import settings
     from repro.experiments.executor import set_default_executor
 
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_RETRIES", raising=False)
-    monkeypatch.delenv("REPRO_SPEC_TIMEOUT", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
-    monkeypatch.delenv("REPRO_STALL_EVENTS", raising=False)
-    monkeypatch.delenv("REPRO_AQM_PERTURB", raising=False)
-    monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
-    monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
-    monkeypatch.delenv("REPRO_FIDELITY", raising=False)
+    for variable in settings.VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
     previous = set_default_executor(None)
     yield

@@ -23,6 +23,7 @@ from repro.experiments.runner import pool_results
 from repro.experiments.schemes import build_aqm
 from repro.experiments.schemes import testbed_scheme_specs as make_testbed_scheme_specs
 from repro.experiments.specs import AqmSpec, RunSpec, resolve_workload
+from repro.settings import SettingError
 from repro.sim.units import us
 from repro.workloads import WEB_SEARCH
 
@@ -391,15 +392,6 @@ class TestRetryBackoff:
         assert executor.stats.retried == 1
         assert slept == [executor._backoff_delay(spec, 1)]
 
-    def test_from_env_reads_backoff(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.25")
-        assert Executor.from_env().retry_backoff == 0.25
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        assert Executor.from_env().retry_backoff is None
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "soon")
-        with pytest.warns(UserWarning, match="REPRO_RETRY_BACKOFF"):
-            assert Executor.from_env().retry_backoff is None
-
 
 class TestRunGrid:
     def test_pools_each_cell(self):
@@ -437,30 +429,22 @@ class TestDefaultExecutor:
         assert executor.retries == 1
         assert executor.spec_timeout is None
 
-    def test_from_env_warns_on_unparseable_jobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        with pytest.warns(UserWarning, match="REPRO_JOBS"):
-            executor = Executor.from_env()
-        assert executor.jobs == 1
-
-    def test_from_env_reads_fault_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "3")
-        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "2.5")
-        executor = Executor.from_env()
-        assert executor.retries == 3
-        assert executor.spec_timeout == 2.5
-
-    def test_from_env_warns_on_unparseable_fault_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRIES", "lots")
-        monkeypatch.setenv("REPRO_SPEC_TIMEOUT", "soon")
-        with pytest.warns(UserWarning) as caught:
-            executor = Executor.from_env()
-        messages = [str(w.message) for w in caught]
-        assert any("REPRO_RETRIES" in m for m in messages)
-        assert any("REPRO_SPEC_TIMEOUT" in m for m in messages)
-        assert executor.retries == 1
-        assert executor.spec_timeout is None
+    @pytest.mark.parametrize(
+        "variable, text",
+        [("REPRO_JOBS", "many"), ("REPRO_RETRIES", "-3"),
+         ("REPRO_RETRY_BACKOFF", "soon"), ("REPRO_SPEC_TIMEOUT", "soon")],
+    )
+    def test_from_env_rejects_malformed_settings(self, variable, text, monkeypatch):
+        monkeypatch.setenv(variable, text)
+        with pytest.raises(SettingError, match=f"{variable}='{text}'"):
+            Executor.from_env()
+        explicit = Executor.from_env(
+            jobs=2, retries=3, retry_backoff=0, spec_timeout=2.5
+        )  # explicit beats (and never parses) the environment
+        assert (explicit.jobs, explicit.retries) == (2, 3)
+        assert (explicit.retry_backoff, explicit.spec_timeout) == (None, 2.5)
+        with pytest.raises(TypeError, match="not executor settings"):
+            Executor.from_env(job=2)
 
     def test_set_default_round_trips(self):
         mine = Executor(jobs=1)

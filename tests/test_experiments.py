@@ -1,9 +1,13 @@
 """Unit tests for the experiment harness: FCT stats, reporting, runners."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro import settings
 from repro.core.red import SojournRed
+from repro.experiments.figures import FIGURES, GRIDS, PAPER_SCALE
 from repro.experiments.fct import (
     LARGE_FLOW_MIN,
     SHORT_FLOW_MAX,
@@ -13,7 +17,6 @@ from repro.experiments.fct import (
 )
 from repro.experiments.report import fmt_ratio, fmt_us, format_table
 from repro.experiments.runner import (
-    Scale,
     estimate_star_network_rtt,
     pool_results,
     run_leafspine_fct,
@@ -118,29 +121,28 @@ class TestSchemes:
 
 class TestScale:
     def test_reduced_smaller_than_paper(self):
-        reduced, paper = Scale.reduced(), Scale.paper()
-        assert reduced.n_flows_web_search < paper.n_flows_web_search
-        assert len(reduced.loads) < len(paper.loads)
-        assert not reduced.full and paper.full
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert not Scale.from_env().full
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert Scale.from_env().full
+        # A figure's signature defaults are its reduced scale; PAPER_SCALE
+        # only ever grows them.
+        for name, paper in PAPER_SCALE.items():
+            cells_or_run = GRIDS[name][0] if name in GRIDS else FIGURES[name].run
+            defaults = inspect.signature(cells_or_run).parameters
+            assert set(paper) <= set(defaults), name
+            for key, value in paper.items():
+                reduced = defaults[key].default
+                if isinstance(value, tuple) and key != "dims":
+                    assert len(value) > len(reduced), (name, key)
+                else:
+                    assert value > reduced, (name, key)
 
     def test_from_env_case_insensitive(self, monkeypatch):
         for raw in ("TRUE", "Yes", " on "):
             monkeypatch.setenv("REPRO_FULL", raw)
-            assert Scale.from_env().full
+            assert settings.resolve("full") is True
         for raw in ("0", "False", "OFF", "no"):
             monkeypatch.setenv("REPRO_FULL", raw)
-            assert not Scale.from_env().full
-
-    def test_from_env_warns_on_unrecognized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "enable")
-        with pytest.warns(UserWarning, match="REPRO_FULL"):
-            assert not Scale.from_env().full
+            assert settings.resolve("full") is False
+        monkeypatch.delenv("REPRO_FULL")
+        assert settings.resolve("full") is False
 
 
 class TestRunners:

@@ -389,7 +389,9 @@ class TestStalledRunBecomesFailure:
     def test_drain_stall_is_recorded_as_stall_failure(self, monkeypatch):
         # Starve the drain budget so the run cannot reach idle: the engine
         # raises SimulationStalled and the executor records kind="stall".
-        monkeypatch.setenv("REPRO_STALL_EVENTS", "50")
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "MAX_EVENTS_PER_RUN", 50)
         executor = Executor(jobs=1, retries=0)
         failure = executor.run([tiny_spec(seed=3)])[0]
         assert is_failure(failure)
@@ -399,40 +401,33 @@ class TestStalledRunBecomesFailure:
 
 
 class TestCliFailureContract:
-    def _tiny_scale(self):
-        from dataclasses import replace
+    @pytest.fixture
+    def tiny_fig2(self, monkeypatch):
+        """Shrink ``repro run fig2 --full`` to 5 thresholds x 2 seeds of 8
+        flows through the figure's scale table."""
+        from repro.experiments.figures import PAPER_SCALE
 
-        from repro.experiments.runner import Scale
-
-        return replace(
-            Scale.reduced(),
-            n_flows_web_search=8,
-            n_seeds=2,
-        )
+        monkeypatch.setitem(PAPER_SCALE, "fig2", {"n_flows": 8, "n_seeds": 2})
 
     def test_partial_failure_prints_table_and_exits_zero(
-        self, monkeypatch, capsys
+        self, monkeypatch, capsys, tiny_fig2
     ):
         from repro.cli import main
-        from repro.experiments.runner import Scale
 
-        tiny = self._tiny_scale()
-        monkeypatch.setattr(Scale, "from_env", classmethod(lambda cls: tiny))
         inject(monkeypatch, "raise:seed=8|")
-        assert main(["run", "fig2", "--no-cache", "--retries", "0"]) == 0
+        argv = ["run", "fig2", "--full", "--no-cache", "--retries", "0"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "run(s) failed" in out
         assert "failed=5" in out  # one seed of each of 5 threshold cells
         assert "Figure 2" in out  # the figure still rendered
 
-    def test_total_failure_exits_nonzero(self, monkeypatch, capsys):
+    def test_total_failure_exits_nonzero(self, monkeypatch, capsys, tiny_fig2):
         from repro.cli import main
-        from repro.experiments.runner import Scale
 
-        tiny = self._tiny_scale()
-        monkeypatch.setattr(Scale, "from_env", classmethod(lambda cls: tiny))
         inject(monkeypatch, "raise:star|")
-        assert main(["run", "fig2", "--no-cache", "--retries", "0"]) == 1
+        argv = ["run", "fig2", "--full", "--no-cache", "--retries", "0"]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert "no usable results" in captured.err
         assert "run(s) failed" in captured.out
@@ -441,13 +436,13 @@ class TestCliFailureContract:
         import repro.cli as cli_module
 
         captured = {}
-        real_executor = cli_module.Executor
 
-        def spy(**kwargs):
-            captured.update(kwargs)
-            return real_executor(**kwargs)
+        class Spy(cli_module.Executor):
+            def __init__(self, **kwargs):
+                captured.update(kwargs)
+                super().__init__(**kwargs)
 
-        monkeypatch.setattr(cli_module, "Executor", spy)
+        monkeypatch.setattr(cli_module, "Executor", Spy)
         cli_module.main(["run", "fig5", "--retries", "2", "--spec-timeout", "30"])
         assert captured["retries"] == 2
         assert captured["spec_timeout"] == 30.0

@@ -17,11 +17,11 @@ from repro.experiments.specs import (
     FIDELITIES,
     AqmSpec,
     RunSpec,
-    resolve_fidelity,
 )
 from repro.fluid import build_marker_bank, choose_dt, run_fluid_microscopic, run_fluid_star_fct
 from repro.fluid.marking import CodelMarkerBank, EcnSharpMarkerBank, StepMarkerBank
 from repro.scenarios import Scenario, ScenarioError, compile_scenario
+from repro.settings import resolve
 from repro.sim.units import us
 from repro.validation.crossfid import (
     CROSSFID_FCT_BAND,
@@ -113,13 +113,15 @@ class TestFidelitySpecs:
         assert RunSpec.from_dict(spec.to_dict()) == spec
 
     def test_resolve_fidelity_precedence(self, monkeypatch):
-        assert resolve_fidelity() == "packet"
+        assert resolve("fidelity") == "packet"
         monkeypatch.setenv("REPRO_FIDELITY", "fluid")
-        assert resolve_fidelity() == "fluid"
-        assert resolve_fidelity("packet") == "packet"  # explicit beats env
+        assert resolve("fidelity") == "fluid"
+        assert resolve("fidelity", "packet") == "packet"  # explicit beats env
         monkeypatch.setenv("REPRO_FIDELITY", "fliud")
+        with pytest.raises(ValueError, match="REPRO_FIDELITY='fliud'"):
+            resolve("fidelity")
         with pytest.raises(ValueError, match="unknown fidelity"):
-            resolve_fidelity()
+            resolve("fidelity", "analytic")  # an unknown explicit one too
 
     def test_fidelities_registry(self):
         assert FIDELITIES == ("packet", "fluid")

@@ -252,14 +252,16 @@ class TestSharedMode:
         assert again.executed_cells == 0
         assert again.skipped_cells == 2
 
-    def test_live_foreign_lease_is_left_alone(self, tmp_path):
+    def test_live_foreign_lease_is_left_alone(self, tmp_path, monkeypatch):
+        # The TTL is the lease_ttl keyword (default 60 s) and nothing else:
+        # the deleted environment knob must not make a fresh lease stale.
+        monkeypatch.setenv("REPRO_LEASE_TTL", "0.001")
         scenario = tiny_scenario()
         store = CampaignStore(tmp_path / "shared.jsonl")
         keys = self.cell_keys(scenario)
         LeaseBoard(store.leases_path, ttl=60.0).claim([keys[0]], "other")
         result = run_campaign(
             [scenario], store, executor(), shared=True, worker_id="me",
-            lease_ttl=60.0,
         )
         assert result.executed_cells == 1  # only the unleased cell
         assert result.reclaimed_leases == 0

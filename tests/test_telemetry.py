@@ -288,16 +288,15 @@ class TestProvenance:
         assert manifest.started_unix > 0
 
     def test_manifest_json_round_trip(self, tmp_path):
-        from repro.experiments.runner import Scale
-
-        manifest = RunManifest.collect("fig6", seed=21, scale=Scale.reduced())
+        scale = {"name": "paper", "params": {"loads": (0.1, 0.2)}}
+        manifest = RunManifest.collect("fig6", seed=21, scale=scale)
         manifest.finish(wall_seconds=1.25, events=1000)
         path = str(tmp_path / "manifest.json")
         manifest.write_json(path)
         with open(path) as handle:
             data = json.load(handle)
         assert data["seed"] == 21
-        assert data["scale"]["full"] is False
+        assert data["scale"] == {"name": "paper", "params": {"loads": [0.1, 0.2]}}
         assert data["events"] == 1000
         assert data["wall_seconds"] == 1.25
 
@@ -320,9 +319,12 @@ class TestProvenance:
 
 
 class TestCliTelemetry:
-    def test_fig10_trace_and_metrics_out(self, tmp_path, capsys):
+    def test_fig10_trace_and_metrics_out(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
+        # A factor-1 perturbation changes nothing but is a set hook.
+        monkeypatch.setenv("REPRO_AQM_PERTURB", "ecn-sharp:pst_target:1")
+        monkeypatch.setenv("REPRO_RETRIES", "4")
         trace_path = str(tmp_path / "t.jsonl")
         metrics_path = str(tmp_path / "m.json")
         assert (
@@ -332,6 +334,7 @@ class TestCliTelemetry:
                     "--trace",
                     "--trace-out", trace_path,
                     "--metrics-out", metrics_path,
+                    "--retry-backoff", "0.25",
                 ]
             )
             == 0
@@ -350,7 +353,17 @@ class TestCliTelemetry:
         assert data["manifest"]["experiment"] == "fig10"
         assert data["manifest"]["seed"] == 51
         assert data["manifest"]["events"] > 0
-        assert data["manifest"]["scale"] is not None
+        assert data["manifest"]["scale"] == {"name": "reduced", "params": {}}
+        assert data["manifest"]["settings"] == {
+            "jobs": 1,
+            "retries": 4,
+            "retry_backoff": 0.25,
+            "spec_timeout": None,
+            "cache_dir": str(tmp_path / "repro-cache"),
+            "fidelity": "packet",
+            "full": False,
+            "REPRO_AQM_PERTURB": "ecn-sharp:pst_target:1",
+        }
         assert data["metrics"]["counters"]
         assert data["profile"]["events"] > 0
         assert data["series"]  # DES-clock queue-depth time series
