@@ -8,14 +8,19 @@ CoDel keeps a small standing queue as well but pays for it under bursts --
 its loss onset is exercised by the Figure 11 fanout sweep.
 """
 
-from repro.experiments.figures import fig10
+from repro.experiments.figures import run_experiment
 
 
 def test_fig10_microscopic_queue(benchmark, report):
-    result = benchmark.pedantic(
-        fig10.run_fig10, kwargs={"fanout": 100, "seed": 51}, rounds=1, iterations=1
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("fig10",),
+        kwargs={"fanout": 100, "seed": 51},
+        rounds=1,
+        iterations=1,
     )
-    report(fig10.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     red_tail = result.runs["DCTCP-RED-Tail"]
     codel = result.runs["CoDel"]

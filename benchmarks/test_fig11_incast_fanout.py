@@ -6,17 +6,19 @@ advantage); ECN# tracks DCTCP-RED-Tail throughout and additionally enjoys a
 lower standing queue, so its query FCT sits at or below RED-Tail's.
 """
 
-from repro.experiments.figures import fig11
+from repro.experiments.figures import run_experiment
 
 
 def test_fig11_incast_fanout_sweep(benchmark, report, scale):
-    result = benchmark.pedantic(
-        fig11.run_fig11,
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("fig11",),
         kwargs=scale.get("fig11", {}),
         rounds=1,
         iterations=1,
     )
-    report(fig11.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     codel_onset = result.first_loss_fanout("CoDel")
     sharp_onset = result.first_loss_fanout("ECN#")

@@ -6,17 +6,19 @@ mining) -- ECN# needs no careful tuning.  At reduced scale run-to-run noise
 is larger, so the bound asserted here is a few percent.
 """
 
-from repro.experiments.figures import fig12
+from repro.experiments.figures import run_experiment
 
 
 def test_fig12_parameter_sensitivity(benchmark, report, scale):
-    result = benchmark.pedantic(
-        fig12.run_fig12,
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("fig12",),
         kwargs=scale.get("fig12", {}),
         rounds=1,
         iterations=1,
     )
-    report(fig12.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     for workload in ("web-search", "data-mining"):
         interval_spread = result.interval_spread(workload)

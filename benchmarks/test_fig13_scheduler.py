@@ -8,15 +8,20 @@ average FCT by ~19.6% because it removes the per-queue standing queues.
 
 import pytest
 
-from repro.experiments.figures import fig13
+from repro.experiments.figures import run_experiment
 from repro.sim.units import ms
 
 
 def test_fig13_dwrr_scheduling(benchmark, report):
-    result = benchmark.pedantic(
-        fig13.run_fig13, kwargs={"seed": 81, "phase": ms(40)}, rounds=1, iterations=1
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("fig13",),
+        kwargs={"seed": 81, "phase": ms(40)},
+        rounds=1,
+        iterations=1,
     )
-    report(fig13.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     for name, run in result.runs.items():
         phase1, phase2, phase3 = run.goodputs

@@ -6,17 +6,19 @@ average-RTT and tail-RTT operating points) while inflating short-flow
 99th-percentile FCT (the paper reports +119% at the tail threshold).
 """
 
-from repro.experiments.figures import fig2
+from repro.experiments.figures import run_experiment
 
 
 def test_fig2_threshold_sweep(benchmark, report, scale):
-    result = benchmark.pedantic(
-        fig2.run_fig2,
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("fig2",),
         kwargs=scale.get("fig2", {}),
         rounds=1,
         iterations=1,
     )
-    report(fig2.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     lowest, highest = result.thresholds_kb[0], result.thresholds_kb[-1]
     norm_large = result.normalized("large_avg")

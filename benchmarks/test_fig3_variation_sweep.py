@@ -15,17 +15,19 @@ per-segment dynamics simulated here.  The bench therefore asserts growth of
 the latency gap and *no inversion* of the throughput gap.
 """
 
-from repro.experiments.figures import fig3
+from repro.experiments.figures import run_experiment
 
 
 def test_fig3_variation_sweep(benchmark, report, scale):
-    result = benchmark.pedantic(
-        fig3.run_fig3,
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("fig3",),
         kwargs=scale.get("fig3", {}),
         rounds=1,
         iterations=1,
     )
-    report(fig3.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     smallest, largest = result.variations[0], result.variations[-1]
 

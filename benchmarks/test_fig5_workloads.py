@@ -4,12 +4,15 @@ Both published curves are heavy-tailed: most flows are small, most bytes sit
 in multi-MB flows; data mining is the heavier of the two.
 """
 
-from repro.experiments.figures import fig5
+from repro.experiments.figures import run_experiment
 
 
 def test_fig5_flow_size_cdfs(benchmark, report):
-    result = benchmark.pedantic(fig5.run_fig5, rounds=1, iterations=1)
-    report(fig5.render(result))
+    outcome = benchmark.pedantic(
+        run_experiment, args=("fig5",), rounds=1, iterations=1
+    )
+    result = outcome.result
+    report(outcome.render())
 
     web = result.cdf_at_probe["web-search"]
     mining = result.cdf_at_probe["data-mining"]

@@ -8,17 +8,19 @@ Paper shape, normalized to DCTCP-RED-Tail:
   * overall, ECN# stays within a few percent of RED-Tail.
 """
 
-from repro.experiments.figures import fig6_fig7
+from repro.experiments.figures import run_experiment
 
 
 def test_fig6_websearch_fct_vs_load(benchmark, report, scale):
-    result = benchmark.pedantic(
-        fig6_fig7.run_fig6,
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("fig6",),
         kwargs=scale.get("fig6", {}),
         rounds=1,
         iterations=1,
     )
-    report(fig6_fig7.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     high_load = max(result.loads)
     mid_load = sorted(result.loads)[len(result.loads) // 2]

@@ -5,17 +5,19 @@ vs DCTCP-RED-Tail; RED-AVG loses up to 20.5% on large flows) with ECN#
 performing best overall at all loads on this workload.
 """
 
-from repro.experiments.figures import fig6_fig7
+from repro.experiments.figures import run_experiment
 
 
 def test_fig7_datamining_fct_vs_load(benchmark, report, scale):
-    result = benchmark.pedantic(
-        fig6_fig7.run_fig7,
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("fig7",),
         kwargs=scale.get("fig7", {}),
         rounds=1,
         iterations=1,
     )
-    report(fig6_fig7.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     # ECN# improves short flows somewhere in the load range without a
     # large-flow penalty.

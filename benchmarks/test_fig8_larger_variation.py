@@ -5,17 +5,19 @@ variation, while ECN#'s short-flow p99 advantage widens from -37% at 3x to
 -71%/-73% at 4x/5x.
 """
 
-from repro.experiments.figures import fig8
+from repro.experiments.figures import run_experiment
 
 
 def test_fig8_larger_rtt_variations(benchmark, report, scale):
-    result = benchmark.pedantic(
-        fig8.run_fig8,
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("fig8",),
         kwargs=scale.get("fig8", {}),
         rounds=1,
         iterations=1,
     )
-    report(fig8.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     high_load = max(result.loads)
 

@@ -8,17 +8,19 @@ hosts/leaf (128 hosts); the reduced default is 4x4x4 (16 hosts) with the
 same 1:1 oversubscription -- set REPRO_FULL=1 for the larger fabric.
 """
 
-from repro.experiments.figures import fig9
+from repro.experiments.figures import run_experiment
 
 
 def test_fig9_leafspine_fct(benchmark, report, scale):
-    result = benchmark.pedantic(
-        fig9.run_fig9,
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("fig9",),
         kwargs=scale.get("fig9", {}),
         rounds=1,
         iterations=1,
     )
-    report(fig9.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     # ECN# at least matches RED-Tail on short flows at every load and beats
     # it somewhere in the sweep.

@@ -4,14 +4,19 @@ Paper numbers: case means 39.3 / 63.9 / 69.3 / 99.2 / 105.5 us -- a 2.68x
 max/min ratio; the reproduction regenerates all four statistics columns.
 """
 
-from repro.experiments.figures import table1
+from repro.experiments.figures import run_experiment
 
 
 def test_table1_rtt_variations(benchmark, report):
-    result = benchmark.pedantic(
-        table1.run_table1, kwargs={"seed": 1, "n_samples": 3000}, rounds=1, iterations=1
+    outcome = benchmark.pedantic(
+        run_experiment,
+        args=("table1",),
+        kwargs={"seed": 1, "n_samples": 3000},
+        rounds=1,
+        iterations=1,
     )
-    report(table1.render(result))
+    result = outcome.result
+    report(outcome.render())
 
     # Shape assertions against the paper's Table 1.
     summaries = list(result.cases.values())

@@ -9,15 +9,15 @@ marking neither disturbs the scheduler's shares nor leaves standing queues.
 Run:  python examples/dwrr_scheduling.py        (~20 s)
 """
 
-from repro.experiments.figures import fig13
+from repro.experiments.figures import run_experiment
 from repro.sim.units import ms
 
 
 def main() -> None:
-    result = fig13.run_fig13(phase=ms(30))
-    print(fig13.render(result))
+    outcome = run_experiment("fig13", phase=ms(30))
+    print(outcome.render())
 
-    run = result.runs["ECN#"]
+    run = outcome.result.runs["ECN#"]
     ratios = run.phase3_share_ratios()
     if ratios is not None:
         print(

@@ -25,8 +25,9 @@ Usage::
     python -m repro query --url http://127.0.0.1:8077 --metric avg_query_fct
     python -m repro query --store-dir results/ --scheme ECN# --format csv
 
-``run X`` is ``FIGURES[X].run`` then ``render``: the figure's defaults, plus
-its ``PAPER_SCALE`` keywords under ``--full``, plus ``--seed``.  Every flag
+``run X`` is ``run_experiment(X)`` then ``render``: row X of the figure table at
+its defaults, plus its ``PAPER_SCALE`` keywords under ``--full``, plus
+``--seed``.  Every flag
 with a ``REPRO_*`` twin resolves through :mod:`repro.settings` (flag >
 variable > default; a malformed value is one ``# error:`` line, exit 2).
 ``--jobs N`` fans the run grid across N worker processes, bit-identical to
@@ -62,7 +63,8 @@ by size/age and clears quarantined ``*.corrupt`` entries.  SIGINT/SIGTERM
 during ``scenario run`` finishes and appends the in-flight shard, then
 exits ``128+signum`` with the store fully resumable.
 ``--dry-run`` (on ``run`` and ``scenario run``) prints the resolved spec
-grid with per-cell cache status and exits without simulating.
+grid -- the figure's ``cells`` or the compiled scenario's -- with per-spec
+cache status and exits without simulating.
 
 ``serve`` runs the long-lived results daemon (see DESIGN.md "Results
 service"): read-only HTTP queries over every campaign store under
@@ -96,18 +98,20 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from . import settings
 from .experiments.executor import (
     Executor,
+    ResultCache,
     default_cache_dir,
     set_default_executor,
 )
-from .experiments.figures import FIGURES, PAPER_SCALE
+from .experiments.figures import FIGURES, PAPER_SCALE, run_experiment
 from .experiments.report import (
     format_failure_table,
     format_manifest,
+    format_table,
     format_trace_summary,
     to_csv,
     to_json,
@@ -733,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_results(path: str, summary: dict) -> None:
-    """Dump a ``summarize_for_validation`` grid as JSON or (flattened) CSV."""
+    """Dump a ``FigureRun.summary()`` grid as JSON or (flattened) CSV."""
     if path.endswith(".csv"):
         rows = []
         for cell, metrics in summary.get("cells", {}).items():
@@ -747,15 +751,32 @@ def _write_results(path: str, summary: dict) -> None:
     log.info(f"# results written to {path}")
 
 
-def _dry_run_table(specs, is_cached) -> Tuple[str, int]:
-    """Render the resolved grid with cache status; returns (table, hits)."""
-    from .experiments.report import format_table
-
-    rows = [
-        [spec.token(), "hit" if is_cached(spec) else "miss"] for spec in specs
-    ]
-    hits = sum(1 for row in rows if row[1] == "hit")
-    return format_table(["spec", "cache"], rows), hits
+def _dry_run(
+    args, grids: Sequence[Tuple[str, Sequence]], announce: Callable[[str], None]
+) -> int:
+    """``--dry-run``: list each ``(header, specs)`` grid with per-spec cache
+    status (a presence probe, not an unpickle) -- nothing simulates."""
+    cache = (
+        None if args.no_cache else ResultCache(default_cache_dir(args.cache_dir))
+    )
+    total = hits = 0
+    for header, specs in grids:
+        cached = [
+            cache is not None and cache.path(spec).exists() for spec in specs
+        ]
+        rows = [
+            [spec.token(), "hit" if hit else "miss"]
+            for spec, hit in zip(specs, cached)
+        ]
+        announce(header)
+        print(format_table(["spec", "cache"], rows))
+        total += len(cached)
+        hits += sum(cached)
+    print(
+        f"# {total} spec(s): {hits} cached, {total - hits} to execute; "
+        "nothing simulated"
+    )
+    return 0
 
 
 def _main_run(args, parser: argparse.ArgumentParser) -> int:
@@ -767,11 +788,14 @@ def _main_run(args, parser: argparse.ArgumentParser) -> int:
         log.info(f"# {name} has no paper-scale parameters; running defaults")
     seed = figure.seed if args.seed is None else args.seed
 
-    def run():
-        return figure.run(seed=seed, **params)
-
     if args.dry_run:
-        return _dry_run_experiment(args, run, seed)
+        if figure.cells is None:
+            print(f"# dry run: {name} builds no executor spec grid")
+            return 0
+        grid = figure.cells(seed=seed, **params)
+        header = f"# dry run: resolved spec grid for {name} (seed={seed})"
+        specs = [spec for cell in grid.values() for spec in cell]
+        return _dry_run(args, [(header, specs)], announce=log.info)
 
     explicit = _executor_settings(args)
     executor = Executor.from_env(cache=not args.no_cache, **explicit)
@@ -829,8 +853,8 @@ def _main_run(args, parser: argparse.ArgumentParser) -> int:
     previous_executor = set_default_executor(executor)
     try:
         with activate(telemetry):
-            result = run()
-            print(figure.render(result))
+            outcome = run_experiment(name, seed=seed, **params)
+            print(outcome.render())
     finally:
         set_default_executor(previous_executor)
         _finish_observability(args, telemetry, progress, progress_stream)
@@ -864,46 +888,13 @@ def _main_run(args, parser: argparse.ArgumentParser) -> int:
             handle.write("\n")
         log.info(f"# metrics written to {args.metrics_out}")
     if args.results_out is not None:
-        _write_results(args.results_out, figure.summarize(result))
+        _write_results(args.results_out, outcome.summary())
     stats = executor.stats
     if stats.submitted and stats.failed >= stats.submitted:
         # Partial grids render with gaps and exit 0; only a figure with
         # zero usable cells is a hard failure.
         log.error("# error: every cell failed; no usable results")
         return 1
-    return 0
-
-
-def _dry_run_experiment(args, run, seed: int) -> int:
-    """``run --dry-run``: capture the experiment's resolved spec grid via a
-    :class:`DryRunExecutor` and print it with cache status -- no simulation
-    (experiments that build no executor grid, e.g. fig5, simply report so).
-    """
-    from .experiments.executor import DryRunComplete, DryRunExecutor
-
-    dry = DryRunExecutor(
-        cache=not args.no_cache,
-        cache_dir=default_cache_dir(args.cache_dir),
-    )
-    previous_executor = set_default_executor(dry)
-    captured = False
-    try:
-        try:
-            run()
-        except DryRunComplete:
-            captured = True
-    finally:
-        set_default_executor(previous_executor)
-    if not captured and not dry.captured:
-        print(f"# dry run: {args.experiment} builds no executor spec grid")
-        return 0
-    table, hits = _dry_run_table(dry.captured, dry.is_cached)
-    log.info(f"# dry run: resolved spec grid for {args.experiment} (seed={seed})")
-    print(table)
-    print(
-        f"# {len(dry.captured)} spec(s): {hits} cached, "
-        f"{len(dry.captured) - hits} to execute; nothing simulated"
-    )
     return 0
 
 
@@ -998,33 +989,18 @@ def _main_scenario(args, parser: argparse.ArgumentParser) -> int:
         return 2
 
     if args.dry_run:
-        from .experiments.executor import ResultCache
-
-        cache = (
-            None if args.no_cache
-            else ResultCache(default_cache_dir(args.cache_dir))
+        return _dry_run(
+            args,
+            [
+                (
+                    f"# dry run: scenario {comp.scenario.name} "
+                    f"({len(comp.cells)} cells, {comp.n_specs} specs)",
+                    comp.specs(),
+                )
+                for comp in compiled
+            ],
+            announce=print,
         )
-
-        def is_cached(spec) -> bool:
-            return cache is not None and cache.path(spec).exists()
-
-        total = 0
-        hits = 0
-        for comp in compiled:
-            specs = comp.specs()
-            table, comp_hits = _dry_run_table(specs, is_cached)
-            print(
-                f"# dry run: scenario {comp.scenario.name} "
-                f"({len(comp.cells)} cells, {len(specs)} specs)"
-            )
-            print(table)
-            total += len(specs)
-            hits += comp_hits
-        print(
-            f"# {total} spec(s): {hits} cached, {total - hits} to execute; "
-            "nothing simulated"
-        )
-        return 0
 
     if not args.shared:
         for option in ("worker_id", "lease_ttl", "lock_timeout"):

@@ -5,7 +5,6 @@ from .executor import (
     ResultCache,
     get_default_executor,
     run_grid,
-    seed_specs,
     set_default_executor,
 )
 from .faults import (
@@ -39,7 +38,7 @@ from .schemes import (
     testbed_scheme_specs,
     testbed_schemes,
 )
-from .specs import AqmSpec, Cell, RunSpec
+from .specs import AqmSpec, Cell, RunSpec, seed_specs
 
 __all__ = [
     "LARGE_FLOW_MIN",

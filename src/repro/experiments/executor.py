@@ -29,7 +29,15 @@ simulator or telemetry state leaks across the process boundary.
 ``jobs=1`` (the default) executes in-process -- tests and library callers
 stay single-process unless parallelism is requested explicitly.  Setting a
 ``spec_timeout`` forces pool execution even at ``jobs=1``: a wall-clock
-budget is only enforceable across a process boundary.
+budget is only enforceable across a process boundary.  No worker outlives
+:meth:`Executor.run`: settled pools are waited for, hung workers are
+terminated and reaped.
+
+The grid helpers at the bottom (:func:`run_grid`, :func:`split_by_cell`,
+:func:`cell_metrics`) are what the figure table
+(:mod:`repro.experiments.figures`), validation and the campaign runner share
+to turn a list of :class:`~repro.experiments.specs.Cell` into one executor
+pass and back into per-cell runs and metrics.
 """
 
 from __future__ import annotations
@@ -63,8 +71,6 @@ except ImportError:  # pragma: no cover - non-Unix fallback
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CacheGcStats",
-    "DryRunComplete",
-    "DryRunExecutor",
     "ExecutorStats",
     "Executor",
     "ResultCache",
@@ -73,7 +79,6 @@ __all__ = [
     "execute_spec",
     "get_default_executor",
     "set_default_executor",
-    "seed_specs",
     "split_by_cell",
     "run_grid",
     "cell_metrics",
@@ -741,6 +746,7 @@ class Executor:
         attempts: Dict[int, int] = {index: 0 for index in pending}
         futures: Dict[Any, Tuple[int, float]] = {}  # future -> (index, started)
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        settled = False
         try:
             while queue or futures:
                 pool = self._fill(pool, context, workers, queue, attempts,
@@ -765,8 +771,12 @@ class Executor:
                 else:
                     pool = self._expire(pool, context, workers, queue,
                                         attempts, futures, specs, results)
+            settled = True
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            # With every future settled the workers are idle, so waiting
+            # costs only their exit and no child outlives ``run``; on an
+            # exception a worker may be mid-spec, and nothing waits for it.
+            pool.shutdown(wait=settled, cancel_futures=True)
 
     def _fill(self, pool, context, workers, queue, attempts, futures,
               specs, results):
@@ -951,17 +961,18 @@ class Executor:
 
     def _rebuild(self, pool, context, workers, kill: bool = False):
         """Replace a broken/poisoned pool; ``kill`` terminates workers that
-        will never exit on their own (hung ones)."""
+        will never exit on their own (hung ones).  Either way the old pool's
+        workers are dead or dying, so its manager thread is waited for: it
+        reaps them, and no child outlives ``run``."""
         self.stats.pool_rebuilds += 1
-        processes = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
         if kill:
-            for process in processes:
+            for process in list(getattr(pool, "_processes", {}).values()):
                 try:
                     if process.is_alive():
                         process.terminate()
                 except (OSError, ValueError):
                     pass
+        pool.shutdown(wait=True, cancel_futures=True)
         return ProcessPoolExecutor(
             max_workers=workers, mp_context=context
         )
@@ -978,42 +989,6 @@ class Executor:
         telemetry = get_active()
         if telemetry is not None:
             telemetry.add_manifest(manifest)
-
-
-# ---------------------------------------------------------------- dry run
-
-
-class DryRunComplete(RuntimeError):
-    """Raised by :class:`DryRunExecutor` the moment a grid is submitted --
-    the experiment's spec construction has finished, nothing simulates."""
-
-
-class DryRunExecutor(Executor):
-    """An executor that captures the submitted spec grid instead of
-    running it.
-
-    Install it as the default executor (or pass it explicitly), call the
-    experiment's run function, and catch :class:`DryRunComplete`: the full
-    resolved grid is then on ``captured``, in submission order.  This backs
-    the CLI's ``--dry-run`` and lets tests assert cell-for-cell grid
-    equivalence (e.g. scenario files vs figure modules) without simulating.
-    """
-
-    def __init__(
-        self, cache: bool = False, cache_dir: Optional[Path] = None
-    ) -> None:
-        super().__init__(jobs=1, cache=cache, cache_dir=cache_dir)
-        self.captured: List[RunSpec] = []
-
-    def run(self, specs: Sequence[RunSpec]) -> List[Any]:
-        self.captured.extend(specs)
-        raise DryRunComplete(
-            f"dry run: captured {len(self.captured)} spec(s), nothing executed"
-        )
-
-    def is_cached(self, spec: RunSpec) -> bool:
-        """Cheap cache-presence probe (existence, not a full unpickle)."""
-        return self.cache is not None and self.cache.path(spec).exists()
 
 
 # ------------------------------------------------------- process default
@@ -1043,13 +1018,6 @@ def set_default_executor(executor: Optional[Executor]) -> Optional[Executor]:
 
 
 # ------------------------------------------------------------ grid helpers
-
-
-def seed_specs(spec: RunSpec, n_seeds: int) -> List[RunSpec]:
-    """The pooled-seed expansion of one cell: seed, seed+1, ..."""
-    if n_seeds <= 0:
-        raise ValueError("n_seeds must be positive")
-    return [spec.with_seed(spec.seed + offset) for offset in range(n_seeds)]
 
 
 def split_by_cell(

@@ -1,14 +1,37 @@
-"""One module per paper table/figure; each exposes ``run_*``, ``render`` and
-``summarize_for_validation``, indexed by :data:`FIGURES`.  A module's
-signature defaults are its reduced scale and its default seed;
-:data:`PAPER_SCALE` holds the keyword arguments ``--full`` adds.
+"""The figure table: every reproducible table/figure is one row of
+:data:`FIGURES`.
+
+A simulated figure (fig2, fig3, fig6-fig13) is a grid of seeded runs, and
+its row says how that grid is built and read:
+
+* ``cells(**params) -> {coordinate: Cell}`` -- the sweep, one
+  :class:`~repro.experiments.specs.Cell` per coordinate.  Its signature
+  defaults are the figure's reduced scale and its default seed;
+  :data:`PAPER_SCALE` holds the keyword arguments ``--full`` adds.
+* ``assemble(cells, runs) -> result`` -- the figure's result object from the
+  cells' raw runs (one list per cell, same order); every ``assemble`` pools
+  a cell through :meth:`Cell.pool <repro.experiments.specs.Cell.pool>`.
+* ``derived(result) -> {name: float}`` -- the headline numbers the figure
+  claims (gains, gaps, ratios), where it has any.
+* ``render(result) -> str`` -- the table the paper prints.
+
+:func:`run_experiment` is the one run (``cells`` -> one executor pass ->
+``assemble``) and :meth:`FigureRun.summary` the one summary (each cell's
+:func:`~repro.experiments.executor.cell_metrics` under its ``Cell.key``, plus
+``derived``); validation, cross-fidelity and the CLI read the same rows.
+Table 1 and Figure 5 are analytic -- they build no
+:class:`~repro.experiments.specs.RunSpec` -- so their rows are a plain
+``run``/``summarize`` pair.
 
 See DESIGN.md section 3 for what each one shows.
 """
 
 import inspect
-from typing import Any, Callable, Dict, NamedTuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
+from ..executor import Executor, cell_metrics, run_grid
+from ..specs import Cell
 from . import (
     fig2,
     fig3,
@@ -23,59 +46,115 @@ from . import (
     table1,
 )
 
-GRIDS = {
-    "fig6": (fig6_fig7.fig6_cells, fig6_fig7.assemble),
-    "fig7": (fig6_fig7.fig7_cells, fig6_fig7.assemble),
-    "fig8": (fig8.cells, fig8.assemble),
-    "fig10": (fig10.cells, fig10.assemble),
-    "fig11": (fig11.cells, fig11.assemble),
-    "fig12": (fig12.cells, fig12.assemble),
-}
-"""Figure name -> ``(cells, assemble)`` for the figures whose grid is data:
-``cells(**params)`` maps each sweep coordinate to its
-:class:`~repro.experiments.specs.Cell`, and ``assemble(cells, runs)`` turns
-the cells' raw runs (one list per cell, same order) into the figure's result
-object.  ``run_figN`` and the validation gates both go through this pair."""
-
 
 class Figure(NamedTuple):
+    """One row of :data:`FIGURES`: ``cells``/``assemble`` (and ``derived``)
+    for a simulated figure, ``run``/``summarize`` for an analytic one."""
+
     title: str
-    run: Callable[..., Any]  # run(seed=..., **PAPER_SCALE[name]) -> result
     render: Callable[[Any], str]
-    summarize: Callable[[Any], dict]
-    seed: int
+    cells: Optional[Callable[..., Dict[Any, Cell]]] = None
+    assemble: Optional[Callable[[Dict[Any, Cell], Sequence[Sequence[Any]]], Any]] = None
+    derived: Optional[Callable[[Any], Dict[str, float]]] = None
+    run: Optional[Callable[..., Any]] = None
+    summarize: Optional[Callable[[Any], dict]] = None
+
+    @property
+    def seed(self) -> int:
+        """The default seed, written once: on ``cells`` (or ``run``)."""
+        declares_seed = self.cells or self.run
+        return inspect.signature(declares_seed).parameters["seed"].default
 
 
-def _figure(name: str, title: str, module) -> Figure:
-    run = getattr(module, f"run_{name}")
-    # The default seed is written once, on the signature that declares it:
-    # ``run`` itself, or ``cells`` where ``run_figN(**params)`` forwards there.
-    declares_seed = GRIDS[name][0] if name in GRIDS else run
-    seed = inspect.signature(declares_seed).parameters["seed"].default
-    return Figure(title, run, module.render, module.summarize_for_validation, seed)
+def _simulated(title: str, module, cells=None) -> Figure:
+    return Figure(
+        title,
+        module.render,
+        cells=cells or module.cells,
+        assemble=module.assemble,
+        derived=getattr(module, "derived", None),
+    )
 
 
 FIGURES: Dict[str, Figure] = {
-    name: _figure(name, title, module)
-    for name, (title, module) in {
-        "table1": (
-            "Table 1 / Fig 1: RTT variations from processing components",
-            table1,
-        ),
-        "fig2": ("Fig 2: instantaneous-threshold sweep dilemma", fig2),
-        "fig3": ("Fig 3: degradation vs RTT-variation magnitude", fig3),
-        "fig5": ("Fig 5: workload flow-size CDFs", fig5),
-        "fig6": ("Fig 6: testbed FCT vs load (web search)", fig6_fig7),
-        "fig7": ("Fig 7: testbed FCT vs load (data mining)", fig6_fig7),
-        "fig8": ("Fig 8: FCT under 3x-5x RTT variations", fig8),
-        "fig9": ("Fig 9: leaf-spine large-scale FCT vs load", fig9),
-        "fig10": ("Fig 10: microscopic queue occupancy", fig10),
-        "fig11": ("Fig 11: query FCT vs incast fanout", fig11),
-        "fig12": ("Fig 12: ECN# parameter sensitivity", fig12),
-        "fig13": ("Fig 13: ECN# under DWRR scheduling vs TCN", fig13),
-    }.items()
+    "table1": Figure(
+        "Table 1 / Fig 1: RTT variations from processing components",
+        table1.render,
+        run=table1.run_table1,
+        summarize=table1.summarize_for_validation,
+    ),
+    "fig2": _simulated("Fig 2: instantaneous-threshold sweep dilemma", fig2),
+    "fig3": _simulated("Fig 3: degradation vs RTT-variation magnitude", fig3),
+    "fig5": Figure(
+        "Fig 5: workload flow-size CDFs",
+        fig5.render,
+        run=fig5.run_fig5,
+        summarize=fig5.summarize_for_validation,
+    ),
+    "fig6": _simulated(
+        "Fig 6: testbed FCT vs load (web search)", fig6_fig7, fig6_fig7.fig6_cells
+    ),
+    "fig7": _simulated(
+        "Fig 7: testbed FCT vs load (data mining)", fig6_fig7, fig6_fig7.fig7_cells
+    ),
+    "fig8": _simulated("Fig 8: FCT under 3x-5x RTT variations", fig8),
+    "fig9": _simulated("Fig 9: leaf-spine large-scale FCT vs load", fig9),
+    "fig10": _simulated("Fig 10: microscopic queue occupancy", fig10),
+    "fig11": _simulated("Fig 11: query FCT vs incast fanout", fig11),
+    "fig12": _simulated("Fig 12: ECN# parameter sensitivity", fig12),
+    "fig13": _simulated("Fig 13: ECN# under DWRR scheduling vs TCN", fig13),
 }
 """Every reproducible table/figure, in ``repro list`` order."""
+
+
+@dataclass
+class FigureRun:
+    """One figure, run: what was asked for, what ran, and the result."""
+
+    name: str
+    params: Dict[str, Any]
+    cells: Dict[Any, Cell]  # empty for an analytic figure
+    runs: List[Sequence[Any]]  # raw runs per cell, aligned with ``cells``
+    result: Any
+
+    def render(self) -> str:
+        return FIGURES[self.name].render(self.result)
+
+    def summary(self) -> dict:
+        """Machine-readable grid summary (``--results-out``): ``params`` are
+        the resolved ``cells`` arguments and ``cells`` maps each surviving
+        cell's key to the metrics of its pooled result -- the map validation
+        baselines and campaign-store records hold."""
+        figure = FIGURES[self.name]
+        if figure.cells is None:
+            return figure.summarize(self.result)
+        resolved = inspect.signature(figure.cells).bind(**self.params)
+        resolved.apply_defaults()
+        cells = {}
+        for cell, cell_runs in zip(self.cells.values(), self.runs):
+            metrics = cell_metrics(cell, cell.pool(cell_runs))
+            if metrics is not None:  # a failed cell is absent, not null
+                cells[cell.key] = metrics
+        return {
+            "figure": self.name,
+            "params": dict(resolved.arguments),
+            "cells": cells,
+            "derived": figure.derived(self.result) if figure.derived else {},
+        }
+
+
+def run_experiment(
+    name: str, executor: Optional[Executor] = None, **params: Any
+) -> FigureRun:
+    """Run one figure at its defaults plus ``params``: build its cells, run
+    the whole grid in one executor pass, assemble the result."""
+    figure = FIGURES[name]
+    if figure.cells is None:
+        return FigureRun(name, params, {}, [], figure.run(**params))
+    grid = figure.cells(**params)
+    runs = run_grid(grid.values(), executor, pool=list)
+    return FigureRun(name, params, grid, runs, figure.assemble(grid, runs))
+
 
 _PAPER_LOADS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -94,7 +173,7 @@ PAPER_SCALE: Dict[str, Dict[str, Any]] = {
     "fig11": {"fanouts": (25, 50, 75, 100, 125, 150, 175, 200)},
     "fig12": {"n_flows_web": 1000, "n_flows_mining": 250},
 }
-"""``{figure: run kwargs}`` approaching the paper's flow counts and load
+"""``{figure: cells kwargs}`` approaching the paper's flow counts and load
 grids (hours of wall clock in pure Python): what ``--full``/``REPRO_FULL=1``
 passes on top of the figure's own defaults.  A figure without an entry has
 one size only.  Same shape as ``ValidationScale.figures``."""
@@ -102,7 +181,8 @@ one size only.  Same shape as ``ValidationScale.figures``."""
 __all__ = [
     "FIGURES",
     "Figure",
-    "GRIDS",
+    "FigureRun",
+    "run_experiment",
     "PAPER_SCALE",
     "table1",
     "fig2",

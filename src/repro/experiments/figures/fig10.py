@@ -25,7 +25,6 @@ from ...sim.units import gbps, mb, ms, us
 from ...topology.star import build_incast
 from ...workloads.arrivals import TransportConfig
 from ...workloads.incast import launch_query
-from ..executor import run_grid
 from ..faults import is_failure
 from ..fct import FctCollector
 from ..report import format_table
@@ -39,9 +38,8 @@ __all__ = [
     "run_microscopic",
     "cells",
     "assemble",
-    "run_fig10",
+    "derived",
     "render",
-    "summarize_for_validation",
 ]
 
 DEFAULT_SCHEMES: Tuple[str, ...] = ("DCTCP-RED-Tail", "CoDel", "ECN#")
@@ -217,15 +215,12 @@ def cells(
     """One single-run cell per ``(fanout, scheme)`` coordinate."""
     scheme_specs = simulation_scheme_specs()
     return {
-        (fanout, name): Cell(
-            group="fig10",
-            key=f"scheme={name}",
-            specs=(
-                RunSpec.microscopic(
-                    scheme_specs[name], seed=seed, label=name, fanout=fanout
-                ),
+        (fanout, name): Cell.single(
+            "fig10",
+            f"scheme={name}",
+            RunSpec.microscopic(
+                scheme_specs[name], seed=seed, label=name, fanout=fanout
             ),
-            metric_source="micro",
         )
         for name in schemes
     }
@@ -235,42 +230,29 @@ def assemble(
     cells: Dict[Tuple[int, str], Cell], runs: Sequence[Sequence[Any]]
 ) -> Fig10Result:
     return Fig10Result(
-        runs={name: cell_runs[0] for (_, name), cell_runs in zip(cells, runs)},
+        runs={
+            name: cell.pool(cell_runs)
+            for ((_, name), cell), cell_runs in zip(cells.items(), runs)
+        },
         fanout=next(fanout for fanout, _ in cells),
         burst_time=ms(20),
     )
 
 
-def run_fig10(executor=None, **params: Any) -> Fig10Result:
-    """Run the microscopic trace for each scheme at one fanout (parameters
-    and defaults: :func:`cells`)."""
-    grid = cells(**params)
-    return assemble(grid, run_grid(grid.values(), executor, pool=list))
-
-
-def summarize_for_validation(result: Fig10Result) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
-    cells = {
-        f"scheme={name}": run.metrics()
-        for name, run in result.runs.items()
-        if run is not None and not is_failure(run)
-    }
-    derived: Dict[str, float] = {}
+def derived(result: Fig10Result) -> Dict[str, float]:
+    """ECN#'s standing queue as a fraction of DCTCP-RED-Tail's."""
     red = result.runs.get("DCTCP-RED-Tail")
     sharp = result.runs.get("ECN#")
     if (
-        red is not None and not is_failure(red)
-        and sharp is not None and not is_failure(sharp)
-        and red.standing_queue_pkts > 0
+        red is None or is_failure(red)
+        or sharp is None or is_failure(sharp)
+        or red.standing_queue_pkts <= 0
     ):
-        derived["ecn_sharp_standing_ratio"] = (
+        return {}
+    return {
+        "ecn_sharp_standing_ratio": (
             sharp.standing_queue_pkts / red.standing_queue_pkts
         )
-    return {
-        "figure": "fig10",
-        "params": {"fanout": result.fanout},
-        "cells": cells,
-        "derived": derived,
     }
 
 

@@ -14,7 +14,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..executor import Executor, run_grid
 from ..faults import is_failure
 from ..report import fmt_opt, format_table
 from ..schemes import simulation_scheme_specs
@@ -25,9 +24,8 @@ __all__ = [
     "Fig11Result",
     "cells",
     "assemble",
-    "run_fig11",
+    "derived",
     "render",
-    "summarize_for_validation",
     "DEFAULT_FANOUTS",
 ]
 
@@ -73,15 +71,12 @@ def cells(
     """One single-run cell per ``(fanout, scheme)`` coordinate."""
     scheme_specs = simulation_scheme_specs()
     return {
-        (fanout, name): Cell(
-            group="fig11",
-            key=f"fanout={fanout}|scheme={name}",
-            specs=(
-                RunSpec.microscopic(
-                    scheme_specs[name], seed=seed, label=name, fanout=fanout
-                ),
+        (fanout, name): Cell.single(
+            "fig11",
+            f"fanout={fanout}|scheme={name}",
+            RunSpec.microscopic(
+                scheme_specs[name], seed=seed, label=name, fanout=fanout
             ),
-            metric_source="micro",
         )
         for fanout in fanouts
         for name in schemes
@@ -92,8 +87,8 @@ def assemble(
     cells: Dict[Tuple[int, str], Cell], runs: Sequence[Sequence[Any]]
 ) -> Fig11Result:
     by_fanout: Dict[int, Dict[str, MicroscopicRun]] = {}
-    for (fanout, name), cell_runs in zip(cells, runs):
-        by_fanout.setdefault(fanout, {})[name] = cell_runs[0]
+    for ((fanout, name), cell), cell_runs in zip(cells.items(), runs):
+        by_fanout.setdefault(fanout, {})[name] = cell.pool(cell_runs)
     return Fig11Result(
         fanouts=tuple(by_fanout),
         schemes=tuple(dict.fromkeys(name for _, name in cells)),
@@ -101,35 +96,14 @@ def assemble(
     )
 
 
-def run_fig11(
-    executor: Optional[Executor] = None, **params: Any
-) -> Fig11Result:
-    """Run the fanout sweep for every scheme in one executor pass
-    (parameters and defaults: :func:`cells`)."""
-    grid = cells(**params)
-    return assemble(grid, run_grid(grid.values(), executor, pool=list))
-
-
-def summarize_for_validation(result: Fig11Result) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
-    cells = {}
-    for fanout in result.fanouts:
-        for scheme in result.schemes:
-            run = result.runs[fanout][scheme]
-            if is_failure(run):
-                continue
-            cells[f"fanout={fanout}|scheme={scheme}"] = run.metrics()
-    derived = {}
+def derived(result: Fig11Result) -> Dict[str, float]:
+    """The smallest fanout at which each scheme first drops packets."""
+    onsets = {}
     for scheme in result.schemes:
         onset = result.first_loss_fanout(scheme)
         if onset is not None:
-            derived[f"first_loss_fanout|scheme={scheme}"] = float(onset)
-    return {
-        "figure": "fig11",
-        "params": {"fanouts": list(result.fanouts)},
-        "cells": cells,
-        "derived": derived,
-    }
+            onsets[f"first_loss_fanout|scheme={scheme}"] = float(onset)
+    return onsets
 
 
 def render(result: Fig11Result) -> str:

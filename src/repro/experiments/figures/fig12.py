@@ -14,18 +14,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ...sim.units import us
 from ...workloads.datamining import DATA_MINING
 from ...workloads.websearch import WEB_SEARCH
-from ..executor import Executor, run_grid, seed_specs
-from ..report import fmt_ratio, format_table
-from ..runner import pool_results
+from ..report import fmt_opt, fmt_ratio, format_table
 from ..specs import AqmSpec, Cell, RunSpec
 
 __all__ = [
     "Fig12Result",
     "cells",
     "assemble",
-    "run_fig12",
+    "derived",
     "render",
-    "summarize_for_validation",
 ]
 
 DEFAULT_INTERVALS_US: Tuple[float, ...] = (100.0, 150.0, 200.0, 250.0)
@@ -92,11 +89,8 @@ def cells(
                     variation=3.0,
                     rtt_min=rtt_min,
                 )
-                grid[(workload.name, panel, value)] = Cell(
-                    group="fig12",
-                    key=f"{workload.name}|{param}={value:g}us",
-                    specs=tuple(seed_specs(spec, n_seeds)),
-                    metric_source="fct",
+                grid[(workload.name, panel, value)] = Cell.pooled(
+                    "fig12", f"{workload.name}|{param}={value:g}us", spec, n_seeds
                 )
     return grid
 
@@ -110,8 +104,8 @@ def assemble(
         panel: {workload: {} for workload in workloads}
         for panel in ("interval", "target")
     }
-    for (workload, panel, value), cell_runs in zip(cells, runs):
-        fct[panel][workload][value] = pool_results(cell_runs).summary.overall_avg
+    for ((workload, panel, value), cell), cell_runs in zip(cells.items(), runs):
+        fct[panel][workload][value] = cell.pool(cell_runs).summary.overall_avg
     return Fig12Result(
         intervals_us=tuple(
             dict.fromkeys(v for _, panel, v in cells if panel == "interval")
@@ -124,69 +118,47 @@ def assemble(
     )
 
 
-def run_fig12(
-    executor: Optional[Executor] = None, **params: Any
-) -> Fig12Result:
-    """Sweep pst_interval and pst_target on both workloads in one grid
-    (parameters and defaults: :func:`cells`)."""
-    grid = cells(**params)
-    return assemble(grid, run_grid(grid.values(), executor, pool=list))
-
-
-def summarize_for_validation(result: Fig12Result) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
-    cells = {}
-    for workload, by_value in result.interval_fct.items():
-        for value, fct in by_value.items():
-            if fct is not None:
-                cells[f"{workload}|pst_interval={value:g}us"] = {
-                    "overall_avg": float(fct)
-                }
-    for workload, by_value in result.target_fct.items():
-        for value, fct in by_value.items():
-            if fct is not None:
-                cells[f"{workload}|pst_target={value:g}us"] = {
-                    "overall_avg": float(fct)
-                }
-    derived = {}
+def derived(result: Fig12Result) -> Dict[str, float]:
+    """Each workload's overall-FCT spread across either sweep."""
+    spreads = {}
     for workload in result.interval_fct:
         interval_spread = result.interval_spread(workload)
         if interval_spread is not None:
-            derived[f"interval_spread|{workload}"] = interval_spread
+            spreads[f"interval_spread|{workload}"] = interval_spread
         target_spread = result.target_spread(workload)
         if target_spread is not None:
-            derived[f"target_spread|{workload}"] = target_spread
-    return {
-        "figure": "fig12",
-        "params": {},
-        "cells": cells,
-        "derived": derived,
-    }
+            spreads[f"target_spread|{workload}"] = target_spread
+    return spreads
 
 
 def render(result: Fig12Result) -> str:
-    """Render both sensitivity panels plus the spread summary."""
+    """Render both sensitivity panels plus the spread summary.
+
+    Each sweep is normalized to its own rule-of-thumb point -- the last
+    interval, the second target (the only one in a one-value sweep)."""
     rows: List[List[str]] = []
-    for workload in result.interval_fct:
-        base = result.interval_fct[workload][result.intervals_us[-1]]
-        for value in result.intervals_us:
-            fct = result.interval_fct[workload][value]
-            ratio = (fct / base) if (fct is not None and base) else None
-            rows.append([workload, f"pst_interval={value:.0f}us", fmt_ratio(ratio)])
-    for workload in result.target_fct:
-        base = result.target_fct[workload][result.targets_us[1]]
-        for value in result.targets_us:
-            fct = result.target_fct[workload][value]
-            ratio = (fct / base) if (fct is not None and base) else None
-            rows.append([workload, f"pst_target={value:.0f}us", fmt_ratio(ratio)])
+    for param, sweep, values, reference in (
+        ("pst_interval", result.interval_fct, result.intervals_us, -1),
+        ("pst_target", result.target_fct, result.targets_us, 1),
+    ):
+        if not values:
+            continue
+        base_value = values[min(reference, len(values) - 1)]
+        for workload, by_value in sweep.items():
+            base = by_value[base_value]
+            for value in values:
+                fct = by_value[value]
+                ratio = (fct / base) if (fct is not None and base) else None
+                rows.append([workload, f"{param}={value:.0f}us", fmt_ratio(ratio)])
     table = format_table(
         ["workload", "setting", "overall FCT (normalized)"],
         rows,
         title="Figure 12: parameter sensitivity (all ratios should stay ~1.00)",
     )
     spreads = ", ".join(
-        f"{workload} interval spread={result.interval_spread(workload):.1%} "
-        f"target spread={result.target_spread(workload):.1%}"
+        f"{workload} "
+        f"interval spread={fmt_opt(result.interval_spread(workload), '.1%')} "
+        f"target spread={fmt_opt(result.target_spread(workload), '.1%')}"
         for workload in result.interval_fct
     )
     return f"{table}\n{spreads}"

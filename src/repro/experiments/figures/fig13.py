@@ -17,7 +17,7 @@ all; queue-length DCTCP-RED has no meaningful threshold per DWRR queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,17 +30,21 @@ from ...workloads.arrivals import TransportConfig
 from ..faults import is_failure
 from ..fct import FctCollector
 from ..report import fmt_opt, format_table
+from ..schemes import simulation_scheme_specs
+from ..specs import Cell, RunSpec
 
 __all__ = [
     "SchedulerRun",
     "Fig13Result",
     "run_scheduler_experiment",
-    "run_fig13",
+    "cells",
+    "assemble",
+    "derived",
     "render",
-    "summarize_for_validation",
 ]
 
 WEIGHTS: Tuple[float, ...] = (2.0, 1.0, 1.0)
+SCHEMES: Tuple[str, ...] = ("ECN#", "TCN")
 
 
 @dataclass
@@ -63,6 +67,18 @@ class SchedulerRun:
         if len(phase) < 3 or phase[1] <= 0 or phase[2] <= 0:
             return None
         return phase[0] / phase[1], phase[0] / phase[2]
+
+    def metrics(self) -> Dict[str, float]:
+        """The run's statistics as a flat name -> value map (an entry is
+        omitted when no probe completed / a phase-3 flow starved)."""
+        values: Dict[str, float] = {}
+        avg_probe = self.avg_probe_fct()
+        if avg_probe is not None:
+            values["avg_probe_fct"] = avg_probe
+        shares = self.phase3_share_ratios()
+        if shares is not None:
+            values["phase3_share_f1_f2"], values["phase3_share_f1_f3"] = shares
+        return values
 
 
 @dataclass
@@ -188,43 +204,35 @@ def run_scheduler_experiment(
     )
 
 
-def run_fig13(seed: int = 81, phase: float = ms(60), executor=None) -> Fig13Result:
-    """Run the DWRR experiment for ECN# and TCN (both through the executor)."""
-    from ..executor import get_default_executor
-    from ..schemes import simulation_scheme_specs
-    from ..specs import RunSpec
-
+def cells(seed: int = 81, phase: float = ms(60)) -> Dict[str, Cell]:
+    """One single-run DWRR cell per scheme."""
     scheme_specs = simulation_scheme_specs()
-    names = ("ECN#", "TCN")
-    specs = [
-        RunSpec.scheduler(scheme_specs[name], seed=seed, label=name, phase=phase)
-        for name in names
-    ]
-    executor = executor or get_default_executor()
-    runs: Dict[str, SchedulerRun] = dict(zip(names, executor.run(specs)))
-    return Fig13Result(runs=runs)
+    return {
+        name: Cell.single(
+            "fig13",
+            f"scheme={name}",
+            RunSpec.scheduler(
+                scheme_specs[name], seed=seed, label=name, phase=phase
+            ),
+        )
+        for name in SCHEMES
+    }
 
 
-def summarize_for_validation(result: Fig13Result) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
-    cells = {}
-    for name, run in result.runs.items():
-        if is_failure(run):
-            continue
-        metrics = {}
-        avg_probe = run.avg_probe_fct()
-        if avg_probe is not None:
-            metrics["avg_probe_fct"] = avg_probe
-        shares = run.phase3_share_ratios()
-        if shares is not None:
-            metrics["phase3_share_f1_f2"] = shares[0]
-            metrics["phase3_share_f1_f3"] = shares[1]
-        cells[f"scheme={name}"] = metrics
-    derived = {}
+def assemble(
+    cells: Dict[str, Cell], runs: Sequence[Sequence[Any]]
+) -> Fig13Result:
+    return Fig13Result(
+        runs={
+            name: cell.pool(cell_runs)
+            for (name, cell), cell_runs in zip(cells.items(), runs)
+        }
+    )
+
+
+def derived(result: Fig13Result) -> Dict[str, float]:
     ratio = result.probe_fct_ratio()
-    if ratio is not None:
-        derived["probe_fct_ratio"] = ratio
-    return {"figure": "fig13", "params": {}, "cells": cells, "derived": derived}
+    return {} if ratio is None else {"probe_fct_ratio": ratio}
 
 
 def render(result: Fig13Result) -> str:

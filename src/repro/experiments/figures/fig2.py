@@ -10,21 +10,20 @@ tail FCT (queueing delay); nothing in between achieves both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...sim.units import gbps, kb, us
 from ...workloads.websearch import WEB_SEARCH
-from ..executor import Executor, run_grid, seed_specs
 from ..fct import FctSummary
 from ..report import fmt_ratio, fmt_us, format_table
 from ..schemes import bytes_to_sojourn
-from ..specs import AqmSpec, RunSpec
+from ..specs import AqmSpec, Cell, RunSpec
 
 __all__ = [
     "Fig2Result",
-    "run_fig2",
+    "cells",
+    "assemble",
     "render",
-    "summarize_for_validation",
     "DEFAULT_THRESHOLDS_KB",
 ]
 
@@ -52,7 +51,7 @@ class Fig2Result:
         return out
 
 
-def run_fig2(
+def cells(
     seed: int = 7,
     n_flows: int = 150,
     load: float = 0.5,
@@ -60,16 +59,14 @@ def run_fig2(
     variation: float = 3.0,
     rtt_min: float = us(70),
     n_seeds: int = 2,
-    executor: Optional[Executor] = None,
-) -> Fig2Result:
-    """Run the threshold sweep (identical arrivals across thresholds,
-    pooled over ``n_seeds`` seeds as the paper averages runs).
-
-    The whole grid (threshold x seed) goes through the executor in one
-    pass, so ``--jobs N`` parallelizes across thresholds and seeds alike.
-    """
-    cells = [
-        seed_specs(
+) -> Dict[int, Cell]:
+    """The (threshold x seed) grid, one cell per threshold in KB: identical
+    arrivals across thresholds, pooled over ``n_seeds`` seeds as the paper
+    averages runs."""
+    return {
+        threshold: Cell.pooled(
+            "fig2",
+            f"threshold={threshold}KB",
             RunSpec.star(
                 AqmSpec.make(
                     "sojourn-red", sojourn=bytes_to_sojourn(kb(threshold), gbps(10))
@@ -85,32 +82,23 @@ def run_fig2(
             n_seeds,
         )
         for threshold in thresholds_kb
-    ]
-    pooled = run_grid(cells, executor)
-    summaries: Dict[int, FctSummary] = {
-        threshold: result.summary
-        for threshold, result in zip(thresholds_kb, pooled)
     }
+
+
+def assemble(
+    cells: Dict[int, Cell], runs: Sequence[Sequence[Any]]
+) -> Fig2Result:
+    """Pool each cell's seed runs into ``summaries[threshold]``."""
+    spec = next(iter(cells.values())).specs[0]
     return Fig2Result(
-        thresholds_kb=thresholds_kb,
-        summaries=summaries,
-        load=load,
-        variation=variation,
+        thresholds_kb=tuple(cells),
+        summaries={
+            threshold: cell.pool(cell_runs).summary
+            for (threshold, cell), cell_runs in zip(cells.items(), runs)
+        },
+        load=spec.load,
+        variation=spec.variation,
     )
-
-
-def summarize_for_validation(result: Fig2Result) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
-    cells = {
-        f"threshold={threshold}KB": summary.metrics()
-        for threshold, summary in result.summaries.items()
-    }
-    return {
-        "figure": "fig2",
-        "params": {"load": result.load, "variation": result.variation},
-        "cells": cells,
-        "derived": {},
-    }
 
 
 def render(result: Fig2Result) -> str:

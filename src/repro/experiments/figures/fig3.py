@@ -11,27 +11,33 @@ grow with the variation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...netem.profiles import RttProfile
 from ...sim.units import us
 from ...workloads.websearch import WEB_SEARCH
-from ..executor import Executor, run_grid, seed_specs
 from ..fct import FctSummary
 from ..report import fmt_ratio, format_table
-from ..specs import AqmSpec, RunSpec
+from ..specs import AqmSpec, Cell, RunSpec
 
 __all__ = [
     "Fig3Result",
-    "run_fig3",
+    "cells",
+    "assemble",
+    "derived",
     "render",
-    "summarize_for_validation",
     "DEFAULT_VARIATIONS",
+    "LARGE_MIN",
 ]
 
 DEFAULT_VARIATIONS: Tuple[float, ...] = (2.0, 3.0, 4.0, 5.0)
+
+LARGE_MIN = 2_000_000
+"""The figure re-cuts the paper's >=10MB "large flow" bucket at 2MB so the
+throughput-sensitive statistic is populated at reduced flow counts (the
+ordering claims are insensitive to the cut point)."""
 
 
 @dataclass
@@ -63,87 +69,77 @@ class Fig3Result:
         return mine / theirs
 
 
-def run_fig3(
+def cells(
     seed: int = 11,
     n_flows: int = 150,
     load: float = 0.5,
     variations: Tuple[float, ...] = DEFAULT_VARIATIONS,
     rtt_min: float = us(70),
-    large_min: int = 2_000_000,
     n_seeds: int = 2,
-    executor: Optional[Executor] = None,
-) -> Fig3Result:
-    """Run the variation sweep.
-
-    ``large_min`` re-cuts the paper's >=10MB "large flow" bucket at 2MB so
-    the throughput-sensitive statistic is populated at reduced flow counts
-    (the ordering claims are insensitive to the cut point).
-    """
-    thresholds: Dict[float, Tuple[float, float]] = {}
+) -> Dict[Tuple[float, str], Cell]:
+    """The variation sweep, one cell per ``(variation, "avg" | "tail")``
+    coordinate; each cell's marking threshold is that statistic of the
+    variation's sampled RTT distribution."""
     stats_rng = np.random.default_rng(seed + 1000)
-    cells = []
-    keys: List[Tuple[float, str]] = []
+    grid: Dict[Tuple[float, str], Cell] = {}
     for variation in variations:
         profile = RttProfile.from_variation(rtt_min, variation, shape="testbed")
         stats = profile.statistics(stats_rng, n=100_000)
-        thresholds[variation] = (stats.mean * 1e6, stats.p90 * 1e6)
         for label, sojourn in (("avg", stats.mean), ("tail", stats.p90)):
-            keys.append((variation, label))
-            cells.append(
-                seed_specs(
-                    RunSpec.star(
-                        AqmSpec.make("sojourn-red", sojourn=sojourn),
-                        workload=WEB_SEARCH.name,
-                        load=load,
-                        n_flows=n_flows,
-                        seed=seed,
-                        label=f"{label}@{variation:g}x",
-                        variation=variation,
-                        rtt_min=rtt_min,
-                    ),
-                    n_seeds,
-                )
+            grid[(variation, label)] = Cell.pooled(
+                "fig3",
+                f"variation={variation:g}|threshold={label}",
+                RunSpec.star(
+                    AqmSpec.make("sojourn-red", sojourn=sojourn),
+                    workload=WEB_SEARCH.name,
+                    load=load,
+                    n_flows=n_flows,
+                    seed=seed,
+                    label=f"{label}@{variation:g}x",
+                    variation=variation,
+                    rtt_min=rtt_min,
+                ),
+                n_seeds,
             )
-    avg_results: Dict[float, FctSummary] = {}
-    tail_results: Dict[float, FctSummary] = {}
-    for (variation, label), result in zip(keys, run_grid(cells, executor)):
-        summary = result.collector.summary(large_min=large_min)
-        if label == "avg":
-            avg_results[variation] = summary
-        else:
-            tail_results[variation] = summary
+    return grid
+
+
+def assemble(
+    cells: Dict[Tuple[float, str], Cell], runs: Sequence[Sequence[Any]]
+) -> Fig3Result:
+    """Pool each cell's seed runs and summarise them at :data:`LARGE_MIN`;
+    the thresholds are read back off the cells' AQM parameters."""
+    summaries: Dict[str, Dict[float, FctSummary]] = {"avg": {}, "tail": {}}
+    sojourn_us: Dict[str, Dict[float, float]] = {"avg": {}, "tail": {}}
+    for ((variation, label), cell), cell_runs in zip(cells.items(), runs):
+        summaries[label][variation] = cell.pool(cell_runs).collector.summary(
+            large_min=LARGE_MIN
+        )
+        sojourn = dict(cell.specs[0].aqm.params)["sojourn"]
+        sojourn_us[label][variation] = sojourn * 1e6
     return Fig3Result(
-        variations=variations,
-        avg_threshold=avg_results,
-        tail_threshold=tail_results,
-        thresholds_us=thresholds,
-        load=load,
+        variations=tuple(summaries["avg"]),
+        avg_threshold=summaries["avg"],
+        tail_threshold=summaries["tail"],
+        thresholds_us={
+            variation: (avg_us, sojourn_us["tail"][variation])
+            for variation, avg_us in sojourn_us["avg"].items()
+        },
+        load=next(iter(cells.values())).specs[0].load,
     )
 
 
-def summarize_for_validation(result: Fig3Result) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
-    cells = {}
-    derived = {}
+def derived(result: Fig3Result) -> Dict[str, float]:
+    """Both gaps per variation (what the figure claims grows)."""
+    gaps = {}
     for variation in result.variations:
-        cells[f"variation={variation:g}|threshold=avg"] = result.avg_threshold[
-            variation
-        ].metrics()
-        cells[f"variation={variation:g}|threshold=tail"] = result.tail_threshold[
-            variation
-        ].metrics()
         large_gap = result.large_flow_gap(variation)
         if large_gap is not None:
-            derived[f"large_flow_gap|variation={variation:g}"] = large_gap
+            gaps[f"large_flow_gap|variation={variation:g}"] = large_gap
         short_gap = result.short_tail_gap(variation)
         if short_gap is not None:
-            derived[f"short_tail_gap|variation={variation:g}"] = short_gap
-    return {
-        "figure": "fig3",
-        "params": {"load": result.load},
-        "cells": cells,
-        "derived": derived,
-    }
+            gaps[f"short_tail_gap|variation={variation:g}"] = short_gap
+    return gaps
 
 
 def render(result: Fig3Result) -> str:

@@ -19,24 +19,19 @@ from ...sim.units import us
 from ...workloads.datamining import DATA_MINING
 from ...workloads.distributions import EmpiricalCdf
 from ...workloads.websearch import WEB_SEARCH
-from ..executor import Executor, run_grid, seed_specs
 from ..fct import FctSummary, NormalizedFct
 from ..report import fmt_ratio, format_table
-from ..runner import pool_results
-from ..schemes import SCHEME_ORDER, testbed_scheme_specs
-from ..specs import AqmSpec, Cell, RunSpec
+from ..schemes import testbed_scheme_specs
+from ..specs import Cell, RunSpec
 
 __all__ = [
     "FctVsLoadResult",
     "cells",
     "assemble",
+    "derived",
     "fig6_cells",
     "fig7_cells",
-    "run_fct_vs_load",
-    "run_fig6",
-    "run_fig7",
     "render",
-    "summarize_for_validation",
 ]
 
 BASELINE = "DCTCP-RED-Tail"
@@ -76,75 +71,30 @@ def cells(
     loads: Tuple[float, ...],
     n_flows: int,
     seed: int,
-    schemes: Optional[Dict[str, AqmSpec]] = None,
-    variation: float = 3.0,
-    rtt_min: float = us(70),
-    n_seeds: int = 2,
+    n_seeds: int,
 ) -> Dict[Tuple[float, str], Cell]:
-    """The (load x scheme x seed) grid over the testbed star, one cell per
-    ``(load, scheme)`` coordinate."""
-    scheme_specs = schemes if schemes is not None else testbed_scheme_specs()
+    """The (load x scheme x seed) grid over the testbed star (3x RTT
+    variation from 70 us), one cell per ``(load, scheme)`` coordinate."""
+    schemes = testbed_scheme_specs()
     return {
-        (load, name): Cell(
-            group=_figure_name(workload.name),
-            key=f"load={load:g}|scheme={name}",
-            specs=tuple(
-                seed_specs(
-                    RunSpec.star(
-                        scheme_specs[name],
-                        workload=workload.name,
-                        load=load,
-                        n_flows=n_flows,
-                        seed=seed,
-                        label=name,
-                        variation=variation,
-                        rtt_min=rtt_min,
-                    ),
-                    n_seeds,
-                )
+        (load, name): Cell.pooled(
+            _figure_name(workload.name),
+            f"load={load:g}|scheme={name}",
+            RunSpec.star(
+                aqm,
+                workload=workload.name,
+                load=load,
+                n_flows=n_flows,
+                seed=seed,
+                label=name,
+                variation=3.0,
+                rtt_min=us(70),
             ),
-            metric_source="fct",
+            n_seeds,
         )
         for load in loads
-        for name in scheme_specs
+        for name, aqm in schemes.items()
     }
-
-
-def assemble(
-    cells: Dict[Tuple[float, str], Cell], runs: Sequence[Sequence[Any]]
-) -> FctVsLoadResult:
-    """Pool each cell's seed runs into ``summaries[load][scheme]``."""
-    summaries: Dict[float, Dict[str, FctSummary]] = {}
-    for (load, name), cell_runs in zip(cells, runs):
-        summaries.setdefault(load, {})[name] = pool_results(cell_runs).summary
-    return FctVsLoadResult(
-        workload_name=next(iter(cells.values())).specs[0].workload,
-        loads=tuple(summaries),
-        schemes=tuple(dict.fromkeys(name for _, name in cells)),
-        summaries=summaries,
-    )
-
-
-def run_fct_vs_load(
-    workload: EmpiricalCdf,
-    loads: Tuple[float, ...],
-    n_flows: int,
-    seed: int,
-    schemes: Optional[Dict[str, AqmSpec]] = None,
-    variation: float = 3.0,
-    rtt_min: float = us(70),
-    n_seeds: int = 2,
-    executor: Optional[Executor] = None,
-) -> FctVsLoadResult:
-    """Run every scheme at every load over the testbed star (pooled seeds).
-
-    The full (load x scheme x seed) grid is submitted through the executor
-    in one pass, so it parallelizes and caches per cell.
-    """
-    grid = cells(
-        workload, loads, n_flows, seed, schemes, variation, rtt_min, n_seeds
-    )
-    return assemble(grid, run_grid(grid.values(), executor, pool=list))
 
 
 def fig6_cells(
@@ -154,7 +104,7 @@ def fig6_cells(
     n_seeds: int = 2,
 ) -> Dict[Tuple[float, str], Cell]:
     """Figure 6's grid: web search workload."""
-    return cells(WEB_SEARCH, loads, n_flows, seed, n_seeds=n_seeds)
+    return cells(WEB_SEARCH, loads, n_flows, seed, n_seeds)
 
 
 def fig7_cells(
@@ -164,42 +114,27 @@ def fig7_cells(
     n_seeds: int = 2,
 ) -> Dict[Tuple[float, str], Cell]:
     """Figure 7's grid: data mining workload."""
-    return cells(DATA_MINING, loads, n_flows, seed, n_seeds=n_seeds)
+    return cells(DATA_MINING, loads, n_flows, seed, n_seeds)
 
 
-def run_fig6(
-    executor: Optional[Executor] = None, **params: Any
+def assemble(
+    cells: Dict[Tuple[float, str], Cell], runs: Sequence[Sequence[Any]]
 ) -> FctVsLoadResult:
-    """Figure 6 (parameters and defaults: :func:`fig6_cells`)."""
-    grid = fig6_cells(**params)
-    return assemble(grid, run_grid(grid.values(), executor, pool=list))
+    """Pool each cell's seed runs into ``summaries[load][scheme]``."""
+    summaries: Dict[float, Dict[str, FctSummary]] = {}
+    for ((load, name), cell), cell_runs in zip(cells.items(), runs):
+        summaries.setdefault(load, {})[name] = cell.pool(cell_runs).summary
+    return FctVsLoadResult(
+        workload_name=next(iter(cells.values())).specs[0].workload,
+        loads=tuple(summaries),
+        schemes=tuple(dict.fromkeys(name for _, name in cells)),
+        summaries=summaries,
+    )
 
 
-def run_fig7(
-    executor: Optional[Executor] = None, **params: Any
-) -> FctVsLoadResult:
-    """Figure 7 (parameters and defaults: :func:`fig7_cells`)."""
-    grid = fig7_cells(**params)
-    return assemble(grid, run_grid(grid.values(), executor, pool=list))
-
-
-def summarize_for_validation(result: FctVsLoadResult) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
-    cells = {
-        f"load={load:g}|scheme={scheme}": result.summaries[load][scheme].metrics()
-        for load in result.loads
-        for scheme in result.schemes
-    }
-    derived = {}
+def derived(result: FctVsLoadResult) -> Dict[str, float]:
     gain = result.best_short_avg_gain()
-    if gain is not None:
-        derived["best_short_avg_gain"] = gain
-    return {
-        "figure": _figure_name(result.workload_name),
-        "params": {"workload": result.workload_name},
-        "cells": cells,
-        "derived": derived,
-    }
+    return {} if gain is None else {"best_short_avg_gain": gain}
 
 
 def render(result: FctVsLoadResult) -> str:

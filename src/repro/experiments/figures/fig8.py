@@ -12,10 +12,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...sim.units import us
 from ...workloads.websearch import WEB_SEARCH
-from ..executor import Executor, run_grid, seed_specs
 from ..fct import FctSummary
 from ..report import fmt_ratio, format_table
-from ..runner import pool_results
 from ..schemes import testbed_scheme_specs
 from ..specs import Cell, RunSpec
 
@@ -23,9 +21,8 @@ __all__ = [
     "Fig8Result",
     "cells",
     "assemble",
-    "run_fig8",
+    "derived",
     "render",
-    "summarize_for_validation",
     "DEFAULT_VARIATIONS",
 ]
 
@@ -63,25 +60,20 @@ def cells(
     ``(variation, load, scheme)`` coordinate."""
     schemes = testbed_scheme_specs()
     return {
-        (variation, load, name): Cell(
-            group="fig8",
-            key=f"variation={variation:g}|load={load:g}|scheme={name}",
-            specs=tuple(
-                seed_specs(
-                    RunSpec.star(
-                        schemes[name],
-                        workload=WEB_SEARCH.name,
-                        load=load,
-                        n_flows=n_flows,
-                        seed=seed,
-                        label=name,
-                        variation=variation,
-                        rtt_min=rtt_min,
-                    ),
-                    n_seeds,
-                )
+        (variation, load, name): Cell.pooled(
+            "fig8",
+            f"variation={variation:g}|load={load:g}|scheme={name}",
+            RunSpec.star(
+                schemes[name],
+                workload=WEB_SEARCH.name,
+                load=load,
+                n_flows=n_flows,
+                seed=seed,
+                label=name,
+                variation=variation,
+                rtt_min=rtt_min,
             ),
-            metric_source="fct",
+            n_seeds,
         )
         for variation in variations
         for load in loads
@@ -95,9 +87,9 @@ def assemble(
 ) -> Fig8Result:
     """Pool each cell's seed runs into ``summaries[variation][load][scheme]``."""
     summaries: Dict[float, Dict[float, Dict[str, FctSummary]]] = {}
-    for (variation, load, name), cell_runs in zip(cells, runs):
+    for ((variation, load, name), cell), cell_runs in zip(cells.items(), runs):
         summaries.setdefault(variation, {}).setdefault(load, {})[name] = (
-            pool_results(cell_runs).summary
+            cell.pool(cell_runs).summary
         )
     return Fig8Result(
         variations=tuple(summaries),
@@ -106,33 +98,17 @@ def assemble(
     )
 
 
-def run_fig8(executor: Optional[Executor] = None, **params: Any) -> Fig8Result:
-    """Run ECN# vs DCTCP-RED-Tail across RTT variations and loads
-    (parameters and defaults: :func:`cells`)."""
-    grid = cells(**params)
-    return assemble(grid, run_grid(grid.values(), executor, pool=list))
-
-
-def summarize_for_validation(result: Fig8Result) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
-    cells = {}
-    derived = {}
+def derived(result: Fig8Result) -> Dict[str, float]:
+    """ECN#'s short-flow p99 reduction vs RED-Tail at each sweep point."""
+    gains = {}
     for variation in result.variations:
         for load in result.loads:
-            for scheme, summary in result.summaries[variation][load].items():
-                key = f"variation={variation:g}|load={load:g}|scheme={scheme}"
-                cells[key] = summary.metrics()
             nfct = result.nfct(variation, load, "short_p99")
             if nfct is not None:
-                derived[
+                gains[
                     f"short_p99_gain|variation={variation:g}|load={load:g}"
                 ] = 1.0 - nfct
-    return {
-        "figure": "fig8",
-        "params": {},
-        "cells": cells,
-        "derived": derived,
-    }
+    return gains
 
 
 def render(result: Fig8Result) -> str:

@@ -13,17 +13,16 @@ oversubscription ratio of 1:1 at the leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...sim.units import us
 from ...workloads.websearch import WEB_SEARCH
-from ..executor import Executor, run_grid, seed_specs
 from ..fct import FctSummary
 from ..report import fmt_ratio, format_table
 from ..schemes import simulation_scheme_specs
-from ..specs import RunSpec
+from ..specs import Cell, RunSpec
 
-__all__ = ["Fig9Result", "run_fig9", "render", "summarize_for_validation"]
+__all__ = ["Fig9Result", "cells", "assemble", "derived", "render"]
 
 BASELINE = "DCTCP-RED-Tail"
 
@@ -45,20 +44,21 @@ class Fig9Result:
         return mine / base
 
 
-def run_fig9(
+def cells(
     loads: Tuple[float, ...] = (0.3, 0.5),
     n_flows: int = 150,
     seed: int = 41,
     dims: Tuple[int, int, int] = (4, 4, 4),
     scheme_names: Tuple[str, ...] = ("DCTCP-RED-Tail", "ECN#"),
     n_seeds: int = 2,
-    executor: Optional[Executor] = None,
-) -> Fig9Result:
-    """Run the leaf-spine comparison at each load (pooled seeds)."""
+) -> Dict[Tuple[float, str], Cell]:
+    """The (load x scheme x seed) grid over the leaf-spine fabric, one cell
+    per ``(load, scheme)`` coordinate."""
     scheme_specs = simulation_scheme_specs()
-    keys = [(load, name) for load in loads for name in scheme_names]
-    cells = [
-        seed_specs(
+    return {
+        (load, name): Cell.pooled(
+            "fig9",
+            f"load={load:g}|scheme={name}",
             RunSpec.leafspine(
                 scheme_specs[name],
                 workload=WEB_SEARCH.name,
@@ -72,37 +72,37 @@ def run_fig9(
             ),
             n_seeds,
         )
-        for load, name in keys
-    ]
-    summaries: Dict[float, Dict[str, FctSummary]] = {load: {} for load in loads}
-    for (load, name), result in zip(keys, run_grid(cells, executor)):
-        summaries[load][name] = result.summary
+        for load in loads
+        for name in scheme_names
+    }
+
+
+def assemble(
+    cells: Dict[Tuple[float, str], Cell], runs: Sequence[Sequence[Any]]
+) -> Fig9Result:
+    """Pool each cell's seed runs into ``summaries[load][scheme]``."""
+    summaries: Dict[float, Dict[str, FctSummary]] = {}
+    for ((load, name), cell), cell_runs in zip(cells.items(), runs):
+        summaries.setdefault(load, {})[name] = cell.pool(cell_runs).summary
     return Fig9Result(
-        loads=loads, schemes=scheme_names, dims=dims, summaries=summaries
+        loads=tuple(summaries),
+        schemes=tuple(dict.fromkeys(name for _, name in cells)),
+        dims=dict(next(iter(cells.values())).specs[0].extras)["dims"],
+        summaries=summaries,
     )
 
 
-def summarize_for_validation(result: Fig9Result) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
-    cells = {
-        f"load={load:g}|scheme={scheme}": result.summaries[load][scheme].metrics()
-        for load in result.loads
-        for scheme in result.schemes
-    }
-    derived = {}
+def derived(result: Fig9Result) -> Dict[str, float]:
+    """Each non-baseline scheme's overall-average NFCT at each load."""
+    nfcts = {}
     for load in result.loads:
         for scheme in result.schemes:
             if scheme == BASELINE:
                 continue
             nfct = result.nfct(load, scheme, "overall_avg")
             if nfct is not None:
-                derived[f"nfct_overall|load={load:g}|scheme={scheme}"] = nfct
-    return {
-        "figure": "fig9",
-        "params": {"dims": list(result.dims)},
-        "cells": cells,
-        "derived": derived,
-    }
+                nfcts[f"nfct_overall|load={load:g}|scheme={scheme}"] = nfct
+    return nfcts
 
 
 def render(result: Fig9Result) -> str:

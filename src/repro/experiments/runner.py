@@ -1,4 +1,6 @@
-"""Experiment runners: single FCT runs over the paper's topologies.
+"""Experiment runners: single FCT runs over the paper's topologies, and
+:func:`pool_results`, which merges one cell's seed runs (called through
+:meth:`Cell.pool <repro.experiments.specs.Cell.pool>` only).
 
 The paper's experiments run seconds of 10 Gbps traffic; a pure-Python DES
 cannot, so figures default to reduced flow counts and load grids
@@ -10,9 +12,9 @@ base RTTs).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,17 +36,13 @@ from ..workloads.arrivals import (
 from ..workloads.distributions import EmpiricalCdf
 from .faults import FailedCell, RunFailure
 from .fct import FctCollector, FctSummary
-from .specs import AqmSpec, RunSpec
 
 __all__ = [
     "ExperimentResult",
     "estimate_star_network_rtt",
     "run_star_fct",
-    "run_star_fct_pooled",
     "run_leafspine_fct",
-    "run_leafspine_fct_pooled",
     "pool_results",
-    "pooled_fct_specs",
 ]
 
 AqmFactory = Callable[[], Aqm]
@@ -261,109 +259,6 @@ def _pooled_manifest(results: Sequence[ExperimentResult]) -> Optional[RunManifes
         params={**first.params, "n_seeds": len(results), "seeds": seeds},
         wall_seconds=sum(walls) if walls else None,
         events=sum(r.events for r in results),
-    )
-
-
-def pooled_fct_specs(
-    kind: str,
-    aqm: AqmSpec,
-    workload: EmpiricalCdf,
-    load: float,
-    n_flows: int,
-    seed: int,
-    n_seeds: int,
-    label: str = "",
-    **kwargs,
-) -> List[RunSpec]:
-    """The seed-expanded spec list for one pooled star/leaf-spine cell."""
-    from .executor import seed_specs
-
-    transport = kwargs.pop("transport", None)
-    builder = RunSpec.star if kind == "star" else RunSpec.leafspine
-    spec = builder(
-        aqm,
-        workload=workload.name,
-        load=load,
-        n_flows=n_flows,
-        seed=seed,
-        label=label,
-        transport=asdict(transport) if transport is not None else None,
-        **kwargs,
-    )
-    return seed_specs(spec, n_seeds)
-
-
-def _run_fct_pooled(
-    kind: str,
-    aqm_factory: Union[AqmFactory, AqmSpec],
-    workload: EmpiricalCdf,
-    load: float,
-    n_flows: int,
-    seed: int,
-    n_seeds: int,
-    executor=None,
-    **kwargs,
-) -> ExperimentResult:
-    if n_seeds <= 0:
-        raise ValueError("n_seeds must be positive")
-    if isinstance(aqm_factory, AqmSpec):
-        from .executor import get_default_executor
-
-        specs = pooled_fct_specs(
-            kind, aqm_factory, workload, load, n_flows, seed, n_seeds, **kwargs
-        )
-        executor = executor or get_default_executor()
-        return pool_results(executor.run(specs))
-    # Legacy path: closure factories cannot cross a process boundary (or
-    # key the cache), so they always run sequentially in-process.
-    run = run_star_fct if kind == "star" else run_leafspine_fct
-    results = [
-        run(aqm_factory, workload, load, n_flows, seed + offset, **kwargs)
-        for offset in range(n_seeds)
-    ]
-    return pool_results(results)
-
-
-def run_star_fct_pooled(
-    aqm_factory: Union[AqmFactory, AqmSpec],
-    workload: EmpiricalCdf,
-    load: float,
-    n_flows: int,
-    seed: int,
-    n_seeds: int = 2,
-    executor=None,
-    **kwargs,
-) -> ExperimentResult:
-    """``run_star_fct`` pooled over ``n_seeds`` independent seeds.
-
-    Pass an :class:`AqmSpec` (rather than a bare callable) to execute the
-    seeds through the experiment executor -- in parallel when its ``jobs``
-    is above one, and replayed from the result cache when warm.
-    """
-    return _run_fct_pooled(
-        "star", aqm_factory, workload, load, n_flows, seed, n_seeds,
-        executor=executor, **kwargs,
-    )
-
-
-def run_leafspine_fct_pooled(
-    aqm_factory: Union[AqmFactory, AqmSpec],
-    workload: EmpiricalCdf,
-    load: float,
-    n_flows: int,
-    seed: int,
-    n_seeds: int = 2,
-    executor=None,
-    **kwargs,
-) -> ExperimentResult:
-    """``run_leafspine_fct`` pooled over ``n_seeds`` independent seeds.
-
-    Accepts an :class:`AqmSpec` for parallel/cached execution, like
-    :func:`run_star_fct_pooled`.
-    """
-    return _run_fct_pooled(
-        "leafspine", aqm_factory, workload, load, n_flows, seed, n_seeds,
-        executor=executor, **kwargs,
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..settings import FIDELITIES
 
@@ -28,6 +28,7 @@ __all__ = [
     "AqmSpec",
     "RunSpec",
     "Cell",
+    "seed_specs",
     "resolve_workload",
     "stable_hash",
     "FIDELITIES",
@@ -327,6 +328,13 @@ class RunSpec:
         )
 
 
+def seed_specs(spec: RunSpec, n_seeds: int) -> List[RunSpec]:
+    """The pooled-seed expansion of one cell: seed, seed+1, ..."""
+    if n_seeds <= 0:
+        raise ValueError("n_seeds must be positive")
+    return [spec.with_seed(spec.seed + offset) for offset in range(n_seeds)]
+
+
 @dataclass(frozen=True)
 class Cell:
     """One grid cell: the seed-expanded specs of one sweep point.
@@ -336,12 +344,28 @@ class Cell:
     is sized and iterable like its spec tuple, so a list of cells can go
     wherever a list of per-cell spec lists can
     (:func:`~repro.experiments.executor.run_grid`).
+
+    Build one with :meth:`pooled` or :meth:`single`; :meth:`pool` turns the
+    cell's raw runs into the one result its metrics are read from.
     """
 
     group: str
     key: str
     specs: Tuple[RunSpec, ...]
-    metric_source: str  # "fct" (ExperimentResult) or "micro" (MicroscopicRun)
+    metric_source: str
+    """``"fct"``: seed runs pooled into one ``ExperimentResult``.
+    ``"micro"``: a single run carrying its own ``metrics()``
+    (``MicroscopicRun``, ``SchedulerRun``)."""
+
+    @classmethod
+    def pooled(cls, group: str, key: str, spec: RunSpec, n_seeds: int) -> "Cell":
+        """An FCT cell: ``spec`` at ``n_seeds`` consecutive seeds, pooled."""
+        return cls(group, key, tuple(seed_specs(spec, n_seeds)), "fct")
+
+    @classmethod
+    def single(cls, group: str, key: str, spec: RunSpec) -> "Cell":
+        """A microscopic cell: one run, reported as it is."""
+        return cls(group, key, (spec,), "micro")
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -354,9 +378,18 @@ class Cell:
 
     def with_fidelity(self, fidelity: str) -> "Cell":
         """The same cell with every spec at another fidelity."""
-        return Cell(
-            group=self.group,
-            key=self.key,
+        return replace(
+            self,
             specs=tuple(spec.with_fidelity(fidelity) for spec in self.specs),
-            metric_source=self.metric_source,
         )
+
+    def pool(self, runs: Sequence[Any]) -> Any:
+        """The cell's one result from its raw runs (one per spec, failures
+        included): an FCT cell pools its seeds
+        (:func:`~repro.experiments.runner.pool_results`, which pools around
+        failed seeds), a microscopic cell is its one run."""
+        if self.metric_source == "fct":
+            from .runner import pool_results  # deferred: runner builds rigs
+
+            return pool_results(runs)
+        return runs[0]

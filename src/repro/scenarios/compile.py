@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import settings
-from ..experiments.executor import cell_metrics, seed_specs
+from ..experiments.executor import cell_metrics
 from ..experiments.faults import is_failure
 from ..experiments.specs import AqmSpec, Cell, RunSpec
 from ..sim.units import us
@@ -133,11 +133,11 @@ def _fct_cells(scenario: Scenario, component: WorkloadSpec) -> List[Cell]:
                 **extras,
             )
             cells.append(
-                Cell(
-                    group=component.name,
-                    key=f"{component.name}|load={load:g}|scheme={name}",
-                    specs=tuple(seed_specs(spec, n_seeds)),
-                    metric_source="fct",
+                Cell.pooled(
+                    component.name,
+                    f"{component.name}|load={load:g}|scheme={name}",
+                    spec,
+                    n_seeds,
                 )
             )
     return cells
@@ -186,11 +186,10 @@ def _incast_cells(scenario: Scenario, component: WorkloadSpec) -> List[Cell]:
                 aqm, seed=scenario.seed, label=name, **extras
             )
             cells.append(
-                Cell(
-                    group=component.name,
-                    key=f"{component.name}|fanout={fanout}|scheme={name}",
-                    specs=(spec,),
-                    metric_source="micro",
+                Cell.single(
+                    component.name,
+                    f"{component.name}|fanout={fanout}|scheme={name}",
+                    spec,
                 )
             )
     return cells
@@ -215,13 +214,7 @@ def summarize_cell(cell: Cell, runs: Sequence[Any]) -> Dict[str, Any]:
     ]
     if failures:
         return {"status": "failed", "metrics": {}, "failures": failures}
-    if cell.metric_source == "fct":
-        from ..experiments.runner import pool_results
-
-        pooled = pool_results(list(runs))
-    else:
-        pooled = runs[0]
-    return {"status": "ok", "metrics": cell_metrics(cell, pooled),
+    return {"status": "ok", "metrics": cell_metrics(cell, cell.pool(runs)),
             "failures": []}
 
 

@@ -9,8 +9,8 @@ Layers (dependency order):
   provenance and staleness detection;
 * :mod:`.invariants` -- declarative registry of the paper's directional
   claims (Figures 6-12), evaluated against assembled figure results;
-* :mod:`.grids` -- named scales over the figure modules' own grids
-  (``experiments.figures.GRIDS``), shared by capture, gate and crossfid
+* :mod:`.grids` -- named scales over the figure table's own grids
+  (``experiments.figures.FIGURES``), shared by capture, gate and crossfid
   runs so warm gates replay from cache;
 * :mod:`.gates` -- ``repro validate capture`` / ``repro validate run``;
 * :mod:`.crossfid` -- ``repro validate crossfid``, the fluid-vs-packet

@@ -1,9 +1,9 @@
 """Validation grids: which figure grids a validation pass runs, and at what size.
 
-The figure modules own their grids
-(:data:`repro.experiments.figures.GRIDS`): how a figure's cells are built
-and how its result object is assembled is defined there, once.  This module
-is a view over them.  A :class:`ValidationScale` names the figures to run
+The figure table owns the grids
+(:data:`repro.experiments.figures.FIGURES`): how a figure's cells are built
+and how its result object is assembled is defined in its row, once.  This
+module is a view over the simulated rows.  A :class:`ValidationScale` names the figures to run
 and the keyword arguments each figure's ``cells`` is called with;
 :func:`build_cells` concatenates those grids, and
 :func:`run_validation_grid` executes them in one executor pass, extracts
@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..experiments.executor import Executor, cell_metrics, run_grid
 from ..experiments.faults import RunFailure, is_failure
-from ..experiments.figures import GRIDS
+from ..experiments.figures import FIGURES
 from ..experiments.specs import Cell
 
 __all__ = [
@@ -98,10 +98,10 @@ def _figure_grids(scale: ValidationScale) -> Dict[str, Dict[Any, Cell]]:
     """Each figure's coordinate -> cell map, in the scale's figure order."""
     grids = {}
     for figure, params in scale.figures.items():
-        if figure not in GRIDS:
+        row = FIGURES.get(figure)
+        if row is None or row.cells is None:
             raise ValueError(f"unknown validation figure {figure!r}")
-        cells, _assemble = GRIDS[figure]
-        grids[figure] = cells(**params)
+        grids[figure] = row.cells(**params)
     return grids
 
 
@@ -139,8 +139,9 @@ def assemble_figures(
             all(run is None or is_failure(run) for run in cell_runs)
             for cell_runs in runs
         )
-        _cells, assemble = GRIDS[figure]
-        results[figure] = None if dead else assemble(grid, runs)
+        results[figure] = (
+            None if dead else FIGURES[figure].assemble(grid, runs)
+        )
     return results
 
 

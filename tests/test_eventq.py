@@ -297,15 +297,16 @@ class TestFigureEquivalence:
         """A full microscopic incast cell (topology, DCTCP, RED, monitors)
         must produce byte-identical metrics under either queue."""
         from repro.experiments.executor import Executor
-        from repro.experiments.figures import fig10
+        from repro.experiments.figures import run_experiment
 
         def cell(_scheduler):
-            result = fig10.run_fig10(
+            outcome = run_experiment(
+                "fig10",
                 fanout=20,
                 schemes=("DCTCP-RED-Tail",),
                 executor=Executor(jobs=1),
             )
-            return fig10.summarize_for_validation(result)["cells"]
+            return outcome.summary()["cells"]
 
         cells = _on_each_queue(monkeypatch, cell)
         assert cells["calendar"] == cells["heap"]

@@ -14,7 +14,6 @@ from repro.experiments.executor import (
     ResultCache,
     get_default_executor,
     run_grid,
-    seed_specs,
     set_default_executor,
 )
 from repro.core.red import SojournRed
@@ -22,7 +21,7 @@ from repro.telemetry import Telemetry, activate
 from repro.experiments.runner import pool_results
 from repro.experiments.schemes import build_aqm
 from repro.experiments.schemes import testbed_scheme_specs as make_testbed_scheme_specs
-from repro.experiments.specs import AqmSpec, RunSpec, resolve_workload
+from repro.experiments.specs import AqmSpec, RunSpec, resolve_workload, seed_specs
 from repro.settings import SettingError
 from repro.sim.units import us
 from repro.workloads import WEB_SEARCH

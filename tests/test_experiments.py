@@ -7,7 +7,7 @@ import pytest
 
 from repro import settings
 from repro.core.red import SojournRed
-from repro.experiments.figures import FIGURES, GRIDS, PAPER_SCALE
+from repro.experiments.figures import FIGURES, PAPER_SCALE
 from repro.experiments.fct import (
     LARGE_FLOW_MIN,
     SHORT_FLOW_MAX,
@@ -124,8 +124,7 @@ class TestScale:
         # A figure's signature defaults are its reduced scale; PAPER_SCALE
         # only ever grows them.
         for name, paper in PAPER_SCALE.items():
-            cells_or_run = GRIDS[name][0] if name in GRIDS else FIGURES[name].run
-            defaults = inspect.signature(cells_or_run).parameters
+            defaults = inspect.signature(FIGURES[name].cells).parameters
             assert set(paper) <= set(defaults), name
             for key, value in paper.items():
                 reduced = defaults[key].default

@@ -10,7 +10,7 @@ use a generous per-spec timeout to absorb worker spawn cost.
 
 import pytest
 
-from repro.experiments.executor import Executor, run_grid, seed_specs
+from repro.experiments.executor import Executor, run_grid
 from repro.experiments.faults import (
     FailedCell,
     InjectedFault,
@@ -20,9 +20,10 @@ from repro.experiments.faults import (
     maybe_inject_fault,
     parse_fault_directives,
 )
+from repro.experiments.fct import FctCollector, FlowRecord
 from repro.experiments.report import format_failure_table
-from repro.experiments.runner import pool_results
-from repro.experiments.specs import AqmSpec, RunSpec
+from repro.experiments.runner import ExperimentResult, pool_results
+from repro.experiments.specs import AqmSpec, RunSpec, seed_specs
 from repro.sim.units import us
 from repro.workloads import WEB_SEARCH
 
@@ -251,6 +252,33 @@ class TestPoolRecovery:
         assert not is_failure(results[1])
 
 
+    @pytest.mark.parametrize(
+        "directive, settings",
+        [
+            (None, {}),
+            ("raise:seed=4|", {"retries": 0}),
+            ("exit:seed=4|", {"retries": 0}),
+            ("hang:seed=4|", {"retries": 0, "spec_timeout": 3.0}),
+        ],
+        ids=["clean", "raise", "exit", "hang"],
+    )
+    def test_no_worker_outlives_run(self, monkeypatch, directive, settings):
+        """``Executor.run`` returns with its pool's workers reaped on every
+        path: settled futures (clean, raise), a broken pool (exit) and
+        killed hung workers (hang).  Before this held, the clean path left
+        both workers alive for a moment after ``run`` returned and the hang
+        path one killed-but-unreaped child; neither lingered past half a
+        second, so the executor is not the source of the long-lived orphan
+        workers noted in benchmarks/ledger/README.md."""
+        import multiprocessing
+
+        if directive:
+            inject(monkeypatch, directive)
+        results = Executor(jobs=2, **settings).run(grid_specs(3))
+        assert multiprocessing.active_children() == []
+        assert is_failure(results[1]) == bool(directive)
+
+
 class TestFailurePooling:
     def _mixed_results(self, monkeypatch):
         specs = seed_specs(tiny_spec(seed=3), 3)
@@ -356,6 +384,41 @@ class TestFigureGapRendering:
         rendered = fig13.render(result)
         assert "(timeout)" in rendered
         assert "ratio: -" in rendered
+
+
+    @pytest.mark.parametrize(
+        "targets_us, dead_workload",
+        [((6.0,), None), ((6.0, 18.0), "data-mining")],
+        ids=["one-value-target-sweep", "every-cell-of-a-workload-failed"],
+    )
+    def test_fig12_renders_short_sweeps_and_dead_workloads(
+        self, targets_us, dead_workload
+    ):
+        from repro.experiments.figures import fig12
+
+        failure = RunFailure.timeout(tiny_spec(label="ECN#"), 5.0, 1)
+        collector = FctCollector()
+        collector.records.append(FlowRecord(1, 1000, 1e-3, 0.0, 0, 0))
+        good = ExperimentResult(
+            summary=collector.summary(), collector=collector, marks=0,
+            instant_marks=0, persistent_marks=0, drops=0, timeouts=0,
+            sim_duration=0.1, events=1,
+        )
+        grid = fig12.cells(
+            n_flows_web=5, n_flows_mining=5, intervals_us=(100.0, 250.0),
+            targets_us=targets_us, n_seeds=1,
+        )
+        runs = [
+            [failure if workload == dead_workload else good]
+            for workload, _panel, _value in grid
+        ]
+        result = fig12.assemble(grid, runs)
+        rendered = fig12.render(result)
+        assert "pst_target=6us" in rendered
+        assert "web-search interval spread=0.0% target spread=0.0%" in rendered
+        if dead_workload:
+            assert f"{dead_workload} interval spread=- target spread=-" in rendered
+            assert result.target_spread(dead_workload) is None
 
 
 class TestTelemetryFailures:

@@ -7,6 +7,7 @@ harness plumbing works end to end (runs, collects, normalizes, renders).
 import pytest
 
 from repro.experiments.figures import (
+    run_experiment,
     fig2,
     fig3,
     fig5,
@@ -24,7 +25,7 @@ from repro.sim.units import ms
 
 class TestTable1:
     def test_runs_and_renders(self):
-        result = table1.run_table1(seed=1, n_samples=500)
+        result = run_experiment("table1", seed=1, n_samples=500).result
         assert len(result.cases) == 5
         assert result.variation_ratio > 2.0
         text = table1.render(result)
@@ -33,7 +34,7 @@ class TestTable1:
 
 class TestFig2:
     def test_runs_and_renders(self):
-        result = fig2.run_fig2(n_flows=25, thresholds_kb=(50, 250))
+        result = run_experiment("fig2", n_flows=25, thresholds_kb=(50, 250)).result
         norm = result.normalized("overall_avg")
         assert norm[50] == pytest.approx(1.0)
         assert "Figure 2" in fig2.render(result)
@@ -41,7 +42,7 @@ class TestFig2:
 
 class TestFig3:
     def test_runs_and_renders(self):
-        result = fig3.run_fig3(n_flows=25, variations=(2.0, 4.0))
+        result = run_experiment("fig3", n_flows=25, variations=(2.0, 4.0)).result
         assert set(result.thresholds_us) == {2.0, 4.0}
         # Tail threshold is above avg threshold for both variations.
         for variation in (2.0, 4.0):
@@ -52,7 +53,7 @@ class TestFig3:
 
 class TestFig5:
     def test_runs_and_renders(self):
-        result = fig5.run_fig5()
+        result = run_experiment("fig5").result
         assert result.means["data-mining"] > result.means["web-search"]
         text = fig5.render(result)
         assert "web-search" in text
@@ -60,33 +61,37 @@ class TestFig5:
 
 class TestFig6Fig7:
     def test_fig6_runs_and_renders(self):
-        result = fig6_fig7.run_fig6(loads=(0.5,), n_flows=25)
+        result = run_experiment("fig6", loads=(0.5,), n_flows=25).result
         norm = result.normalized(0.5, "DCTCP-RED-Tail")
         assert norm.overall_avg == pytest.approx(1.0)
         assert "web-search" in fig6_fig7.render(result)
 
     def test_fig7_runs_and_renders(self):
-        result = fig6_fig7.run_fig7(loads=(0.5,), n_flows=15)
+        result = run_experiment("fig7", loads=(0.5,), n_flows=15).result
         assert "data-mining" in fig6_fig7.render(result)
 
 
 class TestFig8:
     def test_runs_and_renders(self):
-        result = fig8.run_fig8(variations=(3.0,), loads=(0.5,), n_flows=25)
+        result = run_experiment(
+            "fig8", variations=(3.0,), loads=(0.5,), n_flows=25
+        ).result
         assert result.nfct(3.0, 0.5, "overall_avg") is not None
         assert "Figure 8" in fig8.render(result)
 
 
 class TestFig9:
     def test_runs_and_renders(self):
-        result = fig9.run_fig9(loads=(0.3,), n_flows=20, dims=(2, 2, 2))
+        result = run_experiment("fig9", loads=(0.3,), n_flows=20, dims=(2, 2, 2)).result
         assert result.nfct(0.3, "DCTCP-RED-Tail", "overall_avg") == pytest.approx(1.0)
         assert "leaf-spine" in fig9.render(result)
 
 
 class TestFig10:
     def test_runs_and_renders(self):
-        result = fig10.run_fig10(fanout=30, schemes=("DCTCP-RED-Tail", "ECN#"))
+        result = run_experiment(
+            "fig10", fanout=30, schemes=("DCTCP-RED-Tail", "ECN#")
+        ).result
         tail = result.runs["DCTCP-RED-Tail"]
         sharp = result.runs["ECN#"]
         assert tail.queries_completed > 0
@@ -96,26 +101,27 @@ class TestFig10:
 
 class TestFig11:
     def test_runs_and_renders(self):
-        result = fig11.run_fig11(fanouts=(25,), schemes=("ECN#",))
+        result = run_experiment("fig11", fanouts=(25,), schemes=("ECN#",)).result
         assert result.avg_query_fct(25, "ECN#") is not None
         assert "Figure 11" in fig11.render(result)
 
 
 class TestFig12:
     def test_runs_and_renders(self):
-        result = fig12.run_fig12(
+        result = run_experiment(
+            "fig12",
             n_flows_web=15,
             n_flows_mining=10,
             intervals_us=(150.0, 250.0),
             targets_us=(10.0, 18.0),
-        )
+        ).result
         assert result.interval_spread("web-search") is not None
         assert "Figure 12" in fig12.render(result)
 
 
 class TestFig13:
     def test_runs_and_renders(self):
-        result = fig13.run_fig13(phase=ms(8))
+        result = run_experiment("fig13", phase=ms(8)).result
         text = fig13.render(result)
         assert "DWRR" in text
         ecn_run = result.runs["ECN#"]

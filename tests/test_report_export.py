@@ -88,3 +88,50 @@ class TestCliResultsOut:
         payload = json.loads(out.read_text())
         assert payload["figure"] == "table1"
         assert payload["derived"]["variation_ratio"] > 1.5
+
+    FIG10 = ["run", "fig10", "--no-cache", "--retries", "0", "--seed", "5"]
+
+    def test_grid_figure_results_out_json(self, tmp_path, monkeypatch):
+        """fig10 at small fanout with CoDel's cell failing: the file has the
+        table's shape, its cells are keyed by ``Cell.key``, and the failed
+        cell is absent rather than ``null``."""
+        from repro.cli import main
+        from repro.experiments.figures import FIGURES, PAPER_SCALE
+
+        monkeypatch.setitem(PAPER_SCALE, "fig10", {"fanout": 20})
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:CoDel")
+        out = tmp_path / "fig10.json"
+        assert main(self.FIG10 + ["--full", "--results-out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"figure", "params", "cells", "derived"}
+        assert payload["figure"] == "fig10"
+        assert payload["params"] == {
+            "fanout": 20,
+            "seed": 5,
+            "schemes": ["DCTCP-RED-Tail", "CoDel", "ECN#"],
+        }
+        grid = FIGURES["fig10"].cells(fanout=20, seed=5)
+        assert set(payload["cells"]) == {
+            cell.key for cell in grid.values()
+        } - {"scheme=CoDel"}
+        for metrics in payload["cells"].values():
+            assert metrics["standing_queue_pkts"] >= 0.0
+            assert all(isinstance(v, float) for v in metrics.values())
+        assert set(payload["derived"]) == {"ecn_sharp_standing_ratio"}
+
+    def test_grid_figure_results_out_csv(self, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.experiments.figures import PAPER_SCALE
+
+        monkeypatch.setitem(
+            PAPER_SCALE, "fig10", {"fanout": 20, "schemes": ("ECN#",)}
+        )
+        out = tmp_path / "fig10.csv"
+        assert main(self.FIG10 + ["--full", "--results-out", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["figure", "cell", "metric", "value"]
+        assert {(row[0], row[1]) for row in rows[1:]} == {
+            ("fig10", "scheme=ECN#")
+        }  # one scheme: no derived ratio row
+        assert "standing_queue_pkts" in {row[2] for row in rows[1:]}

@@ -7,11 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.executor import DryRunComplete, DryRunExecutor, Executor
+from repro.experiments.executor import Executor
 from repro.experiments.faults import RunFailure
-from repro.experiments.figures.fig6_fig7 import run_fct_vs_load
-from repro.experiments.figures.fig10 import run_fig10
-from repro.experiments.figures.fig11 import run_fig11
+from repro.experiments.figures import FIGURES
 from repro.scenarios import (
     Scenario,
     ScenarioError,
@@ -20,19 +18,16 @@ from repro.scenarios import (
     load_scenario,
     summarize_cell,
 )
-from repro.workloads import WEB_SEARCH
-
 from test_scenarios_schema import SCENARIO_DIR, base_dict
 
 
-def captured_grid(run):
-    """The flat spec list an experiment runner hands its executor."""
-    executor = DryRunExecutor()
-    try:
-        run(executor)
-    except DryRunComplete:
-        pass
-    return executor.captured
+def figure_grid(name, **params):
+    """The flat spec list a figure's cells hand the executor."""
+    return [
+        spec
+        for cell in FIGURES[name].cells(**params).values()
+        for spec in cell.specs
+    ]
 
 
 # ------------------------------------------- figure-grid equivalence (tier 1)
@@ -43,11 +38,8 @@ class TestFigureEquivalence:
     to exactly the specs the figure modules submit, in the same order."""
 
     def test_fig6_scenario_matches_figure_grid(self):
-        figure = captured_grid(
-            lambda ex: run_fct_vs_load(
-                WEB_SEARCH, loads=(0.5, 0.8), n_flows=80,
-                seed=21, n_seeds=2, executor=ex,
-            )
+        figure = figure_grid(
+            "fig6", loads=(0.5, 0.8), n_flows=80, seed=21, n_seeds=2
         )
         compiled = compile_scenario(
             load_scenario(SCENARIO_DIR / "fig6_websearch.toml")
@@ -57,15 +49,14 @@ class TestFigureEquivalence:
         assert compiled.n_specs == 16  # x 2 seeds
 
     def test_fig10_scenario_matches_figure_grid(self):
-        figure = captured_grid(lambda ex: run_fig10(fanout=100, seed=51,
-                                                    executor=ex))
+        figure = figure_grid("fig10", fanout=100, seed=51)
         compiled = compile_scenario(
             load_scenario(SCENARIO_DIR / "fig10_microscopic.toml")
         )
         assert compiled.specs() == figure
 
     def test_fig11_scenario_matches_figure_grid(self):
-        figure = captured_grid(lambda ex: run_fig11(seed=61, executor=ex))
+        figure = figure_grid("fig11", seed=61)
         compiled = compile_scenario(
             load_scenario(SCENARIO_DIR / "fig11_fanout.toml")
         )

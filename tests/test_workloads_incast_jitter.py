@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.runner import pool_results, run_star_fct, run_star_fct_pooled
+from repro.experiments.runner import pool_results, run_star_fct
 from repro.core.red import SojournRed
 from repro.sim.packet import PacketFactory
 from repro.sim.units import us
@@ -62,27 +62,3 @@ class TestPooling:
     def test_pool_empty_rejected(self):
         with pytest.raises(ValueError):
             pool_results([])
-
-    def test_pooled_runner_equivalent_to_manual_pool(self):
-        pooled = run_star_fct_pooled(
-            aqm_factory=lambda: SojournRed(us(200)),
-            workload=WEB_SEARCH,
-            load=0.4,
-            n_flows=15,
-            seed=1,
-            n_seeds=2,
-        )
-        manual = pool_results([self.run_one(1), self.run_one(2)])
-        assert pooled.summary.n_flows == manual.summary.n_flows
-        assert pooled.summary.overall_avg == pytest.approx(manual.summary.overall_avg)
-
-    def test_invalid_n_seeds(self):
-        with pytest.raises(ValueError):
-            run_star_fct_pooled(
-                aqm_factory=lambda: SojournRed(us(200)),
-                workload=WEB_SEARCH,
-                load=0.4,
-                n_flows=5,
-                seed=1,
-                n_seeds=0,
-            )
