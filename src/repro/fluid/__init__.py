@@ -4,8 +4,9 @@ A discrete-time, vectorized approximation of DCTCP over the paper's AQMs:
 per-RTT congestion-window updates, fluid queue occupancy per port, and
 analytic marking fractions for RED/CoDel/ECN#/TCN.  Consumes the same
 :class:`~repro.experiments.specs.RunSpec` grids and emits the same
-result shapes as the packet engine, at a small, scale-independent cost
-per time step -- the path to 1000+ host fabrics.
+result shapes as the packet engine, at a per-step cost set by the flows
+active and the ports busy in that step rather than by the fabric's size
+-- the path to 1000+ host fabrics.
 
 Select it per spec (``extras['fidelity'] = 'fluid'``), per invocation
 (``--fidelity fluid``) or per environment (``REPRO_FIDELITY=fluid``);

@@ -15,10 +15,17 @@ windows follow the DCTCP fluid equations on a per-RTT cadence:
 
 Self-clocking is implicit: the RTT used for a flow's rate includes the
 current sojourn of every port on its path, so growing queues throttle
-injection exactly as ACK clocking does in the packet engine.  One fluid
-step costs a handful of vectorized numpy operations regardless of scale,
-which is what buys the 100x-plus speedup over per-packet simulation at
-1000+ hosts.
+injection exactly as ACK clocking does in the packet engine.
+
+Cost: a step touches only the *active* flows (arrived, unfinished) and the
+*live* ports (on an active flow's path, or still holding backlog), so it
+costs about fifty small numpy calls plus work proportional to those two
+sets -- not to the population or the fabric.  The index arrays and the
+per-set constants are rebuilt only when a flow starts or finishes.  That
+is what buys the 100x-plus speedup over per-packet simulation at 1000+
+hosts.  ``tests/fluid_reference.py`` keeps the loop that visits everything
+as the oracle; the two must agree bit for bit, which constrains how the
+arithmetic below may be rearranged (DESIGN.md section 11.4).
 
 Determinism: the engine draws no randomness at all -- the flow population
 carries every sampled quantity -- and the step count is a pure function of
@@ -28,7 +35,9 @@ processes and cache replays.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import inf
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -49,6 +58,22 @@ def choose_dt(rtt_min: float) -> float:
     """The fluid step size: an eighth of the smallest base RTT, clamped to
     [1 us, 20 us].  Deterministic in the spec, so cache replays agree."""
     return float(min(max(rtt_min / 8.0, us(1)), us(20)))
+
+
+def _admit(arrivals, order, arrived, act, t):
+    """Start every flow that has arrived by ``t``: the new count of started
+    flows and the active set with them merged in, still ascending."""
+    upto = bisect_right(arrivals, t, arrived)
+    return upto, np.sort(np.concatenate((act, order[arrived:upto])))
+
+
+def _bank_sum(layout: np.ndarray, slots: np.ndarray, values: np.ndarray) -> float:
+    """Sum ``values`` where the marker bank's full array would hold them
+    (``layout`` is zero elsewhere): numpy's pairwise sum depends on where
+    the terms sit, so summing the short array could differ in the last
+    bit from the reference's sum over every AQM port."""
+    layout[slots] = values
+    return float(layout.sum())
 
 
 @dataclass
@@ -72,10 +97,23 @@ class FluidFabric:
         self.buffer_bytes = np.asarray(self.buffer_bytes, dtype=float)
         self.marked_ports = np.asarray(self.marked_ports, dtype=np.int64)
         self.paths = np.asarray(self.paths, dtype=np.int64)
+        n_ports = len(self.capacity_bps)
+        if len(self.buffer_bytes) != n_ports:
+            raise ValueError("capacity_bps and buffer_bytes must be the same length")
+        if not ((self.capacity_bps > 0).all() and (self.buffer_bytes > 0).all()):
+            raise ValueError("capacity_bps and buffer_bytes must be positive")
         if self.marker.n_ports != len(self.marked_ports):
             raise ValueError("marker bank size must match marked_ports")
+        if ((self.marked_ports < 0) | (self.marked_ports >= n_ports)).any():
+            raise ValueError("marked_ports must be port indices below n_ports")
+        if len(np.unique(self.marked_ports)) != len(self.marked_ports):
+            raise ValueError("marked_ports must not repeat a port")
         if self.paths.ndim != 2:
             raise ValueError("paths must be a 2-D array")
+        if ((self.paths < -1) | (self.paths >= n_ports)).any():
+            raise ValueError(
+                "path entries must be -1 (padding) or port indices below n_ports"
+            )
         if (self.paths[:, 0] < 0).any():
             raise ValueError("every flow needs an access port")
 
@@ -119,12 +157,6 @@ class FluidEngine:
 
         n = len(population)
         p = len(fabric.capacity_bps)
-        self._n_ports = p
-        # Flattened static path indices for per-port rate aggregation.
-        flat = fabric.paths.ravel()
-        self._path_valid = flat >= 0
-        self._flat_paths = flat[self._path_valid]
-        self._path_width = fabric.paths.shape[1]
         self._access = fabric.capacity_bps[fabric.paths[:, 0]]
 
         # Per-flow transport state.
@@ -165,119 +197,210 @@ class FluidEngine:
         ``[sample_start, sample_end]`` -- the fluid analogue of fig10's
         queue monitor.
         """
-        if sample_port is not None and sample_interval is None:
-            raise ValueError("sample_port requires sample_interval")
+        if sample_port is not None:
+            if sample_interval is None:
+                raise ValueError("sample_port requires sample_interval")
+            if sample_interval <= 0:
+                raise ValueError("sampling interval must be positive")
         pop = self.population
         fabric = self.fabric
+        marker = fabric.marker
         dt = self.dt
         mss_bits = MSS * 8.0
         capacity = fabric.capacity_bps
         buffers = fabric.buffer_bytes
-        marked_ports = fabric.marked_ports
         paths = fabric.paths
-        width = self._path_width
+        width = paths.shape[1]
+        n_ports = len(capacity)
+        queue = self.queue
+        cwnd = self.cwnd
+        remaining = self.remaining
+        next_update = self.next_update
+        sent_window = self._sent_window
+        marked_window = self._marked_window
         queue_samples: List[Tuple[float, float]] = []
+
+        # Flows with bytes left, in start order.  ``order[:arrived]`` have
+        # started; the trailing inf means "no further arrival".
+        order = np.argsort(pop.start, kind="stable")
+        order = order[remaining[order] > _EPS]
+        arrivals = pop.start[order].tolist() + [inf]
+        arrived = 0
+        unfinished = len(order)
+
+        # The two sets a step works on, both kept in ascending index order
+        # (bincount and the drop sum accumulate in input order).  Every port
+        # starts live; the first rebuild keeps those with backlog.
+        act = np.empty(0, dtype=np.int64)
+        live = np.arange(n_ports)
+        stale = True
+        clamped = False
+
+        # Rebuild scratch.  Index n_ports stands for the -1 path padding.
+        slot_of = np.full(n_ports, -1, dtype=np.int64)  # port -> bank slot
+        slot_of[fabric.marked_ports] = np.arange(marker.n_ports)
+        member = np.zeros(n_ports + 1, dtype=bool)
+        local = np.zeros(n_ports + 1, dtype=np.int64)   # port -> index in live
+        slots = np.empty(0, dtype=np.int64)
+        bank_layout = np.zeros(marker.n_ports)
 
         t = 0.0
         next_sample = sample_start
         while True:
-            incomplete = self.remaining > _EPS
             if end_time is not None and t >= end_time:
                 break
-            if not incomplete.any():
+            if not unfinished:
                 break
-            active = incomplete & (pop.start <= t)
-            if not active.any() and float(self.queue.sum()) <= 1.0:
+            if arrivals[arrived] <= t:
+                arrived, act = _admit(arrivals, order, arrived, act, t)
+                stale = True
+            if not len(act) and float(queue.sum()) <= 1.0:
                 # Idle gap: jump straight to the next arrival (no queue to
-                # drain, nothing in flight, marker state resets below).
-                t = float(pop.start[incomplete].min())
+                # drain, nothing in flight, marker state already reset).
+                t = arrivals[arrived]
                 if end_time is not None and t >= end_time:
                     break
-                active = incomplete & (pop.start <= t)
+                arrived, act = _admit(arrivals, order, arrived, act, t)
+                stale = True
             if self.steps >= self.max_steps:
                 raise RuntimeError(
                     f"fluid step budget exceeded ({self.max_steps} steps at t={t:.6f}s)"
                 )
             self.steps += 1
 
+            if stale:
+                # --- a flow started or finished: new sets, new constants --
+                stale = False
+                act_paths = paths[act]
+                member[act_paths] = True
+                member[live[queue[live] > 0.0]] = True
+                member[n_ports] = False
+                drained = live[~member[live]]
+                if len(drained):
+                    gone = slot_of[drained]
+                    marker.forget(gone[gone >= 0])
+                live = np.flatnonzero(member)
+                member[live] = False
+                n_live = len(live)
+                local[live] = np.arange(n_live)
+                local[n_ports] = n_live     # padding reads soj_pad's last 0.0
+                hops = local[act_paths]     # (active flows, width)
+                hop_port = hops.ravel()
+                hop_flow = np.repeat(np.arange(len(act)), width)
+                base_rtt = pop.base_rtt[act]
+                access = self._access[act]
+                cap = capacity[live]
+                cap_dt = cap * dt
+                buf = buffers[live]
+                bank_layout[slots] = 0.0
+                slot = slot_of[live]
+                aqm = np.flatnonzero(slot >= 0)     # live ports with a marker
+                slots = slot[aqm]                   # ...and their bank slots
+                soj_pad = np.zeros(n_live + 1)
+                sojourn = soj_pad[:n_live]
+
             # --- rates: window/RTT, capped by the access link -------------
-            sojourn = self.queue * 8.0 / capacity
-            soj_pad = np.append(sojourn, 0.0)
-            rtt = pop.base_rtt + soj_pad[paths].sum(axis=1)
-            rate = np.minimum(self.cwnd * mss_bits / rtt, self._access)
-            rate = np.where(active, rate, 0.0)
+            q = queue[live]
+            q_bits = q * 8.0
+            np.divide(q_bits, cap, out=sojourn)
+            rtt = base_rtt + soj_pad[hops].sum(axis=1)
+            rate = np.minimum(cwnd[act] * mss_bits / rtt, access)
 
             # --- queues: integrate excess arrival rate --------------------
-            weights = np.repeat(rate, width)[self._path_valid]
             arrival = np.bincount(
-                self._flat_paths, weights=weights, minlength=self._n_ports
-            )
-            serviced_bytes = np.minimum(arrival * dt, capacity * dt + self.queue * 8.0) / 8.0
-            self.queue += (arrival - capacity) * dt / 8.0
-            np.clip(self.queue, 0.0, None, out=self.queue)
-            overflow = self.queue - buffers
+                hop_port, weights=rate[hop_flow], minlength=n_live + 1
+            )[:n_live]
+            serviced_bytes = np.minimum(arrival * dt, cap_dt + q_bits) / 8.0
+            q += (arrival - cap) * dt / 8.0
+            np.maximum(q, 0.0, out=q)
+            overflow = q - buf
             over = overflow > 0.0
-            if over.any():
+            spilled = np.count_nonzero(over)
+            if spilled:
                 self.drops += float(overflow[over].sum()) / MTU
-                self.queue[over] = buffers[over]
+                q[over] = buf[over]
+            queue[live] = q
 
             # --- marking --------------------------------------------------
             pkts = serviced_bytes / MSS
-            step_marks = fabric.marker.step(
-                sojourn[marked_ports], t, dt, pkts[marked_ports]
-            )
-            marked_pkts = pkts[marked_ports]
-            self.marks += float((marked_pkts * step_marks.fraction).sum())
-            self.instant_marks += float((marked_pkts * step_marks.instant).sum())
-            self.persistent_marks += float((marked_pkts * step_marks.persistent).sum())
-            frac = np.zeros(self._n_ports + 1)
-            frac[marked_ports] = step_marks.fraction
-            # A full buffer is loss feedback: treat the step's traffic
-            # through an overflowing port as marked so senders back off.
-            frac[: self._n_ports][over] = 1.0
-            flow_marked = 1.0 - np.prod(1.0 - frac[paths], axis=1)
+            marked_pkts = pkts[aqm]
+            step_marks = marker.step(slots, sojourn[aqm], t, dt, marked_pkts)
+            marking = np.count_nonzero(step_marks.fraction)
+            if marking:
+                self.marks += _bank_sum(
+                    bank_layout, slots, marked_pkts * step_marks.fraction)
+                self.instant_marks += _bank_sum(
+                    bank_layout, slots, marked_pkts * step_marks.instant)
+                self.persistent_marks += _bank_sum(
+                    bank_layout, slots, marked_pkts * step_marks.persistent)
 
             # --- per-flow delivery and DCTCP window accounting ------------
             delivered = rate * dt / 8.0
             sent_pkts = delivered / MSS
-            self._sent_window += sent_pkts
-            self._marked_window += sent_pkts * flow_marked
-            before = self.remaining.copy()
-            self.remaining -= delivered
-            finishing = active & (self.remaining <= _EPS) & (before > _EPS)
-            if finishing.any():
+            sent_window[act] += sent_pkts
+            if marking or spilled:
+                frac = np.zeros(n_live + 1)
+                frac[aqm] = step_marks.fraction
+                # A full buffer is loss feedback: treat the step's traffic
+                # through an overflowing port as marked so senders back off.
+                if spilled:
+                    frac[:n_live][over] = 1.0
+                flow_marked = 1.0 - (1.0 - frac[hops]).prod(axis=1)
+                marked_window[act] += sent_pkts * flow_marked
+            before = remaining[act]
+            left = before - delivered
+            remaining[act] = left
+            finishing = left <= _EPS
+            due = t >= next_update[act]
+            n_done = np.count_nonzero(finishing)
+            if n_done:
+                done = act[finishing]
                 fraction_of_step = before[finishing] / np.maximum(delivered[finishing], _EPS)
                 done_at = t + np.clip(fraction_of_step, 0.0, 1.0) * dt
-                self.finish[finishing] = done_at
+                self.finish[done] = done_at
                 # The fluid injection rate cwnd/RTT already spreads each
                 # window over one RTT, but the *last* window's ACK wait is
                 # real wall time the rate model doesn't cover: the final
                 # ACK returns one RTT after the last byte is clocked out.
-                self.fct[finishing] = (
-                    done_at - pop.start[finishing] + rtt[finishing]
-                )
-                self.remaining[finishing] = 0.0
+                self.fct[done] = done_at - pop.start[done] + rtt[finishing]
+                remaining[done] = 0.0
+                unfinished -= n_done
+                due &= ~finishing
 
-            due = active & ~finishing & (t >= self.next_update)
-            if due.any():
+            if np.count_nonzero(due):
+                flows = act[due]
+                epoch_sent = sent_window[flows]
+                epoch_marked = marked_window[flows]
                 observed = np.where(
-                    self._sent_window > _EPS,
-                    self._marked_window / np.maximum(self._sent_window, _EPS),
+                    epoch_sent > _EPS,
+                    epoch_marked / np.maximum(epoch_sent, _EPS),
                     0.0,
                 )
-                self.alpha[due] = (1.0 - DCTCP_G) * self.alpha[due] + DCTCP_G * observed[due]
-                marked_rtt = due & (self._marked_window > 1e-9)
-                clean_rtt = due & ~marked_rtt
-                self.slow_start[marked_rtt] = False
-                self.cwnd[marked_rtt] *= 1.0 - self.alpha[marked_rtt] / 2.0
-                ss = clean_rtt & self.slow_start
-                self.cwnd[ss] *= 2.0
-                ca = clean_rtt & ~self.slow_start
-                self.cwnd[ca] += 1.0
-                np.clip(self.cwnd, 1.0, CWND_CAP_PKTS, out=self.cwnd)
-                self.next_update[due] = t + rtt[due]
-                self._sent_window[due] = 0.0
-                self._marked_window[due] = 0.0
+                alpha = (1.0 - DCTCP_G) * self.alpha[flows] + DCTCP_G * observed
+                self.alpha[flows] = alpha
+                marked_rtt = epoch_marked > 1e-9
+                slow_start = self.slow_start[flows] & ~marked_rtt
+                self.slow_start[flows] = slow_start
+                window = cwnd[flows]
+                window = np.where(
+                    marked_rtt,
+                    window * (1.0 - alpha / 2.0),
+                    np.where(slow_start, window * 2.0, window + 1.0),
+                )
+                if not clamped:
+                    # The reference clamps every window, due or not, so the
+                    # first update also pulls an out-of-range init_cwnd of
+                    # flows yet to start into range; later ones find it so.
+                    np.clip(cwnd, 1.0, CWND_CAP_PKTS, out=cwnd)
+                    clamped = True
+                cwnd[flows] = np.minimum(np.maximum(window, 1.0), CWND_CAP_PKTS)
+                next_update[flows] = t + rtt[due]
+                sent_window[flows] = 0.0
+                marked_window[flows] = 0.0
+
+            if n_done:
+                act = act[~finishing]
+                stale = True
 
             # --- queue sampling -------------------------------------------
             if sample_port is not None:
@@ -285,7 +408,7 @@ class FluidEngine:
                     sample_end is None or next_sample <= sample_end
                 ):
                     queue_samples.append(
-                        (next_sample, float(self.queue[sample_port]) / MTU)
+                        (next_sample, float(queue[sample_port]) / MTU)
                     )
                     next_sample += float(sample_interval)
 

@@ -3,9 +3,9 @@
 The packet engine marks individual packets at dequeue time; the fluid
 engine instead needs, per port and per time step, the *fraction* of the
 traffic that each AQM would have CE-marked.  This module provides
-vectorized "marker banks" -- one state machine per port, stepped for all
-ports of a fabric at once -- that mirror the decision logic of the
-packet-level classes in :mod:`repro.core`:
+vectorized "marker banks" -- one state machine per port, stepped together
+for whichever ports carry traffic or backlog -- that mirror the decision
+logic of the packet-level classes in :mod:`repro.core`:
 
 * ``sojourn-red`` / ``tcn``: step marking -- fraction 1 while the
   instantaneous sojourn time exceeds the threshold, else 0.
@@ -27,7 +27,7 @@ into packet-equivalent counts for the run's summary statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -38,7 +38,9 @@ _EPS = 1e-12
 
 @dataclass
 class StepMarks:
-    """Per-port marking outcome of one fluid step (fractions in [0, 1])."""
+    """Per-port marking outcome of one fluid step (fractions in [0, 1]),
+    aligned with the ``ports`` the bank was stepped on.  ``fraction`` is
+    zero wherever ``instant`` and ``persistent`` both are."""
 
     fraction: np.ndarray
     instant: np.ndarray
@@ -46,7 +48,13 @@ class StepMarks:
 
 
 class MarkerBank:
-    """Base class: one AQM marking state machine per port, vectorized."""
+    """Base class: one AQM marking state machine per port, vectorized.
+
+    A bank is stepped on the subset of its ports that carry traffic or
+    backlog.  A port outside that subset has zero sojourn, which every law
+    here answers with "no mark, state reset" -- so the caller skips such
+    ports and calls :meth:`forget` once when a port leaves the subset.
+    """
 
     def __init__(self, n_ports: int) -> None:
         if n_ports <= 0:
@@ -54,20 +62,30 @@ class MarkerBank:
         self.n_ports = n_ports
 
     def step(
-        self, sojourn: np.ndarray, now: float, dt: float, pkts: np.ndarray
+        self,
+        ports: np.ndarray,
+        sojourn: np.ndarray,
+        now: float,
+        dt: float,
+        pkts: np.ndarray,
     ) -> StepMarks:
-        """Marking fractions for the interval ``[now, now + dt)``.
+        """Marking fractions of ``ports`` for the interval ``[now, now + dt)``.
 
-        ``sojourn`` is each port's current queueing delay (seconds) and
-        ``pkts`` the packet-equivalents that traverse each port during the
-        step (used to turn discrete mark events into fractions).
+        ``ports`` indexes the bank; ``sojourn`` is each of those ports'
+        current queueing delay (seconds) and ``pkts`` the
+        packet-equivalents that traverse it during the step (used to turn
+        discrete mark events into fractions).
         """
         raise NotImplementedError
+
+    def forget(self, ports: np.ndarray) -> None:
+        """``ports`` drained and left the stepped subset: reset them, as
+        stepping them at zero sojourn would have."""
 
 
 class StepMarkerBank(MarkerBank):
     """Threshold step marking (``sojourn-red`` and ``tcn``): every packet
-    whose sojourn exceeds the threshold is marked."""
+    whose sojourn exceeds the threshold is marked.  Stateless."""
 
     def __init__(self, threshold: float, n_ports: int) -> None:
         super().__init__(n_ports)
@@ -75,13 +93,18 @@ class StepMarkerBank(MarkerBank):
             raise ValueError("threshold must be positive")
         self.threshold = threshold
 
-    def step(self, sojourn, now, dt, pkts) -> StepMarks:
+    def step(self, ports, sojourn, now, dt, pkts) -> StepMarks:
         fraction = np.where(sojourn > self.threshold, 1.0, 0.0)
         return StepMarks(
             fraction=fraction,
             instant=fraction,
-            persistent=np.zeros_like(fraction),
+            persistent=np.zeros(len(fraction)),
         )
+
+
+def _no_marks(n: int) -> StepMarks:
+    zeros = np.zeros(n)
+    return StepMarks(fraction=zeros, instant=zeros, persistent=zeros)
 
 
 class _PersistentLaw:
@@ -98,31 +121,53 @@ class _PersistentLaw:
         self.first_above = np.full(n_ports, np.nan)
         self.marking = np.zeros(n_ports, dtype=bool)
         self.count = np.zeros(n_ports)
+        # Whether any port may hold non-reset state.  A step leaves state
+        # only on the ports it saw above target, so while this is False
+        # and nobody is above target there is nothing to read or write.
+        self.tracking = False
 
-    def marks(self, sojourn: np.ndarray, now: float, dt: float) -> np.ndarray:
-        """Fractional mark events per port in ``[now, now + dt)``."""
+    def marks(
+        self, ports: np.ndarray, sojourn: np.ndarray, now: float, dt: float
+    ) -> Optional[np.ndarray]:
+        """Fractional mark events of ``ports`` in ``[now, now + dt)``;
+        None when no port is above target or tracked (no marks at all)."""
         below = sojourn < self.target
-        self.first_above[below] = np.nan
-        self.marking[below] = False
-        self.count[below] = 0.0
+        any_above = np.count_nonzero(below) < len(below)
+        if not (any_above or self.tracking):
+            return None
         above = ~below
-        fresh = above & np.isnan(self.first_above)
-        self.first_above[fresh] = now
+        first_above = self.first_above[ports]
+        marking = self.marking[ports]
+        count = self.count[ports]
+        first_above[below] = np.nan
+        marking[below] = False
+        count[below] = 0.0
+        fresh = above & np.isnan(first_above)
+        first_above[fresh] = now
         entering = (
-            above & ~self.marking
-            & (now + dt - self.first_above >= self.interval)
+            above & ~marking
+            & (now + dt - first_above >= self.interval)
         )
-        self.marking[entering] = True
-        self.count[entering] = 1.0
-        marks = np.zeros_like(sojourn)
+        marking[entering] = True
+        count[entering] = 1.0
+        marks = np.zeros(len(sojourn))
         # The first mark of an episode is discrete (Algorithm 1 marks the
         # packet that trips the detector); afterwards the shrinking
         # inter-mark gap interval/sqrt(count) becomes a rate.
         marks[entering] = 1.0
-        steady = self.marking & above & ~entering
-        marks[steady] = dt * np.sqrt(self.count[steady]) / self.interval
-        self.count[steady] += marks[steady]
+        steady = marking & above & ~entering
+        marks[steady] = dt * np.sqrt(count[steady]) / self.interval
+        count[steady] += marks[steady]
+        self.first_above[ports] = first_above
+        self.marking[ports] = marking
+        self.count[ports] = count
+        self.tracking = any_above
         return marks
+
+    def forget(self, ports: np.ndarray) -> None:
+        self.first_above[ports] = np.nan
+        self.marking[ports] = False
+        self.count[ports] = 0.0
 
 
 class CodelMarkerBank(MarkerBank):
@@ -132,14 +177,19 @@ class CodelMarkerBank(MarkerBank):
         super().__init__(n_ports)
         self.law = _PersistentLaw(target, interval, n_ports)
 
-    def step(self, sojourn, now, dt, pkts) -> StepMarks:
-        marks = self.law.marks(sojourn, now, dt)
+    def step(self, ports, sojourn, now, dt, pkts) -> StepMarks:
+        marks = self.law.marks(ports, sojourn, now, dt)
+        if marks is None:
+            return _no_marks(len(sojourn))
         fraction = np.clip(marks / np.maximum(pkts, _EPS), 0.0, 1.0)
         return StepMarks(
             fraction=fraction,
-            instant=np.zeros_like(fraction),
+            instant=np.zeros(len(fraction)),
             persistent=fraction,
         )
+
+    def forget(self, ports) -> None:
+        self.law.forget(ports)
 
 
 class EcnSharpMarkerBank(MarkerBank):
@@ -160,9 +210,12 @@ class EcnSharpMarkerBank(MarkerBank):
         self.ins_target = ins_target
         self.law = _PersistentLaw(pst_target, pst_interval, n_ports)
 
-    def step(self, sojourn, now, dt, pkts) -> StepMarks:
+    def step(self, ports, sojourn, now, dt, pkts) -> StepMarks:
+        marks = self.law.marks(ports, sojourn, now, dt)
+        if marks is None:
+            # Nobody reaches pst_target, so nobody exceeds ins_target.
+            return _no_marks(len(sojourn))
         instant = np.where(sojourn > self.ins_target, 1.0, 0.0)
-        marks = self.law.marks(sojourn, now, dt)
         persistent = np.clip(marks / np.maximum(pkts, _EPS), 0.0, 1.0)
         # Instantaneous marking takes precedence packet-by-packet (the
         # persistent machine still observes, matching the packet AQM).
@@ -171,6 +224,9 @@ class EcnSharpMarkerBank(MarkerBank):
         return StepMarks(
             fraction=fraction, instant=instant, persistent=persistent
         )
+
+    def forget(self, ports) -> None:
+        self.law.forget(ports)
 
 
 def build_marker_bank(
