@@ -371,6 +371,7 @@ class ResultCache:
     def store(self, spec: RunSpec, result: Any) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         entry = {"spec": spec.to_dict(), "code": _code_tag(), "result": result}
+        path = self.path(spec)  # the one key hash of a store
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
@@ -378,7 +379,7 @@ class ResultCache:
                 handle.write(payload)
                 handle.write(_CHECKSUM_MAGIC)
                 handle.write(hashlib.sha256(payload).digest())
-            os.replace(tmp, self.path(spec))
+            os.replace(tmp, path)
         except OSError:
             self._unlink_tmp(tmp)
             return
@@ -395,7 +396,7 @@ class ResultCache:
         if os.environ.get("REPRO_CHAOS"):
             from ..testing.chaos import chaos_cache_store
 
-            chaos_cache_store(self.path(spec))
+            chaos_cache_store(path)
 
     @staticmethod
     def _unlink_tmp(tmp: str) -> None:

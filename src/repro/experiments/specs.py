@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..settings import FIDELITIES
@@ -312,8 +313,25 @@ class RunSpec:
         )
 
     def spec_hash(self) -> str:
-        """Stable content hash of the spec (the cache key's spec half)."""
+        """Stable content hash of the spec (the token's identity half),
+        serialised and hashed once per object."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        """The memo holds the 64-char digest only -- keeping the canonical
+        JSON as well costs a 1000-cell replay +10 % peak RSS (DESIGN §7).
+        It lands in the instance ``__dict__``, outside the dataclass
+        fields, so ``==``, ``hash()``, ``to_dict()`` and ``replace()`` never
+        see it: every derived spec is a fresh object that hashes itself."""
         return stable_hash(self.to_dict())
+
+    def __getstate__(self) -> dict:
+        """The fields alone, so the bytes pickled to a pool worker or a
+        cache entry do not depend on whether the digest was computed."""
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
 
     def token(self) -> str:
         """Human-matchable identity string, ``kind|label|seed=N|hash16``.
@@ -374,7 +392,13 @@ class Cell:
         return iter(self.specs)
 
     def tokens(self) -> List[str]:
-        return [spec.token() for spec in self.specs]
+        return list(self._tokens)
+
+    @cached_property
+    def _tokens(self) -> Tuple[str, ...]:
+        """Built once per cell: a campaign asks on every resume walk,
+        settle and lease round."""
+        return tuple(spec.token() for spec in self.specs)
 
     def with_fidelity(self, fidelity: str) -> "Cell":
         """The same cell with every spec at another fidelity."""

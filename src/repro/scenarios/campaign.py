@@ -18,6 +18,10 @@ campaign's store is byte-identical to an uninterrupted one.
 Crash safety: the store is append-only, one JSON object per line, flushed
 and fsynced per shard; a torn trailing line (the process died mid-write) is
 skipped with a warning on load and its cell simply re-executes.
+
+Reading is incremental: a reused store (a daemon revalidating, a
+``--shared`` worker re-loading every shard) parses only the lines appended
+since its last load (:class:`JsonlTail`).
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..experiments.executor import (
     Executor,
@@ -46,6 +51,8 @@ __all__ = [
     "CampaignStore",
     "CampaignResult",
     "StoreLoadStats",
+    "JsonlTail",
+    "canonical_json",
     "read_jsonl_rows",
     "needs_trailing_newline",
     "run_campaign",
@@ -56,6 +63,11 @@ __all__ = [
 DEFAULT_STORE = "campaign.jsonl"
 
 RecordKey = Tuple[str, Tuple[str, ...]]  # (scenario content hash, spec tokens)
+
+
+def canonical_json(row: Any) -> str:
+    """The one serialisation of a store, sidecar or ledger line."""
+    return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,13 @@ class CellRecord:
     @property
     def key(self) -> RecordKey:
         return (self.scenario_hash, self.tokens)
+
+    @cached_property
+    def line(self) -> str:
+        """The record's canonical store line (no newline), serialised once
+        per object: fingerprinting a store that was already fingerprinted
+        is a sort and a join."""
+        return canonical_json(self.to_dict())
 
     def to_dict(self) -> Dict[str, Any]:
         data = {
@@ -134,27 +153,109 @@ class StoreLoadStats:
     torn_lines: int = 0
 
 
+class JsonlTail:
+    """Incremental reader of one append-only JSONL file -- the one parse
+    loop behind the store, its sidecars and the lease ledger.
+
+    The first :meth:`read` parses the whole file; a later one on the same
+    instance parses only what was appended since.  The reader remembers the
+    file's ``(st_dev, st_ino)``, the offset it has consumed -- newline-
+    terminated lines only: an unterminated tail (a crash mid-write, or a
+    writer caught mid-append) is handed out as *unsettled* and read again
+    next time -- and the ``GUARD`` bytes before that offset.  A missing,
+    shrunken or replaced file, or a guard that no longer matches, means the
+    prefix cannot be trusted and the whole file is parsed again.  What it
+    cannot see is an in-place rewrite that keeps inode, length and guard:
+    writers append or atomically replace, they never edit.
+    """
+
+    GUARD = 64
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self._forget()
+
+    def _forget(self) -> None:
+        self._file: Optional[Tuple[int, int]] = None
+        self._offset = 0
+        self._guard = b""
+        self._lines = 0  # physical lines consumed, for line numbers
+
+    def read(
+        self,
+    ) -> Tuple[bool, Iterator[Tuple[int, Optional[Dict[str, Any]], bool]]]:
+        """``(rewound, rows)``.  ``rewound`` tells the caller to drop what
+        earlier reads gave it: ``rows`` start at line 1 again.  ``rows``
+        streams ``(line number, row, settled)`` for every non-blank line
+        not yet consumed; ``row`` is ``None`` for a line that is not a JSON
+        object (a torn or foreign write), and an unsettled line belongs to
+        this read's view only.  Exhaust ``rows``: stopping early forgets
+        the file, so the next read starts over."""
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            self._forget()
+            return True, iter(())
+        try:
+            stat = os.fstat(handle.fileno())
+            resumed = (
+                self._file == (stat.st_dev, stat.st_ino)
+                and stat.st_size >= self._offset
+                and self._read_guard(handle) == self._guard
+            )
+        except BaseException:
+            handle.close()
+            raise
+        if not resumed:
+            self._forget()
+            self._file = (stat.st_dev, stat.st_ino)
+        return not resumed, self._rows(handle)
+
+    def _read_guard(self, handle: BinaryIO) -> bytes:
+        start = max(0, self._offset - self.GUARD)
+        handle.seek(start)
+        return handle.read(self._offset - start)
+
+    def _rows(
+        self, handle: BinaryIO
+    ) -> Iterator[Tuple[int, Optional[Dict[str, Any]], bool]]:
+        offset, lines = self._offset, self._lines
+        exhausted = False
+        try:
+            with handle:
+                handle.seek(offset)
+                for raw in handle:
+                    settled = raw.endswith(b"\n")
+                    if settled:
+                        offset += len(raw)
+                        lines += 1
+                    if raw.isspace():
+                        continue
+                    try:
+                        row = json.loads(raw.decode("utf-8"))
+                    except ValueError:  # not JSON, or not UTF-8
+                        row = None
+                    yield (
+                        lines if settled else lines + 1,
+                        row if isinstance(row, dict) else None,
+                        settled,
+                    )
+                self._offset, self._lines = offset, lines
+                self._guard = self._read_guard(handle)
+            exhausted = True
+        finally:
+            if not exhausted:
+                self._forget()
+
+
 def read_jsonl_rows(path: Path) -> List[Dict[str, Any]]:
     """The readable object rows of an append-only JSONL file, in append
     order.  A line that does not parse -- or parses to anything but a JSON
     object -- is a torn or foreign write and is skipped; a missing file
-    has no rows.  The store's sidecars, the lease ledger and the obs
-    report's trend file all read through here."""
-    rows: List[Dict[str, Any]] = []
-    if not path.exists():
-        return rows
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(row, dict):
-                rows.append(row)
-    return rows
+    has no rows.  The store's resources sidecar and the obs report's trend
+    file read through here."""
+    _, rows = JsonlTail(path).read()
+    return [row for _, row, _ in rows if row is not None]
 
 
 def needs_trailing_newline(path: Path) -> bool:
@@ -192,6 +293,7 @@ class CampaignStore:
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
         self.load_stats = StoreLoadStats()
+        self._tail = JsonlTail(self.path)
 
     @property
     def resources_path(self) -> Path:
@@ -216,43 +318,45 @@ class CampaignStore:
             if needs_newline:
                 handle.write("\n")
             for row in rows:
-                handle.write(
-                    json.dumps(row, sort_keys=True, separators=(",", ":"))
-                )
-                handle.write("\n")
+                handle.write(canonical_json(row) + "\n")
 
     def load_resources(self) -> List[Dict[str, Any]]:
         """All readable sidecar rows, in append order (torn lines skipped)."""
         return read_jsonl_rows(self.resources_path)
 
     def load(self) -> Dict[RecordKey, CellRecord]:
-        """Record index, latest record per key winning.  Unparseable lines
-        (torn trailing write from a crash) are skipped with a warning and
-        counted in :attr:`load_stats`."""
-        index: Dict[RecordKey, CellRecord] = {}
-        stats = StoreLoadStats()
-        self.load_stats = stats
-        if not self.path.exists():
-            return index
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                stats.lines += 1
-                try:
-                    record = CellRecord.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    stats.torn_lines += 1
+        """Record index, latest record per key winning.  The first call on
+        an instance parses the whole file, later ones only what was
+        appended since (:class:`JsonlTail`); each returns its own dict.
+        Unparseable lines (torn trailing write from a crash) are skipped,
+        warned about when first parsed, and counted in :attr:`load_stats`,
+        which always describes the whole file."""
+        rewound, rows = self._tail.read()
+        if rewound:  # always on an instance's first load
+            self._index: Dict[RecordKey, CellRecord] = {}
+            self._stats = StoreLoadStats()
+            self._warned = 0  # last line number warned about
+        index, stats = self._index, self._stats
+        for line_no, row, settled in rows:
+            if not settled:  # may yet be completed: this view only
+                index, stats = dict(index), replace(stats)
+            stats.lines += 1
+            try:
+                record = CellRecord.from_dict(row)
+            except (KeyError, TypeError):
+                stats.torn_lines += 1
+                if line_no > self._warned:
+                    self._warned = line_no
                     warnings.warn(
                         f"{self.path}:{line_no}: skipping unreadable record "
                         "(torn write from an interrupted campaign?)",
                         stacklevel=2,
                     )
-                    continue
-                stats.records += 1
-                index[record.key] = record
-        return index
+                continue
+            stats.records += 1
+            index[record.key] = record
+        self.load_stats = replace(stats)
+        return dict(index)
 
     def append(self, records: Sequence[CellRecord]) -> None:
         """Append one shard's records, fsynced so a crash after return
@@ -260,11 +364,7 @@ class CampaignStore:
         if not records:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = "".join(
-            json.dumps(record.to_dict(), sort_keys=True,
-                       separators=(",", ":")) + "\n"
-            for record in records
-        )
+        payload = "".join(record.line + "\n" for record in records)
         die_after_write = False
         if os.environ.get("REPRO_CHAOS"):
             from ..testing.chaos import CHAOS_EXIT_CODE, chaos_store_append
@@ -324,6 +424,7 @@ def _package_version() -> str:
 def _settle(
     compiled: CompiledScenario,
     cell: Cell,
+    key: RecordKey,
     runs: Sequence[Any],
     provenance: Tuple[Optional[str], str],
 ) -> CellRecord:
@@ -331,10 +432,10 @@ def _settle(
     sha, version = provenance
     return CellRecord(
         scenario=compiled.scenario.name,
-        scenario_hash=compiled.scenario.content_hash(),
+        scenario_hash=key[0],
         cell_key=cell.key,
         component=cell.group,
-        tokens=tuple(cell.tokens()),
+        tokens=key[1],
         status=summary["status"],
         metrics=summary["metrics"],
         failures=tuple(summary["failures"]),
@@ -373,20 +474,22 @@ def _cell_resources(
     }
 
 
-def _iter_cells(
-    compiled: Sequence[CompiledScenario],
-) -> Iterator[Tuple[CompiledScenario, Cell, str]]:
-    """Cells in deterministic scenario-order x cell-order with each
-    scenario's content hash computed once."""
+PendingCell = Tuple[CompiledScenario, Cell, RecordKey]
+
+
+def _iter_cells(compiled: Sequence[CompiledScenario]) -> Iterator[PendingCell]:
+    """Cells in deterministic scenario-order x cell-order, each with its
+    record key; a scenario's content hash is computed once, here, and
+    travels in the key from then on."""
     for comp in compiled:
         scenario_hash = comp.scenario.content_hash()
         for cell in comp.cells:
-            yield comp, cell, scenario_hash
+            yield comp, cell, (scenario_hash, tuple(cell.tokens()))
 
 
 def _execute_shard(
     executor: Executor,
-    shard: Sequence[Tuple[CompiledScenario, Cell]],
+    shard: Sequence[PendingCell],
     provenance: Tuple[Optional[str], str],
     result: CampaignResult,
     progress: Optional[Any],
@@ -394,7 +497,7 @@ def _execute_shard(
     """Execute one shard through the executor and settle its records
     (store appends are the caller's job -- shared mode does them under
     the store lock)."""
-    cells = [cell for _, cell in shard]
+    cells = [cell for _, cell, _ in shard]
     retried_before = executor.stats.retried
     outcomes = executor.run([spec for cell in cells for spec in cell.specs])
     if progress is not None:
@@ -402,12 +505,12 @@ def _execute_shard(
             progress.retry()
     shard_records: List[CellRecord] = []
     shard_resources: List[Dict[str, Any]] = []
-    for (comp, cell), runs, cell_attrs in zip(
+    for (comp, cell, key), runs, cell_attrs in zip(
         shard,
         split_by_cell(cells, outcomes),
         split_by_cell(cells, executor.last_run_attribution),
     ):
-        record = _settle(comp, cell, runs, provenance)
+        record = _settle(comp, cell, key, runs, provenance)
         shard_records.append(record)
         result.records.append(record)
         result.executed_cells += 1
@@ -450,17 +553,18 @@ def _run_single(
     """The single-writer path: no locks, no leases, store byte-identical
     to the pre-coordination format."""
     index = store.load()
-    pending: List[Tuple[CompiledScenario, Cell]] = []
+    pending: List[PendingCell] = []
     skipped: List[Tuple[str, str]] = []
-    for comp, cell, scenario_hash in _iter_cells(compiled):
-        record = index.get((scenario_hash, tuple(cell.tokens())))
+    for item in _iter_cells(compiled):
+        comp, cell, key = item
+        record = index.get(key)
         if record is not None and record.status == "ok":
             result.records.append(record)
             result.skipped_cells += 1
             skipped.append((comp.scenario.name, cell.key))
             _notify(comp.scenario.name, cell.key, "skipped")
         else:
-            pending.append((comp, cell))
+            pending.append(item)
     if max_cells is not None:
         pending = pending[:max_cells]
     if progress is not None:
@@ -499,11 +603,12 @@ def _run_shared(
     """The multi-writer path: claim pending cells through the lease board
     under the store lock, execute outside it, append + release under it.
 
-    Each iteration re-loads the store (other workers append concurrently),
-    accounts newly-ok cells as skipped, claims up to one shard of free or
-    stale-leased cells, and stops when nothing is claimable -- either the
-    campaign is done or every remaining cell is leased to a live worker
-    (rerun later to pick up whatever they drop).
+    Each iteration re-loads the store (other workers append concurrently;
+    the one ``store`` and ``board`` read only what was appended since the
+    last round), accounts newly-ok cells as skipped, claims up to one
+    shard of free or stale-leased cells, and stops when nothing is
+    claimable -- either the campaign is done or every remaining cell is
+    leased to a live worker (rerun later to pick up whatever they drop).
     """
     from .coordination import (
         DEFAULT_LEASE_TTL,
@@ -521,7 +626,10 @@ def _run_shared(
     lock = StoreLock(store.lock_path, timeout=timeout)
     board = LeaseBoard(store.leases_path, ttl=ttl)
     shard_size = max(1, executor.jobs) * 4
-    accounted: Set[RecordKey] = set()
+    # Cells this pass has neither skipped nor executed yet, in grid order.
+    remaining: Dict[RecordKey, PendingCell] = {
+        item[2]: item for item in _iter_cells(compiled)
+    }
     budget = max_cells
 
     while True:
@@ -532,26 +640,18 @@ def _run_shared(
         with lock:
             index = store.load()
             newly_skipped: List[Tuple[str, str]] = []
-            pending_keys: List[RecordKey] = []
-            by_key: Dict[RecordKey, Tuple[CompiledScenario, Cell]] = {}
-            for comp, cell, scenario_hash in _iter_cells(compiled):
-                key: RecordKey = (scenario_hash, tuple(cell.tokens()))
-                if key in accounted:
-                    continue
+            for key, (comp, cell, _) in list(remaining.items()):
                 record = index.get(key)
                 if record is not None and record.status == "ok":
-                    accounted.add(key)
+                    del remaining[key]
                     result.records.append(record)
                     result.skipped_cells += 1
                     newly_skipped.append((comp.scenario.name, cell.key))
-                else:
-                    pending_keys.append(key)
-                    by_key[key] = (comp, cell)
             limit = (
                 shard_size if budget is None else min(shard_size, budget)
             )
             claimable, reclaimed = board.partition(
-                pending_keys, worker, limit=limit
+                list(remaining), worker, limit=limit
             )
             if claimable:
                 board.claim(claimable, worker)
@@ -570,7 +670,7 @@ def _run_shared(
             if telemetry is not None:
                 telemetry.on_lease_reclaim(prev_worker)
 
-        shard = [by_key[key] for key in claimable]
+        shard = [remaining.pop(key) for key in claimable]
         shard_records, shard_resources = _execute_shard(
             executor, shard, provenance, result, progress
         )
@@ -578,7 +678,6 @@ def _run_shared(
             store.append(shard_records)
             store.append_resources(shard_resources)
             board.release(claimable, worker)
-        accounted.update(claimable)
         if budget is not None:
             budget -= len(claimable)
 

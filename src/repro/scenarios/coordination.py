@@ -33,7 +33,6 @@ adds what a fleet of workers sharing one campaign needs on top:
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
@@ -44,9 +43,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .campaign import (
     CampaignStore,
     CellRecord,
+    JsonlTail,
     RecordKey,
+    canonical_json,
     needs_trailing_newline,
-    read_jsonl_rows,
 )
 
 __all__ = [
@@ -275,9 +275,10 @@ class LeaseBoard:
     One JSON object per line (``key``, ``worker``, ``state``, ``t``);
     the latest line per key wins.  All mutation happens under the
     :class:`StoreLock`, so appends never interleave; torn lines from a
-    crash are skipped on load exactly like the main store's.  The file is
-    coordination state, not campaign state: deleting it merely releases
-    every lease.
+    crash are skipped on load exactly like the main store's, and like the
+    main store a reused board reads only the rows appended since its last
+    load.  The file is coordination state, not campaign state: deleting it
+    merely releases every lease.
     """
 
     def __init__(
@@ -287,11 +288,17 @@ class LeaseBoard:
         if ttl <= 0:
             raise ValueError("lease ttl must be positive")
         self.ttl = ttl
+        self._tail = JsonlTail(self.path)
 
     def load(self) -> Dict[RecordKey, Lease]:
-        index: Dict[RecordKey, Lease] = {}
-        for row in read_jsonl_rows(self.path):
-            key = _key_from_json(row.get("key"))
+        rewound, rows = self._tail.read()
+        if rewound:  # always on an instance's first load
+            self._index: Dict[RecordKey, Lease] = {}
+        index = self._index
+        for _, row, settled in rows:
+            if not settled:  # may yet be completed: this view only
+                index = dict(index)
+            key = _key_from_json(row.get("key")) if row else None
             if key is None:
                 continue
             try:
@@ -303,7 +310,7 @@ class LeaseBoard:
             except (KeyError, TypeError, ValueError):
                 continue
             index[key] = lease
-        return index
+        return dict(index)
 
     def partition(
         self,
@@ -378,11 +385,7 @@ class LeaseBoard:
         with open(self.path, "a", encoding="utf-8") as handle:
             if needs_newline:
                 handle.write("\n")
-            for row in rows:
-                handle.write(
-                    json.dumps(row, sort_keys=True, separators=(",", ":"))
-                )
-                handle.write("\n")
+            handle.write("".join(canonical_json(row) + "\n" for row in rows))
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -591,9 +594,13 @@ def merge_stores(
             if isinstance(output, CampaignStore)
             else CampaignStore(output)
         )
-        _write_canonical(out_store.path, result.records)
+        _write_lines_atomic(
+            out_store.path, (record.line for record in result.records)
+        )
         if merged_resources:
-            _write_jsonl_atomic(out_store.resources_path, merged_resources)
+            _write_lines_atomic(
+                out_store.resources_path, map(canonical_json, merged_resources)
+            )
     return result
 
 
@@ -621,30 +628,13 @@ def merge_resources(
     return merged, total
 
 
-def _write_canonical(path: Path, records: Sequence[CellRecord]) -> None:
-    """Atomically (re)write ``path`` as one canonical record per line."""
+def _write_lines_atomic(path: Path, lines: Iterable[str]) -> None:
+    """Atomically (re)write ``path``, one line per item."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".merge-tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(record.to_dict(), sort_keys=True,
-                           separators=(",", ":"))
-            )
-            handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-def _write_jsonl_atomic(path: Path, rows: Sequence[Dict[str, object]]) -> None:
-    """Atomically (re)write ``path`` as one compact JSON row per line."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".merge-tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
+        for line in lines:
+            handle.write(line + "\n")
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -654,10 +644,10 @@ def fingerprint_records(records: Iterable[CellRecord]) -> bytes:
     """Canonical bytes of a set of settled cells: sorted, serialized
     exactly as the store writes them.  The service's store index calls
     this on records it already holds in memory, avoiding a second disk
-    read per revalidation."""
+    read per revalidation -- and, each record keeping its line once
+    serialised, a second ``json.dumps`` per record too."""
     lines = [
-        json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
-        for record in sorted(records, key=_canonical_sort_key)
+        record.line for record in sorted(records, key=_canonical_sort_key)
     ]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 

@@ -157,16 +157,14 @@ class ResultsService:
         cache_state = "hit"
         if body is None:
             cache_state = "miss"
-            merged: Dict[str, object] = {"query": query.canonical(),
-                                         "mode": query.mode}
-            rows: List[Dict[str, object]] = []
-            for entry in entries:
-                result = run_query(entry.records, query, store=entry.name)
-                rows.extend(result.get("cells", []))
             if query.mode == "cells":
-                merged["cells"] = rows
-                merged["count"] = len(rows)
-                body = render(merged, fmt)
+                # Per store, so each row names the store it came from.
+                rows: List[Dict[str, object]] = []
+                for entry in entries:
+                    result = run_query(entry.records, query, store=entry.name)
+                    rows.extend(result["cells"])
+                body = render({"query": query.canonical(), "mode": query.mode,
+                               "cells": rows, "count": len(rows)}, fmt)
             else:
                 # Re-aggregate across stores so a multi-store summary is a
                 # single grouping pass, not a summary of summaries.
@@ -285,9 +283,9 @@ def _hashed_json(payload: object, headers: Dict[str, str],
 # -------------------------------------------------------------------- HTTP
 
 class _Handler(BaseHTTPRequestHandler):
-    """Thin socket adapter over :meth:`ResultsService.dispatch`."""
+    """Thin socket adapter over :meth:`ResultsService.dispatch`; the
+    service is the server's (``self.server.service``, see _make_server)."""
 
-    service: ResultsService  # injected by _make_server
     server_version = "repro-results/1"
     protocol_version = "HTTP/1.1"
 
@@ -305,13 +303,14 @@ class _Handler(BaseHTTPRequestHandler):
             "Accept": self.headers.get("Accept", ""),
             "If-None-Match": self.headers.get("If-None-Match", ""),
         }
+        service: ResultsService = self.server.service
         try:
-            response = self.service.dispatch(parsed.path, params, headers)
+            response = service.dispatch(parsed.path, params, headers)
         except Exception as exc:  # pragma: no cover - defensive
             response = _error(500, f"internal error: {exc}", "error")
         # Count before writing: a client that pipelines a /metricz right
         # after this response must already see this request counted.
-        self.service.telemetry.on_service_request(
+        service.telemetry.on_service_request(
             response.endpoint, response.status, response.cache_state,
             time.perf_counter() - started,
         )
@@ -331,8 +330,11 @@ class _Handler(BaseHTTPRequestHandler):
 
 def _make_server(service: ResultsService, host: str,
                  port: int) -> ThreadingHTTPServer:
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    server = ThreadingHTTPServer((host, port), handler)
+    server = ThreadingHTTPServer((host, port), _Handler)
+    # On the instance, not on a per-server handler class: a class is a
+    # reference cycle, and a closed server's parsed stores would stay
+    # resident until the next full garbage collection.
+    server.service = service
     # Drain semantics: stop accepting on shutdown(), then server_close()
     # joins the in-flight handler threads instead of abandoning them.
     server.daemon_threads = False

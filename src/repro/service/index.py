@@ -1,12 +1,15 @@
 """Store discovery and stat-probe revalidation for the results service.
 
-The index is the daemon's only path to disk.  A store is loaded (parsed,
+The index is the daemon's only path to disk.  A store is loaded (read,
 fingerprinted, its sidecar read) at most once per *content change*: every
 request re-stats the store and its ``.resources.jsonl`` sidecar -- two
 ``stat(2)`` calls, no reads -- and reuses the cached entry whenever
 ``(mtime_ns, size)`` of both files are unchanged.  Appends by concurrent
 ``--shared`` writers bump the probe, so fresh cells become visible on the
-next request without restarting the daemon.
+next request without restarting the daemon -- and because the index keeps
+one :class:`~repro.scenarios.campaign.CampaignStore` per name, that load
+parses and serialises only the appended lines; a replaced or shrunken file
+is parsed again in full.
 
 The ``service_store_loads_total`` counter increments only on an actual
 parse, which is how tests assert that warm queries do zero store reads.
@@ -70,6 +73,7 @@ class StoreIndex:
         self.telemetry = telemetry
         self.store_loads = 0
         self._entries: Dict[str, StoreEntry] = {}
+        self._stores: Dict[str, CampaignStore] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ discovery
@@ -103,7 +107,7 @@ class StoreIndex:
         path = self._path_of(name)
         if path is None or not path.is_file():
             return None
-        store = CampaignStore(path)
+        store = self._stores.setdefault(name, CampaignStore(path))
         probe: Probe = _probe_one(path) + _probe_one(store.resources_path)
         with self._lock:
             entry = self._entries.get(name)

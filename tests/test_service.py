@@ -275,6 +275,41 @@ class TestDispatch:
         assert changed.status == 200
         assert changed.etag != first.etag
 
+    def test_cold_query_is_one_pass_over_the_records(self, tmp_path,
+                                                     monkeypatch):
+        """A cache miss filters the records once -- in summary mode the
+        per-store pass used to run too, and its rows were thrown away."""
+        from repro.service import query as query_module
+
+        passes = []
+        real = query_module._cell_rows
+        monkeypatch.setattr(
+            query_module, "_cell_rows",
+            lambda *args, **kwargs: passes.append(1) or real(*args, **kwargs))
+        make_store(tmp_path / "b.jsonl", [record(token="t2")])
+        svc = self.service(tmp_path)
+        for n, params in enumerate(
+                ({"metric": "fct"}, {"store": "a"}, {"scenario": "fig10"}), 1):
+            assert svc.dispatch("/query", params, {}).cache_state == "miss"
+            assert len(passes) == n
+        svc.dispatch("/query", {"mode": "cells"}, {})  # one pass per store
+        assert len(passes) == 5
+
+    def test_two_store_summary_is_one_grouping_pass(self, tmp_path):
+        a = [record(token="t1", metrics={"fct": 1.0}),
+             record(token="t2", metrics={"fct": 5.0})]
+        b = [record(token="t3", metrics={"fct": 3.0})]
+        make_store(tmp_path / "b.jsonl", b)
+        svc = self.service(tmp_path, a)
+        for fmt in ("json", "csv"):
+            response = svc.dispatch("/query", {"format": fmt}, {})
+            assert response.body == render(run_query(a + b, Query()), fmt)
+        summary = json.loads(svc.dispatch("/query", {"metric": "fct"}, {}).body)
+        assert summary["cells_matched"] == 3
+        assert summary["summaries"][0]["count"] == 3
+        cells = json.loads(svc.dispatch("/query", {"mode": "cells"}, {}).body)
+        assert [row["store"] for row in cells["cells"]] == ["a", "a", "b"]
+
     def test_etag_varies_by_query_and_format(self, tmp_path):
         svc = self.service(tmp_path)
         a = svc.dispatch("/query", {"metric": "fct"}, {})

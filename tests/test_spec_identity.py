@@ -1,0 +1,220 @@
+"""Spec identity is computed once per object and never changes a byte.
+
+``RunSpec`` memoises its 64-char digest and ``Cell`` its token tuple; these
+tests pin the digests, tokens and cache keys captured at the commit before
+the memo existed, show that no way of deriving a spec can carry a stale
+digest, that a warmed memo is invisible to ``==`` / ``hash`` / ``to_dict`` /
+pickle, and that a cache and a store laid out by the pre-memo formulas
+replay with zero executions.
+"""
+
+import copy
+import hashlib
+import json
+import pickle
+from dataclasses import fields, replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.experiments import executor as executor_module
+from repro.experiments.executor import (
+    _CHECKSUM_MAGIC,
+    CACHE_SCHEMA_VERSION,
+    Executor,
+    ResultCache,
+)
+from repro.experiments.specs import AqmSpec, Cell, RunSpec, stable_hash
+from repro.scenarios import compile_scenario, run_campaign
+
+from test_scenarios_campaign import tiny_scenario
+
+
+def pinned_specs():
+    sharp = AqmSpec.make("ecn-sharp", ins_target=0.0002, pst_target=8.5e-05,
+                         pst_interval=0.0002)
+    return {
+        "star": RunSpec.star(
+            sharp, "web-search", 0.5, 200, seed=7, label="ECN#",
+            variation=3.0, rtt_min=7e-05),
+        "leafspine": RunSpec.leafspine(
+            AqmSpec.make("sojourn-red", sojourn=0.00022), "data-mining", 0.4,
+            500, seed=11, label="DCTCP-RED-Tail",
+            transport={"init_cwnd": 10.0}, dims=(4, 4, 4),
+            oversubscription=2.0),
+        "microscopic": RunSpec.microscopic(
+            AqmSpec.make("codel", target=1e-05, interval=0.00024), seed=3,
+            label="CoDel", fanout=100, burst_time=0.05),
+        "fluid": RunSpec.star(
+            sharp, "web-search", 0.7, 300, seed=2, label="ECN#",
+        ).with_fidelity("fluid"),
+    }
+
+
+# name -> (token, spec_hash, ResultCache.key under PINNED_CODE_TAG), captured
+# at bb9314c, the last commit that hashed on every call.
+PINNED_CODE_TAG = "1.1.0/schema2"
+PINNED = {
+    "star": (
+        "star|ECN#|seed=7|2ddd1e51b63c56cf",
+        "2ddd1e51b63c56cf2ab5e90b8fec3d693d5a3bbb954b8eb67ca5fb3fae8e6200",
+        "74eb25e6559d0bd131374967ec157e97dde14d015af2d6b36f322b08acfe9949",
+    ),
+    "leafspine": (
+        "leafspine|DCTCP-RED-Tail|seed=11|cdf931c49faad209",
+        "cdf931c49faad20919dd66b96cc11cb76796e8cf606dcb0e1fefc0ad31313b72",
+        "6a22b6cc105876b21c7913294ae82b0a5db99bb7a2e0ace02f2f544915908923",
+    ),
+    "microscopic": (
+        "microscopic|CoDel|seed=3|98b64aae381c6815",
+        "98b64aae381c6815b10da2f69f52f2911cfdf7b1183a5e2e97e07657c2e74bb4",
+        "2d44e09447051ed65ac19fcda30ab2a4ae53aef752ddd7277ce7f60b041a7a09",
+    ),
+    "fluid": (
+        "star|ECN#|seed=2|e749a20da9ab8e35",
+        "e749a20da9ab8e352b3ad3535d63d55e735446a2f6ebd97b3bb1750489427e41",
+        "13e88395586a7bd9e6858cb13325aa80e285273e1c8457e111f0b1e03128ddc8",
+    ),
+}
+# sha256 of pickle.dumps(spec, HIGHEST_PROTOCOL) at the same commit: what a
+# pool worker is sent.
+PINNED_PICKLE_SHA = {
+    "star": "9cdeb7911f57a9149318c9d88a9d6d6fab2359e89baa36771f609a2ba7aa72b8",
+    "leafspine":
+        "e3e61d24983905cfbc95a090e7968a7f944873d0a665228e8f94d1567f135f68",
+    "microscopic":
+        "bda61ee463014e55e21d1e29c7d6a9e3a74c334ad53723b0fd0f765137716286",
+    "fluid": "4ca9990f2042ab9b0f851388c827b3d1dd6e5fa916aee44a1fef46f66ce333e3",
+}
+
+
+class TestPinnedIdentity:
+    def test_token_hash_and_cache_key_literals(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(executor_module, "_code_tag",
+                            lambda: PINNED_CODE_TAG)
+        cache = ResultCache(tmp_path)
+        for name, spec in pinned_specs().items():
+            for _ in range(2):  # computed, then memoised
+                assert (spec.token(), spec.spec_hash(),
+                        cache.key(spec)) == PINNED[name]
+
+    def test_pickled_bytes_ignore_the_memo(self):
+        for name, spec in pinned_specs().items():
+            cold = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
+            spec.token()
+            assert pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL) == cold
+            assert hashlib.sha256(cold).hexdigest() == PINNED_PICKLE_SHA[name]
+
+    def test_warm_memo_is_invisible(self):
+        for warm, cold in zip(pinned_specs().values(),
+                              pinned_specs().values()):
+            warm.spec_hash()
+            assert warm == cold and hash(warm) == hash(cold)
+            assert warm.to_dict() == cold.to_dict()
+            assert repr(warm) == repr(cold)
+            assert [f.name for f in fields(warm)] == [
+                f.name for f in fields(cold)]
+
+    def test_cell_tokens_memo_hands_out_fresh_lists(self):
+        spec = pinned_specs()["star"]
+        cell = Cell.pooled("g", "k", spec, 2)
+        first = cell.tokens()
+        assert first == [spec.token(), spec.with_seed(8).token()]
+        first.append("scribble")
+        assert cell.tokens() == first[:2]
+        fluid = cell.with_fidelity("fluid")
+        assert fluid.tokens() == [s.token() for s in fluid.specs] != first[:2]
+
+
+DERIVATIONS = {
+    "with_seed": lambda spec, n: spec.with_seed(spec.seed + n),
+    "with_fidelity": lambda spec, n: spec.with_fidelity(
+        ("packet", "fluid")[n % 2]),
+    "replace": lambda spec, n: replace(spec, label=f"{spec.label}{n}"),
+    "round_trip": lambda spec, n: RunSpec.from_dict(
+        json.loads(json.dumps(spec.to_dict()))),
+    "copy": lambda spec, n: copy.copy(spec),
+    "deepcopy": lambda spec, n: copy.deepcopy(spec),
+    "pickle": lambda spec, n: pickle.loads(pickle.dumps(spec)),
+}
+
+
+class TestMemoSafety:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        start=st.sampled_from(sorted(PINNED)),
+        steps=st.lists(
+            st.tuples(st.sampled_from(sorted(DERIVATIONS)),
+                      st.integers(0, 3), st.booleans()),
+            max_size=8),
+    )
+    def test_no_derivation_carries_a_stale_digest(self, start, steps):
+        spec = pinned_specs()[start]
+        for name, n, warm_first in steps:
+            if warm_first:
+                spec.token()
+            spec = DERIVATIONS[name](spec, n)
+            digest = stable_hash(spec.to_dict())
+            assert spec.spec_hash() == digest
+            assert spec.token().endswith("|" + digest[:16])
+
+
+def parent_token(spec):
+    """``RunSpec.token`` as the pre-memo code spelled it."""
+    digest = hashlib.sha256(json.dumps(
+        spec.to_dict(), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")).hexdigest()
+    return (f"{spec.kind}|{spec.label or spec.aqm.kind}|"
+            f"seed={spec.seed}|{digest[:16]}")
+
+
+def write_parent_cache_entry(directory, spec, result):
+    """One cache entry laid out by the pre-memo formulas, written without
+    going through ``ResultCache``."""
+    code = f"{repro.__version__}/schema{CACHE_SCHEMA_VERSION}"
+    key = hashlib.sha256(json.dumps(
+        {"spec": spec.to_dict(), "code": code},
+        sort_keys=True, separators=(",", ":"),
+    ).encode("utf-8")).hexdigest()
+    payload = pickle.dumps({"spec": spec.to_dict(), "code": code,
+                            "result": result},
+                           protocol=pickle.HIGHEST_PROTOCOL)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{key}.pkl").write_bytes(
+        payload + _CHECKSUM_MAGIC + hashlib.sha256(payload).digest())
+
+
+class TestParentArtifactsReplay:
+    def test_parent_layout_cache_and_store_replay_without_executing(
+        self, tmp_path
+    ):
+        scenario = tiny_scenario()
+        compiled = compile_scenario(scenario)
+        specs = compiled.specs()
+        reference = run_campaign(
+            [scenario], tmp_path / "reference.jsonl",
+            Executor(jobs=1, cache=False, retries=0))
+        results = Executor(jobs=1, cache=False, retries=0).run(specs)
+        for spec, result in zip(specs, results):
+            write_parent_cache_entry(tmp_path / "cache", spec, result)
+
+        executor = Executor(jobs=1, cache=True, cache_dir=tmp_path / "cache")
+        replay = run_campaign([scenario], tmp_path / "replay.jsonl", executor)
+        assert executor.stats.executed == 0
+        assert executor.stats.cache_hits == len(specs)
+        assert replay.executed_cells == len(compiled.cells)
+
+        # A store whose lines and tokens are spelled out the pre-memo way.
+        parent_store = tmp_path / "parent.jsonl"
+        with open(parent_store, "w", encoding="utf-8") as handle:
+            for cell, record in zip(compiled.cells, reference.records):
+                row = record.to_dict()
+                row["tokens"] = [parent_token(spec) for spec in cell.specs]
+                handle.write(json.dumps(row, sort_keys=True,
+                                        separators=(",", ":")) + "\n")
+        assert parent_store.read_bytes() == (
+            tmp_path / "replay.jsonl").read_bytes()
+        resumed = run_campaign([scenario], parent_store, executor)
+        assert resumed.executed_cells == 0
+        assert resumed.skipped_cells == len(compiled.cells)
