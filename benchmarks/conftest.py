@@ -1,10 +1,10 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-claims benchmark (and the ledger's tests).
 
-Every benchmark regenerates one paper table/figure at the figure's own
-(reduced) defaults -- ``REPRO_FULL=1`` adds its ``PAPER_SCALE`` keywords, as
-``repro run X --full`` does -- and prints the rows/series the paper reports.  The ``report`` fixture bypasses pytest's output capture so the
-tables appear on the console, and also archives them under
-``benchmarks/results/``.
+``test_paper_claims.py`` regenerates every row of the figure table at the
+figure's own (reduced) defaults -- ``REPRO_FULL=1`` adds its ``PAPER_SCALE``
+keywords, as ``repro run X --full`` does -- and judges it against the claims
+table.  The ``report`` fixture bypasses pytest's output capture so the
+tables appear on the console, and archives them under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ def executor():
 
 
 @pytest.fixture
-def report(request, capsys):
-    """Print a result table to the live console and archive it."""
+def report(capsys):
+    """Print a figure's tables to the live console and archive them as
+    ``results/<figure>.txt``."""
 
-    def _report(text: str) -> None:
+    def _report(figure: str, text: str) -> None:
         with capsys.disabled():
             print(f"\n{text}\n")
         RESULTS_DIR.mkdir(exist_ok=True)
-        name = request.node.name.replace("/", "_")
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        (RESULTS_DIR / f"{figure}.txt").write_text(text + "\n")
 
     return _report

@@ -89,9 +89,8 @@ def main() -> None:
         )
     print("\nTrend to look for: the tail threshold inflates short-flow latency;")
     print("the average threshold costs large-flow FCT; ECN# balances both.")
-    print("(100 flows is a small sample -- the pooled, asserted version of this")
-    print("comparison lives in benchmarks/test_fig2_threshold_sweep.py and")
-    print("benchmarks/test_fig6_websearch.py.)")
+    print("(100 flows is a small sample -- `repro run fig2` and `repro run fig6`")
+    print("are the pooled versions, judged against the paper's claims.)")
 
 
 if __name__ == "__main__":

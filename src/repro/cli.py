@@ -27,7 +27,8 @@ Usage::
 
 ``run X`` is ``run_experiment(X)`` then ``render``: row X of the figure table at
 its defaults, plus its ``PAPER_SCALE`` keywords under ``--full``, plus
-``--seed``.  Every flag
+``--seed``; under the table it prints the verdict on each of the paper's
+claims about X (:mod:`repro.validation.invariants`).  Every flag
 with a ``REPRO_*`` twin resolves through :mod:`repro.settings` (flag >
 variable > default; a malformed value is one ``# error:`` line, exit 2).
 ``--jobs N`` fans the run grid across N worker processes, bit-identical to
@@ -40,8 +41,9 @@ optimization work is judged against.  ``--trace`` turns on the
 flight-recorder event trace, ``--trace-out`` exports it as JSONL,
 ``--metrics-out`` writes the metrics registry snapshot plus a run manifest
 (seed, scale, resolved settings, git SHA, event counts) as JSON, and
-``--results-out`` dumps the experiment's structured result grid (JSON, or
-CSV with a ``.csv`` suffix).  See DESIGN.md ("Telemetry & instrumentation").
+``--results-out`` dumps the experiment's structured result grid and, in
+JSON, its ``claims`` verdicts (CSV with a ``.csv`` suffix: the grid only).
+See DESIGN.md ("Telemetry & instrumentation").
 
 Fault tolerance: a cell that crashes, stalls or hangs does not abort the
 figure.  Failed cells are retried (``--retries``, default 1), optionally
@@ -797,6 +799,8 @@ def _main_run(args, parser: argparse.ArgumentParser) -> int:
         specs = [spec for cell in grid.values() for spec in cell]
         return _dry_run(args, [(header, specs)], announce=log.info)
 
+    from .validation.invariants import evaluate_figure, render_verdicts
+
     explicit = _executor_settings(args)
     executor = Executor.from_env(cache=not args.no_cache, **explicit)
 
@@ -855,6 +859,8 @@ def _main_run(args, parser: argparse.ArgumentParser) -> int:
         with activate(telemetry):
             outcome = run_experiment(name, seed=seed, **params)
             print(outcome.render())
+        verdicts = evaluate_figure(name, outcome.result)
+        print(render_verdicts(verdicts, f"Paper claims ({name})"))
     finally:
         set_default_executor(previous_executor)
         _finish_observability(args, telemetry, progress, progress_stream)
@@ -888,7 +894,8 @@ def _main_run(args, parser: argparse.ArgumentParser) -> int:
             handle.write("\n")
         log.info(f"# metrics written to {args.metrics_out}")
     if args.results_out is not None:
-        _write_results(args.results_out, outcome.summary())
+        claims = [verdict.to_dict() for verdict in verdicts]
+        _write_results(args.results_out, {**outcome.summary(), "claims": claims})
     stats = executor.stats
     if stats.submitted and stats.failed >= stats.submitted:
         # Partial grids render with gaps and exit 0; only a figure with

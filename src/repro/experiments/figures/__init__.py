@@ -12,27 +12,33 @@ its row says how that grid is built and read:
   cells' raw runs (one list per cell, same order); every ``assemble`` pools
   a cell through :meth:`Cell.pool <repro.experiments.specs.Cell.pool>`.
 * ``derived(result) -> {name: float}`` -- the headline numbers the figure
-  claims (gains, gaps, ratios), where it has any.
+  claims (gains, gaps, ratios), each computed here and nowhere else.  A
+  number the result cannot give is left out, or mapped to the reason as a
+  string; :mod:`repro.validation.invariants` holds the paper's bound on each.
 * ``render(result) -> str`` -- the table the paper prints.
 
 :func:`run_experiment` is the one run (``cells`` -> one executor pass ->
 ``assemble``) and :meth:`FigureRun.summary` the one summary (each cell's
 :func:`~repro.experiments.executor.cell_metrics` under its ``Cell.key``, plus
 ``derived``); validation, cross-fidelity and the CLI read the same rows.
-Table 1 and Figure 5 are analytic -- they build no
+Table 1 and Figure 5 are analytic, and the Section 3.3 ablation and the
+Section 3.5 DCQCN extension build their rigs by hand -- none of them builds a
 :class:`~repro.experiments.specs.RunSpec` -- so their rows are a plain
-``run``/``summarize`` pair.
+``run``/``summarize`` pair (``summarize(result)`` is the ``cells`` map).
 
 See DESIGN.md section 3 for what each one shows.
 """
 
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from ..executor import Executor, cell_metrics, run_grid
 from ..specs import Cell
 from . import (
+    ablation,
+    dcqcn,
     fig2,
     fig3,
     fig5,
@@ -48,16 +54,16 @@ from . import (
 
 
 class Figure(NamedTuple):
-    """One row of :data:`FIGURES`: ``cells``/``assemble`` (and ``derived``)
-    for a simulated figure, ``run``/``summarize`` for an analytic one."""
+    """One row of :data:`FIGURES`: ``cells``/``assemble`` for a grid of
+    seeded runs, ``run``/``summarize`` for a row that builds no spec."""
 
     title: str
     render: Callable[[Any], str]
+    derived: Callable[[Any], Dict[str, Any]]
     cells: Optional[Callable[..., Dict[Any, Cell]]] = None
     assemble: Optional[Callable[[Dict[Any, Cell], Sequence[Sequence[Any]]], Any]] = None
-    derived: Optional[Callable[[Any], Dict[str, float]]] = None
     run: Optional[Callable[..., Any]] = None
-    summarize: Optional[Callable[[Any], dict]] = None
+    summarize: Optional[Callable[[Any], Dict[str, Dict[str, float]]]] = None
 
     @property
     def seed(self) -> int:
@@ -70,27 +76,27 @@ def _simulated(title: str, module, cells=None) -> Figure:
     return Figure(
         title,
         module.render,
+        module.derived,
         cells=cells or module.cells,
         assemble=module.assemble,
-        derived=getattr(module, "derived", None),
+    )
+
+
+def _by_hand(title: str, module, run) -> Figure:
+    return Figure(
+        title, module.render, module.derived, run=run, summarize=module.summarize
     )
 
 
 FIGURES: Dict[str, Figure] = {
-    "table1": Figure(
+    "table1": _by_hand(
         "Table 1 / Fig 1: RTT variations from processing components",
-        table1.render,
-        run=table1.run_table1,
-        summarize=table1.summarize_for_validation,
+        table1,
+        table1.run_table1,
     ),
     "fig2": _simulated("Fig 2: instantaneous-threshold sweep dilemma", fig2),
     "fig3": _simulated("Fig 3: degradation vs RTT-variation magnitude", fig3),
-    "fig5": Figure(
-        "Fig 5: workload flow-size CDFs",
-        fig5.render,
-        run=fig5.run_fig5,
-        summarize=fig5.summarize_for_validation,
-    ),
+    "fig5": _by_hand("Fig 5: workload flow-size CDFs", fig5, fig5.run_fig5),
     "fig6": _simulated(
         "Fig 6: testbed FCT vs load (web search)", fig6_fig7, fig6_fig7.fig6_cells
     ),
@@ -103,6 +109,16 @@ FIGURES: Dict[str, Figure] = {
     "fig11": _simulated("Fig 11: query FCT vs incast fanout", fig11),
     "fig12": _simulated("Fig 12: ECN# parameter sensitivity", fig12),
     "fig13": _simulated("Fig 13: ECN# under DWRR scheduling vs TCN", fig13),
+    "ablation": _by_hand(
+        "Section 3.3 ablation: ECN# with one component removed",
+        ablation,
+        ablation.run_ablation,
+    ),
+    "dcqcn": _by_hand(
+        "Section 3.5 extension: DCQCN under cut-off vs probabilistic ECN#",
+        dcqcn,
+        dcqcn.run_dcqcn,
+    ),
 }
 """Every reproducible table/figure, in ``repro list`` order."""
 
@@ -127,19 +143,24 @@ class FigureRun:
         baselines and campaign-store records hold."""
         figure = FIGURES[self.name]
         if figure.cells is None:
-            return figure.summarize(self.result)
-        resolved = inspect.signature(figure.cells).bind(**self.params)
-        resolved.apply_defaults()
-        cells = {}
-        for cell, cell_runs in zip(self.cells.values(), self.runs):
-            metrics = cell_metrics(cell, cell.pool(cell_runs))
-            if metrics is not None:  # a failed cell is absent, not null
-                cells[cell.key] = metrics
+            params, cells = {}, figure.summarize(self.result)
+        else:
+            resolved = inspect.signature(figure.cells).bind(**self.params)
+            resolved.apply_defaults()
+            params, cells = dict(resolved.arguments), {}
+            for cell, cell_runs in zip(self.cells.values(), self.runs):
+                metrics = cell_metrics(cell, cell.pool(cell_runs))
+                if metrics is not None:  # a failed cell is absent, not null
+                    cells[cell.key] = metrics
         return {
             "figure": self.name,
-            "params": dict(resolved.arguments),
+            "params": params,
             "cells": cells,
-            "derived": figure.derived(self.result) if figure.derived else {},
+            "derived": {  # numbers only: no skip reason, no "never" (inf)
+                name: value
+                for name, value in figure.derived(self.result).items()
+                if isinstance(value, float) and math.isfinite(value)
+            },
         }
 
 
@@ -195,4 +216,6 @@ __all__ = [
     "fig11",
     "fig12",
     "fig13",
+    "ablation",
+    "dcqcn",
 ]

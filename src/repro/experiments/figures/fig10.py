@@ -14,7 +14,7 @@ arrive at once.  The paper's observations, which this module measures:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -239,21 +239,39 @@ def assemble(
     )
 
 
-def derived(result: Fig10Result) -> Dict[str, float]:
-    """ECN#'s standing queue as a fraction of DCTCP-RED-Tail's."""
-    red = result.runs.get("DCTCP-RED-Tail")
-    sharp = result.runs.get("ECN#")
-    if (
-        red is None or is_failure(red)
-        or sharp is None or is_failure(sharp)
-        or red.standing_queue_pkts <= 0
-    ):
-        return {}
-    return {
-        "ecn_sharp_standing_ratio": (
-            sharp.standing_queue_pkts / red.standing_queue_pkts
-        )
+def derived(result: Fig10Result) -> Dict[str, Union[float, str]]:
+    """RED-Tail's standing queue, ECN#'s converged floor, ECN#'s and CoDel's
+    standing queues as fractions of RED-Tail's, the packets RED-Tail and
+    ECN# drop between them under the burst, and the smallest share of the
+    burst's queries any scheme completed.  A scheme whose run is missing or
+    failed contributes nothing."""
+    runs = {
+        name: run
+        for name, run in result.runs.items()
+        if run is not None and not is_failure(run)
     }
+    numbers: Dict[str, Union[float, str]] = {}
+    red, sharp = runs.get("DCTCP-RED-Tail"), runs.get("ECN#")
+    if sharp is not None:
+        numbers["ecn_sharp_floor_pkts"] = float(sharp.floor_queue_pkts)
+    if red is not None:
+        numbers["red_tail_standing_pkts"] = float(red.standing_queue_pkts)
+        for key, scheme in (
+            ("ecn_sharp_standing_ratio", "ECN#"), ("codel_standing_ratio", "CoDel")
+        ):
+            if scheme in runs:
+                numbers[key] = (
+                    runs[scheme].standing_queue_pkts / red.standing_queue_pkts
+                    if red.standing_queue_pkts > 0
+                    else "RED-Tail built no standing queue"
+                )
+        if sharp is not None:
+            numbers["burst_drops"] = float(red.drops + sharp.drops)
+    if runs:
+        numbers["min_queries_done_share"] = min(
+            run.queries_completed / result.fanout for run in runs.values()
+        )
+    return numbers
 
 
 def render(result: Fig10Result) -> str:

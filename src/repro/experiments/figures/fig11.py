@@ -9,6 +9,7 @@ suffering at ~175 senders -- a 1.75x burst-tolerance advantage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -54,11 +55,12 @@ class Fig11Result:
         return float(np.percentile(fcts, 99)) if fcts else None
 
     def first_loss_fanout(self, scheme: str) -> Optional[int]:
-        """Smallest fanout at which the scheme drops packets (failed cells
-        cannot attest either way, so they are skipped)."""
+        """Smallest fanout at which the scheme drops packets or a query
+        times out (failed cells cannot attest either way, so they are
+        skipped)."""
         for fanout in self.fanouts:
             run = self.runs[fanout][scheme]
-            if not is_failure(run) and run.drops > 0:
+            if not is_failure(run) and (run.drops > 0 or run.query_timeouts > 0):
                 return fanout
         return None
 
@@ -97,13 +99,33 @@ def assemble(
 
 
 def derived(result: Fig11Result) -> Dict[str, float]:
-    """The smallest fanout at which each scheme first drops packets."""
-    onsets = {}
+    """Each scheme's loss onset (``inf``: clean through the sweep), ECN#'s
+    drops and its query FCT over RED-Tail's at the fanout where CoDel first
+    loses, and the smallest last-over-first-fanout FCT ratio of any scheme."""
+    numbers = {}
     for scheme in result.schemes:
         onset = result.first_loss_fanout(scheme)
-        if onset is not None:
-            onsets[f"first_loss_fanout|scheme={scheme}"] = float(onset)
-    return onsets
+        numbers[f"first_loss_fanout|scheme={scheme}"] = (
+            math.inf if onset is None else float(onset)
+        )
+    at = result.first_loss_fanout("CoDel") if "CoDel" in result.schemes else None
+    if at is not None and {"ECN#", "DCTCP-RED-Tail"} <= set(result.schemes):
+        sharp = result.runs[at]["ECN#"]
+        if not is_failure(sharp):
+            numbers["ecn_sharp_drops_at_codel_onset"] = float(sharp.drops)
+        mine = result.avg_query_fct(at, "ECN#")
+        theirs = result.avg_query_fct(at, "DCTCP-RED-Tail")
+        if mine is not None and theirs:
+            numbers["ecn_sharp_fct_vs_red_tail_at_codel_onset"] = mine / theirs
+    growth = []
+    for scheme in result.schemes:
+        first = result.avg_query_fct(min(result.fanouts), scheme)
+        last = result.avg_query_fct(max(result.fanouts), scheme)
+        if first and last is not None:
+            growth.append(last / first)
+    if len(growth) == len(result.schemes) and len(result.fanouts) > 1:
+        numbers["min_fct_growth"] = min(growth)
+    return numbers
 
 
 def render(result: Fig11Result) -> str:

@@ -119,7 +119,8 @@ def assemble(
 
 
 def derived(result: Fig12Result) -> Dict[str, float]:
-    """Each workload's overall-FCT spread across either sweep."""
+    """Each workload's overall-FCT spread across either sweep, and the
+    widest of them."""
     spreads = {}
     for workload in result.interval_fct:
         interval_spread = result.interval_spread(workload)
@@ -128,6 +129,8 @@ def derived(result: Fig12Result) -> Dict[str, float]:
         target_spread = result.target_spread(workload)
         if target_spread is not None:
             spreads[f"target_spread|{workload}"] = target_spread
+    if spreads:
+        spreads["worst_spread"] = max(spreads.values())
     return spreads
 
 

@@ -231,8 +231,28 @@ def assemble(
 
 
 def derived(result: Fig13Result) -> Dict[str, float]:
+    """ECN#'s probe FCT over TCN's, and across every surviving scheme: the
+    lowest goodput of flow 1 alone, the highest of a flow not yet started,
+    and the worst relative error of a phase-2 / phase-3 share ratio against
+    the 2:1 weight ratio (absent when a started flow starved)."""
+    numbers = {}
     ratio = result.probe_fct_ratio()
-    return {} if ratio is None else {"probe_fct_ratio": ratio}
+    if ratio is not None:
+        numbers["probe_fct_ratio"] = ratio
+    runs = [run for run in result.runs.values() if not is_failure(run)]
+    if runs:
+        numbers["min_solo_goodput_gbps"] = min(run.goodputs[0][0] for run in runs) / 1e9
+        numbers["max_unstarted_goodput_gbps"] = (
+            max(max(run.goodputs[0][1:]) for run in runs) / 1e9
+        )
+        shares = [run.phase3_share_ratios() for run in runs]
+        if None not in shares and all(run.goodputs[1][1] > 0 for run in runs):
+            ratios = [run.goodputs[1][0] / run.goodputs[1][1] for run in runs]
+            ratios += [share for pair in shares for share in pair]
+            numbers["worst_dwrr_share_error"] = max(
+                abs(share / (WEIGHTS[0] / WEIGHTS[1]) - 1.0) for share in ratios
+            )
+    return numbers
 
 
 def render(result: Fig13Result) -> str:

@@ -23,6 +23,7 @@ __all__ = [
     "Fig2Result",
     "cells",
     "assemble",
+    "derived",
     "render",
     "DEFAULT_THRESHOLDS_KB",
 ]
@@ -99,6 +100,26 @@ def assemble(
         load=spec.load,
         variation=spec.variation,
     )
+
+
+def derived(result: Fig2Result) -> Dict[str, float]:
+    """The dilemma as three numbers, all relative to the sweep's own ends:
+    what the tail (largest) threshold does to each axis, and the smallest
+    price any threshold pays on its worse axis -- short-flow p99 against
+    the lowest threshold's, large-flow FCT against the tail threshold's.
+    Empty when a statistic is missing (no flow in a bucket)."""
+    short = result.normalized("short_p99")
+    large = result.normalized("large_avg")
+    tail = result.thresholds_kb[-1]
+    if None in short.values() or None in large.values() or not large[tail]:
+        return {}
+    return {
+        "tail_threshold_large_avg": large[tail],
+        "tail_threshold_short_p99": short[tail],
+        "min_worse_axis_penalty": min(
+            max(short[t], large[t] / large[tail]) for t in result.thresholds_kb
+        ),
+    }
 
 
 def render(result: Fig2Result) -> str:

@@ -130,16 +130,26 @@ def assemble(
 
 
 def derived(result: Fig3Result) -> Dict[str, float]:
-    """Both gaps per variation (what the figure claims grows)."""
-    gaps = {}
+    """Both gaps per variation (what the figure claims grows), the latency
+    gap's growth across the sweep and the throughput gap's range."""
+    numbers = {}
     for variation in result.variations:
         large_gap = result.large_flow_gap(variation)
         if large_gap is not None:
-            gaps[f"large_flow_gap|variation={variation:g}"] = large_gap
+            numbers[f"large_flow_gap|variation={variation:g}"] = large_gap
         short_gap = result.short_tail_gap(variation)
         if short_gap is not None:
-            gaps[f"short_tail_gap|variation={variation:g}"] = short_gap
-    return gaps
+            numbers[f"short_tail_gap|variation={variation:g}"] = short_gap
+    first = result.short_tail_gap(result.variations[0])
+    last = result.short_tail_gap(result.variations[-1])
+    if first and last is not None:
+        numbers["short_tail_gap_at_max_variation"] = last
+        numbers["short_tail_gap_growth"] = last / first
+    large_gaps = [v for k, v in numbers.items() if k.startswith("large_flow_gap|")]
+    if len(large_gaps) == len(result.variations):
+        numbers["min_large_flow_gap"] = min(large_gaps)
+        numbers["max_large_flow_gap"] = max(large_gaps)
+    return numbers
 
 
 def render(result: Fig3Result) -> str:

@@ -10,7 +10,7 @@ from ...workloads.distributions import EmpiricalCdf
 from ...workloads.websearch import WEB_SEARCH
 from ..report import format_table
 
-__all__ = ["Fig5Result", "run_fig5", "render", "summarize_for_validation"]
+__all__ = ["Fig5Result", "run_fig5", "derived", "render", "summarize"]
 
 PROBE_SIZES: Tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000)
 
@@ -41,15 +41,37 @@ def run_fig5(seed: int = 0) -> Fig5Result:
     return Fig5Result(curves=curves, means=means, cdf_at_probe=probes)
 
 
-def summarize_for_validation(result: Fig5Result) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
+def summarize(result: Fig5Result) -> Dict[str, Dict[str, float]]:
+    """Each workload's mean and probe points (the ``cells`` of
+    ``--results-out``)."""
     cells = {}
     for name in result.means:
         metrics = {"mean_bytes": float(result.means[name])}
         for size, probability in result.cdf_at_probe[name].items():
             metrics[f"cdf_at_{size}"] = float(probability)
         cells[f"workload={name}"] = metrics
-    return {"figure": "fig5", "params": {}, "cells": cells, "derived": {}}
+    return cells
+
+
+def derived(result: Fig5Result) -> Dict[str, float]:
+    """The shape both published curves share (mostly small flows, a tail
+    past 10 MB), what sets data mining apart, and a count of the ways a
+    curve fails to be a CDF (a decreasing step, a bad endpoint)."""
+    web = result.cdf_at_probe["web-search"]
+    mining = result.cdf_at_probe["data-mining"]
+    violations = 0
+    for _, probs in result.curves.values():
+        violations += sum(later < earlier for earlier, later in zip(probs, probs[1:]))
+        violations += (probs[0] < 0.0) + (probs[-1] != 1.0)
+    return {
+        "min_share_under_100KB": min(web[100_000], mining[100_000]),
+        "min_share_over_10MB": 1.0 - max(web[10_000_000], mining[10_000_000]),
+        "tiny_flow_share_gap": mining[1_000] - web[1_000],
+        "mean_ratio_mining_over_web": (
+            result.means["data-mining"] / result.means["web-search"]
+        ),
+        "cdf_violations": float(violations),
+    }
 
 
 def render(result: Fig5Result) -> str:

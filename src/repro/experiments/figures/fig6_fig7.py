@@ -13,7 +13,7 @@ flows; CoDel loses badly on short flows (timeouts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ...sim.units import us
 from ...workloads.datamining import DATA_MINING
@@ -132,9 +132,37 @@ def assemble(
     )
 
 
-def derived(result: FctVsLoadResult) -> Dict[str, float]:
-    gain = result.best_short_avg_gain()
-    return {} if gain is None else {"best_short_avg_gain": gain}
+def derived(result: FctVsLoadResult) -> Dict[str, Union[float, str]]:
+    """ECN#'s best short-flow gain and worst large-flow / overall ratio over
+    the loads, and the RED-AVG trade-off the paper sets it against: short
+    flows at the middle load, large flows at the highest.  A statistic no
+    load can give is the string saying why; a scheme the grid lacks has no
+    entry."""
+
+    def worst(scheme: str, field: str, loads) -> Union[float, str]:
+        ratios = [getattr(result.normalized(load, scheme), field) for load in loads]
+        present = [ratio for ratio in ratios if ratio is not None]
+        bucket = field.split("_")[0]
+        return max(present) if present else f"no flow in the {bucket} bucket"
+
+    numbers: Dict[str, Union[float, str]] = {}
+    if "ECN#" in result.schemes:
+        gain = result.best_short_avg_gain()
+        numbers["best_short_avg_gain"] = (
+            "no flow in the short bucket" if gain is None else gain
+        )
+        numbers["worst_large_avg_ratio"] = worst("ECN#", "large_avg", result.loads)
+        numbers["worst_overall_avg_ratio"] = worst("ECN#", "overall_avg", result.loads)
+    if "DCTCP-RED-AVG" in result.schemes:
+        ordered = sorted(result.loads)
+        middle = ordered[len(ordered) // 2]
+        numbers["red_avg_short_avg_at_mid_load"] = worst(
+            "DCTCP-RED-AVG", "short_avg", [middle]
+        )
+        numbers["red_avg_large_avg_at_max_load"] = worst(
+            "DCTCP-RED-AVG", "large_avg", ordered[-1:]
+        )
+    return numbers
 
 
 def render(result: FctVsLoadResult) -> str:

@@ -99,16 +99,30 @@ def assemble(
 
 
 def derived(result: Fig8Result) -> Dict[str, float]:
-    """ECN#'s short-flow p99 reduction vs RED-Tail at each sweep point."""
-    gains = {}
+    """ECN#'s short-flow p99 reduction vs RED-Tail at each sweep point, its
+    mean over the loads at the smallest and the largest variation, and the
+    worst overall-average NFCT anywhere in the sweep."""
+    numbers = {}
+    gains: Dict[float, List[float]] = {}
+    overall = []
     for variation in result.variations:
         for load in result.loads:
             nfct = result.nfct(variation, load, "short_p99")
             if nfct is not None:
-                gains[
+                numbers[
                     f"short_p99_gain|variation={variation:g}|load={load:g}"
                 ] = 1.0 - nfct
-    return gains
+                gains.setdefault(variation, []).append(1.0 - nfct)
+            nfct = result.nfct(variation, load, "overall_avg")
+            if nfct is not None:
+                overall.append(nfct)
+    for end, pick in (("min", min), ("max", max)):
+        at_end = gains.get(pick(result.variations))
+        if at_end:
+            numbers[f"mean_short_p99_gain_at_{end}_variation"] = sum(at_end) / len(at_end)
+    if overall:
+        numbers["worst_overall_avg_nfct"] = max(overall)
+    return numbers
 
 
 def render(result: Fig8Result) -> str:

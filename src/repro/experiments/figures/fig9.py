@@ -93,16 +93,24 @@ def assemble(
 
 
 def derived(result: Fig9Result) -> Dict[str, float]:
-    """Each non-baseline scheme's overall-average NFCT at each load."""
-    nfcts = {}
+    """Each non-baseline scheme's overall-average NFCT at each load, and the
+    ends of ECN#'s short- and overall-average NFCT over the loads."""
+    numbers = {}
     for load in result.loads:
         for scheme in result.schemes:
             if scheme == BASELINE:
                 continue
             nfct = result.nfct(load, scheme, "overall_avg")
             if nfct is not None:
-                nfcts[f"nfct_overall|load={load:g}|scheme={scheme}"] = nfct
-    return nfcts
+                numbers[f"nfct_overall|load={load:g}|scheme={scheme}"] = nfct
+    if "ECN#" in result.schemes:
+        for field in ("short_avg", "overall_avg"):
+            nfcts = [result.nfct(load, "ECN#", field) for load in result.loads]
+            nfcts = [nfct for nfct in nfcts if nfct is not None]
+            if nfcts:
+                numbers[f"best_{field}_nfct"] = min(nfcts)
+                numbers[f"worst_{field}_nfct"] = max(nfcts)
+    return numbers
 
 
 def render(result: Fig9Result) -> str:

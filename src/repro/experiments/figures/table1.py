@@ -18,7 +18,7 @@ from ...measurement.stats import RttSummary, summarize_rtts
 from ...netem.components import TABLE1_CASES, sample_case_rtts
 from ..report import format_table
 
-__all__ = ["Table1Result", "run_table1", "render", "summarize_for_validation"]
+__all__ = ["Table1Result", "run_table1", "derived", "render", "summarize"]
 
 PAPER_ROWS: Dict[str, Dict[str, float]] = {
     "Networking Stack": {"mean": 39.3, "std": 12.2, "p90": 59.0, "p99": 79.0},
@@ -68,8 +68,9 @@ def run_table1(seed: int = 1, n_samples: int = 3000) -> Table1Result:
     return Table1Result(cases=cases)
 
 
-def summarize_for_validation(result: Table1Result) -> dict:
-    """Machine-readable grid summary (validation + ``--results-out``)."""
+def summarize(result: Table1Result) -> Dict[str, Dict[str, float]]:
+    """Each case's four statistics in microseconds (the ``cells`` of
+    ``--results-out``)."""
     cells = {}
     for name, summary in result.cases.items():
         micro = summary.as_microseconds()
@@ -79,12 +80,28 @@ def summarize_for_validation(result: Table1Result) -> dict:
             "p90_us": micro.p90,
             "p99_us": micro.p99,
         }
-    return {
-        "figure": "table1",
-        "params": {},
-        "cells": cells,
-        "derived": {"variation_ratio": result.variation_ratio},
+    return cells
+
+
+def derived(result: Table1Result) -> Dict[str, float]:
+    """The headline ratio plus how the sampled rows sit against the
+    published ones and against each other (no step with a single row)."""
+    means_us = [summary.mean * 1e6 for summary in result.cases.values()]
+    numbers = {
+        "variation_ratio": result.variation_ratio,
+        "min_p99_over_mean": min(
+            summary.p99 / summary.mean for summary in result.cases.values()
+        ),
+        "worst_mean_error": max(
+            abs(mean - PAPER_ROWS[name]["mean"]) / PAPER_ROWS[name]["mean"]
+            for name, mean in zip(result.cases, means_us)
+        ),
     }
+    if len(means_us) > 1:
+        numbers["smallest_mean_step_us"] = min(
+            later - earlier for earlier, later in zip(means_us, means_us[1:])
+        )
+    return numbers
 
 
 def render(result: Table1Result) -> str:

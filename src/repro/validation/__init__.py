@@ -47,7 +47,13 @@ from .grids import (
     resolve_scale,
     run_validation_grid,
 )
-from .invariants import REGISTRY, Invariant, InvariantVerdict, evaluate_figure
+from .invariants import (
+    REGISTRY,
+    Invariant,
+    InvariantVerdict,
+    evaluate_figure,
+    render_verdicts,
+)
 from .stats import (
     COUNT_BAND,
     DEFAULT_BAND,
@@ -94,6 +100,7 @@ __all__ = [
     "Invariant",
     "InvariantVerdict",
     "evaluate_figure",
+    "render_verdicts",
     "COUNT_BAND",
     "DEFAULT_BAND",
     "FAIL",

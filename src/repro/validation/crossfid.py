@@ -52,7 +52,7 @@ from .grids import (
     cell_samples,
     resolve_scale,
 )
-from .invariants import InvariantVerdict, evaluate_figure
+from .invariants import InvariantVerdict, evaluate_figure, render_verdicts
 from .stats import (
     FAIL,
     PASS,
@@ -319,24 +319,10 @@ class CrossfidReport:
                 title="Per-figure agreement",
             )
         )
-        inv_rows = [
-            [
-                v.figure,
-                v.name,
-                v.status.upper(),
-                f"{v.value:.4g}" if v.value is not None else "-",
-                f"{v.threshold:.4g}",
-                v.detail,
-            ]
-            for v in self.invariants
-        ]
-        if inv_rows:
+        if self.invariants:
             sections.append(
-                format_table(
-                    ["figure", "invariant", "status", "value", "threshold",
-                     "detail"],
-                    inv_rows,
-                    title="Paper-trend invariants on fluid results",
+                render_verdicts(
+                    self.invariants, "Paper-trend invariants on fluid results"
                 )
             )
         if self.failures:

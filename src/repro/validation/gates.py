@@ -28,7 +28,7 @@ from .baselines import (
     ensure_clean_tree,
 )
 from .grids import GridOutcome, ValidationScale, resolve_scale, run_validation_grid
-from .invariants import InvariantVerdict, evaluate_figure
+from .invariants import InvariantVerdict, evaluate_figure, render_verdicts
 from .stats import (
     COUNT_BAND,
     DEFAULT_BAND,
@@ -158,25 +158,9 @@ class ValidationReport:
                 f"Baseline comparisons: all {len(self.comparisons)} "
                 "cell-metrics pass"
             )
-        inv_rows = [
-            [
-                v.figure,
-                v.name,
-                v.status.upper(),
-                f"{v.value:.4g}" if v.value is not None else "-",
-                f"{v.threshold:.4g}",
-                v.detail,
-            ]
-            for v in self.invariants
-        ]
-        if inv_rows:
+        if self.invariants:
             sections.append(
-                format_table(
-                    ["figure", "invariant", "status", "value", "threshold",
-                     "detail"],
-                    inv_rows,
-                    title="Paper-trend invariants",
-                )
+                render_verdicts(self.invariants, "Paper-trend invariants")
             )
         if self.failures:
             sections.append(format_failure_table(self.failures))

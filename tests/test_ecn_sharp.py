@@ -361,3 +361,27 @@ class TestAgainstAlgorithm1Oracle:
         packet = Counting(sojourn=us(50))
         aqm.on_dequeue(packet, 1e-3)
         assert packet.reads == 1
+
+
+class TestInstantaneousOnlyDegeneracy:
+    """The paper's degenerate case, end to end: ECN# whose ``pst_interval``
+    outlasts the run never detects a persistent queue, so it *is* DCTCP-RED
+    with a sojourn threshold -- the ablation's first arm relies on it."""
+
+    def test_ablation_arm_equals_sojourn_red_on_a_fanout_200_cell(self):
+        from repro.core.red import SojournRed
+        from repro.experiments.figures.ablation import BURST_FANOUT, VARIANTS
+        from repro.experiments.figures.fig10 import run_microscopic
+
+        config = VARIANTS["instantaneous-only"]
+        arm, red = (
+            run_microscopic(factory, scheme_name="arm", fanout=BURST_FANOUT, seed=91)
+            for factory in (
+                lambda: EcnSharp(config),
+                lambda: SojournRed(config.ins_target),
+            )
+        )
+        assert arm.marks > 0  # the instantaneous path was exercised
+        assert (arm.marks, arm.drops) == (red.marks, red.drops)
+        assert arm.metrics() == red.metrics()
+        assert arm.samples == red.samples and arm.events == red.events

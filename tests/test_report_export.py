@@ -93,17 +93,19 @@ class TestCliResultsOut:
 
     def test_grid_figure_results_out_json(self, tmp_path, monkeypatch):
         """fig10 at small fanout with CoDel's cell failing: the file has the
-        table's shape, its cells are keyed by ``Cell.key``, and the failed
-        cell is absent rather than ``null``."""
+        table's shape, its cells are keyed by ``Cell.key``, the failed cell
+        is absent rather than ``null``, and ``claims`` round-trips the
+        verdicts -- the one about CoDel skipped, not failed."""
         from repro.cli import main
         from repro.experiments.figures import FIGURES, PAPER_SCALE
+        from repro.validation.invariants import REGISTRY
 
         monkeypatch.setitem(PAPER_SCALE, "fig10", {"fanout": 20})
         monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:CoDel")
         out = tmp_path / "fig10.json"
         assert main(self.FIG10 + ["--full", "--results-out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert set(payload) == {"figure", "params", "cells", "derived"}
+        assert set(payload) == {"figure", "params", "cells", "derived", "claims"}
         assert payload["figure"] == "fig10"
         assert payload["params"] == {
             "fanout": 20,
@@ -117,7 +119,20 @@ class TestCliResultsOut:
         for metrics in payload["cells"].values():
             assert metrics["standing_queue_pkts"] >= 0.0
             assert all(isinstance(v, float) for v in metrics.values())
-        assert set(payload["derived"]) == {"ecn_sharp_standing_ratio"}
+        assert "ecn_sharp_standing_ratio" in payload["derived"]
+        assert "codel_standing_ratio" not in payload["derived"]
+        assert all(isinstance(v, float) for v in payload["derived"].values())
+        claims = {claim["name"]: claim for claim in payload["claims"]}
+        assert list(claims) == [claim.name for claim in REGISTRY["fig10"]]
+        for claim in REGISTRY["fig10"]:
+            verdict = claims[claim.name]
+            assert verdict["threshold"] == claim.threshold
+            assert verdict["status"] in ("pass", "fail", "skip")
+            if claim.key in payload["derived"]:
+                assert verdict["value"] == payload["derived"][claim.key]
+        assert claims["fig10.codel_standing_queue"]["status"] == "skip"
+        assert claims["fig10.codel_standing_queue"]["value"] is None
+        assert claims["fig10.burst_absorbed"]["status"] == "pass"
 
     def test_grid_figure_results_out_csv(self, tmp_path, monkeypatch):
         from repro.cli import main
@@ -132,6 +147,10 @@ class TestCliResultsOut:
             rows = list(csv.reader(handle))
         assert rows[0] == ["figure", "cell", "metric", "value"]
         assert {(row[0], row[1]) for row in rows[1:]} == {
-            ("fig10", "scheme=ECN#")
-        }  # one scheme: no derived ratio row
+            ("fig10", "scheme=ECN#"),
+            ("fig10", "derived"),
+        }
         assert "standing_queue_pkts" in {row[2] for row in rows[1:]}
+        derived = {row[2] for row in rows[1:] if row[1] == "derived"}
+        assert "ecn_sharp_floor_pkts" in derived  # ECN#'s own number...
+        assert "ecn_sharp_standing_ratio" not in derived  # ...no RED-Tail to divide by
