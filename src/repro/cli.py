@@ -757,15 +757,16 @@ def _dry_run(
     args, grids: Sequence[Tuple[str, Sequence]], announce: Callable[[str], None]
 ) -> int:
     """``--dry-run``: list each ``(header, specs)`` grid with per-spec cache
-    status (a presence probe, not an unpickle) -- nothing simulates."""
+    status -- nothing simulates.  "hit" is :meth:`ResultCache.has`, the same
+    probe that lets a campaign cell ride along in a replay shard: the entry
+    file is present.  It is not read, so a corrupt entry still reads "hit"
+    until a real run's load quarantines it."""
     cache = (
         None if args.no_cache else ResultCache(default_cache_dir(args.cache_dir))
     )
     total = hits = 0
     for header, specs in grids:
-        cached = [
-            cache is not None and cache.path(spec).exists() for spec in specs
-        ]
+        cached = [cache is not None and cache.has(spec) for spec in specs]
         rows = [
             [spec.token(), "hit" if hit else "miss"]
             for spec, hit in zip(specs, cached)

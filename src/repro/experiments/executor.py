@@ -61,7 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .. import settings
 from ..telemetry.spans import maybe_span
 from .faults import RunFailure, is_failure, maybe_inject_fault
-from .specs import Cell, RunSpec, resolve_workload, stable_hash
+from .specs import Cell, RunSpec, resolve_workload
 
 try:  # per-process peak RSS; stdlib on Unix, absent on Windows
     import resource as _resource
@@ -258,7 +258,9 @@ _CHECKSUM_MAGIC = b"RPROSUM1"
 """Footer marker preceding the sha256 digest at the end of every cache
 entry.  Eight bytes so the footer is ``magic + 32-byte digest``."""
 
-_FOOTER_LEN = len(_CHECKSUM_MAGIC) + hashlib.sha256().digest_size
+_DIGEST_LEN = hashlib.sha256().digest_size
+
+_FOOTER_LEN = len(_CHECKSUM_MAGIC) + _DIGEST_LEN
 
 CORRUPT_SUFFIX = ".corrupt"
 
@@ -310,10 +312,20 @@ class ResultCache:
         self.corrupt_quarantined = 0
 
     def key(self, spec: RunSpec) -> str:
-        return stable_hash({"spec": spec.to_dict(), "code": _code_tag()})
+        """``stable_hash({"spec": spec.to_dict(), "code": _code_tag()})``,
+        from the spec's one serialisation (:meth:`RunSpec.cache_key`)."""
+        return spec.cache_key(_code_tag())
 
     def path(self, spec: RunSpec) -> Path:
         return self.directory / f"{self.key(spec)}.pkl"
+
+    def has(self, spec: RunSpec) -> bool:
+        """Whether an entry file for ``spec`` is present: one ``stat``, no
+        read.  This is what ``--dry-run`` prints as "hit" and what lets a
+        campaign cell ride along in a replay shard
+        (:meth:`Executor.cached`).  It promises nothing about the bytes: a
+        corrupt entry is present until a :meth:`load` quarantines it."""
+        return self.path(spec).exists()
 
     def load(self, spec: RunSpec) -> Tuple[bool, Optional[Any]]:
         """``(hit, result)`` -- presence-tagged so a legitimately-``None``
@@ -341,7 +353,7 @@ class ResultCache:
         after quarantining the corrupt entry."""
         if len(blob) > _FOOTER_LEN:
             magic_start = len(blob) - _FOOTER_LEN
-            digest_start = len(blob) - hashlib.sha256().digest_size
+            digest_start = len(blob) - _DIGEST_LEN
             if blob[magic_start:digest_start] == _CHECKSUM_MAGIC:
                 payload = blob[:magic_start]
                 if hashlib.sha256(payload).digest() == blob[digest_start:]:
@@ -649,6 +661,13 @@ class Executor:
             self.retry_backoff * (2 ** (attempt - 1)) * (0.5 + rng.random())
         )
         return min(delay, self.BACKOFF_CAP_SECONDS)
+
+    def cached(self, spec: RunSpec) -> bool:
+        """Whether :meth:`run` should find ``spec`` in the result cache: the
+        cache is on and the entry file exists (:meth:`ResultCache.has`).  A
+        probe that goes stale -- the entry vanishes or fails its checksum
+        before the load -- only means ``run`` simulates the spec."""
+        return self.cache is not None and self.cache.has(spec)
 
     def run(self, specs: Sequence[RunSpec]) -> List[Any]:
         """Execute every spec (cache, then workers) in submission order.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..settings import FIDELITIES
@@ -31,6 +31,7 @@ __all__ = [
     "Cell",
     "seed_specs",
     "resolve_workload",
+    "canonical_json",
     "stable_hash",
     "FIDELITIES",
 ]
@@ -84,10 +85,26 @@ def _freeze_params(params: Dict[str, Any]) -> Params:
     return tuple(sorted((k, _freeze_value(v)) for k, v in params.items()))
 
 
+def canonical_json(payload: Any) -> str:
+    """The one canonical JSON encoding: what spec identities hash and what
+    a store, sidecar or ledger line is."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def stable_hash(payload: Any) -> str:
     """SHA-256 over a canonical JSON encoding of ``payload``."""
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+@lru_cache(maxsize=1)
+def _key_prefix(code_tag: str) -> Tuple[str, bytes]:
+    """``code_tag`` and the bytes that precede a spec's canonical JSON in
+    the canonical JSON of ``{"code": code_tag, "spec": spec.to_dict()}``
+    ("code" sorts before "spec").  One entry, because a process hashes
+    under one tag -- and every identity memo built under it then holds the
+    same string object, not 4000 copies."""
+    prefix = '{"code":' + canonical_json(code_tag) + ',"spec":'
+    return code_tag, prefix.encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -313,24 +330,56 @@ class RunSpec:
         )
 
     def spec_hash(self) -> str:
-        """Stable content hash of the spec (the token's identity half),
-        serialised and hashed once per object."""
-        return self._digest
+        """Stable content hash of the spec (the token's identity half)."""
+        return self._identity()[1]
 
-    @cached_property
-    def _digest(self) -> str:
-        """The memo holds the 64-char digest only -- keeping the canonical
-        JSON as well costs a 1000-cell replay +10 % peak RSS (DESIGN §7).
+    def cache_key(self, code_tag: str) -> str:
+        """The result-cache key of this spec under ``code_tag``:
+        ``stable_hash({"spec": self.to_dict(), "code": code_tag})``."""
+        return self._identity(code_tag)[2]
+
+    def _identity(self, code_tag: Optional[str] = None) -> Tuple[str, str, str]:
+        """``(code tag, spec hash, cache key under that tag)``, from one
+        serialisation per object.
+
+        Both digests are taken from the same canonical bytes the first time
+        either is asked for, so whichever comes first -- a campaign builds
+        tokens, then the executor looks keys up -- has to know the tag:
+        ``spec_hash`` asks the executor module for the current one.  A
+        different ``code_tag`` under a live spec drops the memo and hashes
+        again.
+
+        The memo holds the tag and two 64-char digests, never the JSON --
+        keeping that costs a 1000-cell replay +10 % peak RSS (DESIGN §7).
         It lands in the instance ``__dict__``, outside the dataclass
         fields, so ``==``, ``hash()``, ``to_dict()`` and ``replace()`` never
         see it: every derived spec is a fresh object that hashes itself."""
-        return stable_hash(self.to_dict())
+        memo = self.__dict__.get("_memo")
+        if memo is not None and (code_tag is None or memo[0] == code_tag):
+            return memo
+        if code_tag is None:
+            from .executor import _code_tag  # deferred: executor imports this module
+
+            code_tag = _code_tag()
+        code_tag, prefix = _key_prefix(code_tag)
+        canon = self._canonical()
+        memo = (
+            code_tag,
+            hashlib.sha256(canon).hexdigest(),
+            hashlib.sha256(prefix + canon + b"}").hexdigest(),
+        )
+        self.__dict__["_memo"] = memo
+        return memo
+
+    def _canonical(self) -> bytes:
+        """The one place a spec is serialised for hashing."""
+        return canonical_json(self.to_dict()).encode("utf-8")
 
     def __getstate__(self) -> dict:
         """The fields alone, so the bytes pickled to a pool worker or a
-        cache entry do not depend on whether the digest was computed."""
+        cache entry do not depend on whether the identity was computed."""
         state = dict(self.__dict__)
-        state.pop("_digest", None)
+        state.pop("_memo", None)
         return state
 
     def token(self) -> str:

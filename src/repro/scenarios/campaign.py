@@ -32,14 +32,24 @@ import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    BinaryIO,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..experiments.executor import (
     Executor,
     get_default_executor,
     split_by_cell,
 )
-from ..experiments.specs import Cell
+from ..experiments.specs import Cell, canonical_json
 from ..telemetry.provenance import git_sha
 from ..telemetry.runtime import get_active
 from ..telemetry.spans import maybe_span
@@ -63,11 +73,6 @@ __all__ = [
 DEFAULT_STORE = "campaign.jsonl"
 
 RecordKey = Tuple[str, Tuple[str, ...]]  # (scenario content hash, spec tokens)
-
-
-def canonical_json(row: Any) -> str:
-    """The one serialisation of a store, sidecar or ledger line."""
-    return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -487,6 +492,51 @@ def _iter_cells(compiled: Sequence[CompiledScenario]) -> Iterator[PendingCell]:
             yield comp, cell, (scenario_hash, tuple(cell.tokens()))
 
 
+REPLAY_SHARD_SPECS = 256
+"""Most specs a shard holds once cached cells ride along in it.  It bounds
+the results held at once (about 2.7x a ``jobs=8``, three-seed shard), and
+at 256 specs an append is already under 3 % of the shard's replay time, so
+no caller needs another value."""
+
+
+def _shards(
+    pending: Iterable[PendingCell], executor: Executor
+) -> Iterator[List[PendingCell]]:
+    """Cut ``pending`` into shards, in order, by the work a kill would
+    forfeit rather than by a cell count.
+
+    A shard closes after ``jobs x 4`` cells that need simulating: enough to
+    keep the pool saturated, few enough that a kill before the append
+    forfeits little.  A cell whose every spec is already in the result
+    cache (:meth:`Executor.cached`) costs a fraction of a millisecond to
+    redo, so it rides along in the open shard until that holds
+    :data:`REPLAY_SHARD_SPECS` specs.  With the cache off or cold every
+    cell needs simulating and the shards are ``pending`` in slices of
+    ``jobs x 4``.
+
+    Cells are probed as their shard is built, just before it runs; a probe
+    that goes stale only means the cell simulates inside a larger shard.
+    """
+    at_risk_limit = max(1, executor.jobs) * 4
+    shard: List[PendingCell] = []
+    at_risk = n_specs = 0
+    for item in pending:
+        specs = item[1].specs
+        rides_along = all(executor.cached(spec) for spec in specs)
+        if rides_along and shard and n_specs + len(specs) > REPLAY_SHARD_SPECS:
+            yield shard
+            shard, at_risk, n_specs = [], 0, 0
+        shard.append(item)
+        n_specs += len(specs)
+        if not rides_along:
+            at_risk += 1
+            if at_risk == at_risk_limit:
+                yield shard
+                shard, at_risk, n_specs = [], 0, 0
+    if shard:
+        yield shard
+
+
 def _execute_shard(
     executor: Executor,
     shard: Sequence[PendingCell],
@@ -572,14 +622,10 @@ def _run_single(
         for _ in skipped:
             progress.cell_done("skipped")
 
-    # One executor pass per shard: big enough to keep the pool
-    # saturated, small enough that a kill between shards forfeits
-    # little work.
-    shard_size = max(1, executor.jobs) * 4
-    for start in range(0, len(pending), shard_size):
+    # One executor pass and one fsynced append per shard.
+    for shard in _shards(pending, executor):
         if _interrupt_requested(shutdown, result):
             break
-        shard = pending[start:start + shard_size]
         shard_records, shard_resources = _execute_shard(
             executor, shard, provenance, result, progress
         )
@@ -625,7 +671,6 @@ def _run_shared(
     )
     lock = StoreLock(store.lock_path, timeout=timeout)
     board = LeaseBoard(store.leases_path, ttl=ttl)
-    shard_size = max(1, executor.jobs) * 4
     # Cells this pass has neither skipped nor executed yet, in grid order.
     remaining: Dict[RecordKey, PendingCell] = {
         item[2]: item for item in _iter_cells(compiled)
@@ -647,12 +692,17 @@ def _run_shared(
                     result.records.append(record)
                     result.skipped_cells += 1
                     newly_skipped.append((comp.scenario.name, cell.key))
-            limit = (
-                shard_size if budget is None else min(shard_size, budget)
+            # The shard is cut from the cells this worker may claim, not
+            # from what remains: the rule counts the work at risk here.
+            free, stale = board.partition(
+                list(remaining), worker, limit=budget
             )
-            claimable, reclaimed = board.partition(
-                list(remaining), worker, limit=limit
+            shard = next(
+                _shards((remaining[key] for key in free), executor), []
             )
+            claimable = [key for _, _, key in shard]
+            claimed = set(claimable)
+            reclaimed = [pair for pair in stale if pair[0] in claimed]
             if claimable:
                 board.claim(claimable, worker)
         if progress is not None:
@@ -670,7 +720,8 @@ def _run_shared(
             if telemetry is not None:
                 telemetry.on_lease_reclaim(prev_worker)
 
-        shard = [remaining.pop(key) for key in claimable]
+        for key in claimable:
+            del remaining[key]
         shard_records, shard_resources = _execute_shard(
             executor, shard, provenance, result, progress
         )

@@ -195,6 +195,22 @@ class TestResultCache:
         )
         assert cache.key(spec) != before
 
+    def test_has_is_presence_not_validity(self, tmp_path):
+        """What ``--dry-run`` calls a hit and what lets a campaign cell
+        ride along in a replay shard: the entry file exists."""
+        cache = ResultCache(tmp_path)
+        spec = tiny_spec()
+        assert not cache.has(spec)
+        cache.store(spec, "result")
+        assert cache.has(spec)
+        assert Executor(jobs=1, cache=True, cache_dir=tmp_path).cached(spec)
+        assert not Executor(jobs=1, cache=False).cached(spec)
+        cache.path(spec).write_bytes(b"rot")
+        assert cache.has(spec)  # until a load looks inside
+        with pytest.warns(UserWarning, match="quarantined"):
+            assert cache.load(spec) == (False, None)
+        assert not cache.has(spec)
+
     def test_missing_entry_is_a_miss(self, tmp_path):
         assert ResultCache(tmp_path).load(tiny_spec()) == (False, None)
 

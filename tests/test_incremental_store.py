@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.experiments import executor as executor_module
-from repro.experiments import specs as specs_module
 from repro.experiments.executor import Executor, ResultCache
+from repro.experiments.specs import RunSpec
 from repro.scenarios import (
     CampaignStore,
     CellRecord,
@@ -42,6 +42,7 @@ from repro.scenarios import (
     run_campaign,
     store_fingerprint,
 )
+from repro.scenarios.campaign import REPLAY_SHARD_SPECS
 from repro.service import StoreIndex
 
 from test_scenarios_campaign import tiny_scenario
@@ -315,27 +316,31 @@ class TestCostIsLinear:
 
     N_CELLS, N_SEEDS = 200, 2
 
-    def test_warm_replay_hashes_and_parses_each_thing_a_bounded_number_of_times(
-        self, tmp_path, monkeypatch
-    ):
+    def grid(self):
         loads = [round(0.1 + 0.004 * n, 3) for n in range(self.N_CELLS)]
         data = tiny_scenario(loads=loads).to_dict()
         data["run"]["n_seeds"] = self.N_SEEDS
         scenario = Scenario.from_dict(data)
         specs = compile_scenario(scenario).specs()
-        n_specs = self.N_CELLS * self.N_SEEDS
-        assert len(specs) == n_specs
+        assert len(specs) == self.N_CELLS * self.N_SEEDS
+        return scenario, specs
+
+    def test_warm_replay_hashes_and_parses_each_thing_a_bounded_number_of_times(
+        self, tmp_path, monkeypatch
+    ):
+        scenario, specs = self.grid()
+        n_specs = len(specs)
         cache = ResultCache(tmp_path / "cache")
         result = executor_module.execute_spec(specs[0])
         for spec in specs:  # a warm cache: one real result under every key
             cache.store(spec, result)
 
         counts = Counter()
-        # ``spec_hash`` and ``ResultCache.key`` look ``stable_hash`` up in
-        # their own modules; the scenario's content hash uses schema's.
-        counting(monkeypatch, specs_module, "stable_hash", counts, "spec_dumps")
-        counting(monkeypatch, executor_module, "stable_hash", counts,
-                 "spec_dumps")
+        # The token digest and the cache key both come from the one
+        # ``RunSpec._canonical`` call; the scenario's content hash is
+        # schema's own.
+        counting(monkeypatch, RunSpec, "_canonical", counts, "spec_dumps")
+        counting(monkeypatch, CampaignStore, "append", counts, "appends")
         counting(monkeypatch, CellRecord, "from_dict", counts, "records")
         counting(monkeypatch, coordination, "Lease", counts, "lease_rows")
         counting(monkeypatch, Scenario, "content_hash", counts, "content_hash")
@@ -356,16 +361,47 @@ class TestCostIsLinear:
                                   shared=(mode == "shared"))
             assert resume.skipped_cells == self.N_CELLS
             assert counts["spec_dumps"] <= n_specs
+            assert counts["appends"] == 0
             assert counts["records"] <= 2 * self.N_CELLS
             assert counts["content_hash"] == 1
 
         for mode, seen in passes.items():
-            # once for the token, once for the cache key
-            assert seen["spec_dumps"] <= 2 * n_specs, (mode, seen)
+            # one serialisation feeds the token and the cache key
+            assert seen["spec_dumps"] <= n_specs, (mode, seen)
             assert seen["content_hash"] == 1, (mode, seen)
+            # every cell rides along: a shard is 256 cached specs
+            assert seen["appends"] == -(-n_specs // REPLAY_SHARD_SPECS), (
+                mode, seen)
         shared = passes["shared"]
         assert shared["records"] <= 2 * self.N_CELLS, shared
         # a claim row and a release row per cell
         assert shared["lease_rows"] <= 2 * (2 * self.N_CELLS), shared
         assert store_fingerprint(tmp_path / "shared.jsonl") == (
             store_fingerprint(tmp_path / "single.jsonl"))
+
+    def test_without_a_cache_the_appends_are_the_jobs_x_4_slices(
+        self, tmp_path, monkeypatch
+    ):
+        """Nothing can ride along, so the store sees exactly the appends
+        it saw before shards were sized by work at risk."""
+        scenario, specs = self.grid()
+        result = executor_module.execute_spec(specs[0])
+        monkeypatch.setattr(executor_module, "execute_spec",
+                            lambda spec, attempt=0: result)
+        appended = []
+        real_append = CampaignStore.append
+
+        def append(store, records):
+            appended.append([record.cell_key for record in records])
+            real_append(store, records)
+
+        monkeypatch.setattr(CampaignStore, "append", append)
+        cells = [cell.key for cell in compile_scenario(scenario).cells]
+        for mode in ("single", "shared"):
+            appended.clear()
+            executor = Executor(jobs=1, cache=False)
+            run_campaign([scenario], tmp_path / f"{mode}.jsonl", executor,
+                         shared=(mode == "shared"))
+            assert executor.stats.executed == len(specs)
+            assert appended == [cells[n:n + 4]
+                                for n in range(0, self.N_CELLS, 4)], mode

@@ -13,6 +13,7 @@ import hashlib
 import json
 import pickle
 from dataclasses import fields, replace
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +159,93 @@ class TestMemoSafety:
             digest = stable_hash(spec.to_dict())
             assert spec.spec_hash() == digest
             assert spec.token().endswith("|" + digest[:16])
+
+
+# Characters JSON escapes or encodes: the hand-built cache-key prefix must
+# spell them exactly as ``json.dumps`` does.
+AWKWARD_TEXT = st.text(
+    alphabet=st.sampled_from(
+        list('#"\\/|{}:, \n\t\x00\x7f') + list("aZ9éß→𝄞")),
+    max_size=12)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**12, 10**12),
+    st.floats(allow_nan=False), AWKWARD_TEXT)
+PARAM_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6)
+PARAM_DICTS = st.dictionaries(AWKWARD_TEXT, PARAM_VALUES, max_size=4)
+
+
+@st.composite
+def run_specs(draw):
+    """Specs of every shape ``to_dict`` has: rig kinds through their
+    builders (float loads, ``transport`` dicts, nested ``dims``) and a
+    free-form kind whose ``extras`` nest arbitrarily."""
+    aqm = AqmSpec.make(draw(st.sampled_from(["ecn-sharp", "codel"])),
+                       **draw(st.dictionaries(
+                           st.sampled_from(["target", "interval", "x"]),
+                           st.floats(allow_nan=False), max_size=3)))
+    seed = draw(st.integers(0, 2**31))
+    label = draw(AWKWARD_TEXT)
+    kind = draw(st.sampled_from(["star", "leafspine", "microscopic", "free"]))
+    if kind == "free":
+        return RunSpec(
+            kind="free", aqm=aqm, seed=seed, label=label,
+            transport=tuple(sorted(draw(PARAM_DICTS).items())),
+            extras=tuple(sorted(draw(PARAM_DICTS).items())))
+    if kind == "microscopic":
+        return RunSpec.microscopic(aqm, seed, label,
+                                   fanout=draw(st.integers(1, 500)),
+                                   jitter=draw(st.floats(0, 1)))
+    builder = RunSpec.star if kind == "star" else RunSpec.leafspine
+    extras = {} if kind == "star" else {
+        "dims": tuple(draw(st.lists(st.integers(1, 8), min_size=3,
+                                    max_size=3)))}
+    return builder(
+        aqm, draw(st.sampled_from(["web-search", "data-mining"])),
+        draw(st.floats(0.01, 0.99)), draw(st.integers(1, 10**6)), seed,
+        label=label, transport=draw(PARAM_DICTS),
+        variation=draw(st.one_of(st.none(), st.floats(1, 10))), **extras)
+
+
+class TestIdentityIsTheSameBytes:
+    """One serialisation, two digests: each equals what ``stable_hash``
+    makes of the same payload, whatever the spec and the code tag hold."""
+
+    @staticmethod
+    def check(spec, tag, key_first):
+        cache = ResultCache("unused")
+        cold = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
+        key = stable_hash({"spec": spec.to_dict(), "code": tag})
+        digest = stable_hash(spec.to_dict())
+        with mock.patch.object(RunSpec, "_canonical", autospec=True,
+                               side_effect=RunSpec._canonical) as dumps:
+            for _ in range(2):
+                if key_first:
+                    assert cache.key(spec) == key
+                assert spec.spec_hash() == digest
+                assert cache.key(spec) == key
+                assert cache.path(spec).name == f"{key}.pkl"
+        assert dumps.call_count == 1
+        assert pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL) == cold
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=run_specs(), tag=AWKWARD_TEXT, other_tag=AWKWARD_TEXT,
+           key_first=st.booleans(), n=st.integers(0, 3))
+    def test_key_and_hash_equal_stable_hash(self, spec, tag, other_tag,
+                                            key_first, n):
+        with mock.patch.object(executor_module, "_code_tag", lambda: tag):
+            self.check(spec, tag, key_first)
+            # Whatever a warm spec begets hashes itself afresh.
+            for derive in (DERIVATIONS["with_seed"], DERIVATIONS["replace"],
+                           DERIVATIONS["with_fidelity"]):
+                self.check(derive(spec, n), tag, not key_first)
+        # The code tag moves under the live, warm spec.
+        with mock.patch.object(executor_module, "_code_tag",
+                               lambda: other_tag):
+            if other_tag != tag:
+                self.check(spec, other_tag, key_first)
+            assert spec.spec_hash() == stable_hash(spec.to_dict())
 
 
 def parent_token(spec):
