@@ -35,9 +35,11 @@ variable > default; a malformed value is one ``# error:`` line, exit 2).
 ``--jobs 1``; completed cells are memoized under ``~/.cache/repro``
 (``--no-cache`` to bypass), so re-rendering skips simulations already run.
 
-Every run prints a ``# profile:`` line (events dispatched, events/second,
-wall seconds per virtual second, peak heap depth) -- the perf baseline
-optimization work is judged against.  ``--trace`` turns on the
+A run that dispatches DES events in this process prints a ``# profile:``
+line (events dispatched, events/second, wall seconds per virtual second,
+peak heap depth); analytic figures, ``--jobs N`` grids and cache replays,
+which dispatch none here, print no such line.  The profiled run goes
+through the same dispatch loop as any other.  ``--trace`` turns on the
 flight-recorder event trace, ``--trace-out`` exports it as JSONL,
 ``--metrics-out`` writes the metrics registry snapshot plus a run manifest
 (seed, scale, resolved settings, git SHA, event counts) as JSON, and
@@ -879,7 +881,7 @@ def _main_run(args, parser: argparse.ArgumentParser) -> int:
     )
     if executor.failures:
         print(format_failure_table(executor.failures))
-    if telemetry.profiler is not None:
+    if telemetry.profiler is not None and telemetry.profiler.runs:
         log.info(f"# {telemetry.profiler.summary_line()}")
     log.info(f"# {format_manifest(manifest)}")
     if telemetry.recorder is not None:

@@ -999,8 +999,9 @@ class Executor:
 
     @staticmethod
     def _register_manifest(result: Any) -> None:
-        """Re-attach a worker/cache result's manifest to the parent's
-        telemetry, matching what an in-process run would have recorded."""
+        """Attach a settled result's manifest to the active telemetry.  The
+        one registration point, so an in-process, worker or cache result
+        is listed exactly once."""
         from ..telemetry.runtime import get_active
 
         manifest = getattr(result, "manifest", None)

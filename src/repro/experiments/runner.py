@@ -21,7 +21,6 @@ import numpy as np
 from ..core.base import Aqm
 from ..netem.profiles import RttProfile
 from ..telemetry.provenance import RunManifest
-from ..telemetry.runtime import get_active
 from ..telemetry.spans import maybe_span
 from ..sim.packet import PacketFactory
 from ..sim.units import HEADER_SIZE, MTU, gbps, mb, us
@@ -117,9 +116,6 @@ def _result(
     if manifest is not None:
         manifest.events = network.sim.events_processed
         manifest.scheduler = network.sim.scheduler
-        telemetry = get_active()
-        if telemetry is not None:
-            telemetry.add_manifest(manifest)
     return ExperimentResult(
         summary=collector.summary(),
         collector=collector,

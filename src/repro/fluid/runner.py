@@ -99,9 +99,6 @@ def _experiment_result(
             "fluid run truncated (check step budget / buffer settings)"
         )
     manifest.events = result.steps
-    telemetry = get_active()
-    if telemetry is not None:
-        telemetry.add_manifest(manifest)
     return ExperimentResult(
         summary=collector.summary(),
         collector=collector,

@@ -16,6 +16,11 @@ per-packet components of this package (:class:`Timer`, ``Port``) keep a
 reference to the queue and read ``now`` off it directly, skipping the
 property call.
 
+There is one dispatch loop, the queue's ``drain``.  An attached
+:class:`~repro.telemetry.profiler.RunProfiler` changes only how it is
+called: in slices of :data:`~repro.telemetry.profiler.PROFILE_SLICE`
+dispatches, with the pending depth sampled between them.
+
 Cancellable timers (used heavily by TCP retransmission logic) are provided
 by :class:`Timer`.  A timer keeps at most a handful of queue entries alive
 no matter how often it is restarted: ``restart`` only schedules a wake-up
@@ -28,9 +33,9 @@ entry per ACK into about two per RTO interval.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional
 
-from ..telemetry.profiler import HEAP_SAMPLE_MASK, RunProfiler
+from ..telemetry.profiler import PROFILE_SLICE, RunProfiler
 from ..telemetry.runtime import get_active
 from .eventq import SimulationError, SimulationStalled, make_event_queue
 
@@ -56,9 +61,12 @@ class Simulator:
     ``schedule`` and ``schedule_at`` are instance attributes bound
     directly to the queue's methods, so the per-event insert path has no
     delegation layer on top of the queue itself.
+
+    ``profiler`` is the active telemetry's :class:`RunProfiler` at
+    construction (``None`` without one); assign it to attach or detach.
     """
 
-    __slots__ = ("_q", "schedule", "schedule_at", "_running", "_profiler")
+    __slots__ = ("_q", "schedule", "schedule_at", "_running", "profiler")
 
     def __init__(self, scheduler: Optional[str] = None) -> None:
         self._q = make_event_queue(scheduler)
@@ -67,7 +75,7 @@ class Simulator:
         self.schedule_at: Callable[..., None] = self._q.schedule_at
         self._running: bool = False
         telemetry = get_active()
-        self._profiler: Optional[RunProfiler] = (
+        self.profiler: Optional[RunProfiler] = (
             telemetry.profiler if telemetry is not None else None
         )
 
@@ -85,18 +93,9 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of events dispatched so far, live per event: a callback
         sees the count of prior dispatches.  (The ``"calendar"`` oracle
-        synchronizes it at batch boundaries on its drain path; it is exact
-        between ``run()`` calls and on the instrumented loop.)"""
+        synchronizes it at batch boundaries; it is exact between ``run()``
+        calls.)"""
         return self._q.events_processed
-
-    @property
-    def profiler(self) -> Optional[RunProfiler]:
-        """Profiler collecting run statistics, if one is attached."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, profiler: Optional[RunProfiler]) -> None:
-        self._profiler = profiler
 
     @property
     def pending_events(self) -> int:
@@ -104,137 +103,72 @@ class Simulator:
         return len(self._q)
 
     def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        raise_on_stall: bool = False,
-        no_progress_limit: Optional[int] = None,
+        self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> None:
         """Dispatch events in time order.
 
         Stops when the event queue drains, when the next event lies beyond
-        ``until``, or after ``max_events`` dispatches.  On an ``until`` stop
-        the clock is advanced to ``until`` so that subsequent scheduling is
-        relative to the requested horizon.
-
-        ``raise_on_stall=True`` turns a ``max_events`` exhaustion with
-        events still runnable into a :class:`SimulationStalled` instead of
-        a silent truncation (callers using ``max_events`` as a cooperative
-        budget keep the default).  ``no_progress_limit`` additionally
-        raises when that many consecutive events dispatch without the
-        virtual clock advancing -- the signature of an event loop
-        rescheduling itself at the same instant forever.
+        ``until``, or after ``max_events`` dispatches -- a cooperative
+        budget, never an error.  On an ``until`` stop the clock is advanced
+        to ``until`` so that subsequent scheduling is relative to the
+        requested horizon.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         try:
             q = self._q
-            start_events = q.events_processed
-            limit = None if max_events is None else start_events + max_events
-            profiler = self._profiler
-            if profiler is None and no_progress_limit is None:
-                # Fast path: the queue owns the dispatch loop.
+            limit = None if max_events is None else q.events_processed + max_events
+            if self.profiler is None:
                 q.drain(until, limit)
             else:
-                self._run_instrumented(until, limit, profiler, no_progress_limit)
-            if (
-                raise_on_stall
-                and limit is not None
-                and q.events_processed >= limit
-                and len(q)
-            ):
-                head = q.peek_when()
-                if until is None or (head is not None and head <= until):
-                    raise SimulationStalled(
-                        clock=q.now,
-                        events=q.events_processed - start_events,
-                        pending=len(q),
-                        reason="budget",
-                    )
+                self._drain_profiled(until, limit)
             if until is not None and q.now < until:
                 q.now = until
         finally:
             self._running = False
 
-    def _run_instrumented(
-        self,
-        until: Optional[float],
-        limit: Optional[int],
-        profiler: Optional[RunProfiler],
-        no_progress_limit: Optional[int],
-    ) -> None:
-        """Per-event loop: profiler sampling and/or no-progress detection.
-
-        Uses the queue's single-event ``pop_due`` API, so both queue
-        implementations keep ``events_processed`` live here.
-        """
+    def _drain_profiled(self, until: Optional[float], limit: Optional[int]) -> None:
+        """``q.drain`` in slices that end at absolute multiples of
+        :data:`PROFILE_SLICE` dispatches, sampling the pending depth
+        between slices; nothing is added per event."""
         q = self._q
-        start_events = q.events_processed
-        until_bound = _INF if until is None else until
+        start = n = q.events_processed
         wall_start = perf_counter()
         virtual_start = q.now
         peak_depth = len(q)
-        last_clock = q.now
-        same_clock = 0
-        no_progress_stall = False
         while True:
-            if limit is not None and q.events_processed >= limit:
-                break
-            event = q.pop_due(until_bound)
-            if event is None:
-                break
-            when = event[0]
-            event[1](*event[2])
-            if no_progress_limit is not None:
-                if when > last_clock:
-                    last_clock = when
-                    same_clock = 0
-                else:
-                    same_clock += 1
-                    if same_clock >= no_progress_limit:
-                        no_progress_stall = True
-                        break
-            if (
-                profiler is not None
-                and q.events_processed & HEAP_SAMPLE_MASK == 0
-                and len(q) > peak_depth
-            ):
+            end = n - n % PROFILE_SLICE + PROFILE_SLICE
+            if limit is not None and end > limit:
+                end = limit
+            q.drain(until, end)
+            n = q.events_processed
+            if n % PROFILE_SLICE == 0 and len(q) > peak_depth:
                 peak_depth = len(q)
-        if profiler is not None:
-            profiler.record_run(
-                events=q.events_processed - start_events,
-                wall_seconds=perf_counter() - wall_start,
-                virtual_seconds=q.now - virtual_start,
-                peak_heap_depth=peak_depth,
-            )
-        if no_progress_stall:
-            raise SimulationStalled(
-                clock=q.now,
-                events=q.events_processed - start_events,
-                pending=len(q),
-                reason="no-progress",
-            )
+            if n != end or end == limit:
+                break  # drained, past the horizon, or out of budget
+        self.profiler.record_run(
+            events=n - start,
+            wall_seconds=perf_counter() - wall_start,
+            virtual_seconds=q.now - virtual_start,
+            peak_heap_depth=peak_depth,
+        )
 
-    def run_until_idle(
-        self,
-        max_events: int = 100_000_000,
-        raise_on_stall: bool = True,
-        no_progress_limit: Optional[int] = None,
-    ) -> None:
-        """Run until no events remain (bounded by ``max_events``).
+    def run_until_idle(self, max_events: int = 100_000_000) -> None:
+        """Run until no events remain.
 
         Exhausting ``max_events`` with events still queued means the run
-        did not reach idle -- by default that raises
-        :class:`SimulationStalled` (with the clock, dispatch count and
-        queue depth) instead of returning a silently truncated simulation.
+        did not reach idle: that raises :class:`SimulationStalled` (with
+        the clock, dispatch count and queue depth) instead of returning a
+        silently truncated simulation.
         """
-        self.run(
-            until=None,
-            max_events=max_events,
-            raise_on_stall=raise_on_stall,
-            no_progress_limit=no_progress_limit,
-        )
+        q = self._q
+        start = q.events_processed
+        self.run(max_events=max_events)
+        if len(q):
+            raise SimulationStalled(
+                clock=q.now, events=q.events_processed - start, pending=len(q)
+            )
 
 
 class Timer:

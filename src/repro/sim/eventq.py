@@ -28,12 +28,15 @@ events carrying the same timestamp, the one scheduled first runs first.
     A straggler (an event scheduled inside the active batch's window) is
     binary-inserted into the live batch, always ahead of the dispatch
     cursor.  Two semantic differences from the heap: ``events_processed``
-    is synchronized at batch boundaries on the drain path, and a callback
-    that raises mid-batch leaves the dispatch position at the first event
-    of the current timestamp (discard the simulator after an exception).
+    is synchronized at batch boundaries, and a callback that raises
+    mid-batch leaves the dispatch position at the first event of the
+    current timestamp (discard the simulator after an exception).
 
-``Simulator()`` builds the heap; ``Simulator(scheduler="calendar")`` is the
-oracle's only entry point.  There is no environment override.
+Both queues offer the same contract and nothing more: ``schedule`` /
+``schedule_at``, ``drain(until, limit)``, ``len``, ``now`` and
+``events_processed``.  ``Simulator()`` builds the heap;
+``Simulator(scheduler="calendar")`` is the oracle's only entry point.
+There is no environment override.
 """
 
 from __future__ import annotations
@@ -77,25 +80,20 @@ class SimulationError(RuntimeError):
 
 
 class SimulationStalled(SimulationError):
-    """The event loop is stuck: the dispatch budget ran out with events
-    still pending (``reason="budget"``), or the loop dispatched
-    ``no_progress_limit`` consecutive events without the virtual clock
-    advancing (``reason="no-progress"``).
+    """``Simulator.run_until_idle`` spent its dispatch budget with events
+    still pending: the run never reached idle.
 
     Carries the forensic state a failure record needs: the virtual clock,
-    the number of events dispatched by the stalled ``run()`` call, and the
-    queue depth at the moment of the stall.
+    the number of events dispatched by the stalled call, and the queue
+    depth at the moment of the stall.
     """
 
-    def __init__(
-        self, clock: float, events: int, pending: int, reason: str = "budget"
-    ) -> None:
+    def __init__(self, clock: float, events: int, pending: int) -> None:
         self.clock = clock
         self.events = events
         self.pending = pending
-        self.reason = reason
         super().__init__(
-            f"simulation stalled ({reason}): clock={clock:.9f}s after "
+            f"simulation stalled: clock={clock:.9f}s after "
             f"{events} events with {pending} events still pending"
         )
 
@@ -115,7 +113,7 @@ class HeapEventQueue:
     """Binary-heap event queue: the production data structure.
 
     ``events_processed`` is stored per dispatch (not batched at return) so
-    monitors and profilers can read a live value mid-run; ``drain`` counts
+    a callback can read a live value mid-run; ``drain`` counts
     in a local and only *writes* the attribute, which is safe because
     ``Simulator.run`` is not reentrant.
     """
@@ -148,23 +146,6 @@ class HeapEventQueue:
             )
         self._sequence = seq = self._sequence + 1
         heappush(self._heap, (when, seq, callback, args))
-
-    def peek_when(self) -> Optional[float]:
-        """Timestamp of the next event, or None when empty."""
-        heap = self._heap
-        return heap[0][0] if heap else None
-
-    def pop_due(self, until: float) -> Optional[Event]:
-        """Pop the next event if its time is <= ``until``; advances the
-        clock and the dispatch counter.  Single-event API used by the
-        engine's instrumented loop."""
-        heap = self._heap
-        if not heap or heap[0][0] > until:
-            return None
-        when, _seq, callback, args = heappop(heap)
-        self.now = when
-        self.events_processed += 1
-        return (when, callback, args)
 
     def drain(self, until: Optional[float], limit: Optional[int]) -> None:
         """Dispatch events in order until the queue empties, the next
@@ -306,51 +287,6 @@ class CalendarEventQueue:
 
     # -------------------------------------------------------------- dispatch
 
-    def _form_batch(self) -> bool:
-        """Replace the exhausted batch with the next one.  Returns False
-        when no events remain.  May instead trigger the heap fallback, in
-        which case it returns True with ``_heap`` set -- callers recheck.
-
-        Requires ``_cursor``/``_batch``/``events_processed`` to be
-        current (drain syncs them before calling).
-        """
-        far = self._far
-        res = self._res
-        batch = self._batch
-        if res:
-            if far:
-                res.extend(far)
-                del far[:]
-                res.sort(key=_time0)
-            next_batch = res[:BATCH_EVENTS]
-            del res[:BATCH_EVENTS]
-            del batch[:]
-        elif far:
-            stragglers = self._stragglers
-            if (
-                stragglers > FALLBACK_MIN_STRAGGLERS
-                and stragglers * FALLBACK_RATIO > self.events_processed
-            ):
-                self._convert_to_heap()
-                return True
-            far.sort(key=_time0)
-            if len(far) <= BATCH_EVENTS:
-                next_batch = far
-                del batch[:]  # recycle the spent list as the new far tier
-                self._far = far = batch
-                self._push = far.append
-            else:
-                next_batch = far[:BATCH_EVENTS]
-                self._res = far[BATCH_EVENTS:]
-                del far[:]
-                del batch[:]
-        else:
-            return False
-        self._batch = next_batch
-        self._cursor = 0
-        self._horizon = next_batch[-1][0]
-        return True
-
     def _convert_to_heap(self) -> None:
         """Irreversible fallback for pathological straggler ratios: move
         every pending event into a ``(when, seq, callback, args)`` heap,
@@ -372,50 +308,6 @@ class CalendarEventQueue:
         self._push = self._far.append
         self._cursor = 0
         self._horizon = _INF
-
-    def peek_when(self) -> Optional[float]:
-        """Timestamp of the next event, or None when empty.  O(|far|) in
-        the worst case; used only on cold paths (stall forensics)."""
-        if self._heap is not None:
-            heap = self._heap
-            return heap[0][0] if heap else None
-        if self._cursor < len(self._batch):
-            return self._batch[self._cursor][0]
-        candidates = []
-        if self._res:
-            candidates.append(self._res[0][0])
-        if self._far:
-            candidates.append(min(ev[0] for ev in self._far))
-        return min(candidates) if candidates else None
-
-    def pop_due(self, until: float) -> Optional[Event]:
-        """Pop the next event if its time is <= ``until``; advances the
-        clock and the dispatch counter (live, per event -- the
-        instrumented engine loop pays for what it observes)."""
-        if self._heap is None:
-            batch = self._batch
-            cursor = self._cursor
-            if cursor >= len(batch):
-                if not self._form_batch():
-                    return None
-                if self._heap is None:
-                    batch = self._batch
-                    cursor = 0
-            if self._heap is None:
-                ev = batch[cursor]
-                if ev[0] > until:
-                    return None
-                self._cursor = cursor + 1
-                self.now = ev[0]
-                self.events_processed += 1
-                return ev
-        heap = self._heap
-        if not heap or heap[0][0] > until:
-            return None
-        when, _seq, callback, args = heappop(heap)
-        self.now = when
-        self.events_processed += 1
-        return (when, callback, args)
 
     def drain(self, until: Optional[float], limit: Optional[int]) -> None:
         """Dispatch events in order until the queue empties, the next
@@ -439,8 +331,8 @@ class CalendarEventQueue:
             while True:
                 blen = len(batch)
                 if cursor >= blen:
-                    # ---- batch formation, inlined (= _form_batch; small
-                    # batches make this warm, see the schedule comment) ----
+                    # ---- batch formation, inlined (small batches make
+                    # this warm, see the schedule comment) ----
                     self.events_processed = n
                     res = self._res
                     if res:

@@ -9,17 +9,20 @@ simulator it is attached to, the numbers that matter for performance work:
   number that says how far from real time the reproduction runs);
 * peak heap depth (pending events), the memory-pressure proxy.
 
-The engine samples heap depth only every ``HEAP_SAMPLE_MASK + 1`` dispatches
-so the instrumented loop stays within a few percent of the bare loop; the
-profiler itself does no per-event work.
+A profiled run dispatches through the same queue ``drain`` as a bare one,
+called in slices of :data:`PROFILE_SLICE` events; the engine samples the
+heap depth between slices, so neither it nor the profiler does any
+per-event work.
 """
 
 from __future__ import annotations
 
-__all__ = ["RunProfiler", "HEAP_SAMPLE_MASK"]
+__all__ = ["RunProfiler", "PROFILE_SLICE"]
 
-HEAP_SAMPLE_MASK = 0x3FF
-"""Dispatch-count mask: heap depth is sampled every 1024 events."""
+PROFILE_SLICE = 1024
+"""Dispatches per profiled drain slice.  Slices end at absolute multiples
+of it, so heap depth is sampled every 1024 events of the simulator's
+lifetime, wherever a ``run()`` call starts."""
 
 
 class RunProfiler:

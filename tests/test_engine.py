@@ -10,6 +10,7 @@ from repro.sim.engine import (
     Simulator,
     Timer,
 )
+from repro.telemetry.profiler import PROFILE_SLICE
 
 
 class TestScheduling:
@@ -134,20 +135,18 @@ class TestRunControl:
         assert sim.events_processed == 4
 
     def test_events_processed_is_live_when_instrumented(self):
-        # With a profiler attached the engine runs the per-event
-        # instrumented loop, where both schedulers keep the counter live.
+        # A profiled run drains through the same queue loop as a bare one,
+        # so the heap's counter stays live per event under a profiler too.
         from repro.telemetry import RunProfiler
 
-        for name in ("calendar", "heap"):
-            sim = Simulator(scheduler=name)
-            sim.profiler = RunProfiler()
-            observed = []
-            for index in range(4):
-                sim.schedule(
-                    0.1 * (index + 1), lambda: observed.append(sim.events_processed)
-                )
-            sim.run()
-            assert observed == [1, 2, 3, 4], name
+        sim = Simulator()
+        sim.profiler = RunProfiler()
+        observed = []
+        for index in range(4):
+            sim.schedule(0.1 * (index + 1), lambda: observed.append(sim.events_processed))
+        sim.run()
+        assert observed == [0, 1, 2, 3]
+        assert sim.profiler.events == 4
 
     def test_events_processed_accumulates_across_runs(self, sim):
         for index in range(6):
@@ -196,6 +195,66 @@ class TestRunControl:
         sim.run()
 
 
+class TestProfiledDrain:
+    """A profiled run is the queue's ``drain`` called in slices that end at
+    absolute multiples of ``PROFILE_SLICE`` dispatches; these pin where the
+    slices end and that a budget still means exactly that many events."""
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_sampled_peak_follows_absolute_slice_boundaries(self, scheduler):
+        from repro.telemetry import RunProfiler
+
+        assert PROFILE_SLICE == 1024
+        sim = Simulator(scheduler=scheduler)
+        sim.profiler = profiler = RunProfiler()
+
+        # Tick k parks one filler far in the future and, below 3000,
+        # schedules tick k + 1: after n dispatches the pending depth is
+        # n + 1 while ticking, then 6000 - n once only fillers remain.
+        def tick(k):
+            sim.schedule_at(1e6 + k, lambda: None)
+            if k < 3000:
+                sim.schedule(1.0, tick, k + 1)
+
+        sim.schedule(1.0, tick, 1)
+        sim.run(max_events=1500)
+        sim.run()
+        # Samples: each run's start (depth 1, then 1501) and every multiple
+        # of 1024 dispatches: 1025, 2049, 2928 (n = 3072), 1904, 880.
+        # Slices counted from the second run's start would sample 2525
+        # first; a per-event sampler would see the true peak, 3000.
+        assert profiler.peak_heap_depth == 2928
+        assert profiler.runs == 2
+        assert profiler.events == sim.events_processed == 6000
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    @pytest.mark.parametrize("budget", [0, 1, 724, 1024, 2500])
+    def test_budget_dispatches_exactly_that_many(self, scheduler, budget):
+        from repro.telemetry import RunProfiler
+
+        sim = Simulator(scheduler=scheduler)
+        sim.profiler = profiler = RunProfiler()
+        for index in range(3000):
+            sim.schedule(1e-6 * (index + 1), lambda: None)
+        sim.run(max_events=300)  # the next run starts mid-slice
+        sim.run(max_events=budget)
+        assert sim.events_processed == profiler.events == 300 + budget
+        assert sim.pending_events == 2700 - budget
+
+    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    def test_until_stops_inside_a_slice(self, scheduler):
+        from repro.telemetry import RunProfiler
+
+        sim = Simulator(scheduler=scheduler)
+        sim.profiler = profiler = RunProfiler()
+        for index in range(3000):
+            sim.schedule(1e-6 * (index + 1), lambda: None)
+        sim.run(until=1.5005e-3)
+        assert sim.events_processed == profiler.events == 1500
+        assert sim.now == 1.5005e-3  # clock advanced to the horizon
+        assert profiler.virtual_seconds == pytest.approx(1.5e-3)  # last event
+
+
 class TestStallDetection:
     def _self_scheduling_loop(self, sim, delay):
         """An event loop that reschedules itself forever."""
@@ -206,11 +265,12 @@ class TestStallDetection:
         sim.schedule(delay, tick)
 
     def test_budget_exhaustion_raises_when_opted_in(self, sim):
+        # run_until_idle is the opt-in: its budget running out with events
+        # still queued is a stall.
         self._self_scheduling_loop(sim, delay=0.001)
         with pytest.raises(SimulationStalled) as caught:
-            sim.run(max_events=25, raise_on_stall=True)
+            sim.run_until_idle(max_events=25)
         stall = caught.value
-        assert stall.reason == "budget"
         assert stall.events == 25
         assert stall.pending >= 1
         assert stall.clock == pytest.approx(sim.now)
@@ -218,58 +278,32 @@ class TestStallDetection:
 
     def test_budget_exhaustion_silent_by_default(self, sim):
         # run(max_events=N) is a cooperative budget for incremental
-        # dispatch (tests, benchmarks); only opting in raises.
+        # dispatch (tests, benchmarks); it never raises.
         self._self_scheduling_loop(sim, delay=0.001)
         sim.run(max_events=25)
         assert sim.events_processed == 25
 
     def test_run_until_idle_raises_on_stall_by_default(self, sim):
         self._self_scheduling_loop(sim, delay=0.001)
-        with pytest.raises(SimulationStalled, match="budget"):
+        with pytest.raises(SimulationStalled, match="stalled.*still pending"):
             sim.run_until_idle(max_events=50)
 
     def test_no_stall_when_budget_exactly_drains(self, sim):
         for index in range(5):
             sim.schedule(0.1 * (index + 1), lambda: None)
-        sim.run(max_events=5, raise_on_stall=True)  # heap empty: no stall
+        sim.run_until_idle(max_events=5)  # queue empty: no stall
         assert sim.pending_events == 0
 
-    def test_until_stop_is_not_a_stall(self, sim):
-        # Budget exhausted, but every remaining event lies beyond the
-        # horizon: the run legitimately stopped at `until`.
-        sim.schedule(0.1, lambda: None)
-        sim.schedule(5.0, lambda: None)
-        sim.run(until=1.0, max_events=1, raise_on_stall=True)
-        assert sim.now == 1.0
-
-    def test_no_progress_detector_catches_zero_delay_loop(self, sim):
-        self._self_scheduling_loop(sim, delay=0.0)
-        with pytest.raises(SimulationStalled) as caught:
-            sim.run(no_progress_limit=100)
-        assert caught.value.reason == "no-progress"
-        assert caught.value.events >= 100
-
-    def test_no_progress_detector_allows_advancing_clock(self, sim):
-        count = []
-
-        def chain(n):
-            count.append(n)
-            if n > 0:
-                sim.schedule(0.01, chain, n - 1)
-
-        sim.schedule(0.0, chain, 300)
-        sim.run(no_progress_limit=10)  # clock advances every event
-        assert len(count) == 301
-
-    def test_no_progress_detector_records_profiler_run(self, sim):
+    def test_stalled_run_is_still_profiled(self, sim):
         from repro.telemetry import RunProfiler
 
         profiler = RunProfiler()
         sim.profiler = profiler
         self._self_scheduling_loop(sim, delay=0.0)
         with pytest.raises(SimulationStalled):
-            sim.run(no_progress_limit=50)
-        assert profiler.runs == 1  # the stalled run still gets recorded
+            sim.run_until_idle(max_events=3000)
+        assert profiler.runs == 1
+        assert profiler.events == 3000
 
 
 class TestTimer:

@@ -7,7 +7,8 @@ an independent implementation of the same contract, kept as the oracle.
 Every test here runs the identical workload through both queues and demands
 identical traces: same callbacks, same order, same clock readings, under
 timestamp ties, stragglers, ``until``/``max_events`` boundaries, Timer lazy
-cancellation, the fallback itself, and whole leaf-spine / incast cells.
+cancellation, the fallback itself, and whole star / leaf-spine / incast
+cells, bare and under a profiler.
 """
 
 import random
@@ -357,3 +358,70 @@ class TestFigureEquivalence:
         assert cells["calendar"] == cells["heap"]
         _events, _marks, drops, timeouts, completed, _fct = cells["heap"]
         assert drops > 0 and timeouts > 0 and completed == 100
+
+
+def _bare_and_profiled(monkeypatch, cell):
+    """``cell()`` bare and under a profiler-only telemetry, on each queue:
+    ``{(scheduler, profiled): (outcome, profiler or None)}``."""
+    from repro.telemetry import Telemetry, activate
+
+    runs = {}
+    for scheduler in SCHEDULERS:
+        monkeypatch.setattr(eventq, "DEFAULT_SCHEDULER", scheduler)
+        runs[scheduler, False] = (cell(), None)
+        with activate(Telemetry(metrics=False)) as telemetry:
+            runs[scheduler, True] = (cell(), telemetry.profiler)
+    return runs
+
+
+class TestProfiledRunEquivalence:
+    """A profiled run is the bare ``drain`` called in slices, so a whole
+    cell must come out identical bare and profiled, on either queue, and
+    the profiler must count exactly the run's events."""
+
+    def test_star_cell(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.schemes import simulation_scheme_specs
+        from repro.workloads import WEB_SEARCH
+
+        def cell():
+            return runner.run_star_fct(
+                simulation_scheme_specs()["ECN#"].build, WEB_SEARCH, 0.5, 25, 1
+            )
+
+        runs = _bare_and_profiled(monkeypatch, cell)
+        signatures = {
+            (r.events, r.marks, r.drops, r.timeouts,
+             sum(record.fct for record in r.collector.records))
+            for r, _ in runs.values()
+        }
+        assert len(signatures) == 1
+        for scheduler in SCHEDULERS:
+            result, profiler = runs[scheduler, True]
+            assert profiler.runs == 1
+            assert profiler.events == result.events > 0
+            assert profiler.virtual_seconds == result.sim_duration
+
+    def test_fig10_incast_cell(self, monkeypatch):
+        from repro.experiments.figures import fig10
+        from repro.experiments.schemes import simulation_scheme_specs
+        from repro.sim.units import ms
+
+        def cell():
+            return fig10.run_microscopic(
+                simulation_scheme_specs()["CoDel"].build, "CoDel",
+                fanout=100, seed=61,
+                warmup=ms(1), burst_time=ms(3), end_time=ms(12),
+            )
+
+        runs = _bare_and_profiled(monkeypatch, cell)
+        signatures = {
+            (r.events, r.marks, r.drops, r.query_timeouts,
+             r.queries_completed, sum(r.query_fcts),
+             tuple(map(tuple, r.samples)))
+            for r, _ in runs.values()
+        }
+        assert len(signatures) == 1
+        for scheduler in SCHEDULERS:
+            run, profiler = runs[scheduler, True]
+            assert profiler.events == run.events > 0

@@ -170,6 +170,23 @@ class TestExecutorDeterminism:
             assert result.manifest.seed == spec.seed
 
 
+class TestManifestRegistration:
+    @pytest.mark.parametrize("mode", ["jobs=1", "jobs=2", "cache replay"])
+    def test_each_settled_run_registers_one_manifest(self, mode, tmp_path):
+        specs = [tiny_spec(seed=3), tiny_spec(seed=4)]
+        executor = Executor(
+            jobs=2 if mode == "jobs=2" else 1, cache=True, cache_dir=tmp_path
+        )
+        if mode == "cache replay":
+            executor.run(specs)
+        with activate(Telemetry(metrics=False)) as telemetry:
+            executor.run(specs)
+        assert len(telemetry.manifests) == len(specs)
+        assert sorted(m.seed for m in telemetry.manifests) == [3, 4]
+        if mode == "cache replay":
+            assert executor.stats.cache_hits == len(specs)
+
+
 class TestResultCache:
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
         spec = tiny_spec()
