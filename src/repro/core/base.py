@@ -80,8 +80,7 @@ class Aqm(ABC):
         ``now`` timestamps the telemetry mark event; callers inside the
         enqueue/dequeue hooks pass the hook's clock.
         """
-        self.stats.packets_seen += 0  # counted by callers; keep hook cheap
-        if Ecn.is_ect(packet.ecn) or packet.ecn == Ecn.CE:
+        if Ecn.is_ect(packet.ecn):  # CE counts as ECN-capable too
             packet.mark_ce()
             self.stats.marks += 1
             if kind == "instant":

@@ -6,7 +6,7 @@ from .monitor import DropTracer, QueueMonitor, QueueSample
 from .network import Host, Network, Node, Switch
 from .packet import Ecn, Packet, PacketFactory
 from .port import Port, PortStats
-from .queues import BufferPool, PacketQueue
+from .queues import PacketQueue
 from .scheduler import DwrrScheduler, FifoScheduler, Scheduler, StrictPriorityScheduler
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "PacketFactory",
     "Port",
     "PortStats",
-    "BufferPool",
     "PacketQueue",
     "DwrrScheduler",
     "FifoScheduler",

@@ -4,6 +4,10 @@ A :class:`Port` models one direction of a link attached to a node: it owns a
 packet scheduler (one or more queues), a drop-tail buffer budget, an AQM, a
 serialization rate and the propagation delay to the peer node.
 
+The buffer's occupancy *is* the scheduler's ``total_bytes``: every admitted
+packet is enqueued and every dequeued one leaves it, so the port keeps only
+the capacity and the high-water mark of admitted occupancy.
+
 The transmit loop is event-driven: a port is either idle or has exactly one
 in-flight serialization event.  ``send`` enqueues (running the AQM's enqueue
 hook and buffer admission) and kicks the loop if idle; each serialization
@@ -15,7 +19,8 @@ keeps results bit-identical across changes to this file.
 
 These are the hottest handlers of a packet run, so they read the clock
 straight off the event queue (``sim._q.now``, not the ``Simulator.now``
-property) and the occupancy off the scheduler's O(1) counters.
+property) and the occupancy off the scheduler's O(1) counters, and the
+serialization callback is bound once at construction.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from ..telemetry.runtime import dataplane_telemetry
 from .engine import Simulator
 from .packet import Packet
-from .queues import BufferPool
 from .scheduler import FifoScheduler, Scheduler
-from .units import transmission_delay
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.base import Aqm
@@ -68,7 +71,8 @@ class Port:
         "rate_bps",
         "propagation_delay",
         "scheduler",
-        "buffer",
+        "buffer_bytes",
+        "buffer_peak_bytes",
         "aqm",
         "peer",
         "stats",
@@ -76,6 +80,7 @@ class Port:
         "on_drop",
         "telemetry",
         "_q",
+        "_transmission_done",
     )
 
     def __init__(
@@ -92,6 +97,8 @@ class Port:
             raise ValueError("port rate must be positive")
         if propagation_delay < 0:
             raise ValueError("propagation delay cannot be negative")
+        if buffer_bytes <= 0:
+            raise ValueError("buffer capacity must be positive")
         # Imported here (not at module scope) to keep repro.sim importable
         # from repro.core.base, which only needs sim.packet.
         from ..core.base import NullAqm
@@ -102,12 +109,14 @@ class Port:
         self.rate_bps = rate_bps
         self.propagation_delay = propagation_delay
         self.scheduler = scheduler if scheduler is not None else FifoScheduler()
-        self.buffer = BufferPool(buffer_bytes)
+        self.buffer_bytes = buffer_bytes
+        self.buffer_peak_bytes = 0  # high-water mark of admitted occupancy
         self.aqm = aqm if aqm is not None else NullAqm()
         self.peer: Optional["Node"] = None
         self.stats = PortStats()
         self._busy = False
         self.on_drop: Optional[Callable[[Packet, str], None]] = None
+        self._transmission_done = self._transmission_complete
         # Attached once here; every hot-path hook below is a single
         # ``is not None`` check when telemetry is inactive.
         self.telemetry = dataplane_telemetry()
@@ -133,16 +142,18 @@ class Port:
             raise RuntimeError(f"port {self.name} is not connected")
         now = self._q.now
         scheduler = self.scheduler
-        size = packet.size
-        if not self.buffer.try_reserve(size):
+        queue_bytes = scheduler.total_bytes
+        occupancy = queue_bytes + packet.size
+        if occupancy > self.buffer_bytes:
             self._drop(packet, "overflow", now)
             return
-        if not self.aqm.on_enqueue(packet, now, scheduler.total_bytes):
-            self.buffer.release(size)
+        if not self.aqm.on_enqueue(packet, now, queue_bytes):
             self._drop(packet, "aqm", now)
             return
         packet.enqueue_time = now
         scheduler.enqueue(packet)
+        if occupancy > self.buffer_peak_bytes:
+            self.buffer_peak_bytes = occupancy
         self.stats.enqueued_packets += 1
         if self.telemetry is not None:
             self.telemetry.on_enqueue(self, packet, now)
@@ -165,22 +176,22 @@ class Port:
         """Pull packets until one survives the AQM's dequeue hook and goes
         on the wire, or the queues run dry and the line goes idle."""
         scheduler = self.scheduler
-        telemetry = self.telemetry
+        aqm = self.aqm
         while True:
             packet = scheduler.dequeue()
             if packet is None:
                 self._busy = False
                 return
-            self.buffer.release(packet.size)
-            if self.aqm.on_dequeue(packet, now):
+            if aqm.on_dequeue(packet, now):
                 break
             # AQM chose to drop at dequeue (not-ECT under marking).
             self._drop(packet, "aqm", now)
-        if telemetry is not None:
-            telemetry.on_dequeue(self, packet, now)
+        if self.telemetry is not None:
+            self.telemetry.on_dequeue(self, packet, now)
         self._busy = True
-        delay = transmission_delay(packet.size, self.rate_bps)
-        self._q.schedule(delay, self._transmission_complete, packet)
+        # units.transmission_delay's expression; __init__ validated the rate.
+        self._q.schedule(
+            packet.size * 8.0 / self.rate_bps, self._transmission_done, packet)
 
     def _transmission_complete(self, packet: Packet) -> None:
         stats = self.stats

@@ -1,8 +1,9 @@
 """Packet queues with byte and packet accounting.
 
-A :class:`PacketQueue` is a FIFO with O(1) byte/packet counters.  Egress
-ports own one or more of these (one per service class when a multi-queue
-scheduler is configured) and share a drop-tail buffer budget across them.
+A :class:`PacketQueue` is a FIFO with O(1) byte/packet counters.  An egress
+port's scheduler owns one or more of these (one per service class when a
+multi-queue scheduler is configured); the port's drop-tail buffer budget
+covers them all.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ from typing import Deque, Optional
 
 from .packet import Packet
 
-__all__ = ["PacketQueue", "BufferPool"]
+__all__ = ["PacketQueue"]
 
 
 class PacketQueue:
     """A FIFO of packets with constant-time byte/packet length queries.
 
     The deque's ``append``/``popleft`` are bound once at construction --
-    ``push``/``pop`` sit on the per-packet path of every event-driven port,
-    and the cached bindings skip an attribute lookup per call.
+    they sit on the per-packet path of every event-driven port (through
+    ``push``/``pop``, or called straight by ``FifoScheduler``), and the
+    cached bindings skip an attribute lookup per call.
     """
 
     __slots__ = ("_packets", "_bytes", "service", "_append", "_popleft")
@@ -64,51 +66,3 @@ class PacketQueue:
     def peek(self) -> Optional[Packet]:
         """Return the head packet without removing it, or None if empty."""
         return self._packets[0] if self._packets else None
-
-
-class BufferPool:
-    """Drop-tail byte budget shared by the queues of one egress port.
-
-    Mirrors a switch port's slice of shared packet buffer: an arriving packet
-    that would push the occupancy past ``capacity_bytes`` is dropped at
-    enqueue.  Accounting is in bytes because the paper's thresholds are
-    byte/time based and packets are variable-sized.
-    """
-
-    __slots__ = ("capacity_bytes", "_used", "_peak")
-
-    def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("buffer capacity must be positive")
-        self.capacity_bytes = capacity_bytes
-        self._used = 0
-        self._peak = 0
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    @property
-    def peak_bytes(self) -> int:
-        """High-water mark of occupancy (telemetry: burst absorption)."""
-        return self._peak
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self._used
-
-    def try_reserve(self, size: int) -> bool:
-        """Reserve ``size`` bytes; False (and no reservation) if full."""
-        used = self._used + size
-        if used > self.capacity_bytes:
-            return False
-        self._used = used
-        if used > self._peak:
-            self._peak = used
-        return True
-
-    def release(self, size: int) -> None:
-        """Return ``size`` bytes to the pool."""
-        self._used -= size
-        if self._used < 0:
-            raise RuntimeError("buffer accounting underflow")

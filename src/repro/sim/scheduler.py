@@ -35,8 +35,9 @@ class Scheduler(ABC):
     """Base class: a set of queues plus a service discipline.
 
     ``total_bytes`` / ``total_packets`` are the occupancy over all queues,
-    kept as plain counters: :meth:`enqueue` adds, and every discipline
-    removes through :meth:`_pop`.  A port reads them on each admission.
+    kept as plain counters: :meth:`enqueue` adds and :meth:`_pop` removes
+    (:class:`FifoScheduler` does both inline).  A port reads them on each
+    admission: ``total_bytes`` is its buffer occupancy.
     """
 
     def __init__(self, num_queues: int) -> None:
@@ -79,13 +80,36 @@ class Scheduler(ABC):
 
 
 class FifoScheduler(Scheduler):
-    """Single FIFO queue."""
+    """Single FIFO queue.
+
+    Every port without a configured discipline runs this one, so
+    ``enqueue``/``dequeue`` touch the queue's deque and the three counters
+    (its bytes, the scheduler's bytes and packets) in one call each instead
+    of walking ``queue_for`` → ``push`` and ``_pop`` → ``pop``.
+    """
 
     def __init__(self) -> None:
         super().__init__(num_queues=1)
+        self._queue = self.queues[0]
+
+    def enqueue(self, packet: Packet) -> None:
+        size = packet.size
+        queue = self._queue
+        queue._append(packet)
+        queue._bytes += size
+        self.total_bytes += size
+        self.total_packets += 1
 
     def dequeue(self) -> Optional[Packet]:
-        return self._pop(self.queues[0]) if self.total_packets else None
+        if not self.total_packets:
+            return None
+        queue = self._queue
+        packet = queue._popleft()
+        size = packet.size
+        queue._bytes -= size
+        self.total_bytes -= size
+        self.total_packets -= 1
+        return packet
 
 
 class StrictPriorityScheduler(Scheduler):

@@ -94,6 +94,7 @@ class TcpSender:
         if mss <= 0:
             raise ValueError("mss must be positive")
         self.sim = sim
+        self._q = sim._q  # the clock, read per ACK without the property hop
         self.host = host
         self.flow_id = flow_id
         self.src = host.name
@@ -156,55 +157,57 @@ class TcpSender:
 
     # ------------------------------------------------------------- sending
 
-    def _segment_payload(self, seq: int) -> int:
-        if seq == self.total_segments - 1:
-            return self._last_segment_payload
-        return self.mss
-
-    def _make_segment(self, seq: int, retransmission: bool) -> Packet:
-        packet = acquire_packet(
-            flow_id=self.flow_id,
-            src=self.src,
-            dst=self.dst,
-            seq=seq,
-            size=self._segment_payload(seq) + HEADER_SIZE,
-            is_ack=False,
-            ecn=Ecn.ECT0,
-            service=self.service,
-        )
-        packet.sent_time = self.sim.now
-        packet.retransmission = retransmission
-        return packet
-
     def _try_send(self) -> None:
-        window = max(1, int(self.cwnd))
-        sent_any = False
-        now = self.sim.now  # nothing below advances the clock
-        while (
-            not self.completed
-            and self.send_next < self.total_segments
-            and self.outstanding < window
-        ):
-            seq = self.send_next
-            retransmission = seq in self._retransmitted_segments
-            packet = self._make_segment(seq, retransmission)
-            if seq not in self._send_times:
-                self._send_times[seq] = now
+        if self.completed:
+            return
+        seq = self.send_next
+        # Send while in flight (send_next - highest_acked) < window; nothing
+        # below moves highest_acked or cwnd, so the bound is fixed.
+        limit = min(
+            self.total_segments, self.highest_acked + max(1, int(self.cwnd))
+        )
+        if seq >= limit:
+            return
+        now = self._q.now  # nothing below advances the clock
+        send_times = self._send_times
+        retransmitted = self._retransmitted_segments
+        stats = self.stats
+        last = self.total_segments - 1
+        while seq < limit:
+            retransmission = seq in retransmitted
+            packet = acquire_packet(
+                self.flow_id, self.src, self.dst, seq,
+                (self._last_segment_payload if seq == last else self.mss)
+                + HEADER_SIZE,
+                False, Ecn.ECT0, False, self.service,
+            )
+            packet.sent_time = now
+            packet.retransmission = retransmission
+            if seq not in send_times:
+                send_times[seq] = now
             self.host.transmit(packet)
-            self.stats.segments_sent += 1
+            stats.segments_sent += 1
             if retransmission:
-                self.stats.retransmissions += 1
+                stats.retransmissions += 1
                 if self.telemetry is not None:
                     self.telemetry.on_retransmit(self, seq, "go-back-n")
-            self.send_next += 1
-            sent_any = True
-        if sent_any and not self._rto_timer.armed and self.outstanding > 0:
+            seq += 1
+            self.send_next = seq
+        # Something was sent, so segments are in flight.
+        if not self._rto_timer.armed:
             self._rto_timer.restart(self.rto)
 
     def _retransmit(self, seq: int, kind: str = "fast") -> None:
         self._retransmitted_segments.add(seq)
         self._send_times.pop(seq, None)  # Karn: never RTT-sample a retransmit
-        packet = self._make_segment(seq, retransmission=True)
+        last = seq == self.total_segments - 1
+        packet = acquire_packet(
+            self.flow_id, self.src, self.dst, seq,
+            (self._last_segment_payload if last else self.mss) + HEADER_SIZE,
+            False, Ecn.ECT0, False, self.service,
+        )
+        packet.sent_time = self._q.now
+        packet.retransmission = True
         self.host.transmit(packet)
         self.stats.segments_sent += 1
         self.stats.retransmissions += 1
@@ -219,14 +222,15 @@ class TcpSender:
         if self.completed:
             release_packet(packet)  # ACK for an already-finished flow
             return
-        self.stats.acks_received += 1
+        stats = self.stats
+        stats.acks_received += 1
         if packet.ece:
-            self.stats.ece_acks += 1
+            stats.ece_acks += 1
         ack = packet.seq
 
         # ECN reaction runs on every ACK so subclasses see all echo state,
         # including on duplicates (DCTCP counts marked bytes per window).
-        newly_acked = max(0, ack - self.highest_acked)
+        newly_acked = ack - self.highest_acked if ack > self.highest_acked else 0
         self._on_ecn_signal(packet, newly_acked)
 
         if ack > self.highest_acked:
@@ -238,7 +242,26 @@ class TcpSender:
         release_packet(packet)
 
     def _handle_new_ack(self, ack: int, newly_acked: int) -> None:
-        self._sample_rtt(ack)
+        # RTT sample (RFC 6298, Karn's rule) from the highest segment this
+        # ACK newly covers that has a recorded, never-retransmitted send time.
+        sample: Optional[float] = None
+        now = self._q.now
+        send_times = self._send_times
+        retransmitted = self._retransmitted_segments
+        for seq in range(self.highest_acked, ack):
+            sent = send_times.pop(seq, None)
+            if sent is not None and seq not in retransmitted:
+                sample = now - sent
+        if sample is not None:
+            if self._srtt is None:
+                self._srtt = sample
+                self._rttvar = sample / 2.0
+            else:
+                self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - sample)
+                self._srtt = 0.875 * self._srtt + 0.125 * sample
+            self.rto = min(
+                self.max_rto, max(self.min_rto, self._srtt + 4.0 * self._rttvar)
+            )
         self.highest_acked = ack
         self._dup_acks = 0
 
@@ -249,15 +272,20 @@ class TcpSender:
             else:
                 # NewReno partial ACK: the next hole was lost too.
                 self._retransmit(ack, kind="partial-ack")
-        else:
-            self._grow_window(newly_acked)
+        elif self.cwnd < self.ssthresh:  # slow start
+            self.cwnd = min(self.cwnd + newly_acked, self.MAX_CWND_SEGMENTS)
+        else:  # congestion avoidance
+            self.cwnd = min(
+                self.cwnd + newly_acked / max(self.cwnd, 1.0),
+                self.MAX_CWND_SEGMENTS,
+            )
 
         self._on_window_boundary()
 
-        if self.highest_acked >= self.total_segments:
+        if ack >= self.total_segments:
             self._complete()
             return
-        if self.outstanding > 0:
+        if self.send_next > ack:
             self._rto_timer.restart(self.rto)
         else:
             self._rto_timer.cancel()
@@ -278,15 +306,6 @@ class TcpSender:
         if self.telemetry is not None:
             self.telemetry.on_cwnd(self, old_cwnd, self.cwnd, "fast-recovery")
 
-    def _grow_window(self, newly_acked: int) -> None:
-        if self.cwnd < self.ssthresh:
-            self.cwnd = min(self.cwnd + newly_acked, self.MAX_CWND_SEGMENTS)
-        else:
-            self.cwnd = min(
-                self.cwnd + newly_acked / max(self.cwnd, 1.0),
-                self.MAX_CWND_SEGMENTS,
-            )
-
     # ------------------------------------------------------------ ECN hooks
 
     def _on_ecn_signal(self, ack: Packet, newly_acked: int) -> None:
@@ -302,27 +321,6 @@ class TcpSender:
         self.cwnd = self.ssthresh
 
     # ------------------------------------------------------------- RTO path
-
-    def _sample_rtt(self, ack: int) -> None:
-        # Sample from the highest segment this ACK newly covers that has a
-        # recorded (non-retransmitted) send time.
-        sample: Optional[float] = None
-        now = self.sim.now
-        for seq in range(self.highest_acked, ack):
-            sent = self._send_times.pop(seq, None)
-            if sent is not None and seq not in self._retransmitted_segments:
-                sample = now - sent
-        if sample is None:
-            return
-        if self._srtt is None:
-            self._srtt = sample
-            self._rttvar = sample / 2.0
-        else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - sample)
-            self._srtt = 0.875 * self._srtt + 0.125 * sample
-        self.rto = min(
-            self.max_rto, max(self.min_rto, self._srtt + 4.0 * self._rttvar)
-        )
 
     @property
     def smoothed_rtt(self) -> Optional[float]:

@@ -64,7 +64,7 @@ class TcpSink:
         if packet.is_ack:
             return  # sinks only consume data
         self.segments_received += 1
-        ce_marked = packet.ce_marked
+        ce_marked = packet.ecn == Ecn.CE
         if ce_marked:
             self.ce_received += 1
 
@@ -81,7 +81,11 @@ class TcpSink:
         else:
             self.duplicates_received += 1
 
-        self._send_ack(ece=ce_marked)
+        # Cumulative ACK echoing this segment's CE mark.
+        self.host.transmit(acquire_packet(
+            self.flow_id, self.host.name, self.src, self.expected, ACK_SIZE,
+            True, Ecn.NOT_ECT, ce_marked, self.service,
+        ))
 
         if not self.completed and self.expected >= self.total_segments:
             self.completed = True
@@ -94,17 +98,3 @@ class TcpSink:
 
         # The sink is the data packet's terminal consumer: recycle it.
         release_packet(packet)
-
-    def _send_ack(self, ece: bool) -> None:
-        ack = acquire_packet(
-            flow_id=self.flow_id,
-            src=self.host.name,
-            dst=self.src,
-            seq=self.expected,
-            size=ACK_SIZE,
-            is_ack=True,
-            ecn=Ecn.NOT_ECT,
-            ece=ece,
-            service=self.service,
-        )
-        self.host.transmit(ack)

@@ -345,7 +345,7 @@ class Telemetry:
                 "tx_bytes": stats.tx_bytes,
                 "dropped_overflow": stats.dropped_overflow,
                 "dropped_aqm": stats.dropped_aqm,
-                "buffer_peak_bytes": port.buffer.peak_bytes,
+                "buffer_peak_bytes": port.buffer_peak_bytes,
                 "final_queue_packets": port.queue_packets,
             }
         return summaries

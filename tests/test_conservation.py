@@ -56,7 +56,7 @@ class TestPortConservation:
 
         assert port.stats.tx_packets == len(received)
         assert port.stats.tx_packets + port.stats.dropped_total == len(sizes)
-        assert port.buffer.used_bytes == 0
+        assert port.queue_bytes == 0
         assert port.queue_packets == 0
         # Bytes conserved too.
         assert port.stats.tx_bytes == sum(p.size for p in received)

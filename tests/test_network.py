@@ -28,8 +28,8 @@ class TestConstruction:
         port_ab, port_ba = net.connect(
             a, b, gbps(10), us(1), buffer_bytes=1000, buffer_bytes_a_to_b=9999
         )
-        assert port_ab.buffer.capacity_bytes == 9999
-        assert port_ba.buffer.capacity_bytes == 1000
+        assert port_ab.buffer_bytes == 9999
+        assert port_ba.buffer_bytes == 1000
 
 
 class TestRouting:

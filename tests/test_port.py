@@ -99,7 +99,7 @@ class TestBuffering:
         port, _ = make_port(sim, buffer_bytes=3000)
         port.send(make_packet(size=1500))
         sim.run()
-        assert port.buffer.used_bytes == 0
+        assert port.queue_bytes == 0
 
     def test_overflow_drops_and_buffer_settles(self, sim):
         port, sink = make_port(sim, buffer_bytes=3000)
@@ -110,7 +110,7 @@ class TestBuffering:
         sim.run()
         assert port.stats.dropped_overflow == 2
         assert len(sink.arrivals) == 3
-        assert port.buffer.used_bytes == 0
+        assert port.queue_bytes == 0
         assert port.stats.tx_packets == 3
 
     def test_queue_accessors(self, sim):
@@ -162,7 +162,18 @@ class TestAqmHooks:
         sim.run()
         assert sink.arrivals == []
         assert port.stats.dropped_aqm == 3
-        assert port.buffer.used_bytes == 0  # accounting stayed clean
+        assert port.queue_bytes == 0  # accounting stayed clean
+
+    def test_vetoed_packet_leaves_peak_unchanged(self, sim):
+        port, _ = make_port(sim, aqm=DctcpRed(threshold_bytes=1500))
+        for seq in range(3):  # one on the wire, two queued
+            port.send(make_packet(seq=seq))
+        assert port.buffer_peak_bytes == port.queue_bytes == 3000
+        # A pure ACK (not-ECT) above K is refused by the AQM; it would have
+        # been a new high-water mark, but the port never held it.
+        port.send(make_packet(seq=3, size=1500, ecn=Ecn.NOT_ECT))
+        assert port.stats.dropped_aqm == 1
+        assert port.buffer_peak_bytes == 3000
 
     def test_default_aqm_is_null(self, sim):
         port, _ = make_port(sim)

@@ -45,7 +45,7 @@ class TestStar:
     def test_host_uplink_buffer_deeper_than_switch(self):
         topo = build_star(n_senders=2)
         host_uplink = topo.senders[0].uplink
-        assert host_uplink.buffer.capacity_bytes > topo.bottleneck.buffer.capacity_bytes
+        assert host_uplink.buffer_bytes > topo.bottleneck.buffer_bytes
 
     def test_custom_bottleneck_scheduler(self):
         topo = build_star(
