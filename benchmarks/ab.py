@@ -1,21 +1,25 @@
-"""A/B one ledger workload: a git ref against the working tree, in pairs.
+"""A/B ledger workloads: a git ref against the working tree, in pairs.
 
-    python3 benchmarks/ab.py REF WORKLOAD [--pairs N] [--seed S] [--seconds T]
+    python3 benchmarks/ab.py REF WORKLOAD [WORKLOAD ...] [--pairs N]
+                             [--seed S] [--seconds T]
 
-checks ``REF`` out into a temporary ``git worktree`` and runs
-``benchmarks/ledger/run.py --workload WORKLOAD --trace 0`` on it and on the
-working tree this script lives in, alternately, ``N`` pairs (10 by default).
-Within a pair the side that goes first alternates, so a host that drifts
-slower over the session does not always tax the same side.  Each side's
-runs go to its own interpreter, one at a time: never two at once.
+checks ``REF`` out into a temporary ``git worktree`` and, for each
+``WORKLOAD`` in turn, runs ``benchmarks/ledger/run.py --workload WORKLOAD
+--trace 0`` on it and on the working tree this script lives in, alternately,
+``N`` pairs (10 by default).  Within a pair the side that goes first
+alternates, so a host that drifts slower over the session does not always
+tax the same side.  Each side's runs go to its own interpreter, one at a
+time: never two at once.
 
-Prints, for every end-to-end metric a run reports, each side's median and
-quartiles over its runs, the change of the medians, whether that change is
-larger than the ref's interquartile range, and in how many pairs the working
-tree was better -- the method DESIGN.md section 9.6 asks a claimed gain to
-pass (>= 9 wins of 10, median moved by more than the ref's spread).  Also
-checks that both sides produced the same repetition signature and no failed
-check; the exit status is 1 when they did not.
+Prints one table per workload: for every end-to-end metric a run reports,
+each side's median and quartiles over its runs, the change of the medians,
+whether that change is larger than the ref's interquartile range, and in how
+many pairs the working tree was better -- the method DESIGN.md section 9.6
+asks a claimed gain to pass (>= 9 wins of 10, median moved by more than the
+ref's spread).  Also checks that both sides produced the same repetition
+signature and no failed check; the exit status is 1 when any workload did
+not.  Naming every workload a change must not move makes those pairs one
+command.
 
 Run nothing else CPU-bound on the host meanwhile, and do not edit the
 working tree under it: every run re-reads the source.
@@ -45,7 +49,8 @@ def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git revision to compare against "
                         "(e.g. HEAD, HEAD~1, a commit id)")
-    parser.add_argument("workload", choices=list(WORKLOADS))
+    parser.add_argument("workloads", nargs="+", metavar="workload",
+                        choices=list(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10,
                         help="alternating (ref, tree) run pairs (default 10)")
     parser.add_argument("--seed", type=int, default=0)
@@ -67,9 +72,10 @@ def git(*args: str) -> str:
     return done.stdout.strip()
 
 
-def run_once(tree: Path, args: argparse.Namespace, out: Path) -> Dict:
+def run_once(tree: Path, workload: str, args: argparse.Namespace,
+             out: Path) -> Dict:
     command = [sys.executable, str(tree / "benchmarks" / "ledger" / "run.py"),
-               "--workload", args.workload, "--seed", str(args.seed),
+               "--workload", workload, "--seed", str(args.seed),
                "--trace", "0", "--out", str(out)]
     if args.seconds is not None:
         command += ["--seconds", str(args.seconds)]
@@ -99,40 +105,49 @@ def summary(name: str, ref: Sequence[float], tree: Sequence[float]) -> str:
             f"{'' if beyond else '  (within ref IQR)'}")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = parse_args(argv)
-    sha = git("rev-parse", "--verify", f"{args.ref}^{{commit}}")
+def compare(workload: str, args: argparse.Namespace, trees: Dict[str, Path],
+            scratch: Path, title: str) -> bool:
+    """Run one workload's pairs and print its table; True when both sides
+    produced one and the same signature and no failed check."""
     values: Dict[str, Dict[str, List[float]]] = {side: {} for side in SIDES}
     signatures: Dict[str, set] = {side: set() for side in SIDES}
     failed = {side: 0 for side in SIDES}
+    for pair in range(args.pairs):
+        order: Tuple[str, ...] = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            result = run_once(trees[side], workload, args,
+                              scratch / f"{side}.json")
+            for name, stat in result["end_to_end"].items():
+                values[side].setdefault(name, []).append(stat["value"])
+            signatures[side].add(result["signature"])
+            failed[side] += result["failed"]
+        run_s = [values[side]["run_s"][-1] for side in SIDES]
+        print(f"# {workload} pair {pair + 1}/{args.pairs}: run_s ref "
+              f"{run_s[0]:.4g}  tree {run_s[1]:.4g}", flush=True)
+
+    print(f"# {workload} seed={args.seed}: {title}, {args.pairs} pairs")
+    for name in values["ref"]:
+        print(summary(name, values["ref"][name], values["tree"][name]))
+    same = signatures["ref"] == signatures["tree"] and len(signatures["ref"]) == 1
+    print(f"# signatures {'identical' if same else 'DIFFER'}; failed checks "
+          f"ref={failed['ref']} tree={failed['tree']}", flush=True)
+    return same and not any(failed.values())
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = parse_args(argv)
+    sha = git("rev-parse", "--verify", f"{args.ref}^{{commit}}")
+    title = f"ref {args.ref} ({sha[:12]}) vs working tree"
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
         worktree = Path(scratch) / "ref"
         git("worktree", "add", "--detach", str(worktree), sha)
         try:
             trees: Dict[str, Path] = {"ref": worktree, "tree": ROOT}
-            for pair in range(args.pairs):
-                order: Tuple[str, ...] = SIDES if pair % 2 == 0 else SIDES[::-1]
-                for side in order:
-                    result = run_once(trees[side], args,
-                                      Path(scratch) / f"{side}.json")
-                    for name, stat in result["end_to_end"].items():
-                        values[side].setdefault(name, []).append(stat["value"])
-                    signatures[side].add(result["signature"])
-                    failed[side] += result["failed"]
-                run_s = [values[side]["run_s"][-1] for side in SIDES]
-                print(f"# pair {pair + 1}/{args.pairs}: run_s ref "
-                      f"{run_s[0]:.4g}  tree {run_s[1]:.4g}", flush=True)
+            ok = [compare(workload, args, trees, Path(scratch), title)
+                  for workload in args.workloads]
         finally:
             git("worktree", "remove", "--force", str(worktree))
-
-    print(f"# {args.workload} seed={args.seed}: ref {args.ref} ({sha[:12]}) "
-          f"vs working tree, {args.pairs} pairs")
-    for name in values["ref"]:
-        print(summary(name, values["ref"][name], values["tree"][name]))
-    same = signatures["ref"] == signatures["tree"] and len(signatures["ref"]) == 1
-    print(f"# signatures {'identical' if same else 'DIFFER'}; failed checks "
-          f"ref={failed['ref']} tree={failed['tree']}")
-    return 0 if same and not any(failed.values()) else 1
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":

@@ -19,13 +19,16 @@ injection exactly as ACK clocking does in the packet engine.
 
 Cost: a step touches only the *active* flows (arrived, unfinished) and the
 *live* ports (on an active flow's path, or still holding backlog), so it
-costs about fifty small numpy calls plus work proportional to those two
-sets -- not to the population or the fabric.  The index arrays and the
-per-set constants are rebuilt only when a flow starts or finishes.  That
-is what buys the 100x-plus speedup over per-packet simulation at 1000+
-hosts.  ``tests/fluid_reference.py`` keeps the loop that visits everything
-as the oracle; the two must agree bit for bit, which constrains how the
-arithmetic below may be rearranged (DESIGN.md section 11.4).
+costs a fixed number of small numpy calls -- 37 when nothing marks, no
+window is due and no flow starts or finishes, 85 when a port marks --
+plus work proportional to those two sets, not to the population or the
+fabric.  The index arrays, the per-set constants and the active flows'
+state (compact rows in active-set order) are rebuilt only when a flow
+starts or finishes.  That is what buys the 100x-plus speedup over
+per-packet simulation at 1000+ hosts.  ``tests/fluid_reference.py`` keeps
+the loop that visits everything as the oracle; the two must agree bit for
+bit, which constrains how the arithmetic below may be rearranged
+(DESIGN.md section 11.4).
 
 Determinism: the engine draws no randomness at all -- the flow population
 carries every sampled quantity -- and the step count is a pure function of
@@ -159,14 +162,18 @@ class FluidEngine:
         p = len(fabric.capacity_bps)
         self._access = fabric.capacity_bps[fabric.paths[:, 0]]
 
-        # Per-flow transport state.
-        self.cwnd = np.full(n, float(init_cwnd))
-        self.alpha = np.ones(n)  # DCTCP's init_alpha=1: conservative first cut
+        # Per-flow transport state: the float rows of one block, so that a
+        # run gathers (and writes back) the active flows' state in one call.
+        self._state = np.zeros((6, n))
+        (self.cwnd, self.alpha, self.remaining, self.next_update,
+         self._sent_window,     # packets injected this RTT epoch
+         self._marked_window,   # marked packets this RTT epoch
+         ) = self._state
+        self.cwnd[:] = float(init_cwnd)
+        self.alpha[:] = 1.0  # DCTCP's init_alpha=1: conservative first cut
+        self.remaining[:] = population.size
+        self.next_update[:] = population.start + population.base_rtt
         self.slow_start = np.ones(n, dtype=bool)
-        self.remaining = population.size.astype(float).copy()
-        self.next_update = population.start + population.base_rtt
-        self._sent_window = np.zeros(n)     # packets injected this RTT epoch
-        self._marked_window = np.zeros(n)   # marked packets this RTT epoch
 
         # Per-port state.
         self.queue = np.zeros(p)            # bytes
@@ -213,17 +220,13 @@ class FluidEngine:
         width = paths.shape[1]
         n_ports = len(capacity)
         queue = self.queue
-        cwnd = self.cwnd
-        remaining = self.remaining
-        next_update = self.next_update
-        sent_window = self._sent_window
-        marked_window = self._marked_window
+        state = self._state
         queue_samples: List[Tuple[float, float]] = []
 
         # Flows with bytes left, in start order.  ``order[:arrived]`` have
         # started; the trailing inf means "no further arrival".
         order = np.argsort(pop.start, kind="stable")
-        order = order[remaining[order] > _EPS]
+        order = order[self.remaining[order] > _EPS]
         arrivals = pop.start[order].tolist() + [inf]
         arrived = 0
         unfinished = len(order)
@@ -236,6 +239,15 @@ class FluidEngine:
         stale = True
         clamped = False
 
+        # The active flows' state in ``act`` order, gathered from ``state``
+        # and ``self.slow_start`` for the set ``held`` and written back there
+        # when the set changes and when the run ends.  In between, a step
+        # reads and writes only these compact rows.
+        held = act
+        block = state[:, held]
+        slow_start = self.slow_start[held]
+        next_due = inf      # the earliest next_update among the active flows
+
         # Rebuild scratch.  Index n_ports stands for the -1 path padding.
         slot_of = np.full(n_ports, -1, dtype=np.int64)  # port -> bank slot
         slot_of[fabric.marked_ports] = np.arange(marker.n_ports)
@@ -246,173 +258,188 @@ class FluidEngine:
 
         t = 0.0
         next_sample = sample_start
-        while True:
-            if end_time is not None and t >= end_time:
-                break
-            if not unfinished:
-                break
-            if arrivals[arrived] <= t:
-                arrived, act = _admit(arrivals, order, arrived, act, t)
-                stale = True
-            if not len(act) and float(queue.sum()) <= 1.0:
-                # Idle gap: jump straight to the next arrival (no queue to
-                # drain, nothing in flight, marker state already reset).
-                t = arrivals[arrived]
+        try:
+            while True:
                 if end_time is not None and t >= end_time:
                     break
-                arrived, act = _admit(arrivals, order, arrived, act, t)
-                stale = True
-            if self.steps >= self.max_steps:
-                raise RuntimeError(
-                    f"fluid step budget exceeded ({self.max_steps} steps at t={t:.6f}s)"
-                )
-            self.steps += 1
-
-            if stale:
-                # --- a flow started or finished: new sets, new constants --
-                stale = False
-                act_paths = paths[act]
-                member[act_paths] = True
-                member[live[queue[live] > 0.0]] = True
-                member[n_ports] = False
-                drained = live[~member[live]]
-                if len(drained):
-                    gone = slot_of[drained]
-                    marker.forget(gone[gone >= 0])
-                live = np.flatnonzero(member)
-                member[live] = False
-                n_live = len(live)
-                local[live] = np.arange(n_live)
-                local[n_ports] = n_live     # padding reads soj_pad's last 0.0
-                hops = local[act_paths]     # (active flows, width)
-                hop_port = hops.ravel()
-                hop_flow = np.repeat(np.arange(len(act)), width)
-                base_rtt = pop.base_rtt[act]
-                access = self._access[act]
-                cap = capacity[live]
-                cap_dt = cap * dt
-                buf = buffers[live]
-                bank_layout[slots] = 0.0
-                slot = slot_of[live]
-                aqm = np.flatnonzero(slot >= 0)     # live ports with a marker
-                slots = slot[aqm]                   # ...and their bank slots
-                soj_pad = np.zeros(n_live + 1)
-                sojourn = soj_pad[:n_live]
-
-            # --- rates: window/RTT, capped by the access link -------------
-            q = queue[live]
-            q_bits = q * 8.0
-            np.divide(q_bits, cap, out=sojourn)
-            rtt = base_rtt + soj_pad[hops].sum(axis=1)
-            rate = np.minimum(cwnd[act] * mss_bits / rtt, access)
-
-            # --- queues: integrate excess arrival rate --------------------
-            arrival = np.bincount(
-                hop_port, weights=rate[hop_flow], minlength=n_live + 1
-            )[:n_live]
-            serviced_bytes = np.minimum(arrival * dt, cap_dt + q_bits) / 8.0
-            q += (arrival - cap) * dt / 8.0
-            np.maximum(q, 0.0, out=q)
-            overflow = q - buf
-            over = overflow > 0.0
-            spilled = np.count_nonzero(over)
-            if spilled:
-                self.drops += float(overflow[over].sum()) / MTU
-                q[over] = buf[over]
-            queue[live] = q
-
-            # --- marking --------------------------------------------------
-            pkts = serviced_bytes / MSS
-            marked_pkts = pkts[aqm]
-            step_marks = marker.step(slots, sojourn[aqm], t, dt, marked_pkts)
-            marking = np.count_nonzero(step_marks.fraction)
-            if marking:
-                self.marks += _bank_sum(
-                    bank_layout, slots, marked_pkts * step_marks.fraction)
-                self.instant_marks += _bank_sum(
-                    bank_layout, slots, marked_pkts * step_marks.instant)
-                self.persistent_marks += _bank_sum(
-                    bank_layout, slots, marked_pkts * step_marks.persistent)
-
-            # --- per-flow delivery and DCTCP window accounting ------------
-            delivered = rate * dt / 8.0
-            sent_pkts = delivered / MSS
-            sent_window[act] += sent_pkts
-            if marking or spilled:
-                frac = np.zeros(n_live + 1)
-                frac[aqm] = step_marks.fraction
-                # A full buffer is loss feedback: treat the step's traffic
-                # through an overflowing port as marked so senders back off.
-                if spilled:
-                    frac[:n_live][over] = 1.0
-                flow_marked = 1.0 - (1.0 - frac[hops]).prod(axis=1)
-                marked_window[act] += sent_pkts * flow_marked
-            before = remaining[act]
-            left = before - delivered
-            remaining[act] = left
-            finishing = left <= _EPS
-            due = t >= next_update[act]
-            n_done = np.count_nonzero(finishing)
-            if n_done:
-                done = act[finishing]
-                fraction_of_step = before[finishing] / np.maximum(delivered[finishing], _EPS)
-                done_at = t + np.clip(fraction_of_step, 0.0, 1.0) * dt
-                self.finish[done] = done_at
-                # The fluid injection rate cwnd/RTT already spreads each
-                # window over one RTT, but the *last* window's ACK wait is
-                # real wall time the rate model doesn't cover: the final
-                # ACK returns one RTT after the last byte is clocked out.
-                self.fct[done] = done_at - pop.start[done] + rtt[finishing]
-                remaining[done] = 0.0
-                unfinished -= n_done
-                due &= ~finishing
-
-            if np.count_nonzero(due):
-                flows = act[due]
-                epoch_sent = sent_window[flows]
-                epoch_marked = marked_window[flows]
-                observed = np.where(
-                    epoch_sent > _EPS,
-                    epoch_marked / np.maximum(epoch_sent, _EPS),
-                    0.0,
-                )
-                alpha = (1.0 - DCTCP_G) * self.alpha[flows] + DCTCP_G * observed
-                self.alpha[flows] = alpha
-                marked_rtt = epoch_marked > 1e-9
-                slow_start = self.slow_start[flows] & ~marked_rtt
-                self.slow_start[flows] = slow_start
-                window = cwnd[flows]
-                window = np.where(
-                    marked_rtt,
-                    window * (1.0 - alpha / 2.0),
-                    np.where(slow_start, window * 2.0, window + 1.0),
-                )
-                if not clamped:
-                    # The reference clamps every window, due or not, so the
-                    # first update also pulls an out-of-range init_cwnd of
-                    # flows yet to start into range; later ones find it so.
-                    np.clip(cwnd, 1.0, CWND_CAP_PKTS, out=cwnd)
-                    clamped = True
-                cwnd[flows] = np.minimum(np.maximum(window, 1.0), CWND_CAP_PKTS)
-                next_update[flows] = t + rtt[due]
-                sent_window[flows] = 0.0
-                marked_window[flows] = 0.0
-
-            if n_done:
-                act = act[~finishing]
-                stale = True
-
-            # --- queue sampling -------------------------------------------
-            if sample_port is not None:
-                while next_sample <= t and (
-                    sample_end is None or next_sample <= sample_end
-                ):
-                    queue_samples.append(
-                        (next_sample, float(queue[sample_port]) / MTU)
+                if not unfinished:
+                    break
+                if arrivals[arrived] <= t:
+                    arrived, act = _admit(arrivals, order, arrived, act, t)
+                    stale = True
+                if not len(act) and float(queue.sum()) <= 1.0:
+                    # Idle gap: jump straight to the next arrival (no queue to
+                    # drain, nothing in flight, marker state already reset).
+                    t = arrivals[arrived]
+                    if end_time is not None and t >= end_time:
+                        break
+                    arrived, act = _admit(arrivals, order, arrived, act, t)
+                    stale = True
+                if self.steps >= self.max_steps:
+                    raise RuntimeError(
+                        f"fluid step budget exceeded ({self.max_steps} steps at t={t:.6f}s)"
                     )
-                    next_sample += float(sample_interval)
+                self.steps += 1
 
-            t += dt
+                if stale:
+                    # --- a flow started or finished: new sets, new constants
+                    stale = False
+                    state[:, held] = block
+                    self.slow_start[held] = slow_start
+                    held = act
+                    block = state[:, act]
+                    slow_start = self.slow_start[act]
+                    cwnd, _, remaining, next_update, sent_window, marked_window = block
+                    next_due = float(next_update.min()) if len(act) else inf
+                    act_paths = paths[act]
+                    member[act_paths] = True
+                    member[live[queue[live] > 0.0]] = True
+                    member[n_ports] = False
+                    drained = live[~member[live]]
+                    if len(drained):
+                        gone = slot_of[drained]
+                        marker.forget(gone[gone >= 0])
+                    live = np.flatnonzero(member)
+                    member[live] = False
+                    n_live = len(live)
+                    local[live] = np.arange(n_live)
+                    local[n_ports] = n_live     # padding reads soj_pad's last 0.0
+                    hops = local[act_paths]     # (active flows, width)
+                    hop_port = hops.ravel()
+                    hop_flow = np.repeat(np.arange(len(act)), width)
+                    base_rtt = pop.base_rtt[act]
+                    access = self._access[act]
+                    cap = capacity[live]
+                    cap_dt = cap * dt
+                    buf = buffers[live]
+                    bank_layout[slots] = 0.0
+                    slot = slot_of[live]
+                    aqm = np.flatnonzero(slot >= 0)     # live ports with a marker
+                    slots = slot[aqm]                   # ...and their bank slots
+                    soj_pad = np.zeros(n_live + 1)
+                    sojourn = soj_pad[:n_live]
+
+                # --- rates: window/RTT, capped by the access link ---------
+                q = queue[live]
+                q_bits = q * 8.0
+                np.divide(q_bits, cap, out=sojourn)
+                rtt = base_rtt + soj_pad[hops].sum(axis=1)
+                rate = np.minimum(cwnd * mss_bits / rtt, access)
+
+                # --- queues: integrate excess arrival rate ----------------
+                arrival = np.bincount(
+                    hop_port, weights=rate[hop_flow], minlength=n_live + 1
+                )[:n_live]
+                serviced_bytes = np.minimum(arrival * dt, cap_dt + q_bits) / 8.0
+                q += (arrival - cap) * dt / 8.0
+                np.maximum(q, 0.0, out=q)
+                over = q > buf
+                spilled = np.count_nonzero(over)
+                if spilled:
+                    full = buf[over]
+                    self.drops += float((q[over] - full).sum()) / MTU
+                    q[over] = full
+                queue[live] = q
+
+                # --- marking ----------------------------------------------
+                pkts = serviced_bytes / MSS
+                marked_pkts = pkts[aqm]
+                step_marks = marker.step(slots, sojourn[aqm], t, dt, marked_pkts)
+                marking = step_marks is not None and np.count_nonzero(
+                    step_marks.fraction)
+                if marking:
+                    self.marks += _bank_sum(
+                        bank_layout, slots, marked_pkts * step_marks.fraction)
+                    self.instant_marks += _bank_sum(
+                        bank_layout, slots, marked_pkts * step_marks.instant)
+                    self.persistent_marks += _bank_sum(
+                        bank_layout, slots, marked_pkts * step_marks.persistent)
+
+                # --- per-flow delivery and DCTCP window accounting --------
+                delivered = rate * dt / 8.0
+                sent_pkts = delivered / MSS
+                sent_window += sent_pkts
+                if marking or spilled:
+                    frac = np.zeros(n_live + 1)
+                    if marking:
+                        frac[aqm] = step_marks.fraction
+                    # A full buffer is loss feedback: treat the step's traffic
+                    # through an overflowing port as marked so senders back off.
+                    if spilled:
+                        frac[:n_live][over] = 1.0
+                    flow_marked = 1.0 - (1.0 - frac[hops]).prod(axis=1)
+                    marked_window += sent_pkts * flow_marked
+                left = remaining - delivered
+                finishing = left <= _EPS
+                n_done = np.count_nonzero(finishing)
+                if n_done:
+                    done = act[finishing]
+                    fraction_of_step = (
+                        remaining[finishing] / np.maximum(delivered[finishing], _EPS))
+                    done_at = t + np.clip(fraction_of_step, 0.0, 1.0) * dt
+                    self.finish[done] = done_at
+                    # The fluid injection rate cwnd/RTT already spreads each
+                    # window over one RTT, but the *last* window's ACK wait is
+                    # real wall time the rate model doesn't cover: the final
+                    # ACK returns one RTT after the last byte is clocked out.
+                    self.fct[done] = done_at - pop.start[done] + rtt[finishing]
+                    left[finishing] = 0.0
+                    unfinished -= n_done
+                remaining[:] = left
+
+                if t >= next_due:
+                    due = t >= next_update
+                    if n_done:
+                        due &= ~finishing
+                    updating = due.nonzero()[0]
+                    if len(updating):
+                        update = block.take(updating, axis=1)
+                        window, alpha, _, _, epoch_sent, epoch_marked = update
+                        observed = epoch_marked / np.maximum(epoch_sent, _EPS)
+                        observed[epoch_sent <= _EPS] = 0.0
+                        alpha = (1.0 - DCTCP_G) * alpha + DCTCP_G * observed
+                        marked_rtt = epoch_marked > 1e-9
+                        still_slow = slow_start[updating] & ~marked_rtt
+                        slow_start[updating] = still_slow
+                        window = np.where(
+                            marked_rtt,
+                            window * (1.0 - alpha / 2.0),
+                            np.where(still_slow, window * 2.0, window + 1.0),
+                        )
+                        if not clamped:
+                            # The reference clamps every window, due or not, so
+                            # the first update also pulls an out-of-range
+                            # init_cwnd of flows yet to start into range; later
+                            # ones find it so.  (The active flows' entries of
+                            # ``self.cwnd`` are stale until the write-back.)
+                            np.clip(self.cwnd, 1.0, CWND_CAP_PKTS, out=self.cwnd)
+                            np.clip(cwnd, 1.0, CWND_CAP_PKTS, out=cwnd)
+                            clamped = True
+                        update[0] = np.minimum(np.maximum(window, 1.0), CWND_CAP_PKTS)
+                        update[1] = alpha
+                        update[3] = t + rtt[updating]
+                        update[4:] = 0.0            # a new epoch's windows
+                        block[:, updating] = update
+                        next_due = float(next_update.min())
+
+                if n_done:
+                    act = act[~finishing]
+                    stale = True
+
+                # --- queue sampling ---------------------------------------
+                if sample_port is not None:
+                    while next_sample <= t and (
+                        sample_end is None or next_sample <= sample_end
+                    ):
+                        queue_samples.append(
+                            (next_sample, float(queue[sample_port]) / MTU)
+                        )
+                        next_sample += float(sample_interval)
+
+                t += dt
+        finally:
+            state[:, held] = block
+            self.slow_start[held] = slow_start
 
         completed = self.remaining <= _EPS
         finished = self.finish[np.isfinite(self.finish)]

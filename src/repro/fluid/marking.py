@@ -68,13 +68,14 @@ class MarkerBank:
         now: float,
         dt: float,
         pkts: np.ndarray,
-    ) -> StepMarks:
+    ) -> Optional[StepMarks]:
         """Marking fractions of ``ports`` for the interval ``[now, now + dt)``.
 
         ``ports`` indexes the bank; ``sojourn`` is each of those ports'
         current queueing delay (seconds) and ``pkts`` the
         packet-equivalents that traverse it during the step (used to turn
-        discrete mark events into fractions).
+        discrete mark events into fractions).  ``None`` means every
+        fraction is zero: no port could mark in this step.
         """
         raise NotImplementedError
 
@@ -93,8 +94,11 @@ class StepMarkerBank(MarkerBank):
             raise ValueError("threshold must be positive")
         self.threshold = threshold
 
-    def step(self, ports, sojourn, now, dt, pkts) -> StepMarks:
-        fraction = np.where(sojourn > self.threshold, 1.0, 0.0)
+    def step(self, ports, sojourn, now, dt, pkts) -> Optional[StepMarks]:
+        above = sojourn > self.threshold
+        if not np.count_nonzero(above):
+            return None
+        fraction = above.astype(float)
         return StepMarks(
             fraction=fraction,
             instant=fraction,
@@ -102,9 +106,9 @@ class StepMarkerBank(MarkerBank):
         )
 
 
-def _no_marks(n: int) -> StepMarks:
-    zeros = np.zeros(n)
-    return StepMarks(fraction=zeros, instant=zeros, persistent=zeros)
+def _fraction(marks: np.ndarray, pkts: np.ndarray) -> np.ndarray:
+    """Mark events per packet-equivalent, clamped to [0, 1]."""
+    return np.minimum(np.maximum(marks / np.maximum(pkts, _EPS), 0.0), 1.0)
 
 
 class _PersistentLaw:
@@ -135,32 +139,25 @@ class _PersistentLaw:
         any_above = np.count_nonzero(below) < len(below)
         if not (any_above or self.tracking):
             return None
-        above = ~below
         first_above = self.first_above[ports]
         marking = self.marking[ports]
         count = self.count[ports]
+        # Above target a fresh episode starts its clock now; below it
+        # everything resets.  A reset port's NaN clock compares false, so it
+        # cannot be entering, and it is never steady.
+        first_above[np.isnan(first_above)] = now
         first_above[below] = np.nan
-        marking[below] = False
-        count[below] = 0.0
-        fresh = above & np.isnan(first_above)
-        first_above[fresh] = now
-        entering = (
-            above & ~marking
-            & (now + dt - first_above >= self.interval)
-        )
-        marking[entering] = True
-        count[entering] = 1.0
-        marks = np.zeros(len(sojourn))
+        steady = marking & ~below
+        entering = ~marking & (now + dt - first_above >= self.interval)
         # The first mark of an episode is discrete (Algorithm 1 marks the
         # packet that trips the detector); afterwards the shrinking
-        # inter-mark gap interval/sqrt(count) becomes a rate.
-        marks[entering] = 1.0
-        steady = marking & above & ~entering
-        marks[steady] = dt * np.sqrt(count[steady]) / self.interval
-        count[steady] += marks[steady]
+        # inter-mark gap interval/sqrt(count) becomes a rate.  ``count`` is
+        # zero wherever ``marking`` is false, so the last branch of each
+        # chain (``entering`` as 1.0 / 0.0) also resets below target.
+        marks = np.where(steady, dt * np.sqrt(count) / self.interval, entering)
         self.first_above[ports] = first_above
-        self.marking[ports] = marking
-        self.count[ports] = count
+        self.marking[ports] = steady | entering
+        self.count[ports] = np.where(steady, count + marks, entering)
         self.tracking = any_above
         return marks
 
@@ -177,11 +174,11 @@ class CodelMarkerBank(MarkerBank):
         super().__init__(n_ports)
         self.law = _PersistentLaw(target, interval, n_ports)
 
-    def step(self, ports, sojourn, now, dt, pkts) -> StepMarks:
+    def step(self, ports, sojourn, now, dt, pkts) -> Optional[StepMarks]:
         marks = self.law.marks(ports, sojourn, now, dt)
         if marks is None:
-            return _no_marks(len(sojourn))
-        fraction = np.clip(marks / np.maximum(pkts, _EPS), 0.0, 1.0)
+            return None
+        fraction = _fraction(marks, pkts)
         return StepMarks(
             fraction=fraction,
             instant=np.zeros(len(fraction)),
@@ -210,17 +207,19 @@ class EcnSharpMarkerBank(MarkerBank):
         self.ins_target = ins_target
         self.law = _PersistentLaw(pst_target, pst_interval, n_ports)
 
-    def step(self, ports, sojourn, now, dt, pkts) -> StepMarks:
+    def step(self, ports, sojourn, now, dt, pkts) -> Optional[StepMarks]:
         marks = self.law.marks(ports, sojourn, now, dt)
         if marks is None:
             # Nobody reaches pst_target, so nobody exceeds ins_target.
-            return _no_marks(len(sojourn))
-        instant = np.where(sojourn > self.ins_target, 1.0, 0.0)
-        persistent = np.clip(marks / np.maximum(pkts, _EPS), 0.0, 1.0)
+            return None
+        over = sojourn > self.ins_target
+        instant = over.astype(float)
         # Instantaneous marking takes precedence packet-by-packet (the
-        # persistent machine still observes, matching the packet AQM).
-        persistent = np.where(instant >= 1.0, 0.0, persistent)
-        fraction = instant + (1.0 - instant) * persistent
+        # persistent machine still observes, matching the packet AQM), so
+        # the two parts never overlap and the total is their sum.
+        persistent = _fraction(marks, pkts)
+        persistent[over] = 0.0
+        fraction = instant + persistent
         return StepMarks(
             fraction=fraction, instant=instant, persistent=persistent
         )

@@ -16,8 +16,10 @@ Section 5.3 (average ~137 us, 90th percentile ~220 us).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Tuple
 
 import numpy as np
 
@@ -106,6 +108,19 @@ class RttProfile:
     def span(self) -> float:
         return self.rtt_max - self.rtt_min
 
+    @cached_property
+    def _mixture(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]:
+        """``(positions, weights, stds, cdf)`` of the clusters: the weights
+        normalised, and the cdf ``Generator.choice(p=weights)`` builds from
+        them (``cumsum``, then divided by its last entry) as a list."""
+        positions = np.array([c[0] for c in self.clusters], dtype=float)
+        weights = np.array([c[1] for c in self.clusters], dtype=float)
+        weights /= weights.sum()
+        stds = np.array([c[2] for c in self.clusters], dtype=float)
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        return positions, weights, stds, cdf.tolist()
+
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw ``size`` base RTTs (seconds), clipped to [rtt_min, rtt_max]."""
         if size <= 0:
@@ -113,10 +128,7 @@ class RttProfile:
         span = self.span
         if span == 0.0:
             return np.full(size, self.rtt_min)
-        positions = np.array([c[0] for c in self.clusters])
-        weights = np.array([c[1] for c in self.clusters], dtype=float)
-        weights /= weights.sum()
-        stds = np.array([c[2] for c in self.clusters])
+        positions, weights, stds, _ = self._mixture
         choice = rng.choice(len(self.clusters), size=size, p=weights)
         values = self.rtt_min + span * (
             positions[choice] + rng.standard_normal(size) * stds[choice]
@@ -124,8 +136,17 @@ class RttProfile:
         return np.clip(values, self.rtt_min, self.rtt_max)
 
     def sample_one(self, rng: np.random.Generator) -> float:
-        """Draw a single base RTT (seconds)."""
-        return float(self.sample(rng, size=1)[0])
+        """Draw a single base RTT (seconds): ``sample(rng, 1)[0]``, the same
+        generator draws in the same order, without the array round trip."""
+        span = self.span
+        if span == 0.0:
+            return self.rtt_min
+        # choice(p=...) is one uniform bisected into its cdf (side="right").
+        position, _, std = self.clusters[bisect_right(self._mixture[3], rng.random())]
+        value = self.rtt_min + span * (
+            float(position) + rng.standard_normal() * float(std)
+        )
+        return min(max(value, self.rtt_min), self.rtt_max)
 
     # -------------------------------------------------------- statistics
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,12 +49,15 @@ class EmpiricalCdf:
 
     # -------------------------------------------------------------- sampling
 
+    @cached_property
+    def _probs(self) -> List[float]:
+        return [p[1] for p in self.points]
+
     def quantile(self, u: float) -> float:
         """Inverse CDF by linear interpolation (u in [0, 1])."""
         if not 0.0 <= u <= 1.0:
             raise ValueError("u must be within [0, 1]")
-        probs = [p[1] for p in self.points]
-        index = bisect.bisect_left(probs, u)
+        index = bisect.bisect_left(self._probs, u)
         if index == 0:
             return self.points[0][0]
         if index >= len(self.points):

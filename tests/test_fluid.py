@@ -5,14 +5,17 @@ bit-identical determinism through the executor (inline, pooled, and
 cache-replayed), fluid-vs-packet agreement on the paper's headline
 effects, and fidelity threading through the scenario layer."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from fluid_reference import dense_bank_like, dense_twin
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.executor import Executor, execute_spec
-from repro.experiments.runner import run_star_fct
+from repro.experiments.runner import estimate_star_network_rtt, run_star_fct
 from repro.experiments.schemes import simulation_scheme_specs
 from repro.experiments.schemes import testbed_scheme_specs as scheme_specs
 from repro.experiments.specs import (
@@ -31,6 +34,8 @@ from repro.fluid import (
     run_fluid_star_fct,
 )
 from repro.fluid.marking import CodelMarkerBank, EcnSharpMarkerBank, StepMarkerBank
+from repro.fluid.population import leafspine_population, star_population
+from repro.netem.profiles import RttProfile
 from repro.scenarios import Scenario, ScenarioError, compile_scenario
 from repro.settings import resolve
 from repro.sim.units import MSS, gbps, ms, us
@@ -253,6 +258,40 @@ def marker_bank(kind, n_ports):
     return build_marker_bank(spec.kind, dict(spec.params), n_ports)
 
 
+def assert_marks_equal(got, ports, want, k):
+    """A subset bank's step (``None`` read as all zeros) laid out over the
+    whole bank is the dense bank's step, byte for byte."""
+    for field in ("fraction", "instant", "persistent"):
+        whole = np.zeros(len(want.fraction))
+        if got is not None:
+            whole[ports] = getattr(got, field)
+        assert whole.tobytes() == getattr(want, field).tobytes(), (k, field)
+
+
+@st.composite
+def marker_traces(draw):
+    """``(bank factory, dt, spells, seed)``: each spell holds every port at
+    one sojourn level -- none, exactly a target, or anything up to twice the
+    higher one -- for up to 30 steps; ``seed`` drives per-step traffic and
+    which drained ports linger in the stepped subset."""
+    dt = draw(st.sampled_from([us(1), us(10), us(20)]))
+    low, high = sorted(draw(st.lists(
+        st.floats(us(1), us(300)), min_size=2, max_size=2)))
+    interval = draw(st.floats(dt, 25 * dt))
+    make_bank = draw(st.sampled_from([
+        lambda n: StepMarkerBank(high, n),
+        lambda n: CodelMarkerBank(low, interval, n),
+        lambda n: EcnSharpMarkerBank(high, low, interval, n),
+    ]))
+    n_ports = draw(st.integers(1, 6))
+    level = st.one_of(st.sampled_from([0.0, low, high]), st.floats(0.0, 2 * high))
+    spells = draw(st.lists(
+        st.tuples(st.integers(1, 30),
+                  st.lists(level, min_size=n_ports, max_size=n_ports)),
+        min_size=1, max_size=8))
+    return make_bank, dt, spells, draw(st.integers(0, 2**32 - 1))
+
+
 class TestMarkerBankSubsets:
     """Stepping only the ports that carry something, and forgetting a port
     when it leaves, is the whole bank stepped with zero sojourn elsewhere."""
@@ -279,15 +318,42 @@ class TestMarkerBankSubsets:
             ports = np.flatnonzero(subset)
             got = bank.step(ports, sojourn[k, ports], k * dt, dt, pkts[ports])
             want = dense.step(sojourn[k], k * dt, dt, pkts)
-            for field in ("fraction", "instant", "persistent"):
-                whole = np.zeros(n_ports)
-                whole[ports] = getattr(got, field)
-                assert whole.tobytes() == getattr(want, field).tobytes(), (k, field)
+            assert_marks_equal(got, ports, want, k)
             marked += float(want.persistent.sum())
         assert marked > 0.0  # the trace did arm persistent marking
         assert bank.law.marking.tobytes() == dense.law.marking.tobytes()
         assert bank.law.count.tobytes() == dense.law.count.tobytes()
         assert np.array_equal(bank.law.first_above, dense.law.first_above, equal_nan=True)
+
+    @given(trace=marker_traces())
+    @settings(max_examples=150, deadline=None)
+    def test_any_trace_equals_the_dense_bank(self, trace):
+        make_bank, dt, spells, seed = trace
+        n_ports = len(spells[0][1])
+        bank = make_bank(n_ports)
+        dense = dense_bank_like(bank)
+        rng = np.random.default_rng(seed)
+        stepped = np.zeros(n_ports, dtype=bool)
+        k = 0
+        for length, level in spells:
+            sojourn = np.array(level)
+            for _ in range(length):
+                # A fifth of the ports pass no traffic at all in a step.
+                pkts = rng.uniform(0.0, 8.0, n_ports) * (rng.random(n_ports) < 0.8)
+                subset = (sojourn > 0.0) | (stepped & (rng.random(n_ports) < 0.5))
+                bank.forget(rng.permutation(np.flatnonzero(stepped & ~subset)))
+                stepped = subset
+                # The engine hands a bank its slots in live-port order, which
+                # need not be ascending.
+                ports = rng.permutation(np.flatnonzero(subset))
+                got = bank.step(ports, sojourn[ports], k * dt, dt, pkts[ports])
+                want = dense.step(sojourn, k * dt, dt, pkts)
+                assert_marks_equal(got, ports, want, k)
+                k += 1
+        if hasattr(bank, "law"):
+            for name in ("first_above", "marking", "count"):
+                assert (getattr(bank.law, name).tobytes()
+                        == getattr(dense.law, name).tobytes()), name
 
     @pytest.mark.parametrize("kind", STATEFUL)
     def test_forgotten_port_needs_a_fresh_dwell(self, kind):
@@ -477,6 +543,14 @@ class TestDenseOracle:
         assert hand_rig(init_cwnd=0.25).run().completed.all()
         assert hand_rig(init_cwnd=40_000.0).run().completed.all()
 
+    @pytest.mark.parametrize("init_cwnd", [0.25, 40_000.0])
+    def test_first_update_clamps_an_active_flow_not_yet_due(self, oracle, init_cwnd):
+        # The second flow is sending, half-way to its first update, when the
+        # first flow's update clamps every window: its window moves mid-epoch.
+        engine, _ = probed_star([2e5, 2e5], starts=[0.0, us(40)])
+        engine.cwnd[:] = init_cwnd
+        assert engine.run().completed.all()
+
     def test_backlog_present_before_the_first_step(self, oracle):
         engine = hand_rig()
         engine.queue[3] = 50_000.0  # nobody's path yet: must still drain and mark
@@ -609,6 +683,61 @@ class TestFluidEngine:
         with pytest.raises(RuntimeError, match="step budget exceeded"):
             engine.run()
         assert engine.steps == 10
+
+
+def first_flows(population, n=5):
+    return [
+        (float(population.start[i]), float(population.size[i]),
+         float(population.base_rtt[i]), int(population.src[i]), int(population.dst[i]))
+        for i in range(n)
+    ]
+
+
+def population_digest(population):
+    digest = hashlib.sha256()
+    for column in (population.start, population.size, population.base_rtt,
+                   population.src, population.dst):
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+class TestPopulationPinned:
+    """The populations of the ledger's fluid cells (seed 7), captured before
+    ``RttProfile.sample_one`` stopped going through ``sample``: the flows
+    replay the packet rig's draws, so not one bit may move."""
+
+    def test_leafspine_population(self):
+        population = leafspine_population(
+            WEB_SEARCH, 0.5, gbps(10) * 1024, 2000, np.random.default_rng(7), 1024,
+            RttProfile.from_variation(us(80), 3.0, shape="fabric"),
+            estimate_star_network_rtt(gbps(10), us(2)) * 2.0,
+        )
+        assert first_flows(population) == [
+            (5.019588415505033e-07, 130549.0, 8.363516046235146e-05, 700, 918),
+            (2.902490934393678e-06, 245528.0, 0.00021004344096172857, 934, 5),
+            (3.2864014855751745e-06, 6097.0, 0.00014371918250435256, 349, 284),
+            (3.4439506366451397e-06, 144130.0, 0.00013162043769806422, 521, 1019),
+            (3.5841482170833582e-06, 35016.0, 8.950481043159255e-05, 865, 163),
+        ]
+        assert population_digest(population) == (
+            "5a23af1cec6f660feddd396f4ae9df3699aea28827587e9362facdfc08444726")
+
+    def test_star_population(self):
+        population = star_population(
+            WEB_SEARCH, 0.7, gbps(10), 250, np.random.default_rng(7), 7,
+            RttProfile.from_variation(us(70), 3.0, shape="testbed"),
+            estimate_star_network_rtt(gbps(10), us(2)),
+        )
+        # (the third and fifth base RTTs are clamped to rtt_min)
+        assert first_flows(population) == [
+            (0.00036714703839122527, 130549.0, 7.241730450379793e-05, 4, 7),
+            (0.0021229647977279473, 1105.0, 0.00011555455437014067, 6, 7),
+            (0.0022789161901856977, 6569.0, 7e-05, 5, 7),
+            (0.0032566804597752037, 23025.0, 0.00020043735173817475, 2, 7),
+            (0.004888496368426223, 5306.0, 7e-05, 2, 7),
+        ]
+        assert population_digest(population) == (
+            "132c066d707ee65af5145d1648a2e88f9444ac54d3452208107f4f2c4f5fcfd0")
 
 
 class TestFluidInputChecks:

@@ -127,6 +127,54 @@ class TestRttProfile:
         assert np.all(samples <= profile.rtt_max + 1e-12)
 
 
+ONE_CLUSTER = ((0.3, 2.0, 0.2),)  # a weight that is not 1 before normalising
+
+
+class TestRttDraws:
+    """``sample_one`` is ``sample(rng, 1)[0]`` bit for bit, and leaves the
+    generator where ``sample`` does: the packet and fluid rigs draw every
+    base RTT through it, so the populations hang on this equality."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        shape=st.sampled_from(["fabric", "testbed", "one-cluster"]),
+        variation=st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=8.0)),
+        draws=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_draw_is_the_vector_draw(self, seed, shape, variation, draws):
+        if shape == "one-cluster":
+            profile = RttProfile(us(60), us(60) * variation, clusters=ONE_CLUSTER)
+        else:
+            profile = RttProfile.from_variation(us(60), variation, shape=shape)
+        scalar, vector = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            one = profile.sample_one(scalar)
+            assert type(one) is float
+            assert repr(one) == repr(float(profile.sample(vector, 1)[0]))
+        assert scalar.random() == vector.random()
+
+    def test_zero_span_consumes_no_bits(self):
+        profile = RttProfile.from_variation(us(100), 1.0)
+        rng = np.random.default_rng(12)
+        assert profile.sample_one(rng) == us(100)
+        assert rng.random() == np.random.default_rng(12).random()
+
+    # Captured before the mixture was precomputed: fixed generator in, the
+    # same Monte-Carlo estimates out.
+    def test_percentile_is_pinned(self):
+        profile = RttProfile.from_variation(us(70), 3.0, shape="testbed")
+        assert profile.percentile(90, np.random.default_rng(3), n=5000) == (
+            0.0001971101403937925)
+
+    def test_statistics_are_pinned(self):
+        stats = RttProfile.from_variation(us(80), 3.0).statistics(
+            np.random.default_rng(4), n=5000)
+        assert (stats.mean, stats.p50, stats.p90, stats.p99) == (
+            0.00014396478020036515, 0.00013975590515328558,
+            0.00022069024459458152, 0.00023392500037028603)
+
+
 class TestFlowDelayStage:
     def test_unknown_flow_zero_delay(self):
         stage = FlowDelayStage()
