@@ -17,15 +17,23 @@ campaign's store is byte-identical to an uninterrupted one.
 
 Crash safety: the store is append-only, one JSON object per line, flushed
 and fsynced per shard; a torn trailing line (the process died mid-write) is
-skipped with a warning on load and its cell simply re-executes.
+skipped with a warning on load and its cell simply re-executes.  Every
+append to the store and its sidecars goes through :func:`append_jsonl`.
 
-Reading is incremental: a reused store (a daemon revalidating, a
-``--shared`` worker re-loading every shard) parses only the lines appended
-since its last load (:class:`JsonlTail`).
+Reading is incremental: a reused store (a daemon revalidating, a campaign
+re-loading every round) parses only the lines appended since its last load
+(:class:`JsonlTail`).
+
+One loop runs both modes (:func:`_run`).  A ``--shared`` worker serialises
+its loads and appends through the store lock and takes its cells through
+the lease ledger (:mod:`repro.scenarios.coordination`); a lone writer is
+the same loop with no lock and a board that hands it every remaining cell,
+so it never creates a lock or a lease file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import warnings
@@ -64,7 +72,8 @@ __all__ = [
     "JsonlTail",
     "canonical_json",
     "read_jsonl_rows",
-    "needs_trailing_newline",
+    "append_jsonl",
+    "as_store",
     "run_campaign",
     "render_store_report",
     "DEFAULT_STORE",
@@ -257,24 +266,31 @@ def read_jsonl_rows(path: Path) -> List[Dict[str, Any]]:
     """The readable object rows of an append-only JSONL file, in append
     order.  A line that does not parse -- or parses to anything but a JSON
     object -- is a torn or foreign write and is skipped; a missing file
-    has no rows.  The store's resources sidecar and the obs report's trend
-    file read through here."""
+    has no rows.  The obs report's sidecar and trend files read through
+    here."""
     _, rows = JsonlTail(path).read()
     return [row for _, row, _ in rows if row is not None]
 
 
-def needs_trailing_newline(path: Path) -> bool:
-    """Whether ``path`` ends mid-line (torn write from a crash) and must be
-    newline-terminated before the next append, so the torn line cannot glue
-    onto the next record and make both unreadable."""
-    try:
-        if path.stat().st_size == 0:
-            return False
-    except OSError:
-        return False
-    with open(path, "rb") as probe:
-        probe.seek(-1, os.SEEK_END)
-        return probe.read(1) != b"\n"
+def append_jsonl(path: Path, text: str, durable: bool) -> None:
+    """Append ``text`` -- whole, newline-terminated lines -- to ``path``:
+    the one writer behind the store, its resources sidecar and the lease
+    ledger.  A crash mid-write can leave a torn last line with no newline;
+    it is terminated first, so ``text`` cannot glue onto it and make both
+    unreadable.  ``durable`` flushes and fsyncs before returning, so a
+    crash after return cannot lose the lines."""
+    if not text:
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a+b") as handle:
+        if handle.seek(0, os.SEEK_END):
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                text = "\n" + text
+        handle.write(text.encode("utf-8"))
+        if durable:
+            handle.flush()
+            os.fsync(handle.fileno())
 
 
 class CampaignStore:
@@ -299,6 +315,7 @@ class CampaignStore:
         self.path = Path(path)
         self.load_stats = StoreLoadStats()
         self._tail = JsonlTail(self.path)
+        self._resources_tail = JsonlTail(self.resources_path)
 
     @property
     def resources_path(self) -> Path:
@@ -313,21 +330,28 @@ class CampaignStore:
         return self.path.with_name(self.path.stem + ".leases.jsonl")
 
     def append_resources(self, rows: Sequence[Dict[str, Any]]) -> None:
-        """Append per-cell resource rows to the sidecar (best-effort: the
+        """Append per-cell resource rows to the sidecar (not fsynced: the
         sidecar is observability data, not campaign state)."""
-        if not rows:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        needs_newline = needs_trailing_newline(self.resources_path)
-        with open(self.resources_path, "a", encoding="utf-8") as handle:
-            if needs_newline:
-                handle.write("\n")
-            for row in rows:
-                handle.write(canonical_json(row) + "\n")
+        append_jsonl(
+            self.resources_path,
+            "".join(canonical_json(row) + "\n" for row in rows),
+            durable=False,
+        )
 
     def load_resources(self) -> List[Dict[str, Any]]:
-        """All readable sidecar rows, in append order (torn lines skipped)."""
-        return read_jsonl_rows(self.resources_path)
+        """All readable sidecar rows, in append order (torn lines skipped).
+        Like :meth:`load`, a reused instance parses only the rows appended
+        since its last call; each call returns its own list."""
+        rewound, rows = self._resources_tail.read()
+        if rewound:  # always on an instance's first call
+            self._resources: List[Dict[str, Any]] = []
+        resources = self._resources
+        for _, row, settled in rows:
+            if not settled:  # may yet be completed: this view only
+                resources = list(resources)
+            if row is not None:
+                resources.append(row)
+        return list(resources)
 
     def load(self) -> Dict[RecordKey, CellRecord]:
         """Record index, latest record per key winning.  The first call on
@@ -368,25 +392,20 @@ class CampaignStore:
         cannot lose them (a crash *during* leaves at most one torn line)."""
         if not records:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = "".join(record.line + "\n" for record in records)
         die_after_write = False
         if os.environ.get("REPRO_CHAOS"):
             from ..testing.chaos import CHAOS_EXIT_CODE, chaos_store_append
 
             payload, die_after_write = chaos_store_append(payload)
-        # A crash mid-write can leave a torn line with no trailing newline;
-        # terminate it first so the next record does not glue onto it and
-        # become unreadable too.
-        needs_newline = needs_trailing_newline(self.path)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if needs_newline:
-                handle.write("\n")
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_jsonl(self.path, payload, durable=True)
         if die_after_write:
             os._exit(CHAOS_EXIT_CODE)
+
+
+def as_store(store: "CampaignStore | Path | str") -> CampaignStore:
+    """``store`` itself, or a fresh :class:`CampaignStore` at that path."""
+    return store if isinstance(store, CampaignStore) else CampaignStore(store)
 
 
 @dataclass
@@ -418,12 +437,6 @@ class CampaignResult:
         if self.interrupted:
             line += " interrupted"
         return line
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__
 
 
 def _settle(
@@ -545,8 +558,7 @@ def _execute_shard(
     progress: Optional[Any],
 ) -> Tuple[List[CellRecord], List[Dict[str, Any]]]:
     """Execute one shard through the executor and settle its records
-    (store appends are the caller's job -- shared mode does them under
-    the store lock)."""
+    (store appends are the caller's job, under the store lock)."""
     cells = [cell for _, cell, _ in shard]
     retried_before = executor.stats.retried
     outcomes = executor.run([spec for cell in cells for spec in cell.specs])
@@ -578,149 +590,98 @@ def _execute_shard(
     return shard_records, shard_resources
 
 
-def _interrupt_requested(
-    shutdown: Optional[Any], result: CampaignResult
-) -> bool:
-    """Poll the graceful-shutdown latch between shards; records the
-    interruption on the result so the CLI can exit ``128 + signum``."""
-    if shutdown is not None and getattr(shutdown, "requested", False):
-        result.interrupted = True
-        result.interrupt_signum = getattr(shutdown, "signum", None)
-        return True
-    return False
+class _EveryCellIsMine:
+    """A lone writer's lease board: no ledger, no other workers, so it
+    takes the first ``limit`` remaining cells and never claims or
+    releases anything."""
+
+    def partition(self, pending, worker, limit=None):
+        return pending[:limit], []
+
+    def claim(self, keys, worker):
+        pass
+
+    release = claim
 
 
-def _run_single(
-    compiled: Sequence[CompiledScenario],
+def _run(
+    result: CampaignResult,
     store: CampaignStore,
     executor: Executor,
-    result: CampaignResult,
-    provenance: Tuple[Optional[str], str],
     max_cells: Optional[int],
     progress: Optional[Any],
     shutdown: Optional[Any],
+    lock: Any,
+    board: Any,
+    worker: Optional[str],
 ) -> None:
-    """The single-writer path: no locks, no leases, store byte-identical
-    to the pre-coordination format."""
-    index = store.load()
-    pending: List[PendingCell] = []
-    skipped: List[Tuple[str, str]] = []
-    for item in _iter_cells(compiled):
-        comp, cell, key = item
-        record = index.get(key)
-        if record is not None and record.status == "ok":
-            result.records.append(record)
-            result.skipped_cells += 1
-            skipped.append((comp.scenario.name, cell.key))
-            _notify(comp.scenario.name, cell.key, "skipped")
-        else:
-            pending.append(item)
-    if max_cells is not None:
-        pending = pending[:max_cells]
-    if progress is not None:
-        progress.add_total(len(skipped) + len(pending))
-        for _ in skipped:
-            progress.cell_done("skipped")
+    """The campaign loop, one for both modes: load and claim under
+    ``lock``, execute outside it, append and release under it.
 
-    # One executor pass and one fsynced append per shard.
-    for shard in _shards(pending, executor):
-        if _interrupt_requested(shutdown, result):
-            break
-        shard_records, shard_resources = _execute_shard(
-            executor, shard, provenance, result, progress
-        )
-        store.append(shard_records)
-        store.append_resources(shard_resources)
-
-
-def _run_shared(
-    compiled: Sequence[CompiledScenario],
-    store: CampaignStore,
-    executor: Executor,
-    result: CampaignResult,
-    provenance: Tuple[Optional[str], str],
-    max_cells: Optional[int],
-    progress: Optional[Any],
-    worker_id: Optional[str],
-    lease_ttl: Optional[float],
-    lock_timeout: Optional[float],
-    shutdown: Optional[Any],
-) -> None:
-    """The multi-writer path: claim pending cells through the lease board
-    under the store lock, execute outside it, append + release under it.
-
-    Each iteration re-loads the store (other workers append concurrently;
+    Each round re-loads the store (other workers may append concurrently;
     the one ``store`` and ``board`` read only what was appended since the
-    last round), accounts newly-ok cells as skipped, claims up to one
-    shard of free or stale-leased cells, and stops when nothing is
-    claimable -- either the campaign is done or every remaining cell is
-    leased to a live worker (rerun later to pick up whatever they drop).
+    last round), accounts newly-ok cells as skipped, polls the shutdown
+    latch, and claims one shard of the cells ``board`` lets this process
+    take.  The loop stops when nothing is claimable -- the campaign is
+    done, ``max_cells`` is spent, the latch fired, or every remaining cell
+    is leased to a live worker (rerun later to pick up whatever they drop).
     """
-    from .coordination import (
-        DEFAULT_LEASE_TTL,
-        DEFAULT_LOCK_TIMEOUT,
-        LeaseBoard,
-        StoreLock,
-        default_worker_id,
-    )
+    from .. import __version__
 
-    worker = worker_id or default_worker_id()
-    ttl = lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL
-    timeout = (
-        lock_timeout if lock_timeout is not None else DEFAULT_LOCK_TIMEOUT
-    )
-    lock = StoreLock(store.lock_path, timeout=timeout)
-    board = LeaseBoard(store.leases_path, ttl=ttl)
+    provenance = (git_sha(), __version__)
     # Cells this pass has neither skipped nor executed yet, in grid order.
     remaining: Dict[RecordKey, PendingCell] = {
-        item[2]: item for item in _iter_cells(compiled)
+        item[2]: item for item in _iter_cells(result.compiled)
     }
     budget = max_cells
-
+    first_round = True
     while True:
-        if _interrupt_requested(shutdown, result):
-            break
-        if budget is not None and budget <= 0:
-            break
         with lock:
             index = store.load()
-            newly_skipped: List[Tuple[str, str]] = []
+            skipped: List[Tuple[str, str]] = []
             for key, (comp, cell, _) in list(remaining.items()):
                 record = index.get(key)
                 if record is not None and record.status == "ok":
                     del remaining[key]
                     result.records.append(record)
                     result.skipped_cells += 1
-                    newly_skipped.append((comp.scenario.name, cell.key))
-            # The shard is cut from the cells this worker may claim, not
+                    skipped.append((comp.scenario.name, cell.key))
+            if shutdown is not None and shutdown.requested:
+                # Records the interruption so the CLI can exit 128 + signum.
+                result.interrupted = True
+                result.interrupt_signum = shutdown.signum
+                free, stale = [], []
+            else:
+                free, stale = board.partition(
+                    list(remaining), worker, limit=budget
+                )
+            # The shard is cut from the cells this process may claim, not
             # from what remains: the rule counts the work at risk here.
-            free, stale = board.partition(
-                list(remaining), worker, limit=budget
-            )
             shard = next(
                 _shards((remaining[key] for key in free), executor), []
             )
-            claimable = [key for _, _, key in shard]
-            claimed = set(claimable)
-            reclaimed = [pair for pair in stale if pair[0] in claimed]
-            if claimable:
-                board.claim(claimable, worker)
+            claimed = [key for _, _, key in shard]
+            taken = set(claimed)
+            reclaimed = [previous for key, previous in stale if key in taken]
+            board.claim(claimed, worker)
         if progress is not None:
-            progress.add_total(len(newly_skipped) + len(claimable))
-            for _ in newly_skipped:
+            if first_round:
+                progress.add_total(len(skipped)
+                                   + len(list(remaining)[:budget]))
+            for _ in skipped:
                 progress.cell_done("skipped")
-        for name, cell_key in newly_skipped:
+        for name, cell_key in skipped:
             _notify(name, cell_key, "skipped")
-        if not claimable:
-            # Done, or every remaining cell is leased to a live worker.
+        first_round = False
+        if not shard:
             break
         telemetry = get_active()
-        for _, prev_worker in reclaimed:
+        for previous in reclaimed:
             result.reclaimed_leases += 1
             if telemetry is not None:
-                telemetry.on_lease_reclaim(prev_worker)
+                telemetry.on_lease_reclaim(previous)
 
-        for key in claimable:
+        for key in claimed:
             del remaining[key]
         shard_records, shard_resources = _execute_shard(
             executor, shard, provenance, result, progress
@@ -728,9 +689,9 @@ def _run_shared(
         with lock:
             store.append(shard_records)
             store.append_resources(shard_resources)
-            board.release(claimable, worker)
+            board.release(claimed, worker)
         if budget is not None:
-            budget -= len(claimable)
+            budget -= len(claimed)
 
 
 def run_campaign(
@@ -761,13 +722,15 @@ def run_campaign(
     pending cells this pass executes (the deterministic "kill after N
     cells" used by the resume tests); the next run picks up the rest.
 
-    ``shared=True`` switches to the multi-writer protocol
-    (:mod:`repro.scenarios.coordination`): appends happen under the store's
-    advisory lock and pending cells are partitioned across workers through
-    lease records, with stale leases (a killed worker's) reclaimed after
-    ``lease_ttl`` seconds.  ``worker_id`` defaults to ``host:pid``.  Any
-    number of ``shared`` processes may target the same store concurrently;
-    the settled result converges to exactly a single-writer run's records.
+    ``shared=True`` runs the same loop under the multi-writer protocol
+    (:mod:`repro.scenarios.coordination`): loads and appends happen under
+    the store's advisory lock and pending cells are partitioned across
+    workers through lease records, with stale leases (a killed worker's)
+    reclaimed after ``lease_ttl`` seconds.  ``worker_id`` defaults to
+    ``host:pid``.  Any number of ``shared`` processes may target the same
+    store concurrently; the settled result converges to exactly a
+    single-writer run's records, and one ``shared`` worker alone writes
+    the same bytes.
 
     ``shutdown`` is an optional latch with ``requested``/``signum``
     attributes (see :class:`~repro.scenarios.coordination.GracefulShutdown`)
@@ -784,8 +747,7 @@ def run_campaign(
     Executed cells' resource attribution (wall seconds, events, peak RSS,
     cache hits) is appended to the store's resources sidecar per shard.
     """
-    if not isinstance(store, CampaignStore):
-        store = CampaignStore(store)
+    store = as_store(store)
     executor = executor or get_default_executor()
     with maybe_span("campaign", kind="campaign", scenarios=len(scenarios)):
         compiled = []
@@ -793,18 +755,18 @@ def run_campaign(
             with maybe_span("compile", kind="scenario",
                             scenario=scenario.name):
                 compiled.append(compile_scenario(scenario, fidelity=fidelity))
-        provenance = (git_sha(), _package_version())
         result = CampaignResult(compiled=compiled)
         if shared:
-            _run_shared(
-                compiled, store, executor, result, provenance, max_cells,
-                progress, worker_id, lease_ttl, lock_timeout, shutdown,
-            )
+            from .coordination import LeaseBoard, StoreLock, default_worker_id
+
+            lock: Any = StoreLock(store.lock_path, timeout=lock_timeout)
+            board: Any = LeaseBoard(store.leases_path, ttl=lease_ttl)
+            worker = worker_id or default_worker_id()
         else:
-            _run_single(
-                compiled, store, executor, result, provenance, max_cells,
-                progress, shutdown,
-            )
+            lock, board = contextlib.nullcontext(), _EveryCellIsMine()
+            worker = None
+        _run(result, store, executor, max_cells, progress, shutdown, lock,
+             board, worker)
     return result
 
 
@@ -820,8 +782,7 @@ def render_store_report(
     content-hashes are reported (stale records from edited scenario files
     are ignored); otherwise everything in the store is shown.
     """
-    if not isinstance(store, CampaignStore):
-        store = CampaignStore(store)
+    store = as_store(store)
     index = store.load()
     if scenarios is not None:
         wanted = {s.content_hash() for s in scenarios}

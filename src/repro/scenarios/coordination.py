@@ -5,17 +5,19 @@ JSONL, fsync per shard, torn trailing lines skipped on load.  This module
 adds what a fleet of workers sharing one campaign needs on top:
 
 * :class:`StoreLock` -- an advisory ``O_CREAT|O_EXCL`` lockfile next to
-  the store (``<store>.lock``), holding ``pid host`` and heartbeat-touched
-  while held.  A lock whose owner pid is dead (same host) or whose mtime
-  is older than ``stale_after`` is *broken* by atomically renaming it
-  aside, so a SIGKILLed writer can never wedge the campaign.
+  the store (``<store>.lock``) holding ``pid host``, taken only for one
+  round's load-and-claim or append-and-release.  A lock whose owner pid
+  is dead (same host) or whose mtime is older than
+  :data:`LOCK_STALE_AFTER` is *broken* by atomically renaming it aside,
+  so a SIGKILLed writer can never wedge the campaign.
 * :class:`LeaseBoard` -- lease records in a sidecar JSONL file
   (``<store>.leases.jsonl``, append-only, latest-line-per-key wins) that
   partition pending cells across ``repro scenario run --shared`` workers.
   A claimed lease older than its TTL is stale and may be *reclaimed* by
   another worker, so a killed worker's cells re-run exactly once.  Lease
-  and lock files are coordination state only: the main store stays
-  byte-compatible with single-writer campaigns.
+  and lock files are coordination state only: a lone ``--shared`` worker
+  writes the same store bytes as a single writer, which runs the same
+  loop with neither file (:func:`repro.scenarios.campaign.run_campaign`).
 * :class:`GracefulShutdown` -- SIGINT/SIGTERM latch used by
   ``run_campaign`` so an interrupted worker finishes and appends its
   current shard, releases its leases, and exits ``128+signum`` (130 for
@@ -45,22 +47,24 @@ from .campaign import (
     CellRecord,
     JsonlTail,
     RecordKey,
+    append_jsonl,
+    as_store,
     canonical_json,
-    needs_trailing_newline,
 )
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
-    "DEFAULT_LOCK_STALE",
     "DEFAULT_LOCK_TIMEOUT",
     "GracefulShutdown",
+    "LOCK_POLL_INTERVAL",
+    "LOCK_STALE_AFTER",
     "Lease",
     "LeaseBoard",
     "LockTimeout",
     "MergeConflictError",
     "MergeResult",
     "StoreLock",
-    "canonical_records",
+    "canonical_sort_key",
     "default_worker_id",
     "fingerprint_records",
     "merge_resources",
@@ -75,7 +79,16 @@ while executing one shard, and re-running a cell is merely wasted work
 (results are deterministic), never a correctness problem."""
 
 DEFAULT_LOCK_TIMEOUT = 60.0
-DEFAULT_LOCK_STALE = 30.0
+
+LOCK_STALE_AFTER = 30.0
+"""Age in seconds past which a lock whose holder cannot be checked (it
+lives on another host, or its body is unreadable) is stale.  A holder keeps
+the lock only for one round's load-and-claim or append-and-release --
+milliseconds, never a shard's execution -- so a lock this old was
+abandoned."""
+
+LOCK_POLL_INTERVAL = 0.05
+"""Seconds a waiting worker sleeps between attempts to take the lock."""
 
 
 def default_worker_id() -> str:
@@ -97,24 +110,18 @@ class StoreLock:
     matters here); the file body is ``pid host``.  Liveness has two
     tiers: a dead owner pid on the same host is detected immediately via
     ``kill(pid, 0)``, and a cross-host (or unreadable) lock falls back to
-    the heartbeat mtime -- holders re-touch the file between shards, so
-    an mtime older than ``stale_after`` marks an abandoned lock.  Breaking
-    is rename-based: racing breakers rename the stale file aside, and only
-    the winner of that atomic rename unlinks it; everyone then races the
-    normal O_EXCL create.
+    its mtime -- the lock is held only for one round's load-and-claim or
+    append-and-release, so an mtime older than :data:`LOCK_STALE_AFTER`
+    marks an abandoned lock.  Breaking is rename-based: racing breakers
+    rename the stale file aside, and only the winner of that atomic rename
+    unlinks it; everyone then races the normal O_EXCL create.
     """
 
     def __init__(
-        self,
-        path: "Path | str",
-        timeout: float = DEFAULT_LOCK_TIMEOUT,
-        stale_after: float = DEFAULT_LOCK_STALE,
-        poll_interval: float = 0.05,
+        self, path: "Path | str", timeout: Optional[float] = None
     ) -> None:
         self.path = Path(path)
-        self.timeout = timeout
-        self.stale_after = stale_after
-        self.poll_interval = poll_interval
+        self.timeout = DEFAULT_LOCK_TIMEOUT if timeout is None else timeout
         self.broken_stale = 0
         """Stale locks this instance has broken (observability)."""
         self._held = False
@@ -135,21 +142,12 @@ class StoreLock:
                         f"could not acquire {self.path} within "
                         f"{self.timeout:g}s (held by {self._describe_holder()})"
                     )
-                time.sleep(self.poll_interval)
+                time.sleep(LOCK_POLL_INTERVAL)
                 continue
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(f"{os.getpid()} {socket.gethostname()}\n")
             self._held = True
             return self
-
-    def heartbeat(self) -> None:
-        """Refresh the lock's mtime so long shard executions under the
-        lock (not the normal pattern, but possible) never look stale."""
-        if self._held:
-            try:
-                os.utime(self.path)
-            except OSError:
-                pass
 
     def release(self) -> None:
         if not self._held:
@@ -176,16 +174,11 @@ class StoreLock:
             body = self.path.read_text(encoding="utf-8").split()
         except OSError:
             return None, None, None
-        pid: Optional[int] = None
-        host: Optional[str] = None
-        if body:
-            try:
-                pid = int(body[0])
-            except ValueError:
-                pid = None
-        if len(body) > 1:
-            host = body[1]
-        return pid, host, mtime
+        try:
+            pid = int(body[0]) if body else None
+        except ValueError:
+            pid = None
+        return pid, body[1] if len(body) > 1 else None, mtime
 
     def _describe_holder(self) -> str:
         pid, host, _ = self._read_holder()
@@ -203,7 +196,7 @@ class StoreLock:
             and not _pid_alive(pid)
         ):
             return True
-        return (time.time() - mtime) > self.stale_after
+        return (time.time() - mtime) > LOCK_STALE_AFTER
 
     def _break_if_stale(self) -> bool:
         """Atomically take a stale lock aside; True if this process won
@@ -250,12 +243,6 @@ class Lease:
     state: str  # "claimed" | "released"
     acquired_at: float
 
-    def is_held(self, now: float, ttl: float) -> bool:
-        return self.state == "claimed" and (now - self.acquired_at) < ttl
-
-    def is_stale(self, now: float, ttl: float) -> bool:
-        return self.state == "claimed" and (now - self.acquired_at) >= ttl
-
 
 def _key_to_json(key: RecordKey) -> list:
     return [key[0], list(key[1])]
@@ -282,12 +269,12 @@ class LeaseBoard:
     """
 
     def __init__(
-        self, path: "Path | str", ttl: float = DEFAULT_LEASE_TTL
+        self, path: "Path | str", ttl: Optional[float] = None
     ) -> None:
         self.path = Path(path)
-        if ttl <= 0:
+        self.ttl = DEFAULT_LEASE_TTL if ttl is None else ttl
+        if self.ttl <= 0:
             raise ValueError("lease ttl must be positive")
-        self.ttl = ttl
         self._tail = JsonlTail(self.path)
 
     def load(self) -> Dict[RecordKey, Lease]:
@@ -336,11 +323,11 @@ class LeaseBoard:
             if limit is not None and len(claimable) >= limit:
                 break
             lease = index.get(key)
-            if lease is not None and lease.is_held(now, self.ttl):
-                if lease.worker != worker:
+            if lease is not None and lease.state == "claimed":
+                if now - lease.acquired_at >= self.ttl:
+                    reclaimed.append((key, lease.worker))
+                elif lease.worker != worker:
                     continue
-            if lease is not None and lease.is_stale(now, self.ttl):
-                reclaimed.append((key, lease.worker))
             claimable.append(key)
         return claimable, reclaimed
 
@@ -367,27 +354,16 @@ class LeaseBoard:
         state: str,
         now: Optional[float],
     ) -> None:
-        rows = [
-            {
-                "key": _key_to_json(key),
-                "worker": worker,
-                "state": state,
-                "t": now if now is not None else time.time(),
-            }
-            for key in keys
-        ]
-        if not rows:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Same torn-trailing-line probe as the main store: a crash mid-
-        # lease-write must not glue the next lease onto the torn line.
-        needs_newline = needs_trailing_newline(self.path)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if needs_newline:
-                handle.write("\n")
-            handle.write("".join(canonical_json(row) + "\n" for row in rows))
-            handle.flush()
-            os.fsync(handle.fileno())
+        t = now if now is not None else time.time()
+        append_jsonl(
+            self.path,
+            "".join(
+                canonical_json({"key": _key_to_json(key), "worker": worker,
+                                "state": state, "t": t}) + "\n"
+                for key in keys
+            ),
+            durable=True,
+        )
 
 
 # ------------------------------------------------------------- shutdown
@@ -513,27 +489,11 @@ def _record_content(record: CellRecord) -> dict:
     return data
 
 
-def _canonical_sort_key(record: CellRecord):
+def canonical_sort_key(record: CellRecord):
+    """The canonical record order -- merged stores, fingerprints and the
+    results service's record lists all sort by it."""
     return (record.scenario, record.scenario_hash, record.cell_key,
             record.tokens)
-
-
-def canonical_records(
-    stores: Sequence["CampaignStore | Path | str"],
-) -> Tuple[Dict[RecordKey, List[CellRecord]], int]:
-    """Latest record per key *per store*, plus the total line count.
-
-    Returns ``(key -> [latest record from each store, in store order],
-    total input records)``."""
-    per_key: Dict[RecordKey, List[CellRecord]] = {}
-    total = 0
-    for raw in stores:
-        store = raw if isinstance(raw, CampaignStore) else CampaignStore(raw)
-        index = store.load()
-        total += store.load_stats.records
-        for key, record in index.items():
-            per_key.setdefault(key, []).append(record)
-    return per_key, total
 
 
 def merge_stores(
@@ -559,10 +519,15 @@ def merge_stores(
     and written sorted to the output's sidecar -- so per-cell attribution
     survives a multi-host merge.  Sidecar loss never blocks the merge.
     """
-    per_key, total = canonical_records(inputs)
-    result = MergeResult(input_records=total)
+    # Latest record per key *per store*, in input order.
+    per_key: Dict[RecordKey, List[CellRecord]] = {}
+    result = MergeResult()
+    for store in map(as_store, inputs):
+        for key, record in store.load().items():
+            per_key.setdefault(key, []).append(record)
+        result.input_records += store.load_stats.records
     conflicts: List[Tuple[RecordKey, str]] = []
-    for key in sorted(per_key, key=lambda k: (k[0], k[1])):
+    for key in sorted(per_key):
         candidates = per_key[key]
         ok = [r for r in candidates if r.status == "ok"]
         if ok:
@@ -584,16 +549,12 @@ def merge_stores(
         result.records.append(winner)
     if conflicts:
         raise MergeConflictError(conflicts)
-    result.records.sort(key=_canonical_sort_key)
+    result.records.sort(key=canonical_sort_key)
     merged_resources, input_rows = merge_resources(inputs)
     result.resource_rows = len(merged_resources)
     result.resource_rows_collapsed = input_rows - len(merged_resources)
     if output is not None:
-        out_store = (
-            output
-            if isinstance(output, CampaignStore)
-            else CampaignStore(output)
-        )
+        out_store = as_store(output)
         _write_lines_atomic(
             out_store.path, (record.line for record in result.records)
         )
@@ -615,8 +576,7 @@ def merge_resources(
     nothing (they are observability data, never campaign state)."""
     latest: Dict[Tuple[object, object], Dict[str, object]] = {}
     total = 0
-    for raw in inputs:
-        store = raw if isinstance(raw, CampaignStore) else CampaignStore(raw)
+    for store in map(as_store, inputs):
         rows = store.load_resources()
         total += len(rows)
         for row in rows:
@@ -640,15 +600,14 @@ def _write_lines_atomic(path: Path, lines: Iterable[str]) -> None:
     os.replace(tmp, path)
 
 
-def fingerprint_records(records: Iterable[CellRecord]) -> bytes:
-    """Canonical bytes of a set of settled cells: sorted, serialized
-    exactly as the store writes them.  The service's store index calls
-    this on records it already holds in memory, avoiding a second disk
-    read per revalidation -- and, each record keeping its line once
-    serialised, a second ``json.dumps`` per record too."""
-    lines = [
-        record.line for record in sorted(records, key=_canonical_sort_key)
-    ]
+def fingerprint_records(records: Sequence[CellRecord]) -> bytes:
+    """Canonical bytes of a set of settled cells already in canonical
+    order (:func:`canonical_sort_key`), serialized exactly as the store
+    writes them.  The service's store index calls this on the sorted
+    records it keeps anyway, avoiding a second disk read and a second sort
+    per revalidation -- and, each record keeping its line once serialised,
+    a second ``json.dumps`` per record too."""
+    lines = [record.line for record in records]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 
@@ -658,6 +617,6 @@ def store_fingerprint(store: "CampaignStore | Path | str") -> bytes:
     equal fingerprints settled every cell identically, regardless of
     append interleaving -- the equality chaos/convergence tests assert.
     """
-    if not isinstance(store, CampaignStore):
-        store = CampaignStore(store)
-    return fingerprint_records(store.load().values())
+    return fingerprint_records(
+        sorted(as_store(store).load().values(), key=canonical_sort_key)
+    )

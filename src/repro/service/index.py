@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..scenarios.campaign import CampaignStore, CellRecord
-from ..scenarios.coordination import fingerprint_records
+from ..scenarios.coordination import canonical_sort_key, fingerprint_records
 
 __all__ = ["StoreEntry", "StoreIndex"]
 
@@ -117,11 +117,7 @@ class StoreIndex:
             # the cached entry *fresher* than its probe claims; the next
             # request's probe mismatch reloads -- never stale forever.
             index = store.load()
-            records = sorted(
-                index.values(),
-                key=lambda r: (r.scenario, r.scenario_hash, r.cell_key,
-                               r.tokens),
-            )
+            records = sorted(index.values(), key=canonical_sort_key)
             fingerprint = fingerprint_records(records)
             entry = StoreEntry(
                 name=name,

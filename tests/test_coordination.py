@@ -57,7 +57,7 @@ class TestStoreLock:
     def test_contention_times_out(self, tmp_path):
         path = tmp_path / "s.lock"
         with StoreLock(path):
-            second = StoreLock(path, timeout=0.2, stale_after=60.0)
+            second = StoreLock(path, timeout=0.2)
             with pytest.raises(LockTimeout, match=str(os.getpid())):
                 second.acquire()
 
@@ -66,7 +66,7 @@ class TestStoreLock:
         import socket
 
         path.write_text(f"{dead_pid()} {socket.gethostname()}\n")
-        lock = StoreLock(path, timeout=5.0, stale_after=3600.0)
+        lock = StoreLock(path, timeout=5.0)
         with lock:
             assert lock.broken_stale == 1
             assert int(path.read_text().split()[0]) == os.getpid()
@@ -75,16 +75,9 @@ class TestStoreLock:
         path = tmp_path / "s.lock"
         path.write_text(f"{os.getpid()} not-this-host\n")
         os.utime(path, (time.time() - 120, time.time() - 120))
-        lock = StoreLock(path, timeout=5.0, stale_after=30.0)
+        lock = StoreLock(path, timeout=5.0)
         with lock:
             assert lock.broken_stale == 1
-
-    def test_heartbeat_refreshes_mtime(self, tmp_path):
-        path = tmp_path / "s.lock"
-        with StoreLock(path) as lock:
-            os.utime(path, (time.time() - 120, time.time() - 120))
-            lock.heartbeat()
-            assert time.time() - path.stat().st_mtime < 60
 
 
 class TestLeaseBoard:

@@ -17,6 +17,7 @@ shift every byte, and a file they delete or replace keeps its inode number
 pinned by an open handle (tmpfs hands a freed number to the very next file).
 """
 
+import json
 import os
 import shutil
 import tempfile
@@ -42,8 +43,9 @@ from repro.scenarios import (
     run_campaign,
     store_fingerprint,
 )
-from repro.scenarios.campaign import REPLAY_SHARD_SPECS
+from repro.scenarios.campaign import REPLAY_SHARD_SPECS, canonical_json
 from repro.service import StoreIndex
+from repro.service import index as index_module
 
 from test_scenarios_campaign import tiny_scenario
 
@@ -372,8 +374,9 @@ class TestCostIsLinear:
             # every cell rides along: a shard is 256 cached specs
             assert seen["appends"] == -(-n_specs // REPLAY_SHARD_SPECS), (
                 mode, seen)
+            # each round tail-reads only what the last one appended
+            assert seen["records"] <= 2 * self.N_CELLS, (mode, seen)
         shared = passes["shared"]
-        assert shared["records"] <= 2 * self.N_CELLS, shared
         # a claim row and a release row per cell
         assert shared["lease_rows"] <= 2 * (2 * self.N_CELLS), shared
         assert store_fingerprint(tmp_path / "shared.jsonl") == (
@@ -405,3 +408,80 @@ class TestCostIsLinear:
             assert executor.stats.executed == len(specs)
             assert appended == [cells[n:n + 4]
                                 for n in range(0, self.N_CELLS, 4)], mode
+
+
+class TestResourcesSidecarIsTailRead:
+    def rows(self, first, n):
+        return [{"scenario": "s", "cell_key": f"k{i}", "wall_seconds": i}
+                for i in range(first, first + n)]
+
+    def test_a_reused_store_parses_only_the_appended_rows(
+        self, tmp_path, monkeypatch
+    ):
+        counts = Counter()
+        counting(monkeypatch, json, "loads", counts, "rows")
+        store = CampaignStore(tmp_path / "s.jsonl")
+        store.append_resources(self.rows(0, 5))
+        assert store.load_resources() == self.rows(0, 5)
+        assert counts["rows"] == 5
+        store.append_resources(self.rows(5, 2))
+        counts.clear()
+        assert store.load_resources() == self.rows(0, 7)
+        assert counts["rows"] == 2
+        counts.clear()
+        rows = store.load_resources()
+        assert counts["rows"] == 0
+        rows.clear()  # the caller's list is its own
+        assert store.load_resources() == self.rows(0, 7)
+
+    def test_a_replaced_or_shrunken_sidecar_is_read_again_in_full(
+        self, tmp_path, monkeypatch
+    ):
+        counts = Counter()
+        counting(monkeypatch, json, "loads", counts, "rows")
+        store = CampaignStore(tmp_path / "s.jsonl")
+        store.append_resources(self.rows(0, 5))
+        store.load_resources()
+        # atomically replaced, as a merge writes it
+        scratch = tmp_path / "replacement"
+        scratch.write_text("".join(canonical_json(row) + "\n"
+                                   for row in self.rows(10, 6)))
+        os.replace(scratch, store.resources_path)
+        counts.clear()
+        assert store.load_resources() == self.rows(10, 6)
+        assert counts["rows"] == 6
+        # shrunk in place
+        lines = store.resources_path.read_bytes().splitlines(keepends=True)
+        store.resources_path.write_bytes(b"".join(lines[:3]))
+        counts.clear()
+        assert store.load_resources() == self.rows(10, 3)
+        assert counts["rows"] == 3
+
+
+class TestIndexReloadSortsOnce:
+    def test_a_reload_calls_the_sort_key_once_per_record(
+        self, tmp_path, monkeypatch
+    ):
+        counts = Counter()
+        # the one order, wherever the index and the fingerprint look it up
+        counting(monkeypatch, coordination, "canonical_sort_key", counts,
+                 "keys")
+        monkeypatch.setattr(index_module, "canonical_sort_key",
+                            coordination.canonical_sort_key)
+
+        def record(n):
+            return CellRecord("s", "h", f"k{n}", "c", (f"t{n}",), "ok",
+                              {"m": float(n)}, (), None, "1")
+
+        store = CampaignStore(tmp_path / "s.jsonl")
+        store.append([record(n) for n in range(7, 0, -1)])
+        index = StoreIndex(tmp_path)
+        entry = index.get("s")
+        assert counts["keys"] == 7
+        assert [r.cell_key for r in entry.records] == [
+            f"k{n}" for n in range(1, 8)]
+        store.append([record(8)])  # a longer file: the probe changes
+        counts.clear()
+        entry = index.get("s")
+        assert counts["keys"] == 8
+        assert entry.fingerprint == store_fingerprint(store.path)

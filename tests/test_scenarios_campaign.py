@@ -2,7 +2,9 @@
 store, crash safety, failure re-execution, shared multi-writer mode, and
 telemetry accounting."""
 
+import io
 import json
+import shutil
 import time
 
 import pytest
@@ -19,6 +21,7 @@ from repro.scenarios import (
     store_fingerprint,
 )
 from repro.telemetry import Telemetry, activate
+from repro.telemetry.progress import JsonlHeartbeat
 
 from test_scenarios_schema import base_dict
 
@@ -225,22 +228,84 @@ class TestSharedMode:
         shash = scenario.content_hash()
         return [(shash, tuple(cell.tokens())) for cell in compiled.cells]
 
-    def test_shared_single_worker_matches_single_writer(self, tmp_path):
-        scenario = tiny_scenario()
-        shared = CampaignStore(tmp_path / "shared.jsonl")
-        result = run_campaign(
-            [scenario], shared, executor(), shared=True, worker_id="w1",
-            lease_ttl=60.0,
-        )
-        assert result.summary_line() == "cells=2 executed=2 skipped=0 failed=0"
-        single = tmp_path / "single.jsonl"
-        run_campaign([scenario], single, executor())
-        assert store_fingerprint(shared) == store_fingerprint(single)
+    GRID = (0.2, 0.3, 0.4, 0.5, 0.6)  # five cells: two shards at jobs=1
+
+    @pytest.mark.parametrize(
+        "case", ["fresh", "max_cells=1", "max_cells=3", "settled", "failed"]
+    )
+    def test_shared_single_worker_matches_single_writer(
+        self, tmp_path, monkeypatch, case
+    ):
+        """Both modes run one loop, so a lone ``shared`` worker writes a
+        single writer's bytes through the same appends, and reports the
+        same accounting and the same progress."""
+        scenario = tiny_scenario(loads=self.GRID)
+        max_cells = None
+        if case.startswith("max_cells="):
+            max_cells = int(case.split("=")[1])
+        if case == "settled":  # two cells already ok in the store
+            run_campaign([scenario], tmp_path / "seed.jsonl", executor(),
+                         max_cells=2)
+        if case == "failed":
+            victim = compile_scenario(scenario).cells[1].specs[0].token()
+            monkeypatch.setenv("REPRO_FAULT_INJECT", f"raise:{victim}")
+        appends = []
+        real_append = CampaignStore.append
+
+        def append(store, records):
+            appends.append([record.cell_key for record in records])
+            real_append(store, records)
+
+        monkeypatch.setattr(CampaignStore, "append", append)
+        seen = {}
+        for mode in ("single", "shared"):
+            store = CampaignStore(tmp_path / f"{mode}.jsonl")
+            if case == "settled":
+                shutil.copy(tmp_path / "seed.jsonl", store.path)
+            appends.clear()
+            stream = io.StringIO()
+            progress = JsonlHeartbeat(stream=stream, min_interval=0.0)
+            options = {"shared": True, "worker_id": "w1", "lease_ttl": 60.0}
+            result = run_campaign(
+                [scenario], store, executor(), max_cells=max_cells,
+                progress=progress, **(options if mode == "shared" else {}),
+            )
+            progress.close()
+            final = json.loads(stream.getvalue().splitlines()[-1])
+            for wall_clock in ("events_per_sec", "eta_seconds",
+                               "elapsed_seconds"):
+                del final[wall_clock]
+            seen[mode] = (store.path.read_bytes(), result.summary_line(),
+                          list(appends), final)
+        assert seen["shared"] == seen["single"]
+        assert seen["single"][2]  # every case appends something
         # coordination state is sidecar-only: leases released, lock gone
+        shared = CampaignStore(tmp_path / "shared.jsonl")
         assert shared.leases_path.exists()
         assert not shared.lock_path.exists()
         leases = LeaseBoard(shared.leases_path, ttl=60.0).load()
         assert all(lease.state == "released" for lease in leases.values())
+        # and a single writer leaves neither file behind
+        single = CampaignStore(tmp_path / "single.jsonl")
+        assert not single.leases_path.exists()
+        assert not single.lock_path.exists()
+
+    def test_shared_progress_total_is_the_grid_on_every_line(self, tmp_path):
+        """The total is added once, on the first round: a ``shared`` pass
+        over more than one shard reports the whole grid from its first
+        heartbeat on, not the shards it has claimed so far."""
+        loads = [round(0.1 + 0.05 * n, 2) for n in range(9)]
+        stream = io.StringIO()
+        progress = JsonlHeartbeat(stream=stream, min_interval=0.0)
+        run_campaign([tiny_scenario(loads=loads)], tmp_path / "s.jsonl",
+                     executor(), progress=progress, shared=True,
+                     worker_id="w1")
+        progress.close()
+        lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+        beats = [line for line in lines if line["kind"] == "progress"]
+        assert len(beats) > 9
+        assert {beat["total"] for beat in beats} == {9}
+        assert lines[-1]["done"] == lines[-1]["total"] == 9
 
     def test_shared_rerun_skips_everything(self, tmp_path):
         scenario = tiny_scenario()
