@@ -1,10 +1,10 @@
-"""Fidelity validation subsystem: golden baselines, statistical gates,
+"""Fidelity validation subsystem: golden baselines, tolerance-band gates,
 and paper-trend invariants.
 
 Layers (dependency order):
 
-* :mod:`.stats` -- bootstrap CIs, Welch t / Mann-Whitney tests, tolerance
-  bands, and the :func:`~.stats.compare_samples` verdict ladder;
+* :mod:`.stats` -- tolerance bands and the :func:`~.stats.compare_samples`
+  verdict ladder (bands plus disjoint seed ranges), and bootstrap CIs;
 * :mod:`.baselines` -- schema-versioned golden-result JSON with git/spec
   provenance and staleness detection;
 * :mod:`.invariants` -- declarative registry of the paper's directional
@@ -64,13 +64,9 @@ from .stats import (
     WARN,
     BootstrapCi,
     CellComparison,
-    TestResult,
     ToleranceBand,
     bootstrap_ci,
     compare_samples,
-    mann_whitney_u,
-    student_t_two_sided_p,
-    welch_t_test,
 )
 
 __all__ = [
@@ -110,11 +106,7 @@ __all__ = [
     "WARN",
     "BootstrapCi",
     "CellComparison",
-    "TestResult",
     "ToleranceBand",
     "bootstrap_ci",
     "compare_samples",
-    "mann_whitney_u",
-    "student_t_two_sided_p",
-    "welch_t_test",
 ]

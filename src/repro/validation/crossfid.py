@@ -3,10 +3,10 @@
 ``repro validate crossfid`` runs a sampled subset of the validation grid at
 *both* fidelities -- the discrete-event packet engine and the flow-level
 fluid model of :mod:`repro.fluid` -- in one executor pass, then compares
-them cell-by-cell with the same statistical machinery the baseline gate
-uses (:func:`~repro.validation.stats.compare_samples`), under bands wide
-enough for a model-class change but tight enough to catch a mis-calibrated
-fluid equation.
+them cell-by-cell with the verdict ladder the baseline gate uses
+(:func:`~repro.validation.stats.compare_samples`: tolerance bands plus
+disjoint seed ranges), under bands wide enough for a model-class change but
+tight enough to catch a mis-calibrated fluid equation.
 
 The comparison is scoped to the fluid model's validity domain:
 
@@ -31,7 +31,7 @@ is expected -- the fluid model is an approximation), FAIL exits 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..experiments.executor import (
@@ -41,10 +41,10 @@ from ..experiments.executor import (
     run_grid,
 )
 from ..experiments.faults import RunFailure, is_failure
-from ..experiments.report import format_failure_table, format_table, to_json
+from ..experiments.report import format_table
 from ..experiments.specs import Cell
 from ..sim.units import MSS
-from ..telemetry.runtime import get_active
+from .gates import GateReport, count_statuses, worst_status
 from .grids import (
     ValidationScale,
     assemble_figures,
@@ -52,16 +52,8 @@ from .grids import (
     cell_samples,
     resolve_scale,
 )
-from .invariants import InvariantVerdict, evaluate_figure, render_verdicts
-from .stats import (
-    FAIL,
-    PASS,
-    SKIP,
-    WARN,
-    CellComparison,
-    ToleranceBand,
-    compare_samples,
-)
+from .invariants import InvariantVerdict, evaluate_figure
+from .stats import CellComparison, ToleranceBand, compare_samples
 
 __all__ = [
     "CROSSFID_FIGURES",
@@ -160,42 +152,26 @@ class FigureAgreement:
     """Per-figure rollup of the cross-fidelity cell verdicts."""
 
     figure: str
-    n_pass: int
-    n_warn: int
-    n_fail: int
-    n_skip: int
+    counts: Dict[str, int]
 
     @property
     def status(self) -> str:
-        if self.n_fail:
-            return FAIL
-        if self.n_warn:
-            return WARN
-        return PASS
+        return worst_status(self.counts)
 
     def to_dict(self) -> dict:
-        return {
-            "figure": self.figure,
-            "status": self.status,
-            "pass": self.n_pass,
-            "warn": self.n_warn,
-            "fail": self.n_fail,
-            "skip": self.n_skip,
-        }
+        return {"figure": self.figure, "status": self.status, **self.counts}
 
 
 @dataclass
-class CrossfidReport:
-    """Everything one cross-fidelity gate run decided."""
+class CrossfidReport(GateReport):
+    """Everything one cross-fidelity gate run decided: the shared verdict
+    rollup plus per-figure agreement and the packet/fluid wall clocks."""
 
-    scale: str
-    figures: Tuple[str, ...]
-    comparisons: List[CellComparison] = field(default_factory=list)
-    invariants: List[InvariantVerdict] = field(default_factory=list)
-    failures: List[RunFailure] = field(default_factory=list)
+    verdict_kinds = ("crossfid", "crossfid_invariant")
+
+    figures: Tuple[str, ...] = ()
     packet_wall_seconds: Optional[float] = None
     fluid_wall_seconds: Optional[float] = None
-    executor_line: str = ""
 
     @property
     def speedup(self) -> Optional[float]:
@@ -205,52 +181,19 @@ class CrossfidReport:
             return None
         return self.packet_wall_seconds / self.fluid_wall_seconds
 
-    @property
-    def status(self) -> str:
-        if self.failures:
-            return FAIL
-        statuses = [c.status for c in self.comparisons]
-        statuses += [v.status for v in self.invariants]
-        if FAIL in statuses:
-            return FAIL
-        if WARN in statuses:
-            return WARN
-        return PASS
-
-    def counts(self) -> Dict[str, int]:
-        counts = {PASS: 0, WARN: 0, FAIL: 0, SKIP: 0}
-        for item in [*self.comparisons, *self.invariants]:
-            counts[item.status] = counts.get(item.status, 0) + 1
-        return counts
-
     def agreement(self) -> List[FigureAgreement]:
-        per: Dict[str, Dict[str, int]] = {
-            figure: {PASS: 0, WARN: 0, FAIL: 0, SKIP: 0}
-            for figure in self.figures
-        }
-        for c in self.comparisons:
-            per.setdefault(
-                c.figure, {PASS: 0, WARN: 0, FAIL: 0, SKIP: 0}
-            )[c.status] += 1
+        figures = dict.fromkeys(
+            [*self.figures, *(c.figure for c in self.comparisons)]
+        )
         return [
             FigureAgreement(
-                figure=figure,
-                n_pass=counts[PASS],
-                n_warn=counts[WARN],
-                n_fail=counts[FAIL],
-                n_skip=counts[SKIP],
+                figure,
+                count_statuses(
+                    [c for c in self.comparisons if c.figure == figure]
+                ),
             )
-            for figure, counts in per.items()
+            for figure in figures
         ]
-
-    def failed_names(self) -> List[str]:
-        names = [
-            f"{c.figure}:{c.cell}:{c.metric}"
-            for c in self.comparisons
-            if c.status == FAIL
-        ]
-        names += [v.name for v in self.invariants if v.status == FAIL]
-        return names
 
     def to_dict(self) -> dict:
         return {
@@ -269,47 +212,12 @@ class CrossfidReport:
             "executor": self.executor_line,
         }
 
-    def to_json(self, path: Optional[str] = None) -> str:
-        return to_json(self.to_dict(), path)
-
     def render_text(self) -> str:
-        sections: List[str] = []
-        interesting = [c for c in self.comparisons if c.status != PASS]
-        rows = [
-            [
-                c.figure,
-                c.cell,
-                c.metric,
-                c.status.upper(),
-                f"{c.current_mean:.6g}" if c.current_mean is not None else "-",
-                f"{c.baseline_mean:.6g}" if c.baseline_mean is not None else "-",
-                f"{c.rel_err:.1%}" if c.rel_err is not None else "-",
-            ]
-            for c in interesting
+        sections = [
+            self.comparison_text("Cross-fidelity comparisons", "fluid", "packet")
         ]
-        if rows:
-            sections.append(
-                format_table(
-                    ["figure", "cell", "metric", "status", "fluid",
-                     "packet", "rel err"],
-                    rows,
-                    title="Cross-fidelity comparisons (non-pass cells)",
-                )
-            )
-        else:
-            sections.append(
-                f"Cross-fidelity comparisons: all {len(self.comparisons)} "
-                "cell-metrics pass"
-            )
         agreement_rows = [
-            [
-                a.figure,
-                a.status.upper(),
-                str(a.n_pass),
-                str(a.n_warn),
-                str(a.n_fail),
-                str(a.n_skip),
-            ]
+            [a.figure, a.status.upper(), *(str(n) for n in a.counts.values())]
             for a in self.agreement()
         ]
         sections.append(
@@ -319,50 +227,17 @@ class CrossfidReport:
                 title="Per-figure agreement",
             )
         )
-        if self.invariants:
-            sections.append(
-                render_verdicts(
-                    self.invariants, "Paper-trend invariants on fluid results"
-                )
-            )
-        if self.failures:
-            sections.append(format_failure_table(self.failures))
+        sections += self.verdict_sections(
+            "Paper-trend invariants on fluid results"
+        )
         if self.speedup is not None:
             sections.append(
                 f"Wall clock: packet {self.packet_wall_seconds:.2f}s vs "
                 f"fluid {self.fluid_wall_seconds:.2f}s "
                 f"({self.speedup:.0f}x speedup on the sampled cells)"
             )
-        counts = self.counts()
-        sections.append(
-            f"Crossfid [{self.scale}]: {self.status.upper()} "
-            f"(pass={counts[PASS]} warn={counts[WARN]} fail={counts[FAIL]} "
-            f"skip={counts[SKIP]}; run_failures={len(self.failures)}; "
-            f"{self.executor_line})"
-        )
+        sections.append(self.summary_line("Crossfid"))
         return "\n\n".join(sections)
-
-
-def _emit_verdicts(report: CrossfidReport) -> None:
-    telemetry = get_active()
-    if telemetry is None:
-        return
-    for c in report.comparisons:
-        telemetry.on_validation_verdict(
-            "crossfid",
-            f"{c.figure}:{c.cell}:{c.metric}",
-            c.status,
-            figure=c.figure,
-            detail=c.detail,
-        )
-    for v in report.invariants:
-        telemetry.on_validation_verdict(
-            "crossfid_invariant",
-            v.name,
-            v.status,
-            figure=v.figure,
-            detail=v.detail,
-        )
 
 
 # ------------------------------------------------------------------ gate
@@ -371,7 +246,6 @@ def _emit_verdicts(report: CrossfidReport) -> None:
 def run_crossfid(
     scale: Union[str, ValidationScale],
     executor: Optional[Executor] = None,
-    seed: int = 0,
 ) -> CrossfidReport:
     """Run the cross-fidelity gate at ``scale``.
 
@@ -413,7 +287,6 @@ def run_crossfid(
                     fluid_samples[metric],   # "current" = fluid
                     packet_samples[metric],  # "baseline" = packet truth
                     band=crossfid_band_for(metric),
-                    seed=seed,
                 )
             )
 
@@ -431,5 +304,5 @@ def run_crossfid(
         fluid_wall_seconds=fluid_wall or None,
         executor_line=executor.stats.merge_line(),
     )
-    _emit_verdicts(report)
+    report.emit_verdicts()
     return report

@@ -3,8 +3,8 @@
 ``capture_baselines`` executes the validation grid and snapshots its
 per-seed metric samples into a checked-in JSON baseline.  ``run_gate``
 re-executes the *same* grid (pure cache hits when nothing changed),
-compares cell-by-cell against the baseline with the statistical machinery
-in :mod:`.stats`, and evaluates the paper-trend invariants in
+compares cell-by-cell against the baseline with the tolerance bands and
+seed ranges of :mod:`.stats`, and evaluates the paper-trend invariants in
 :mod:`.invariants`.
 
 Every verdict is mirrored into telemetry
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..experiments.executor import Executor, get_default_executor
 from ..experiments.faults import RunFailure
@@ -44,6 +44,7 @@ from .stats import (
 
 __all__ = [
     "band_for",
+    "GateReport",
     "ValidationReport",
     "capture_baselines",
     "run_gate",
@@ -71,34 +72,46 @@ def default_baseline_path(baseline_dir: Union[str, Path], scale_name: str) -> Pa
 # -------------------------------------------------------------- reporting
 
 
+def count_statuses(items: Sequence) -> Dict[str, int]:
+    """Verdicts per status, zero-filled for the four standard ones."""
+    counts = {PASS: 0, WARN: 0, FAIL: 0, SKIP: 0}
+    for item in items:
+        counts[item.status] = counts.get(item.status, 0) + 1
+    return counts
+
+
+def worst_status(counts: Dict[str, int]) -> str:
+    """FAIL if anything failed, else WARN if anything warned, else PASS."""
+    if counts[FAIL]:
+        return FAIL
+    if counts[WARN]:
+        return WARN
+    return PASS
+
+
 @dataclass
-class ValidationReport:
-    """Everything one gate run decided, renderable as JSON or text."""
+class GateReport:
+    """The verdict rollup both gates share: per-cell comparisons, claim
+    verdicts and run failures, with their status, counts and text.
+
+    Subclasses name their telemetry ``kind`` labels in ``verdict_kinds``:
+    one for the comparisons, one for the claims.
+    """
 
     scale: str
     comparisons: List[CellComparison] = field(default_factory=list)
     invariants: List[InvariantVerdict] = field(default_factory=list)
     failures: List[RunFailure] = field(default_factory=list)
     executor_line: str = ""
-    baseline_manifest: Optional[BaselineManifest] = None
 
     @property
     def status(self) -> str:
-        statuses = [c.status for c in self.comparisons]
-        statuses += [v.status for v in self.invariants]
         if self.failures:
             return FAIL  # cells that did not run cannot confirm fidelity
-        if FAIL in statuses:
-            return FAIL
-        if WARN in statuses:
-            return WARN
-        return PASS
+        return worst_status(self.counts())
 
     def counts(self) -> Dict[str, int]:
-        counts = {PASS: 0, WARN: 0, FAIL: 0, SKIP: 0}
-        for item in [*self.comparisons, *self.invariants]:
-            counts[item.status] = counts.get(item.status, 0) + 1
-        return counts
+        return count_statuses([*self.comparisons, *self.invariants])
 
     def failed_names(self) -> List[str]:
         names = [
@@ -108,6 +121,82 @@ class ValidationReport:
         ]
         names += [v.name for v in self.invariants if v.status == FAIL]
         return names
+
+    def to_json(self, path: Optional[str] = None) -> str:
+        return to_json(self.to_dict(), path)
+
+    def comparison_text(self, title: str, current: str, baseline: str) -> str:
+        """The non-pass comparisons as a table, or one line if all pass."""
+        rows = [
+            [
+                c.figure,
+                c.cell,
+                c.metric,
+                c.status.upper(),
+                f"{c.current_mean:.6g}" if c.current_mean is not None else "-",
+                f"{c.baseline_mean:.6g}" if c.baseline_mean is not None else "-",
+                f"{c.rel_err:.1%}" if c.rel_err is not None else "-",
+            ]
+            for c in self.comparisons
+            if c.status != PASS
+        ]
+        if not rows:
+            return f"{title}: all {len(self.comparisons)} cell-metrics pass"
+        return format_table(
+            ["figure", "cell", "metric", "status", current, baseline, "rel err"],
+            rows,
+            title=f"{title} (non-pass cells)",
+        )
+
+    def verdict_sections(self, invariants_title: str) -> List[str]:
+        """The claims table and the run-failure table, each if non-empty."""
+        sections: List[str] = []
+        if self.invariants:
+            sections.append(render_verdicts(self.invariants, invariants_title))
+        if self.failures:
+            sections.append(format_failure_table(self.failures))
+        return sections
+
+    def summary_line(self, gate: str) -> str:
+        counts = self.counts()
+        return (
+            f"{gate} [{self.scale}]: {self.status.upper()} "
+            f"(pass={counts[PASS]} warn={counts[WARN]} fail={counts[FAIL]} "
+            f"skip={counts[SKIP]}; run_failures={len(self.failures)}; "
+            f"{self.executor_line})"
+        )
+
+    def emit_verdicts(self) -> None:
+        """Mirror every verdict into the active telemetry hub, if any."""
+        telemetry = get_active()
+        if telemetry is None:
+            return
+        comparison_kind, invariant_kind = self.verdict_kinds
+        for c in self.comparisons:
+            telemetry.on_validation_verdict(
+                comparison_kind,
+                f"{c.figure}:{c.cell}:{c.metric}",
+                c.status,
+                figure=c.figure,
+                detail=c.detail,
+            )
+        for v in self.invariants:
+            telemetry.on_validation_verdict(
+                invariant_kind,
+                v.name,
+                v.status,
+                figure=v.figure,
+                detail=v.detail,
+            )
+
+
+@dataclass
+class ValidationReport(GateReport):
+    """Everything one baseline gate run decided, renderable as JSON or text."""
+
+    verdict_kinds = ("baseline", "invariant")
+
+    baseline_manifest: Optional[BaselineManifest] = None
 
     def to_dict(self) -> dict:
         return {
@@ -126,74 +215,12 @@ class ValidationReport:
             ),
         }
 
-    def to_json(self, path: Optional[str] = None) -> str:
-        return to_json(self.to_dict(), path)
-
     def render_text(self) -> str:
-        sections: List[str] = []
-        interesting = [c for c in self.comparisons if c.status != PASS]
-        rows = [
-            [
-                c.figure,
-                c.cell,
-                c.metric,
-                c.status.upper(),
-                f"{c.current_mean:.6g}" if c.current_mean is not None else "-",
-                f"{c.baseline_mean:.6g}" if c.baseline_mean is not None else "-",
-                f"{c.rel_err:.1%}" if c.rel_err is not None else "-",
-            ]
-            for c in interesting
-        ]
-        if rows:
-            sections.append(
-                format_table(
-                    ["figure", "cell", "metric", "status", "current",
-                     "baseline", "rel err"],
-                    rows,
-                    title="Baseline comparisons (non-pass cells)",
-                )
-            )
-        else:
-            sections.append(
-                f"Baseline comparisons: all {len(self.comparisons)} "
-                "cell-metrics pass"
-            )
-        if self.invariants:
-            sections.append(
-                render_verdicts(self.invariants, "Paper-trend invariants")
-            )
-        if self.failures:
-            sections.append(format_failure_table(self.failures))
-        counts = self.counts()
-        sections.append(
-            f"Validation [{self.scale}]: {self.status.upper()} "
-            f"(pass={counts[PASS]} warn={counts[WARN]} fail={counts[FAIL]} "
-            f"skip={counts[SKIP]}; run_failures={len(self.failures)}; "
-            f"{self.executor_line})"
-        )
-        return "\n\n".join(sections)
-
-
-def _emit_verdicts(report: ValidationReport) -> None:
-    telemetry = get_active()
-    if telemetry is None:
-        return
-    for c in report.comparisons:
-        telemetry.on_validation_verdict(
-            "baseline",
-            f"{c.figure}:{c.cell}:{c.metric}",
-            c.status,
-            figure=c.figure,
-            detail=c.detail,
-        )
-    for v in report.invariants:
-        telemetry.on_validation_verdict(
-            "invariant",
-            v.name,
-            v.status,
-            figure=v.figure,
-            detail=v.detail,
-        )
+        return "\n\n".join([
+            self.comparison_text("Baseline comparisons", "current", "baseline"),
+            *self.verdict_sections("Paper-trend invariants"),
+            self.summary_line("Validation"),
+        ])
 
 
 # --------------------------------------------------------------- capture
@@ -251,7 +278,6 @@ def run_gate(
     executor: Optional[Executor] = None,
     baseline_path: Optional[Union[str, Path]] = None,
     baseline_dir: Union[str, Path] = "baselines",
-    seed: int = 0,
 ) -> ValidationReport:
     """Execute the grid and evaluate every gate against the baseline.
 
@@ -292,7 +318,6 @@ def run_gate(
                         current,
                         reference or [],
                         band=band_for(metric),
-                        seed=seed,
                     )
                 )
 
@@ -310,5 +335,5 @@ def run_gate(
         executor_line=executor.stats.merge_line(),
         baseline_manifest=baseline.manifest,
     )
-    _emit_verdicts(report)
+    report.emit_verdicts()
     return report
