@@ -83,6 +83,8 @@ DEFAULT_STORE = "campaign.jsonl"
 
 RecordKey = Tuple[str, Tuple[str, ...]]  # (scenario content hash, spec tokens)
 
+_NUMBER_TYPES = frozenset((int, float))  # exactly: a bool is no metric value
+
 
 @dataclass(frozen=True)
 class CellRecord:
@@ -137,7 +139,14 @@ class CellRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CellRecord":
-        return cls(
+        """The record a store line holds.  Raises ``KeyError`` or
+        ``TypeError`` for a line that is not one -- a missing field, or a
+        metric value that is not a number (``null``, a string, a bool), which
+        would otherwise break every summary over its store.  Every reader of
+        :meth:`CampaignStore.load` treats such a line as torn: queries skip
+        it, ``scenario merge`` drops it, the store fingerprint leaves it out
+        and a resumed campaign runs its cell again."""
+        record = cls(
             scenario=data["scenario"],
             scenario_hash=data["scenario_hash"],
             cell_key=data["cell_key"],
@@ -150,6 +159,11 @@ class CellRecord:
             version=data.get("version", ""),
             fidelity=data.get("fidelity", "packet"),
         )
+        metrics = record.metrics
+        if not (isinstance(metrics, dict) and _NUMBER_TYPES.issuperset(
+                map(type, metrics.values()))):
+            raise TypeError("metric values must be numbers")
+        return record
 
 
 @dataclass

@@ -3,7 +3,7 @@
 PR 9 made campaign stores multi-writer-safe and mergeable; this package
 adds the promised serving tier on top, so repeated queries hit memoized
 summaries instead of re-parsing stores (or worse, re-running simulations).
-Everything is stdlib-only -- ``http.server`` + ``urllib`` -- and strictly
+Everything is stdlib-only -- ``http.server`` + ``http.client`` -- and strictly
 read-only over the stores it serves:
 
 * :class:`~repro.service.index.StoreIndex` -- discovers stores under a

@@ -17,13 +17,18 @@ path + params + headers to a :class:`Response`), so tests exercise every
 route without sockets; the handler class is a thin adapter.  ``serve``
 runs the real server and drains gracefully on SIGTERM/SIGINT via
 :class:`~repro.scenarios.coordination.GracefulShutdown`: stop accepting,
-finish in-flight requests, exit 0.
+finish in-flight requests, end idle keep-alive connections, exit 0.
+
+Connections are persistent (HTTP/1.1) and every response leaves without a
+Nagle stall: the handler sets ``TCP_NODELAY``, so the body is not held back
+until the client acknowledges the headers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -288,6 +293,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-results/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body are two writes; with Nagle on, the body would wait
+    # for the client's delayed ACK of the headers (~40 ms per request).
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging goes through telemetry, not stderr
@@ -328,17 +336,51 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(response.body)
 
 
+class _Server(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` whose drain ends idle keep-alive connections.
+
+    ``server_close()`` joins every handler thread (``block_on_close``), and
+    a handler waiting for the next request on a kept-alive connection would
+    wait forever.  So the close first shuts the *read* side of every open
+    connection: an idle handler reads end-of-file and exits, while one in
+    the middle of a request has already read it and still writes its full
+    response before it does the same."""
+
+    daemon_threads = False
+    block_on_close = True
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:  # the peer is already gone
+                    pass
+        super().server_close()
+
+
 def _make_server(service: ResultsService, host: str,
                  port: int) -> ThreadingHTTPServer:
-    server = ThreadingHTTPServer((host, port), _Handler)
+    server = _Server((host, port), _Handler)
     # On the instance, not on a per-server handler class: a class is a
     # reference cycle, and a closed server's parsed stores would stay
     # resident until the next full garbage collection.
     server.service = service
-    # Drain semantics: stop accepting on shutdown(), then server_close()
-    # joins the in-flight handler threads instead of abandoning them.
-    server.daemon_threads = False
-    server.block_on_close = True
     return server
 
 

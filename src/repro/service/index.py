@@ -107,7 +107,9 @@ class StoreIndex:
         path = self._path_of(name)
         if path is None or not path.is_file():
             return None
-        store = self._stores.setdefault(name, CampaignStore(path))
+        store = self._stores.get(name)
+        if store is None:  # racing threads still end up sharing one
+            store = self._stores.setdefault(name, CampaignStore(path))
         probe: Probe = _probe_one(path) + _probe_one(store.resources_path)
         with self._lock:
             entry = self._entries.get(name)

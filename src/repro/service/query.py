@@ -20,7 +20,8 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from functools import lru_cache
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from ..core.stats_util import mean_or_none, percentile_or_none
 from ..scenarios.campaign import CellRecord
@@ -51,11 +52,13 @@ class QueryError(ValueError):
     """A malformed query (unknown parameter or value) -- HTTP 400."""
 
 
+@lru_cache(maxsize=1 << 14)
 def scheme_of(cell_key: str) -> str:
     """The ``scheme=`` segment of a campaign cell key, or ``""``.
 
     Cell keys are ``component|load=0.6|scheme=DCTCP-RED`` style strings
-    (see :mod:`repro.scenarios.compile`)."""
+    (see :mod:`repro.scenarios.compile`); a grid has few distinct ones, so
+    each is split once."""
     for segment in cell_key.split("|"):
         if segment.startswith("scheme="):
             return segment[len("scheme="):]
@@ -123,35 +126,52 @@ class Query:
         return True
 
 
-def _cell_rows(
-    records: Iterable[CellRecord], query: Query, store: str = ""
-) -> List[Dict[str, object]]:
-    rows: List[Dict[str, object]] = []
+def _matches(
+    records: Iterable[CellRecord], query: Query
+) -> Iterator[Tuple[CellRecord, str, Any]]:
+    """The one pass over the records: every matching ``(record, metric
+    name, value)``, records in order, each record's metrics by name."""
+    metric = query.metric
     for record in records:
         if not query.matches(record):
             continue
-        for metric_name in sorted(record.metrics):
-            if query.metric and metric_name != query.metric:
-                continue
-            rows.append({
-                "store": store,
-                "scenario": record.scenario,
-                "cell_key": record.cell_key,
-                "component": record.component,
-                "scheme": scheme_of(record.cell_key),
-                "fidelity": record.fidelity,
-                "status": record.status,
-                "metric": metric_name,
-                "value": record.metrics[metric_name],
-            })
-    return rows
+        metrics = record.metrics
+        if metric:
+            if metric in metrics:
+                yield record, metric, metrics[metric]
+        else:
+            for name in sorted(metrics):
+                yield record, name, metrics[name]
 
 
-def _summarize(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
+def _cell_rows(
+    records: Iterable[CellRecord], query: Query, store: str = ""
+) -> List[Dict[str, object]]:
+    return [
+        {
+            "store": store,
+            "scenario": record.scenario,
+            "cell_key": record.cell_key,
+            "component": record.component,
+            "scheme": scheme_of(record.cell_key),
+            "fidelity": record.fidelity,
+            "status": record.status,
+            "metric": name,
+            "value": value,
+        }
+        for record, name, value in _matches(records, query)
+    ]
+
+
+def _summarize(
+    records: Iterable[CellRecord], query: Query
+) -> Tuple[List[Dict[str, object]], int]:
+    """Summaries per ``(scenario, scheme, metric)`` and the number of
+    ``(cell, metric)`` values they aggregate, grouped in the one pass."""
     groups: Dict[tuple, List[float]] = {}
-    for row in rows:
-        key = (row["scenario"], row["scheme"], row["metric"])
-        groups.setdefault(key, []).append(float(row["value"]))
+    for record, name, value in _matches(records, query):
+        key = (record.scenario, scheme_of(record.cell_key), name)
+        groups.setdefault(key, []).append(float(value))
     summaries = []
     for scenario, scheme, metric in sorted(groups):
         values = groups[(scenario, scheme, metric)]
@@ -167,7 +187,7 @@ def _summarize(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
             "min": min(values),
             "max": max(values),
         })
-    return summaries
+    return summaries, sum(len(values) for values in groups.values())
 
 
 def run_query(
@@ -179,19 +199,19 @@ def run_query(
 
     Returns a JSON-serializable result: the canonical query echoed back,
     plus ``cells`` rows or ``summaries`` groups depending on the mode."""
-    rows = _cell_rows(records, query, store=store)
     result: Dict[str, object] = {
         "query": query.canonical(),
         "mode": query.mode,
     }
     if query.mode == "cells":
+        rows = _cell_rows(records, query, store=store)
         result["cells"] = rows
         result["count"] = len(rows)
     else:
-        summaries = _summarize(rows)
+        summaries, matched = _summarize(records, query)
         result["summaries"] = summaries
         result["count"] = len(summaries)
-        result["cells_matched"] = len(rows)
+        result["cells_matched"] = matched
     return result
 
 

@@ -296,6 +296,25 @@ class TestMerge:
         ])
         assert status == 1
 
+    def test_cli_merge_drops_a_foreign_metric_line(self, tmp_path):
+        """A line whose metric value is not a number is torn for merge
+        too: warned about, left out of the output and its fingerprint."""
+        from repro.cli import main
+
+        a = self.store(tmp_path, "a.jsonl", [record("k1")])
+        foreign = record("k2").to_dict()
+        foreign["metrics"] = {"m": None}
+        with a.path.open("a") as handle:
+            handle.write(json.dumps(foreign) + "\n")
+        out = tmp_path / "m.jsonl"
+        with pytest.warns(UserWarning, match=r"a\.jsonl:2: skipping"):
+            status = main(["scenario", "merge", str(a.path),
+                           "--out", str(out)])
+        assert status == 0
+        assert list(CampaignStore(out).load()) == [("h", ("k1",))]
+        only_k1 = self.store(tmp_path, "k1.jsonl", [record("k1")])
+        assert store_fingerprint(out) == store_fingerprint(only_k1)
+
     def test_cli_merge_missing_store_exits_two(self, tmp_path):
         from repro.cli import main
 

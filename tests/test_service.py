@@ -3,12 +3,17 @@ query engine, the summary-tier LRU cache, HTTP dispatch (ETag / 304 /
 content negotiation), the stdlib client against a live daemon, and
 concurrent serving while a ``--shared``-style writer appends cells."""
 
+import gc
+import http.client
 import json
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios import CampaignStore, CellRecord
 from repro.scenarios.coordination import StoreLock, store_fingerprint
@@ -278,22 +283,30 @@ class TestDispatch:
     def test_cold_query_is_one_pass_over_the_records(self, tmp_path,
                                                      monkeypatch):
         """A cache miss filters the records once -- in summary mode the
-        per-store pass used to run too, and its rows were thrown away."""
+        per-store pass used to run too, and its rows were thrown away --
+        and a summary groups straight from that pass, without rows."""
         from repro.service import query as query_module
 
-        passes = []
-        real = query_module._cell_rows
+        passes, row_lists = [], []
+        real = query_module._matches
+        monkeypatch.setattr(
+            query_module, "_matches",
+            lambda *args, **kwargs: passes.append(1) or real(*args, **kwargs))
+        real_rows = query_module._cell_rows
         monkeypatch.setattr(
             query_module, "_cell_rows",
-            lambda *args, **kwargs: passes.append(1) or real(*args, **kwargs))
+            lambda *args, **kwargs: (row_lists.append(1)
+                                     or real_rows(*args, **kwargs)))
         make_store(tmp_path / "b.jsonl", [record(token="t2")])
         svc = self.service(tmp_path)
         for n, params in enumerate(
                 ({"metric": "fct"}, {"store": "a"}, {"scenario": "fig10"}), 1):
             assert svc.dispatch("/query", params, {}).cache_state == "miss"
             assert len(passes) == n
+        assert row_lists == []
         svc.dispatch("/query", {"mode": "cells"}, {})  # one pass per store
         assert len(passes) == 5
+        assert len(row_lists) == 2
 
     def test_two_store_summary_is_one_grouping_pass(self, tmp_path):
         a = [record(token="t1", metrics={"fct": 1.0}),
@@ -377,6 +390,118 @@ class TestDispatch:
         assert "fidelity" not in json.loads(line)
 
 
+BAD_METRICS = ({"fct": None}, {"fct": "1.5"}, {"fct": True}, {"fct": [1.0]},
+               ["fct"])
+
+
+def write_foreign_store(path):
+    """One good record, then a line per :data:`BAD_METRICS` entry."""
+    good = record(token="good", metrics={"fct": 1.5, "drops": 2.0})
+    lines = [good.line]
+    for n, metrics in enumerate(BAD_METRICS):
+        data = record(token=f"bad{n}").to_dict()
+        data["metrics"] = metrics
+        lines.append(json.dumps(data))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestForeignMetricValues:
+    """A store line whose metric value is not a number is a foreign line:
+    skipped, warned about and counted as torn -- it used to turn every
+    summary over its store into an HTTP 500 / a CLI traceback."""
+
+    def store_dir(self, tmp_path):
+        write_foreign_store(tmp_path / "a.jsonl")
+        return tmp_path
+
+    def test_from_dict_rejects_non_numeric_metrics(self):
+        for metrics in BAD_METRICS:
+            data = record().to_dict()
+            data["metrics"] = metrics
+            with pytest.raises(TypeError):
+                CellRecord.from_dict(data)
+        data = record(metrics={"n": 3, "x": -0.5}).to_dict()
+        assert CellRecord.from_dict(data).metrics == {"n": 3, "x": -0.5}
+
+    def test_daemon_summary_skips_the_foreign_lines(self, tmp_path):
+        svc = ResultsService(self.store_dir(tmp_path))
+        with pytest.warns(UserWarning, match="unreadable record"):
+            response = svc.dispatch("/query", {"metric": "fct"}, {})
+        assert response.status == 200
+        summary = json.loads(response.body)
+        assert summary["cells_matched"] == 1
+        assert summary["summaries"][0]["mean"] == 1.5
+        for fmt in ("json", "csv"):
+            for mode in ("summary", "cells"):
+                assert svc.dispatch("/query", {"format": fmt, "mode": mode},
+                                    {}).status == 200
+        stores = json.loads(svc.dispatch("/stores", {}, {}).body)
+        assert stores["stores"][0]["cells"] == 1
+        assert stores["stores"][0]["torn_lines"] == len(BAD_METRICS)
+
+    def test_cli_summary_skips_the_foreign_lines(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.warns(UserWarning, match="unreadable record"):
+            assert main(["query", "--store-dir",
+                         str(self.store_dir(tmp_path)), "--metric",
+                         "fct"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summaries"][0]["mean"] == 1.5
+
+
+QUERY_FIELDS = ("store", "scenario", "scheme", "metric", "fidelity",
+                "token", "status", "mode", "format")
+FUZZ_PATHS = st.text(max_size=16) | st.sampled_from(
+    ["/query", "/query/", "/stores", "/resources", "/goldens", "/healthz",
+     "/metricz", "/", "", "/nope", "//query", "/query/x"])
+FUZZ_VALUES = st.sampled_from(
+    ["", "a", "b", "sub/c", "../a", "ghost", "fig10", "other", "ECN#", "A",
+     "fct", "drops", "t1", "seed=1", "ok", "failed", "any", "cells",
+     "summary", "json", "csv", "xml", "packet", "fluid", "tiny", ".x",
+     "x/y"]) | st.text(max_size=12)
+FUZZ_PARAMS = st.dictionaries(
+    st.sampled_from(QUERY_FIELDS + ("name",)) | st.text(max_size=8),
+    FUZZ_VALUES, max_size=5)
+FUZZ_HEADERS = st.fixed_dictionaries({}, optional={
+    "Accept": st.sampled_from(["", "text/csv", "application/json", "*/*",
+                               "text/csv;q=0.5, application/json"])
+    | st.text(max_size=20),
+    "If-None-Match": st.sampled_from(["", "*", '"abc"', "abc, *"])
+    | st.text(max_size=20),
+})
+
+
+class TestDispatchFuzz:
+    def test_dispatch_never_fails_on_the_server_side(self, tmp_path):
+        """Whatever the path, parameters and headers, and with a store of
+        foreign lines among the good ones: a 2xx, 304 or 4xx, never an
+        exception or a 5xx."""
+        make_store(tmp_path / "stores" / "a.jsonl", TestQuery().grid())
+        make_store(tmp_path / "stores" / "sub" / "c.jsonl",
+                   [record(token="t1", metrics={"fct": 2.0, "drops": 0})])
+        write_foreign_store(tmp_path / "stores" / "b.jsonl")
+        (tmp_path / "stores" / "junk.jsonl").write_bytes(
+            b'[1]\nnot json\n{"scenario": 1}\n\xff\n{"torn')
+        golden_dir = tmp_path / "baselines"
+        golden_dir.mkdir()
+        (golden_dir / "tiny.json").write_text('{"cells": {}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            service = ResultsService(tmp_path / "stores",
+                                     golden_dir=golden_dir)
+
+            @settings(max_examples=300, deadline=None)
+            @given(path=FUZZ_PATHS, params=FUZZ_PARAMS, headers=FUZZ_HEADERS)
+            def check(path, params, headers):
+                response = service.dispatch(path, params, headers)
+                assert 200 <= response.status < 500, (response.status,
+                                                      response.body)
+
+            check()
+
+
 # ----------------------------------------------------------- live HTTP server
 
 
@@ -436,6 +561,176 @@ class TestClient:
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(ServiceUnavailable):
             client.healthz()
+
+
+def start_server(service, port=0):
+    """A live daemon on loopback whose accepted connections are counted."""
+    server = _make_server(service, "127.0.0.1", port)
+    server.accepted = 0
+    process_request = server.process_request
+
+    def counted(request, client_address):
+        server.accepted += 1
+        process_request(request, client_address)
+
+    server.process_request = counted
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def stop_server(server):
+    server.shutdown()
+    server.server_close()
+
+
+def count_connects(monkeypatch):
+    connects = []
+    real = http.client.HTTPConnection.connect
+    monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                        lambda self: connects.append(1) or real(self))
+    return connects
+
+
+class TestTransport:
+    def test_requests_on_one_connection_do_not_stall(self, tmp_path):
+        """Headers and body leave without waiting on the client's delayed
+        ACK: with Nagle on, each kept-alive request took >= 40 ms."""
+        make_store(tmp_path / "a.jsonl", [record(metrics={"fct": 1.0})])
+        server = start_server(ResultsService(tmp_path))
+        connection = http.client.HTTPConnection(*server.server_address[:2],
+                                                timeout=10)
+        try:
+            connection.request("GET", "/query?metric=fct")
+            first = connection.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/query?metric=fct")
+                assert connection.getresponse().read() == first
+            average = (time.perf_counter() - start) / 20
+        finally:
+            connection.close()
+            stop_server(server)
+        assert server.accepted == 1
+        assert average < 0.010, f"{average * 1e3:.1f} ms per request"
+
+    def test_the_client_keeps_its_connection(self, tmp_path):
+        make_store(tmp_path / "a.jsonl", [record()])
+        server = start_server(ResultsService(tmp_path))
+        client = ServiceClient("http://%s:%d" % server.server_address[:2])
+        try:
+            for _ in range(5):
+                assert client.query({}).status == 200
+            assert client.healthz()["status"] == "ok"
+            assert client.query({}, etag=client.query({}).etag).status == 304
+            assert client.get("/nope").status == 404
+        finally:
+            stop_server(server)
+        assert server.accepted == 1
+
+    def test_a_thread_s_connection_is_closed_when_the_thread_ends(
+            self, tmp_path):
+        make_store(tmp_path / "a.jsonl", [record()])
+        server = start_server(ResultsService(tmp_path))
+        client = ServiceClient("http://%s:%d" % server.server_address[:2])
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                worker = threading.Thread(target=client.healthz)
+                worker.start()
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+                gc.collect()
+        finally:
+            stop_server(server)
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_a_stale_connection_reconnects_once(self, tmp_path):
+        """The daemon restarts on the same port: the pooled connection is
+        dead, and the request goes out once more on a new one."""
+        make_store(tmp_path / "a.jsonl", [record()])
+        first = start_server(ResultsService(tmp_path))
+        port = first.server_address[1]
+        client = ServiceClient(f"http://127.0.0.1:{port}")
+        body = client.query({}).body
+        stop_server(first)
+        second = start_server(ResultsService(tmp_path), port=port)
+        try:
+            assert client.query({}).body == body
+            assert client.query({}).body == body
+        finally:
+            stop_server(second)
+        assert second.accepted == 1
+
+    def test_a_stale_connection_to_a_gone_daemon_is_unavailable(
+            self, tmp_path, monkeypatch):
+        make_store(tmp_path / "a.jsonl", [record()])
+        server = start_server(ResultsService(tmp_path))
+        client = ServiceClient("http://%s:%d" % server.server_address[:2])
+        client.healthz()
+        stop_server(server)
+        connects = count_connects(monkeypatch)
+        with pytest.raises(ServiceUnavailable):
+            client.healthz()
+        assert len(connects) == 1
+
+    def test_unreachable_fails_at_once_without_retrying(self, monkeypatch):
+        connects = count_connects(monkeypatch)
+        client = ServiceClient("http://127.0.0.1:9", timeout=5.0)
+        start = time.perf_counter()
+        with pytest.raises(ServiceUnavailable):
+            client.query({})
+        assert time.perf_counter() - start < 1.0
+        assert len(connects) == 1
+
+
+class TestDrain:
+    def test_server_close_ends_an_idle_keep_alive_connection(self, tmp_path):
+        """``repro serve`` must drain on SIGTERM while a dashboard holds a
+        connection open between requests."""
+        make_store(tmp_path / "a.jsonl", [record()])
+        server = start_server(ResultsService(tmp_path))
+        connection = http.client.HTTPConnection(*server.server_address[:2],
+                                                timeout=10)
+        try:
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+            server.shutdown()
+            closer = threading.Thread(target=server.server_close,
+                                      daemon=True)
+            start = time.perf_counter()
+            closer.start()
+            closer.join(timeout=5)
+            elapsed = time.perf_counter() - start
+            assert not closer.is_alive(), "server_close hung"
+            assert elapsed < 1.0
+        finally:
+            connection.close()
+
+    def test_a_request_in_flight_at_shutdown_gets_its_full_response(
+            self, tmp_path):
+        make_store(tmp_path / "a.jsonl", [record()])
+        service = ResultsService(tmp_path)
+        expected = service.dispatch("/query", {"mode": "cells"}, {})
+        in_flight = threading.Event()
+        dispatch = service.dispatch
+
+        def slow_dispatch(path, params, headers):
+            in_flight.set()
+            time.sleep(0.3)
+            return dispatch(path, params, headers)
+
+        service.dispatch = slow_dispatch
+        server = start_server(service)
+        client = ServiceClient("http://%s:%d" % server.server_address[:2])
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            reply = pool.submit(client.query, {"mode": "cells"})
+            assert in_flight.wait(timeout=5)
+            stop_server(server)
+            response = reply.result(timeout=5)
+        assert response.status == 200
+        assert response.body == expected.body
+        assert response.etag == expected.etag
 
 
 class TestConcurrentServing:
