@@ -25,20 +25,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..scenarios.campaign import CampaignStore, read_jsonl_rows
+from ..scenarios.campaign import CampaignStore, JsonlTail
+from ..scenarios.compile import scheme_of
 
 __all__ = ["ObsReport", "build_report", "summarize_metricz"]
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def _scheme_of(cell_key: str, component: str = "") -> str:
-    """The scheme label baked into a cell key (``...|scheme=ECN#|...``),
-    falling back to the scenario component."""
-    for part in cell_key.split("|"):
-        if part.startswith("scheme="):
-            return part[len("scheme="):]
-    return component or "-"
 
 
 def _fmt(value: Any, digits: int = 3) -> str:
@@ -430,15 +422,16 @@ def build_report(
 
     if resources is not None:
         latest: Dict[tuple, Dict[str, Any]] = {}
-        for row in read_jsonl_rows(Path(resources)):
+        for row in JsonlTail(resources).rows():
             latest[(row.get("scenario"), row.get("cell_key"))] = row
         report.resources = list(latest.values())
 
     if report.resources:
         by_scheme: Dict[str, Dict[str, Any]] = {}
         for row in report.resources:
-            scheme = _scheme_of(row.get("cell_key", ""),
-                                row.get("component", ""))
+            # a key without a scheme falls back to the row's component
+            scheme = (scheme_of(row.get("cell_key", ""))
+                      or row.get("component", "") or "-")
             bucket = by_scheme.setdefault(
                 scheme, {"scheme": scheme, "cells": 0, "wall": 0.0,
                          "events": 0}
@@ -454,7 +447,7 @@ def build_report(
         )
 
     if trend is not None:
-        rows = read_jsonl_rows(Path(trend))
+        rows = JsonlTail(trend).rows()
         rows.sort(key=lambda r: r.get("unix_time") or 0.0)
         report.trend = rows
 

@@ -17,12 +17,11 @@ campaign's store is byte-identical to an uninterrupted one.
 
 Crash safety: the store is append-only, one JSON object per line, flushed
 and fsynced per shard; a torn trailing line (the process died mid-write) is
-skipped with a warning on load and its cell simply re-executes.  Every
-append to the store and its sidecars goes through :func:`append_jsonl`.
-
-Reading is incremental: a reused store (a daemon revalidating, a campaign
-re-loading every round) parses only the lines appended since its last load
-(:class:`JsonlTail`).
+skipped with a warning on load and its cell simply re-executes.  The store,
+its sidecars and the lease ledger are each one :class:`JsonlTail`: the one
+append, atomic rewrite, incremental read and "changed?" check, so a reused
+store (a daemon revalidating, a campaign re-loading every round) parses
+only the lines appended since its last load.
 
 One loop runs both modes (:func:`_run`).  A ``--shared`` worker serialises
 its loads and appends through the store lock and takes its cells through
@@ -37,12 +36,14 @@ import contextlib
 import json
 import os
 import warnings
+from copy import copy as shallow_copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import (
     Any,
     BinaryIO,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -71,8 +72,6 @@ __all__ = [
     "StoreLoadStats",
     "JsonlTail",
     "canonical_json",
-    "read_jsonl_rows",
-    "append_jsonl",
     "as_store",
     "run_campaign",
     "render_store_report",
@@ -182,76 +181,66 @@ class StoreLoadStats:
 
 
 class JsonlTail:
-    """Incremental reader of one append-only JSONL file -- the one parse
-    loop behind the store, its sidecars and the lease ledger.
+    """One append-only JSONL file: the store, its sidecars and the lease
+    ledger append, atomically rewrite, read and ask "changed?" only here.
 
-    The first :meth:`read` parses the whole file; a later one on the same
-    instance parses only what was appended since.  The reader remembers the
-    file's ``(st_dev, st_ino)``, the offset it has consumed -- newline-
-    terminated lines only: an unterminated tail (a crash mid-write, or a
-    writer caught mid-append) is handed out as *unsettled* and read again
-    next time -- and the ``GUARD`` bytes before that offset.  A missing,
-    shrunken or replaced file, or a guard that no longer matches, means the
-    prefix cannot be trusted and the whole file is parsed again.  What it
-    cannot see is an in-place rewrite that keeps inode, length and guard:
+    :meth:`fold` parses the whole file the first time and, on the same
+    instance later, only what was appended since.  It remembers the file's
+    ``(st_dev, st_ino, st_size, st_mtime_ns)`` as its last read began, the
+    offset it consumed -- newline-terminated lines only: an unterminated
+    tail (a crash mid-write, a writer caught mid-append) is folded into
+    that call's result alone and read again next time -- and the ``GUARD``
+    bytes before it.  A missing, shrunken or replaced file, or a guard that
+    no longer matches, means the whole file is folded again.
+    :meth:`changed` compares that identity with one ``stat``.  Neither sees
+    an in-place rewrite that keeps inode, length, timestamp and guard:
     writers append or atomically replace, they never edit.
     """
 
     GUARD = 64
 
-    def __init__(self, path: Path) -> None:
-        self.path = path
+    def __init__(self, path: "Path | str") -> None:
+        self.path = Path(path)
         self._forget()
 
     def _forget(self) -> None:
-        self._file: Optional[Tuple[int, int]] = None
+        self._seen: Optional[Tuple[int, ...]] = None  # () for no file
         self._offset = 0
         self._guard = b""
         self._lines = 0  # physical lines consumed, for line numbers
 
-    def read(
-        self,
-    ) -> Tuple[bool, Iterator[Tuple[int, Optional[Dict[str, Any]], bool]]]:
-        """``(rewound, rows)``.  ``rewound`` tells the caller to drop what
-        earlier reads gave it: ``rows`` start at line 1 again.  ``rows``
-        streams ``(line number, row, settled)`` for every non-blank line
-        not yet consumed; ``row`` is ``None`` for a line that is not a JSON
-        object (a torn or foreign write), and an unsettled line belongs to
-        this read's view only.  Exhaust ``rows``: stopping early forgets
-        the file, so the next read starts over."""
+    def changed(self) -> bool:
+        """Whether the file may differ from what the last :meth:`fold`
+        read: one ``stat``, no read."""
+        try:
+            return _identity(os.stat(self.path)) != self._seen
+        except FileNotFoundError:
+            return self._seen != ()
+
+    def fold(self, start: Callable[[], Any],
+             step: Callable[[Any, int, Optional[Dict[str, Any]]], None],
+             copy: Callable[[Any], Any] = shallow_copy) -> Any:
+        """``step(state, line number, row)`` for every non-blank line, on
+        the state ``start()`` made at the last rewind; returns ``copy`` of
+        it, which the caller owns.  ``row`` is ``None`` for a line that is
+        not a JSON object (a torn or foreign write)."""
         try:
             handle = open(self.path, "rb")
         except FileNotFoundError:
             self._forget()
-            return True, iter(())
-        try:
-            stat = os.fstat(handle.fileno())
-            resumed = (
-                self._file == (stat.st_dev, stat.st_ino)
-                and stat.st_size >= self._offset
-                and self._read_guard(handle) == self._guard
-            )
-        except BaseException:
-            handle.close()
-            raise
-        if not resumed:
-            self._forget()
-            self._file = (stat.st_dev, stat.st_ino)
-        return not resumed, self._rows(handle)
-
-    def _read_guard(self, handle: BinaryIO) -> bytes:
-        start = max(0, self._offset - self.GUARD)
-        handle.seek(start)
-        return handle.read(self._offset - start)
-
-    def _rows(
-        self, handle: BinaryIO
-    ) -> Iterator[Tuple[int, Optional[Dict[str, Any]], bool]]:
-        offset, lines = self._offset, self._lines
-        exhausted = False
-        try:
-            with handle:
-                handle.seek(offset)
+            self._seen, self._state = (), start()
+            return copy(self._state)
+        unsettled = None
+        with handle:
+            seen = _identity(os.fstat(handle.fileno()))
+            if not (self._seen and self._seen[:2] == seen[:2]
+                    and seen[2] >= self._offset
+                    and self._read_guard(handle) == self._guard):
+                self._forget()
+                self._state = start()
+            self._seen, offset, lines = seen, self._offset, self._lines
+            handle.seek(offset)
+            try:
                 for raw in handle:
                     settled = raw.endswith(b"\n")
                     if settled:
@@ -263,48 +252,71 @@ class JsonlTail:
                         row = json.loads(raw.decode("utf-8"))
                     except ValueError:  # not JSON, or not UTF-8
                         row = None
-                    yield (
-                        lines if settled else lines + 1,
-                        row if isinstance(row, dict) else None,
-                        settled,
-                    )
-                self._offset, self._lines = offset, lines
-                self._guard = self._read_guard(handle)
-            exhausted = True
-        finally:
-            if not exhausted:
+                    if not isinstance(row, dict):
+                        row = None
+                    if settled:
+                        step(self._state, lines, row)
+                    else:  # may yet be completed: this call's view only
+                        unsettled = (lines + 1, row)
+            except BaseException:
                 self._forget()
+                raise
+            self._offset, self._lines = offset, lines
+            self._guard = self._read_guard(handle)
+        state = copy(self._state)
+        if unsettled is not None:
+            step(state, *unsettled)
+        return state
 
+    def _read_guard(self, handle: BinaryIO) -> bytes:
+        start = max(0, self._offset - self.GUARD)
+        handle.seek(start)
+        return handle.read(self._offset - start)
 
-def read_jsonl_rows(path: Path) -> List[Dict[str, Any]]:
-    """The readable object rows of an append-only JSONL file, in append
-    order.  A line that does not parse -- or parses to anything but a JSON
-    object -- is a torn or foreign write and is skipped; a missing file
-    has no rows.  The obs report's sidecar and trend files read through
-    here."""
-    _, rows = JsonlTail(path).read()
-    return [row for _, row, _ in rows if row is not None]
+    def rows(self) -> List[Dict[str, Any]]:
+        """The readable object rows, in append order; torn and foreign
+        lines are skipped and a missing file has none."""
+        return self.fold(list, _keep_row)
 
+    def append(self, text: str, durable: bool) -> None:
+        """Append ``text`` -- whole, newline-terminated lines.  A crash
+        mid-write can leave a torn last line with no newline; it is
+        terminated first, so ``text`` cannot glue onto it and make both
+        unreadable.  ``durable`` flushes and fsyncs before returning, so a
+        crash after return cannot lose the lines."""
+        if not text:
+            return
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "a+b") as handle:
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    text = "\n" + text
+            handle.write(text.encode("utf-8"))
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
 
-def append_jsonl(path: Path, text: str, durable: bool) -> None:
-    """Append ``text`` -- whole, newline-terminated lines -- to ``path``:
-    the one writer behind the store, its resources sidecar and the lease
-    ledger.  A crash mid-write can leave a torn last line with no newline;
-    it is terminated first, so ``text`` cannot glue onto it and make both
-    unreadable.  ``durable`` flushes and fsyncs before returning, so a
-    crash after return cannot lose the lines."""
-    if not text:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a+b") as handle:
-        if handle.seek(0, os.SEEK_END):
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) != b"\n":
-                text = "\n" + text
-        handle.write(text.encode("utf-8"))
-        if durable:
+    def rewrite(self, lines: Iterable[str]) -> None:
+        """Atomically and durably replace the file, one line per item."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = self.path.with_name(self.path.name + ".merge-tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            for line in lines:
+                handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+        os.replace(tmp, self.path)
+
+
+def _identity(stat: os.stat_result) -> Tuple[int, ...]:
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _keep_row(rows: List[Dict[str, Any]], line_no: int,
+              row: Optional[Dict[str, Any]]) -> None:
+    if row is not None:
+        rows.append(row)
 
 
 class CampaignStore:
@@ -328,8 +340,8 @@ class CampaignStore:
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
         self.load_stats = StoreLoadStats()
-        self._tail = JsonlTail(self.path)
-        self._resources_tail = JsonlTail(self.resources_path)
+        self.log = JsonlTail(self.path)
+        self.resources_log = JsonlTail(self.resources_path)
 
     @property
     def resources_path(self) -> Path:
@@ -346,8 +358,7 @@ class CampaignStore:
     def append_resources(self, rows: Sequence[Dict[str, Any]]) -> None:
         """Append per-cell resource rows to the sidecar (not fsynced: the
         sidecar is observability data, not campaign state)."""
-        append_jsonl(
-            self.resources_path,
+        self.resources_log.append(
             "".join(canonical_json(row) + "\n" for row in rows),
             durable=False,
         )
@@ -356,16 +367,7 @@ class CampaignStore:
         """All readable sidecar rows, in append order (torn lines skipped).
         Like :meth:`load`, a reused instance parses only the rows appended
         since its last call; each call returns its own list."""
-        rewound, rows = self._resources_tail.read()
-        if rewound:  # always on an instance's first call
-            self._resources: List[Dict[str, Any]] = []
-        resources = self._resources
-        for _, row, settled in rows:
-            if not settled:  # may yet be completed: this view only
-                resources = list(resources)
-            if row is not None:
-                resources.append(row)
-        return list(resources)
+        return self.resources_log.rows()
 
     def load(self) -> Dict[RecordKey, CellRecord]:
         """Record index, latest record per key winning.  The first call on
@@ -374,32 +376,33 @@ class CampaignStore:
         Unparseable lines (torn trailing write from a crash) are skipped,
         warned about when first parsed, and counted in :attr:`load_stats`,
         which always describes the whole file."""
-        rewound, rows = self._tail.read()
-        if rewound:  # always on an instance's first load
-            self._index: Dict[RecordKey, CellRecord] = {}
-            self._stats = StoreLoadStats()
-            self._warned = 0  # last line number warned about
-        index, stats = self._index, self._stats
-        for line_no, row, settled in rows:
-            if not settled:  # may yet be completed: this view only
-                index, stats = dict(index), replace(stats)
-            stats.lines += 1
-            try:
-                record = CellRecord.from_dict(row)
-            except (KeyError, TypeError):
-                stats.torn_lines += 1
-                if line_no > self._warned:
-                    self._warned = line_no
-                    warnings.warn(
-                        f"{self.path}:{line_no}: skipping unreadable record "
-                        "(torn write from an interrupted campaign?)",
-                        stacklevel=2,
-                    )
-                continue
-            stats.records += 1
-            index[record.key] = record
-        self.load_stats = replace(stats)
-        return dict(index)
+        index, self.load_stats = self.log.fold(
+            self._fresh, self._fold_line,
+            lambda state: (dict(state[0]), replace(state[1])))
+        return index
+
+    def _fresh(self) -> Tuple[Dict[RecordKey, CellRecord], StoreLoadStats]:
+        self._warned = 0  # last line number warned about
+        return {}, StoreLoadStats()
+
+    def _fold_line(self, state, line_no: int,
+                   row: Optional[Dict[str, Any]]) -> None:
+        index, stats = state
+        stats.lines += 1
+        try:
+            record = CellRecord.from_dict(row)
+        except (KeyError, TypeError):
+            stats.torn_lines += 1
+            if line_no > self._warned:
+                self._warned = line_no
+                warnings.warn(
+                    f"{self.path}:{line_no}: skipping unreadable record "
+                    "(torn write from an interrupted campaign?)",
+                    stacklevel=4,
+                )
+            return
+        stats.records += 1
+        index[record.key] = record
 
     def append(self, records: Sequence[CellRecord]) -> None:
         """Append one shard's records, fsynced so a crash after return
@@ -412,7 +415,7 @@ class CampaignStore:
             from ..testing.chaos import CHAOS_EXIT_CODE, chaos_store_append
 
             payload, die_after_write = chaos_store_append(payload)
-        append_jsonl(self.path, payload, durable=True)
+        self.log.append(payload, durable=True)
         if die_after_write:
             os._exit(CHAOS_EXIT_CODE)
 

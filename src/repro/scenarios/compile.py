@@ -23,6 +23,7 @@ bit-identical summaries (asserted cell-for-cell in the tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import settings
@@ -33,7 +34,7 @@ from ..sim.units import us
 from .schema import Scenario, ScenarioError, WorkloadSpec
 
 __all__ = ["CompiledScenario", "compile_scenario", "summarize_cell",
-           "check_scenario"]
+           "check_scenario", "scheme_of"]
 
 # The rig defaults the compiler elides against (run_star_fct /
 # run_leafspine_fct / run_microscopic keyword defaults).
@@ -42,6 +43,18 @@ _MICRO_RTT_MIN_US = 80.0
 _MICRO_VARIATION = 3.0
 _MICRO_SHAPE = "fabric"
 _DEFAULT_N_SENDERS = 7
+
+
+@lru_cache(maxsize=1 << 14)
+def scheme_of(cell_key: str) -> str:
+    """The ``scheme=`` segment of a cell key, or ``""``: the one parser of
+    the ``<component>|load=0.6|scheme=<name>`` and
+    ``<component>|fanout=100|scheme=<name>`` keys this module writes.  A
+    grid has few distinct keys, so each is split once."""
+    for segment in cell_key.split("|"):
+        if segment.startswith("scheme="):
+            return segment[len("scheme="):]
+    return ""
 
 
 @dataclass(frozen=True)

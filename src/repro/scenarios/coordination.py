@@ -1,36 +1,25 @@
 """Multi-writer campaign coordination: store locks, cell leases, merging.
 
-PR 6's campaign store is crash-safe for a *single* writer: append-only
-JSONL, fsync per shard, torn trailing lines skipped on load.  This module
-adds what a fleet of workers sharing one campaign needs on top:
+The campaign store is crash-safe for one writer: append-only JSONL, fsync
+per shard, torn trailing lines skipped on load.  This module adds what a
+fleet of ``repro scenario run --shared`` workers on one store needs:
 
-* :class:`StoreLock` -- an advisory ``O_CREAT|O_EXCL`` lockfile next to
-  the store (``<store>.lock``) holding ``pid host``, taken only for one
-  round's load-and-claim or append-and-release.  A lock whose owner pid
-  is dead (same host) or whose mtime is older than
-  :data:`LOCK_STALE_AFTER` is *broken* by atomically renaming it aside,
-  so a SIGKILLed writer can never wedge the campaign.
-* :class:`LeaseBoard` -- lease records in a sidecar JSONL file
-  (``<store>.leases.jsonl``, append-only, latest-line-per-key wins) that
-  partition pending cells across ``repro scenario run --shared`` workers.
-  A claimed lease older than its TTL is stale and may be *reclaimed* by
-  another worker, so a killed worker's cells re-run exactly once.  Lease
-  and lock files are coordination state only: a lone ``--shared`` worker
-  writes the same store bytes as a single writer, which runs the same
-  loop with neither file (:func:`repro.scenarios.campaign.run_campaign`).
-* :class:`GracefulShutdown` -- SIGINT/SIGTERM latch used by
-  ``run_campaign`` so an interrupted worker finishes and appends its
-  current shard, releases its leases, and exits ``128+signum`` (130 for
-  SIGINT) with the store fully resumable.
-* :func:`merge_stores` -- idempotent N-store merge with latest-ok-wins
-  semantics and hard conflict detection: two ``ok`` records for the same
-  key that disagree on result content abort the merge (that means two
-  workers simulated the same cell and got different answers -- a
-  determinism bug that must never be papered over).
-* :func:`store_fingerprint` -- canonical bytes of a store's settled cell
-  records (latest per key, sorted), the equality notion chaos tests use:
-  N writers under kills/tears must converge to the same fingerprint as an
-  uninterrupted single-writer run.
+* :class:`StoreLock` -- the advisory ``<store>.lock`` around each round's
+  load-and-claim and append-and-release; a dead or stale holder's lock is
+  broken, so a SIGKILLed writer can never wedge the campaign.
+* :class:`LeaseBoard` -- the ``<stem>.leases.jsonl`` ledger partitioning
+  pending cells across workers; a killed worker's stale leases are
+  reclaimed, so its cells re-run exactly once.
+* :class:`GracefulShutdown` -- the SIGINT/SIGTERM latch that lets an
+  interrupted worker append its shard and exit ``128 + signum``.
+* :func:`merge_stores` -- the idempotent N-store merge, which refuses two
+  ``ok`` records that disagree (a determinism bug, never papered over).
+* :func:`store_fingerprint` -- canonical bytes of a store's settled cells:
+  N writers under kills and tears converge to a single writer's.
+
+Lock and lease files are coordination state only: a lone ``--shared``
+worker writes a single writer's store bytes, and deleting them never loses
+campaign results.
 """
 
 from __future__ import annotations
@@ -47,7 +36,6 @@ from .campaign import (
     CellRecord,
     JsonlTail,
     RecordKey,
-    append_jsonl,
     as_store,
     canonical_json,
 )
@@ -67,7 +55,6 @@ __all__ = [
     "canonical_sort_key",
     "default_worker_id",
     "fingerprint_records",
-    "merge_resources",
     "merge_stores",
     "store_fingerprint",
 ]
@@ -244,18 +231,6 @@ class Lease:
     acquired_at: float
 
 
-def _key_to_json(key: RecordKey) -> list:
-    return [key[0], list(key[1])]
-
-
-def _key_from_json(raw) -> Optional[RecordKey]:
-    try:
-        scenario_hash, tokens = raw
-        return (str(scenario_hash), tuple(str(t) for t in tokens))
-    except (TypeError, ValueError):
-        return None
-
-
 class LeaseBoard:
     """Append-only lease ledger in the store's ``.leases.jsonl`` sidecar.
 
@@ -275,29 +250,10 @@ class LeaseBoard:
         self.ttl = DEFAULT_LEASE_TTL if ttl is None else ttl
         if self.ttl <= 0:
             raise ValueError("lease ttl must be positive")
-        self._tail = JsonlTail(self.path)
+        self.log = JsonlTail(self.path)
 
     def load(self) -> Dict[RecordKey, Lease]:
-        rewound, rows = self._tail.read()
-        if rewound:  # always on an instance's first load
-            self._index: Dict[RecordKey, Lease] = {}
-        index = self._index
-        for _, row, settled in rows:
-            if not settled:  # may yet be completed: this view only
-                index = dict(index)
-            key = _key_from_json(row.get("key")) if row else None
-            if key is None:
-                continue
-            try:
-                lease = Lease(
-                    worker=str(row["worker"]),
-                    state=str(row["state"]),
-                    acquired_at=float(row["t"]),
-                )
-            except (KeyError, TypeError, ValueError):
-                continue
-            index[key] = lease
-        return dict(index)
+        return self.log.fold(dict, _fold_lease)
 
     def partition(
         self,
@@ -331,39 +287,34 @@ class LeaseBoard:
             claimable.append(key)
         return claimable, reclaimed
 
-    def claim(
-        self,
-        keys: Iterable[RecordKey],
-        worker: str,
-        now: Optional[float] = None,
-    ) -> None:
+    def claim(self, keys: Iterable[RecordKey], worker: str,
+              now: Optional[float] = None) -> None:
         self._append(keys, worker, "claimed", now)
 
-    def release(
-        self,
-        keys: Iterable[RecordKey],
-        worker: str,
-        now: Optional[float] = None,
-    ) -> None:
+    def release(self, keys: Iterable[RecordKey], worker: str,
+                now: Optional[float] = None) -> None:
         self._append(keys, worker, "released", now)
 
-    def _append(
-        self,
-        keys: Iterable[RecordKey],
-        worker: str,
-        state: str,
-        now: Optional[float],
-    ) -> None:
+    def _append(self, keys: Iterable[RecordKey], worker: str, state: str,
+                now: Optional[float]) -> None:
         t = now if now is not None else time.time()
-        append_jsonl(
-            self.path,
-            "".join(
-                canonical_json({"key": _key_to_json(key), "worker": worker,
-                                "state": state, "t": t}) + "\n"
-                for key in keys
-            ),
-            durable=True,
-        )
+        self.log.append("".join(
+            canonical_json({"key": [key[0], list(key[1])], "worker": worker,
+                            "state": state, "t": t}) + "\n"
+            for key in keys
+        ), durable=True)
+
+
+def _fold_lease(index: Dict[RecordKey, Lease], line_no: int, row) -> None:
+    """One ledger row into the latest-lease-per-key index; a row that is
+    not a lease (torn, foreign, a malformed key) is skipped."""
+    try:
+        scenario_hash, tokens = row["key"]
+        key = (str(scenario_hash), tuple(str(t) for t in tokens))
+        index[key] = Lease(worker=str(row["worker"]), state=str(row["state"]),
+                           acquired_at=float(row["t"]))
+    except (KeyError, TypeError, ValueError):
+        pass
 
 
 # ------------------------------------------------------------- shutdown
@@ -519,13 +470,18 @@ def merge_stores(
     and written sorted to the output's sidecar -- so per-cell attribution
     survives a multi-host merge.  Sidecar loss never blocks the merge.
     """
-    # Latest record per key *per store*, in input order.
+    # Each store's latest record per key; the latest sidecar row overall.
     per_key: Dict[RecordKey, List[CellRecord]] = {}
-    result = MergeResult()
+    resources: Dict[Tuple[object, object], Dict[str, object]] = {}
+    result, input_rows = MergeResult(), 0
     for store in map(as_store, inputs):
         for key, record in store.load().items():
             per_key.setdefault(key, []).append(record)
         result.input_records += store.load_stats.records
+        rows = store.load_resources()
+        input_rows += len(rows)
+        for row in rows:
+            resources[(row.get("scenario"), row.get("cell_key"))] = row
     conflicts: List[Tuple[RecordKey, str]] = []
     for key in sorted(per_key):
         candidates = per_key[key]
@@ -550,54 +506,16 @@ def merge_stores(
     if conflicts:
         raise MergeConflictError(conflicts)
     result.records.sort(key=canonical_sort_key)
-    merged_resources, input_rows = merge_resources(inputs)
-    result.resource_rows = len(merged_resources)
-    result.resource_rows_collapsed = input_rows - len(merged_resources)
+    result.resource_rows = len(resources)
+    result.resource_rows_collapsed = input_rows - len(resources)
     if output is not None:
         out_store = as_store(output)
-        _write_lines_atomic(
-            out_store.path, (record.line for record in result.records)
-        )
-        if merged_resources:
-            _write_lines_atomic(
-                out_store.resources_path, map(canonical_json, merged_resources)
-            )
+        out_store.log.rewrite(record.line for record in result.records)
+        if resources:
+            out_store.resources_log.rewrite(
+                canonical_json(resources[key]) for key in
+                sorted(resources, key=lambda k: (str(k[0]), str(k[1]))))
     return result
-
-
-def merge_resources(
-    inputs: Sequence["CampaignStore | Path | str"],
-) -> Tuple[List[Dict[str, object]], int]:
-    """``(merged sidecar rows, total input rows)`` for ``inputs``.
-
-    Rows are concatenated in input order, deduped by
-    ``(scenario, cell_key)`` latest-wins, and sorted by that key so the
-    merge is order-independent and idempotent.  Missing sidecars contribute
-    nothing (they are observability data, never campaign state)."""
-    latest: Dict[Tuple[object, object], Dict[str, object]] = {}
-    total = 0
-    for store in map(as_store, inputs):
-        rows = store.load_resources()
-        total += len(rows)
-        for row in rows:
-            latest[(row.get("scenario"), row.get("cell_key"))] = row
-    merged = [
-        latest[key]
-        for key in sorted(latest, key=lambda k: (str(k[0]), str(k[1])))
-    ]
-    return merged, total
-
-
-def _write_lines_atomic(path: Path, lines: Iterable[str]) -> None:
-    """Atomically (re)write ``path``, one line per item."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".merge-tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 def fingerprint_records(records: Sequence[CellRecord]) -> bytes:

@@ -9,8 +9,9 @@ read-only over the stores it serves:
 * :class:`~repro.service.index.StoreIndex` -- discovers stores under a
   root directory, keys each by its canonical
   :func:`~repro.scenarios.coordination.store_fingerprint`, and revalidates
-  with a cheap stat probe so appends by concurrent ``--shared`` writers
-  become visible without a restart.
+  with one ``stat`` per file (the store's own logs answer "changed?"), so
+  appends by concurrent ``--shared`` writers become visible without a
+  restart.
 * :mod:`~repro.service.query` -- filter cells by scenario / scheme /
   metric / fidelity / spec-token, aggregate into mean/percentile
   summaries, render JSON or CSV deterministically.

@@ -1,18 +1,19 @@
-"""Store discovery and stat-probe revalidation for the results service.
+"""Store discovery and revalidation for the results service.
 
 The index is the daemon's only path to disk.  A store is loaded (read,
-fingerprinted, its sidecar read) at most once per *content change*: every
-request re-stats the store and its ``.resources.jsonl`` sidecar -- two
-``stat(2)`` calls, no reads -- and reuses the cached entry whenever
-``(mtime_ns, size)`` of both files are unchanged.  Appends by concurrent
-``--shared`` writers bump the probe, so fresh cells become visible on the
-next request without restarting the daemon -- and because the index keeps
-one :class:`~repro.scenarios.campaign.CampaignStore` per name, that load
-parses and serialises only the appended lines; a replaced or shrunken file
-is parsed again in full.
+fingerprinted, its sidecar read) at most once per *content change*: the
+index keeps one :class:`~repro.scenarios.campaign.CampaignStore` per name
+and asks its two logs on every request whether the store or its
+``.resources.jsonl`` sidecar changed since that load
+(:meth:`~repro.scenarios.campaign.JsonlTail.changed`: one ``stat(2)`` per
+file, no reads, the identity the log's reader resumes by).
+Appends by concurrent ``--shared`` writers change it, so fresh cells
+become visible on the next request without restarting the daemon, and
+that load parses and serialises only the appended lines; a replaced or
+shrunken file is parsed again in full.
 
 The ``service_store_loads_total`` counter increments only on an actual
-parse, which is how tests assert that warm queries do zero store reads.
+load, which is how tests assert that warm queries do zero store reads.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import hashlib
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..scenarios.campaign import CampaignStore, CellRecord
 from ..scenarios.coordination import canonical_sort_key, fingerprint_records
@@ -29,16 +30,6 @@ from ..scenarios.coordination import canonical_sort_key, fingerprint_records
 __all__ = ["StoreEntry", "StoreIndex"]
 
 _SIDECAR_SUFFIXES = (".resources.jsonl", ".leases.jsonl")
-
-Probe = Tuple[int, int, int, int]
-
-
-def _probe_one(path: Path) -> Tuple[int, int]:
-    try:
-        stat = path.stat()
-    except OSError:
-        return (0, 0)
-    return (stat.st_mtime_ns, stat.st_size)
 
 
 @dataclass
@@ -57,7 +48,6 @@ class StoreEntry:
     fingerprint: bytes
     etag_seed: str
     torn_lines: int
-    probe: Probe
 
 
 class StoreIndex:
@@ -101,25 +91,24 @@ class StoreIndex:
         return self.root / (name + ".jsonl")
 
     def get(self, name: str) -> Optional[StoreEntry]:
-        """Current entry for ``name``, reloading only when the stat probe
-        says the store (or its sidecar) changed; ``None`` for unknown or
-        path-escaping names."""
+        """Current entry for ``name``, reloading only when its store says
+        it (or its sidecar) changed; ``None`` for unknown or path-escaping
+        names."""
         path = self._path_of(name)
         if path is None or not path.is_file():
             return None
         store = self._stores.get(name)
         if store is None:  # racing threads still end up sharing one
             store = self._stores.setdefault(name, CampaignStore(path))
-        probe: Probe = _probe_one(path) + _probe_one(store.resources_path)
         with self._lock:
             entry = self._entries.get(name)
-            if entry is not None and entry.probe == probe:
+            logs = (store.log, store.resources_log)
+            if entry is not None and not any(log.changed() for log in logs):
                 return entry
-            # A writer appending between the probe and the load only makes
-            # the cached entry *fresher* than its probe claims; the next
-            # request's probe mismatch reloads -- never stale forever.
-            index = store.load()
-            records = sorted(index.values(), key=canonical_sort_key)
+            # A writer appending during the load leaves the store changed
+            # since the identity the load began from, so the next request
+            # loads again -- never stale forever.
+            records = sorted(store.load().values(), key=canonical_sort_key)
             fingerprint = fingerprint_records(records)
             entry = StoreEntry(
                 name=name,
@@ -129,7 +118,6 @@ class StoreIndex:
                 fingerprint=fingerprint,
                 etag_seed=hashlib.sha256(fingerprint).hexdigest(),
                 torn_lines=store.load_stats.torn_lines,
-                probe=probe,
             )
             self._entries[name] = entry
             self.store_loads += 1

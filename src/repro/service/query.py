@@ -20,11 +20,11 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from ..core.stats_util import mean_or_none, percentile_or_none
 from ..scenarios.campaign import CellRecord
+from ..scenarios.compile import scheme_of
 
 __all__ = [
     "FORMATS",
@@ -50,19 +50,6 @@ _SUMMARY_COLUMNS = ("scenario", "scheme", "metric", "count", "mean", "p50",
 
 class QueryError(ValueError):
     """A malformed query (unknown parameter or value) -- HTTP 400."""
-
-
-@lru_cache(maxsize=1 << 14)
-def scheme_of(cell_key: str) -> str:
-    """The ``scheme=`` segment of a campaign cell key, or ``""``.
-
-    Cell keys are ``component|load=0.6|scheme=DCTCP-RED`` style strings
-    (see :mod:`repro.scenarios.compile`); a grid has few distinct ones, so
-    each is split once."""
-    for segment in cell_key.split("|"):
-        if segment.startswith("scheme="):
-            return segment[len("scheme="):]
-    return ""
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ concurrent serving while a ``--shared``-style writer appends cells."""
 import gc
 import http.client
 import json
+import os
 import threading
 import time
 import warnings
@@ -93,6 +94,30 @@ class TestStoreIndex:
         entry = index.get("a")
         assert index.store_loads == 2
         assert len(entry.resources) == 1
+
+    def test_same_size_replace_that_keeps_the_mtime_reloads(self, tmp_path):
+        """An updated store copied over the served one with its timestamp
+        kept (``rsync -a``, ``cp -p``): same size, same ``mtime_ns``, a new
+        inode.  A ``(mtime_ns, size)`` probe served the old entry."""
+        path = tmp_path / "a.jsonl"
+        make_store(path, [record(token="t1", metrics={"m": 0.5}),
+                          record(token="t2", metrics={"m": 0.5})])
+        index = StoreIndex(tmp_path)
+        assert [r.metrics for r in index.get("a").records] == [{"m": 0.5}] * 2
+        before = path.stat()
+        replacement = tmp_path / "incoming" / "a.jsonl"
+        replacement.parent.mkdir()
+        replacement.write_bytes(
+            path.read_bytes().replace(b'"m":0.5', b'"m":0.7', 1))
+        os.utime(replacement, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(replacement, path)
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (
+            before.st_size, before.st_mtime_ns)
+        entry = index.get("a")
+        assert [r.metrics for r in entry.records] == [{"m": 0.7}, {"m": 0.5}]
+        assert index.store_loads == 2
+        assert entry.fingerprint == store_fingerprint(CampaignStore(path))
 
     def test_fingerprint_matches_store_fingerprint(self, tmp_path):
         store = make_store(tmp_path / "a.jsonl",

@@ -8,7 +8,7 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.packet import Ecn
 from repro.sim.port import Port
-from repro.sim.units import gbps, us
+from repro.sim.units import gbps, ms, us
 from repro.telemetry import (
     CATEGORIES,
     FCT_US_BUCKETS,
@@ -318,9 +318,30 @@ class TestProvenance:
 # ------------------------------------------------------------ CLI smoke
 
 
+def one_small_fig10_cell(monkeypatch):
+    """Shrink fig10's row to one ECN# cell: a 16-flow burst at 8 ms of a
+    10 ms run.  It still queues, marks, runs timers and takes snapshots,
+    which is all the CLI flag tests need, at a fraction of the reduced
+    grid's three 45 ms runs."""
+    from repro.experiments.figures import FIGURES
+    from repro.experiments.schemes import simulation_scheme_specs
+    from repro.experiments.specs import Cell, RunSpec
+
+    def cells(seed: int = FIGURES["fig10"].seed):
+        spec = RunSpec.microscopic(
+            simulation_scheme_specs()["ECN#"], seed=seed, label="ECN#",
+            fanout=16, burst_time=ms(8), end_time=ms(10))
+        return {(16, "ECN#"): Cell.single("fig10", "scheme=ECN#", spec)}
+
+    monkeypatch.setitem(FIGURES, "fig10",
+                        FIGURES["fig10"]._replace(cells=cells))
+
+
 class TestCliTelemetry:
     def test_fig10_trace_and_metrics_out(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
+
+        one_small_fig10_cell(monkeypatch)
 
         # A factor-1 perturbation changes nothing but is a set hook.
         monkeypatch.setenv("REPRO_AQM_PERTURB", "ecn-sharp:pst_target:1")
@@ -368,8 +389,10 @@ class TestCliTelemetry:
         assert data["profile"]["events"] > 0
         assert data["series"]  # DES-clock queue-depth time series
 
-    def test_trace_categories_flag(self, tmp_path, capsys):
+    def test_trace_categories_flag(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
+
+        one_small_fig10_cell(monkeypatch)
 
         trace_path = str(tmp_path / "cwnd.jsonl")
         assert (

@@ -260,7 +260,8 @@ class TestTinyGateDidNotMove:
     def test_pinned_verdicts_and_no_new_claim_fails(self):
         from repro.validation import evaluate_figure, run_validation_grid
 
-        outcome = run_validation_grid("tiny", Executor(jobs=1, cache=False))
+        # Two workers: TestExecutorDeterminism pins serial == parallel.
+        outcome = run_validation_grid("tiny", Executor(jobs=2, cache=False))
         assert not outcome.failures
         verdicts = {
             verdict.name: verdict
