@@ -54,11 +54,13 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import settings
+from ..telemetry.runtime import get_active, set_active
 from ..telemetry.spans import maybe_span
 from .faults import RunFailure, is_failure, maybe_inject_fault
 from .specs import Cell, RunSpec, resolve_workload
@@ -92,9 +94,15 @@ v2: entries carry a sha256 checksum footer (corruption detection)."""
 
 def _code_tag() -> str:
     """Code-relevant version tag mixed into every cache key."""
-    from .. import __version__
+    return _tag_for(CACHE_SCHEMA_VERSION)
 
-    return f"{__version__}/schema{CACHE_SCHEMA_VERSION}"
+
+@lru_cache(maxsize=None)
+def _tag_for(schema: int) -> str:
+    """The tag under one schema version, built once per process."""
+    from .. import __version__  # deferred: the package imports this module
+
+    return f"{__version__}/schema{schema}"
 
 
 def default_cache_dir(explicit: Optional[str] = None) -> Path:
@@ -218,8 +226,6 @@ def _guarded_execute(
     worker process (which inherits none) so its span subtree can be
     serialized into the payload and stitched into the parent's tree.
     """
-    from ..telemetry.runtime import get_active, set_active
-
     if backoff_delay > 0:
         time.sleep(backoff_delay)
     local_telemetry = None
@@ -310,6 +316,9 @@ class ResultCache:
     def __init__(self, directory: Optional[Path] = None) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
         self.corrupt_quarantined = 0
+        # Entry paths are this prefix + key + ".pkl": a string join per
+        # probe, no ``Path`` per spec.
+        self._prefix = os.path.join(self.directory, "")
 
     def key(self, spec: RunSpec) -> str:
         """``stable_hash({"spec": spec.to_dict(), "code": _code_tag()})``,
@@ -317,20 +326,30 @@ class ResultCache:
         return spec.cache_key(_code_tag())
 
     def path(self, spec: RunSpec) -> Path:
-        return self.directory / f"{self.key(spec)}.pkl"
+        return Path(self._file(spec))
+
+    def _file(self, spec: RunSpec) -> str:
+        """The entry's path as the string every probe and read opens."""
+        return f"{self._prefix}{self.key(spec)}.pkl"
 
     def has(self, spec: RunSpec) -> bool:
-        """Whether an entry file for ``spec`` is present: one ``stat``, no
-        read.  This is what ``--dry-run`` prints as "hit" and what lets a
-        campaign cell ride along in a replay shard
-        (:meth:`Executor.cached`).  It promises nothing about the bytes: a
-        corrupt entry is present until a :meth:`load` quarantines it."""
-        return self.path(spec).exists()
+        """Whether an entry file for ``spec`` is present: one ``os.stat``
+        of a string path, no read, no ``Path`` built.  This is what
+        ``--dry-run`` prints as "hit" and what lets a campaign cell ride
+        along in a replay shard (:meth:`Executor.cached`).  It promises
+        nothing about the bytes: a corrupt entry is present until a
+        :meth:`load` quarantines it."""
+        try:
+            os.stat(self._file(spec))
+        except (FileNotFoundError, NotADirectoryError):
+            return False
+        return True
 
     def load(self, spec: RunSpec) -> Tuple[bool, Optional[Any]]:
         """``(hit, result)`` -- presence-tagged so a legitimately-``None``
-        cached result replays instead of registering as a miss."""
-        path = self.path(spec)
+        cached result replays instead of registering as a miss.  One
+        ``open`` of the string path; a missing entry is a miss."""
+        path = self._file(spec)
         try:
             with open(path, "rb") as handle:
                 blob = handle.read()
@@ -348,7 +367,7 @@ class ResultCache:
             return False, None  # hash collision
         return True, entry.get("result")
 
-    def _verified_payload(self, path: Path, blob: bytes) -> Optional[bytes]:
+    def _verified_payload(self, path: str, blob: bytes) -> Optional[bytes]:
         """The pickle payload if the checksum footer verifies, else None
         after quarantining the corrupt entry."""
         if len(blob) > _FOOTER_LEN:
@@ -361,29 +380,28 @@ class ResultCache:
         self._quarantine(path)
         return None
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: str) -> None:
         """Move a corrupt entry aside (never silently re-readable) and
         count it."""
         self.corrupt_quarantined += 1
         try:
-            os.replace(path, path.with_name(path.name + CORRUPT_SUFFIX))
+            os.replace(path, path + CORRUPT_SUFFIX)
         except OSError:
             pass  # a racing quarantine/gc won; the count still stands
+        name = os.path.basename(path)
         warnings.warn(
-            f"cache entry {path.name} failed its checksum and was "
-            f"quarantined to {path.name}{CORRUPT_SUFFIX}",
+            f"cache entry {name} failed its checksum and was "
+            f"quarantined to {name}{CORRUPT_SUFFIX}",
             stacklevel=3,
         )
-        from ..telemetry.runtime import get_active
-
         telemetry = get_active()
         if telemetry is not None:
-            telemetry.on_cache_corrupt(path.name)
+            telemetry.on_cache_corrupt(name)
 
     def store(self, spec: RunSpec, result: Any) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         entry = {"spec": spec.to_dict(), "code": _code_tag(), "result": result}
-        path = self.path(spec)  # the one key hash of a store
+        path = self._file(spec)  # the one key hash of a store
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
@@ -678,8 +696,6 @@ class Executor:
         """
         specs = list(specs)
         self.stats.submitted += len(specs)
-        from ..telemetry.runtime import get_active
-
         telemetry = get_active()
         self._spans_requested = (
             telemetry is not None and getattr(telemetry, "spans", None) is not None
@@ -953,8 +969,6 @@ class Executor:
                 max_rss_kb=obs.get("max_rss_kb") if obs else None,
             )
         if obs and obs.get("spans"):
-            from ..telemetry.runtime import get_active
-
             telemetry = get_active()
             tracer = getattr(telemetry, "spans", None) if telemetry else None
             if tracer is not None:
@@ -973,8 +987,6 @@ class Executor:
             )
         if self.progress is not None:
             self.progress.cell_done("failed")
-        from ..telemetry.runtime import get_active
-
         telemetry = get_active()
         if telemetry is not None:
             telemetry.on_run_failure(failure)
@@ -1002,8 +1014,6 @@ class Executor:
         """Attach a settled result's manifest to the active telemetry.  The
         one registration point, so an in-process, worker or cache result
         is listed exactly once."""
-        from ..telemetry.runtime import get_active
-
         manifest = getattr(result, "manifest", None)
         if manifest is None:
             return

@@ -85,10 +85,15 @@ def _freeze_params(params: Dict[str, Any]) -> Params:
     return tuple(sorted((k, _freeze_value(v)) for k, v in params.items()))
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
     """The one canonical JSON encoding: what spec identities hash and what
-    a store, sidecar or ledger line is."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    a store, sidecar or ledger line is.  ``json.dumps`` with these
+    arguments builds this same encoder on every call; one shared encoder
+    writes the same bytes without that cost."""
+    return _CANONICAL.encode(payload)
 
 
 def stable_hash(payload: Any) -> str:
@@ -267,7 +272,20 @@ class RunSpec:
     # ---------------------------------------------------------- identity
 
     def with_seed(self, seed: int) -> "RunSpec":
-        return replace(self, seed=seed)
+        return self._sibling(seed, None)
+
+    def _sibling(self, seed: int, family: "Optional[_SeedFamily]") -> "RunSpec":
+        """This spec at another seed, built without ``replace``: only the
+        seed changes, so there is nothing for ``__post_init__`` to check.
+        ``family`` is what the new spec's identity is spliced from (its
+        memo slot, until the identity is computed)."""
+        twin = object.__new__(type(self))
+        state = twin.__dict__
+        state.update(self.__dict__)
+        state["seed"] = seed
+        if family is not None or "_memo" in state:
+            state["_memo"] = family
+        return twin
 
     @property
     def fidelity(self) -> str:
@@ -351,18 +369,22 @@ class RunSpec:
 
         The memo holds the tag and two 64-char digests, never the JSON --
         keeping that costs a 1000-cell replay +10 % peak RSS (DESIGN §7).
-        It lands in the instance ``__dict__``, outside the dataclass
-        fields, so ``==``, ``hash()``, ``to_dict()`` and ``replace()`` never
-        see it: every derived spec is a fresh object that hashes itself."""
+        Until then the slot may hold the :class:`_SeedFamily` of
+        :func:`seed_specs`, which splices this spec's bytes out of a
+        sibling's.  It lands in the instance ``__dict__``, outside the
+        dataclass fields, so ``==``, ``hash()``, ``to_dict()`` and
+        ``replace()`` never see it: every derived spec is a fresh object
+        that hashes itself."""
         memo = self.__dict__.get("_memo")
-        if memo is not None and (code_tag is None or memo[0] == code_tag):
+        if memo.__class__ is tuple and (code_tag is None or memo[0] == code_tag):
             return memo
         if code_tag is None:
-            from .executor import _code_tag  # deferred: executor imports this module
-
-            code_tag = _code_tag()
+            code_tag = _executor()._code_tag()
         code_tag, prefix = _key_prefix(code_tag)
-        canon = self._canonical()
+        if memo.__class__ is _SeedFamily:
+            canon = memo.canonical(self)
+        else:
+            canon = self._canonical()
         memo = (
             code_tag,
             hashlib.sha256(canon).hexdigest(),
@@ -372,7 +394,8 @@ class RunSpec:
         return memo
 
     def _canonical(self) -> bytes:
-        """The one place a spec is serialised for hashing."""
+        """The one place a spec is serialised for hashing: once per spec,
+        or once per :func:`seed_specs` family."""
         return canonical_json(self.to_dict()).encode("utf-8")
 
     def __getstate__(self) -> dict:
@@ -395,11 +418,77 @@ class RunSpec:
         )
 
 
+def _executor():
+    """The executor module, imported on first use (it imports this one);
+    its ``_code_tag`` is looked up per call, so a patched tag is seen."""
+    global _EXECUTOR
+    if _EXECUTOR is None:
+        from . import executor as module
+
+        _EXECUTOR = module
+    return _EXECUTOR
+
+
+_EXECUTOR = None
+
+_SEED_KEY = b'"seed":'
+
+
+class _SeedFamily:
+    """What the specs of one :func:`seed_specs` expansion share: their
+    canonical JSON differs only in the top-level ``seed``, so the first
+    member asked serialises itself and every other member's bytes are
+    ``head + decimal seed + tail`` -- the same bytes ``json.dumps`` writes
+    for an ``int``.
+
+    The split is taken only where it is unambiguous: ``"seed":`` occurs
+    once in the bytes (inside a JSON string every quote is escaped, so
+    only a key can spell it, and a nested ``seed`` key makes a second
+    occurrence) followed by that member's digits and a comma.  Otherwise,
+    and for any seed that is not exactly an ``int``, a member serialises
+    itself.  The family is dropped by each member as its identity is
+    memoised, so the bytes live only while a cell is being hashed."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self) -> None:
+        self.parts: Optional[Tuple[bytes, ...]] = None  # () when unsplittable
+
+    def canonical(self, spec: RunSpec) -> bytes:
+        seed = spec.seed
+        if seed.__class__ is not int:
+            return spec._canonical()
+        parts = self.parts
+        if parts is None:
+            canon = spec._canonical()
+            self.parts = _split_at_seed(canon, seed)
+            return canon
+        if not parts:
+            return spec._canonical()
+        return parts[0] + b"%d" % seed + parts[1]
+
+
+def _split_at_seed(canon: bytes, seed: int) -> Tuple[bytes, ...]:
+    """``(head, tail)`` around ``seed``'s digits in ``canon``, or ``()``."""
+    digits = b"%d" % seed
+    at = canon.find(_SEED_KEY)
+    start = at + len(_SEED_KEY)
+    end = start + len(digits)
+    if (at < 0 or canon.find(_SEED_KEY, start) >= 0
+            or canon[start:end] != digits or canon[end:end + 1] != b","):
+        return ()
+    return canon[:start], canon[end:]
+
+
 def seed_specs(spec: RunSpec, n_seeds: int) -> List[RunSpec]:
-    """The pooled-seed expansion of one cell: seed, seed+1, ..."""
+    """The pooled-seed expansion of one cell: seed, seed+1, ...  The specs
+    form one :class:`_SeedFamily`, so hashing them costs one
+    serialisation."""
     if n_seeds <= 0:
         raise ValueError("n_seeds must be positive")
-    return [spec.with_seed(spec.seed + offset) for offset in range(n_seeds)]
+    family = _SeedFamily()
+    return [spec._sibling(spec.seed + offset, family)
+            for offset in range(n_seeds)]
 
 
 @dataclass(frozen=True)

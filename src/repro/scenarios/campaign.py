@@ -33,6 +33,7 @@ so it never creates a lock or a lease file.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import warnings
@@ -195,12 +196,19 @@ class JsonlTail:
     :meth:`changed` compares that identity with one ``stat``.  Neither sees
     an in-place rewrite that keeps inode, length, timestamp and guard:
     writers append or atomically replace, they never edit.
+
+    After each fold, :attr:`grew` says whether its result can differ from
+    the previous fold's (it rewound, consumed a line, or its unsettled tail
+    changed) and :attr:`foreign` whether it read anything this instance did
+    not :meth:`append` itself since then.
     """
 
     GUARD = 64
 
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
+        self.grew = self.foreign = True
+        self._tail: Optional[bytes] = None  # the last fold's unsettled line
         self._forget()
 
     def _forget(self) -> None:
@@ -208,6 +216,10 @@ class JsonlTail:
         self._offset = 0
         self._guard = b""
         self._lines = 0  # physical lines consumed, for line numbers
+        # Where this instance's own appends since ``_offset`` end; None
+        # once another writer's bytes (or a torn line they ended) are
+        # among them.
+        self._own_end: Optional[int] = 0
 
     def changed(self) -> bool:
         """Whether the file may differ from what the last :meth:`fold`
@@ -227,15 +239,20 @@ class JsonlTail:
         try:
             handle = open(self.path, "rb")
         except FileNotFoundError:
+            self.grew = self.foreign = self._seen != ()
             self._forget()
-            self._seen, self._state = (), start()
+            self._seen, self._state, self._tail = (), start(), None
             return copy(self._state)
-        unsettled = None
+        unsettled = tail = None
         with handle:
             seen = _identity(os.fstat(handle.fileno()))
-            if not (self._seen and self._seen[:2] == seen[:2]
-                    and seen[2] >= self._offset
-                    and self._read_guard(handle) == self._guard):
+            # A file that was missing last time is read on from offset 0
+            # of the empty state that stood for it.
+            rewound = not (self._seen == () or (
+                self._seen and self._seen[:2] == seen[:2]
+                and seen[2] >= self._offset
+                and self._read_guard(handle) == self._guard))
+            if rewound:
                 self._forget()
                 self._state = start()
             self._seen, offset, lines = seen, self._offset, self._lines
@@ -246,6 +263,8 @@ class JsonlTail:
                     if settled:
                         offset += len(raw)
                         lines += 1
+                    else:
+                        tail = raw
                     if raw.isspace():
                         continue
                     try:
@@ -261,7 +280,11 @@ class JsonlTail:
             except BaseException:
                 self._forget()
                 raise
-            self._offset, self._lines = offset, lines
+            self.grew = rewound or offset != self._offset or tail != self._tail
+            self.foreign = (rewound or tail is not None
+                            or offset != self._own_end)
+            self._offset, self._lines, self._tail = offset, lines, tail
+            self._own_end = offset
             self._guard = self._read_guard(handle)
         state = copy(self._state)
         if unsettled is not None:
@@ -288,14 +311,19 @@ class JsonlTail:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+b") as handle:
-            if handle.seek(0, os.SEEK_END):
+            start = handle.seek(0, os.SEEK_END)
+            healed = False
+            if start:
                 handle.seek(-1, os.SEEK_END)
                 if handle.read(1) != b"\n":
-                    text = "\n" + text
-            handle.write(text.encode("utf-8"))
+                    text, healed = "\n" + text, True
+            data = text.encode("utf-8")
+            handle.write(data)
             if durable:
                 handle.flush()
                 os.fsync(handle.fileno())
+        own = not healed and start == self._own_end
+        self._own_end = start + len(data) if own else None
 
     def rewrite(self, lines: Iterable[str]) -> None:
         """Atomically and durably replace the file, one line per item."""
@@ -379,6 +407,17 @@ class CampaignStore:
         index, self.load_stats = self.log.fold(
             self._fresh, self._fold_line,
             lambda state: (dict(state[0]), replace(state[1])))
+        return index
+
+    def reload(self) -> Optional[Dict[RecordKey, CellRecord]]:
+        """:meth:`load`, or ``None`` when every line read since the last
+        load or reload was appended through this store -- records its
+        writer already holds, so neither a copy of the index nor a walk
+        over it can tell the writer anything new."""
+        index, self.load_stats = self.log.fold(
+            self._fresh, self._fold_line,
+            lambda state: (dict(state[0]) if self.log.foreign else None,
+                           replace(state[1])))
         return index
 
     def _fresh(self) -> Tuple[Dict[RecordKey, CellRecord], StoreLoadStats]:
@@ -530,7 +569,8 @@ no caller needs another value."""
 
 
 def _shards(
-    pending: Iterable[PendingCell], executor: Executor
+    pending: Iterable[PendingCell], executor: Executor,
+    carry: Optional[Dict[RecordKey, bool]] = None,
 ) -> Iterator[List[PendingCell]]:
     """Cut ``pending`` into shards, in order, by the work a kill would
     forfeit rather than by a cell count.
@@ -544,17 +584,29 @@ def _shards(
     cell needs simulating and the shards are ``pending`` in slices of
     ``jobs x 4``.
 
-    Cells are probed as their shard is built, just before it runs; a probe
-    that goes stale only means the cell simulates inside a larger shard.
+    Cells are probed as their shard is built, just before it runs: one
+    ``stat`` per cached spec (:meth:`ResultCache.has`), never a read.  A
+    probe that goes stale only means the cell simulates inside a larger
+    shard.  The cached cell that closes a shard opens the next one, so a
+    caller that takes one shard per call passes the same ``carry`` dict
+    each time and that cell is not probed twice.
     """
+    if carry is None:
+        carry = {}
+    known = dict(carry)  # the cell the previous call stopped at, if any
+    carry.clear()
     at_risk_limit = max(1, executor.jobs) * 4
     shard: List[PendingCell] = []
     at_risk = n_specs = 0
     for item in pending:
         specs = item[1].specs
-        rides_along = all(executor.cached(spec) for spec in specs)
+        rides_along = known.pop(item[2], None)
+        if rides_along is None:
+            rides_along = all(executor.cached(spec) for spec in specs)
         if rides_along and shard and n_specs + len(specs) > REPLAY_SHARD_SPECS:
+            carry[item[2]] = True  # probed: a caller stopping here keeps it
             yield shard
+            carry.clear()
             shard, at_risk, n_specs = [], 0, 0
         shard.append(item)
         n_specs += len(specs)
@@ -613,7 +665,7 @@ class _EveryCellIsMine:
     releases anything."""
 
     def partition(self, pending, worker, limit=None):
-        return pending[:limit], []
+        return itertools.islice(pending, limit), []
 
     def claim(self, keys, worker):
         pass
@@ -639,8 +691,11 @@ def _run(
     the one ``store`` and ``board`` read only what was appended since the
     last round), accounts newly-ok cells as skipped, polls the shutdown
     latch, and claims one shard of the cells ``board`` lets this process
-    take.  The loop stops when nothing is claimable -- the campaign is
-    done, ``max_cells`` is spent, the latch fired, or every remaining cell
+    take.  The walk over the remaining cells happens in the first round
+    and after any round whose load read a line this process did not append
+    (:meth:`CampaignStore.reload`); a lone writer's own shards never
+    trigger one, so its rounds cost their shard, not the campaign.  The
+    loop stops when nothing is claimable -- the campaign is done, ``max_cells`` is spent, the latch fired, or every remaining cell
     is leased to a live worker (rerun later to pick up whatever they drop).
     """
     from .. import __version__
@@ -652,30 +707,30 @@ def _run(
     }
     budget = max_cells
     first_round = True
+    carry: Dict[RecordKey, bool] = {}  # see _shards
     while True:
         with lock:
-            index = store.load()
+            index = store.load() if first_round else store.reload()
             skipped: List[Tuple[str, str]] = []
-            for key, (comp, cell, _) in list(remaining.items()):
-                record = index.get(key)
-                if record is not None and record.status == "ok":
-                    del remaining[key]
-                    result.records.append(record)
-                    result.skipped_cells += 1
-                    skipped.append((comp.scenario.name, cell.key))
+            if index is not None:  # None: nothing but this writer's lines
+                for key, (comp, cell, _) in list(remaining.items()):
+                    record = index.get(key)
+                    if record is not None and record.status == "ok":
+                        del remaining[key]
+                        result.records.append(record)
+                        result.skipped_cells += 1
+                        skipped.append((comp.scenario.name, cell.key))
             if shutdown is not None and shutdown.requested:
                 # Records the interruption so the CLI can exit 128 + signum.
                 result.interrupted = True
                 result.interrupt_signum = shutdown.signum
                 free, stale = [], []
             else:
-                free, stale = board.partition(
-                    list(remaining), worker, limit=budget
-                )
+                free, stale = board.partition(remaining, worker, limit=budget)
             # The shard is cut from the cells this process may claim, not
             # from what remains: the rule counts the work at risk here.
             shard = next(
-                _shards((remaining[key] for key in free), executor), []
+                _shards((remaining[key] for key in free), executor, carry), []
             )
             claimed = [key for _, _, key in shard]
             taken = set(claimed)
@@ -683,8 +738,9 @@ def _run(
             board.claim(claimed, worker)
         if progress is not None:
             if first_round:
-                progress.add_total(len(skipped)
-                                   + len(list(remaining)[:budget]))
+                progress.add_total(len(skipped) + (
+                    len(remaining) if budget is None
+                    else min(budget, len(remaining))))
             for _ in skipped:
                 progress.cell_done("skipped")
         for name, cell_key in skipped:

@@ -257,7 +257,7 @@ class LeaseBoard:
 
     def partition(
         self,
-        pending: Sequence[RecordKey],
+        pending: Iterable[RecordKey],
         worker: str,
         limit: Optional[int] = None,
         now: Optional[float] = None,
@@ -424,7 +424,7 @@ class MergeResult:
         return line
 
 
-def _record_content(record: CellRecord) -> dict:
+def _record_content(record: CellRecord) -> tuple:
     """The comparable payload of a record: everything except provenance
     (git sha / package version legitimately differ across workers that
     ran the same code state on different checkouts of the same commit --
@@ -432,12 +432,12 @@ def _record_content(record: CellRecord) -> dict:
     excluded: it is denormalized from the spec tokens (which embed the
     fidelity-bearing spec hash), so a legacy record written before the
     field existed and a fresh one for the same tokens are the same cell.
+    The fields themselves, not a serialisation or a ``to_dict``: equal
+    exactly when the two records' dicts minus those keys are.
     """
-    data = record.to_dict()
-    data.pop("git_sha", None)
-    data.pop("version", None)
-    data.pop("fidelity", None)
-    return data
+    return (record.scenario, record.scenario_hash, record.cell_key,
+            record.component, record.tokens, record.status, record.metrics,
+            record.failures)
 
 
 def canonical_sort_key(record: CellRecord):
@@ -457,8 +457,11 @@ def merge_stores(
     candidate; any ``ok`` candidate beats every non-ok one (latest-ok-
     wins); multiple ``ok`` candidates must agree on content (provenance
     fields aside) or the merge raises :class:`MergeConflictError`; with
-    no ``ok`` candidate, the last input's record wins.  The output is
-    written atomically in canonical sorted order, which makes the merge
+    no ``ok`` candidate, the last input's record wins.  Candidates are
+    compared field by field (:func:`_record_content`), never by their
+    serialised lines: a record read from a store has not serialised its
+    line, and doing so costs more than the comparison it would spare.
+    The output is written atomically in canonical sorted order, which makes the merge
     idempotent: ``merge(merge(A, B), B) == merge(A, B)`` byte-for-byte.
 
     ``output`` may be one of the inputs (everything is read before the

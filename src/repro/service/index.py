@@ -10,7 +10,10 @@ file, no reads, the identity the log's reader resumes by).
 Appends by concurrent ``--shared`` writers change it, so fresh cells
 become visible on the next request without restarting the daemon, and
 that load parses and serialises only the appended lines; a replaced or
-shrunken file is parsed again in full.
+shrunken file is parsed again in full.  A change that leaves both folds
+with nothing new (a ``touch``, a rename in place) keeps the entry: no
+re-sort, no re-fingerprint, no load counted
+(:attr:`~repro.scenarios.campaign.JsonlTail.grew`).
 
 The ``service_store_loads_total`` counter increments only on an actual
 load, which is how tests assert that warm queries do zero store reads.
@@ -108,13 +111,17 @@ class StoreIndex:
             # A writer appending during the load leaves the store changed
             # since the identity the load began from, so the next request
             # loads again -- never stale forever.
-            records = sorted(store.load().values(), key=canonical_sort_key)
+            index = store.load()
+            resources = store.load_resources()
+            if entry is not None and not any(log.grew for log in logs):
+                return entry  # touched or renamed in place: no new line
+            records = sorted(index.values(), key=canonical_sort_key)
             fingerprint = fingerprint_records(records)
             entry = StoreEntry(
                 name=name,
                 path=path,
                 records=records,
-                resources=store.load_resources(),
+                resources=resources,
                 fingerprint=fingerprint,
                 etag_seed=hashlib.sha256(fingerprint).hexdigest(),
                 torn_lines=store.load_stats.torn_lines,

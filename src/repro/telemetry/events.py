@@ -37,6 +37,10 @@ CATEGORIES: tuple = (
 )
 """Every category the built-in instrumentation emits."""
 
+_LINE = json.JSONEncoder(sort_keys=True)
+"""What ``json.dumps(..., sort_keys=True)`` builds per call, built once: an
+export writes one line per event."""
+
 
 class TraceEvent:
     """One structured trace record."""
@@ -118,9 +122,10 @@ class FlightRecorder:
     def export_jsonl(self, path: str) -> int:
         """Write the ring to ``path`` as one JSON object per line; returns
         the number of events written."""
+        encode = _LINE.encode
         with open(path, "w", encoding="utf-8") as handle:
             for event in self._ring:
-                handle.write(json.dumps(event.to_dict(), sort_keys=True))
+                handle.write(encode(event.to_dict()))
                 handle.write("\n")
         return len(self._ring)
 

@@ -19,7 +19,9 @@ pinned by an open handle (tmpfs hands a freed number to the very next file).
 
 import json
 import os
+import pathlib
 import shutil
+import sys
 import tempfile
 import warnings
 from collections import Counter
@@ -318,13 +320,13 @@ class TestCostIsLinear:
 
     N_CELLS, N_SEEDS = 200, 2
 
-    def grid(self):
-        loads = [round(0.1 + 0.004 * n, 3) for n in range(self.N_CELLS)]
+    def grid(self, n_cells=N_CELLS):
+        loads = [round(0.1 + 0.004 * n, 3) for n in range(n_cells)]
         data = tiny_scenario(loads=loads).to_dict()
         data["run"]["n_seeds"] = self.N_SEEDS
         scenario = Scenario.from_dict(data)
         specs = compile_scenario(scenario).specs()
-        assert len(specs) == self.N_CELLS * self.N_SEEDS
+        assert len(specs) == n_cells * self.N_SEEDS
         return scenario, specs
 
     def test_warm_replay_hashes_and_parses_each_thing_a_bounded_number_of_times(
@@ -381,6 +383,112 @@ class TestCostIsLinear:
         assert shared["lease_rows"] <= 2 * (2 * self.N_CELLS), shared
         assert store_fingerprint(tmp_path / "shared.jsonl") == (
             store_fingerprint(tmp_path / "single.jsonl"))
+
+    def test_a_warm_pass_serialises_each_cell_once_and_opens_each_entry_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Per warm single-writer pass: one serialisation per cell (its
+        seeds are spliced) plus the scenario hash; per cached spec one
+        ``stat`` (the shard probe) and one ``open`` (the load) of its entry
+        file; and no ``pathlib`` call from the executor module, i.e. no
+        ``Path`` built per spec."""
+        scenario, specs = self.grid()
+        cache = ResultCache(tmp_path / "cache")
+        result = executor_module.execute_spec(specs[0])
+        for spec in specs:
+            cache.store(spec, result)
+        entries = os.path.join(cache.directory, "")
+
+        counts = Counter()
+        counting(monkeypatch, RunSpec, "_canonical", counts, "serialisations")
+        counting(monkeypatch, Scenario, "content_hash", counts,
+                 "serialisations")
+        touched = Counter()
+        real_stat, real_open = os.stat, open
+
+        def stat(path, *args, **kwargs):
+            if os.fspath(path).startswith(entries):
+                touched["stat", os.fspath(path)] += 1
+            return real_stat(path, *args, **kwargs)
+
+        def opened(path, *args, **kwargs):
+            if os.fspath(path).startswith(entries):
+                touched["open", os.fspath(path)] += 1
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", stat)
+        monkeypatch.setattr(executor_module, "open", opened, raising=False)
+        executor = Executor(jobs=1, cache=True, cache_dir=cache.directory)
+        pathlib_calls = []
+        pathlib_file = pathlib.__file__
+        executor_file = executor_module.__file__
+
+        def profile(frame, event, arg):
+            if (event == "call" and frame.f_code.co_filename == pathlib_file
+                    and frame.f_back is not None
+                    and frame.f_back.f_code.co_filename == executor_file):
+                pathlib_calls.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            replay = run_campaign([scenario], tmp_path / "s.jsonl", executor)
+        finally:
+            sys.setprofile(None)
+        assert executor.stats.cache_hits == len(specs)
+        assert replay.executed_cells == self.N_CELLS
+        assert counts["serialisations"] == self.N_CELLS + 1
+        paths = {cache.path(spec).as_posix() for spec in specs}
+        assert len(paths) == len(specs)
+        assert touched == Counter({(kind, path): 1 for path in paths
+                                   for kind in ("stat", "open")})
+        assert pathlib_calls == []
+
+    def test_a_lone_writers_rounds_cost_their_shard(
+        self, tmp_path, monkeypatch
+    ):
+        """Cold, cache off: one round per ``jobs x 4`` cells.  The walk
+        over the remaining cells runs in the first round only -- later
+        rounds read back nothing but this writer's own appends -- so the
+        index lookups and the records handed out grow with the grid, not
+        with grid x rounds (which is quadratic)."""
+        counts = Counter()
+
+        class CountingIndex(dict):
+            def get(self, key, default=None):
+                counts["lookups"] += 1
+                return super().get(key, default)
+
+        for name in ("load", "reload"):
+            real = getattr(CampaignStore, name)
+
+            def counted(store, real=real):
+                index = real(store)
+                if index is None:
+                    return None
+                counts["handed_out"] += len(index)
+                return CountingIndex(index)
+
+            monkeypatch.setattr(CampaignStore, name, counted)
+        rounds = []
+        real_append = CampaignStore.append
+        monkeypatch.setattr(
+            CampaignStore, "append",
+            lambda store, records: (rounds.append(len(records)),
+                                    real_append(store, records)))
+        seen = {}
+        for n_cells in (40, 80):
+            scenario, specs = self.grid(n_cells)
+            result = executor_module.execute_spec(specs[0])
+            monkeypatch.setattr(executor_module, "execute_spec",
+                                lambda spec, attempt=0, result=result: result)
+            counts.clear()
+            rounds.clear()
+            run_campaign([scenario], tmp_path / f"{n_cells}.jsonl",
+                         Executor(jobs=1, cache=False))
+            assert rounds == [4] * (n_cells // 4)
+            seen[n_cells] = dict(counts)
+        assert seen[40] == {"lookups": 40, "handed_out": 0}
+        assert seen[80] == {"lookups": 80, "handed_out": 0}
 
     def test_without_a_cache_the_appends_are_the_jobs_x_4_slices(
         self, tmp_path, monkeypatch

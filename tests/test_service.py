@@ -95,6 +95,40 @@ class TestStoreIndex:
         assert index.store_loads == 2
         assert len(entry.resources) == 1
 
+    def test_a_touch_keeps_the_entry(self, tmp_path):
+        """A new timestamp (or a sidecar's) with no new line is no new
+        content: the same entry object, no load counted, no re-sort."""
+        store = make_store(tmp_path / "a.jsonl",
+                           [record(token="t2"), record(token="t1")])
+        store.append_resources([{"scenario": "fig10", "cell_key": "k"}])
+        index = StoreIndex(tmp_path)
+        entry = index.get("a")
+        for path in (store.path, store.resources_path):
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+            assert index.get("a") is entry
+        assert index.store_loads == 1
+        store.append([record(token="t3")])  # a new line still reloads
+        assert len(index.get("a").records) == 3
+        assert index.store_loads == 2
+
+    def test_a_changed_unsettled_tail_reloads(self, tmp_path):
+        """No settled line was added, but the half-written last line the
+        entry was built with grew: that is new content."""
+        store = make_store(tmp_path / "a.jsonl", [record(token="t1")])
+        line = record(token="t2").line.encode()
+        with open(store.path, "ab") as handle:
+            handle.write(line[:10])
+        index = StoreIndex(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert index.get("a").torn_lines == 1
+            with open(store.path, "ab") as handle:
+                handle.write(line[10:])  # complete, still no newline
+            entry = index.get("a")
+        assert index.store_loads == 2
+        assert (entry.torn_lines, len(entry.records)) == (0, 2)
+
     def test_same_size_replace_that_keeps_the_mtime_reloads(self, tmp_path):
         """An updated store copied over the served one with its timestamp
         kept (``rsync -a``, ``cp -p``): same size, same ``mtime_ns``, a new

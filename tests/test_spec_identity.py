@@ -26,7 +26,15 @@ from repro.experiments.executor import (
     Executor,
     ResultCache,
 )
-from repro.experiments.specs import AqmSpec, Cell, RunSpec, stable_hash
+from repro.experiments import specs as specs_module
+from repro.experiments.specs import (
+    AqmSpec,
+    Cell,
+    RunSpec,
+    canonical_json,
+    seed_specs,
+    stable_hash,
+)
 from repro.scenarios import compile_scenario, run_campaign
 
 from test_scenarios_campaign import tiny_scenario
@@ -246,6 +254,126 @@ class TestIdentityIsTheSameBytes:
             if other_tag != tag:
                 self.check(spec, other_tag, key_first)
             assert spec.spec_hash() == stable_hash(spec.to_dict())
+
+
+# Keys that spell ``"seed":`` a second time in a spec's JSON: a splice must
+# then give way to a full serialisation per member.
+SEEDISH_KEYS = st.sampled_from(["seed", 'a"seed', '"seed', "seeds", "x"])
+LABELS = st.one_of(AWKWARD_TEXT, st.sampled_from(
+    ['"seed":5,', "seed", 'ECN# "q" é→𝄞', ',"seed":1,"transport":{}']))
+
+
+@st.composite
+def family_bases(draw):
+    """The spec a cell expands over its seeds, of all four rig kinds (and
+    a free-form one whose nested keys may be ``seed``), at either
+    fidelity, with ``transport`` / ``extras`` and awkward labels, at seeds
+    up to 2**63."""
+    aqm = AqmSpec.make("ecn-sharp", **draw(st.dictionaries(
+        st.sampled_from(["ins_target", "pst_interval"]),
+        st.floats(1e-6, 1e-2), max_size=2)))
+    seed = draw(st.integers(0, 2**63))
+    label = draw(LABELS)
+    kind = draw(st.sampled_from(
+        ["star", "leafspine", "microscopic", "scheduler", "free"]))
+    if kind == "free":
+        params = st.dictionaries(SEEDISH_KEYS, PARAM_VALUES, max_size=3)
+        return RunSpec(
+            kind="free", aqm=AqmSpec.make("codel", **draw(st.dictionaries(
+                SEEDISH_KEYS, st.floats(0, 1), max_size=2))),
+            seed=seed, label=label,
+            transport=tuple(sorted(draw(params).items())),
+            extras=tuple(sorted(draw(params).items())))
+    if kind == "scheduler":
+        return RunSpec.scheduler(aqm, seed, label,
+                                 phase=draw(st.sampled_from(["a", "b"])),
+                                 probe_load=draw(st.floats(0.1, 0.9)))
+    if kind == "microscopic":
+        spec = RunSpec.microscopic(aqm, seed, label,
+                                   fanout=draw(st.integers(1, 500)),
+                                   jitter=draw(st.floats(0, 1)))
+    else:
+        builder = RunSpec.star if kind == "star" else RunSpec.leafspine
+        extras = {} if kind == "star" else {"dims": (4, 4, 4)}
+        spec = builder(
+            aqm, "web-search", draw(st.floats(0.01, 0.99)),
+            draw(st.integers(1, 10**6)), seed, label=label,
+            transport=draw(st.dictionaries(
+                st.sampled_from(["init_cwnd", "min_rto", "seed"]),
+                st.floats(1, 100), max_size=2)),
+            variation=draw(st.one_of(st.none(), st.floats(1, 10))), **extras)
+    return spec.with_fidelity(draw(st.sampled_from(["packet", "fluid"])))
+
+
+class TestSeedFamiliesSplice:
+    """A cell's seeds share one serialisation: each member's bytes, token
+    digest and cache key are what a full ``json.dumps`` of that member
+    gives, in whatever order the members are asked."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=family_bases(), n=st.integers(1, 5), rng=st.randoms(),
+           tag=AWKWARD_TEXT, key_first=st.booleans())
+    def test_spliced_identity_is_the_full_dumps_identity(
+        self, spec, n, rng, tag, key_first
+    ):
+        family = seed_specs(spec, n)
+        full = [canonical_json(member.to_dict()).encode("utf-8")
+                for member in family]
+        twins = [replace(spec, seed=member.seed) for member in family]
+        assert family == twins
+        assert [pickle.dumps(member) for member in family] == [
+            pickle.dumps(twin) for twin in twins]
+        order = list(range(n))
+        rng.shuffle(order)
+
+        spliced = seed_specs(spec, n)
+        shared = spliced[0].__dict__["_memo"]
+        assert isinstance(shared, specs_module._SeedFamily)
+        assert all(member.__dict__["_memo"] is shared for member in spliced)
+        for i in order:
+            assert shared.canonical(spliced[i]) == full[i]
+
+        cache = ResultCache("unused")
+        with mock.patch.object(executor_module, "_code_tag", lambda: tag), \
+                mock.patch.object(RunSpec, "_canonical", autospec=True,
+                                  side_effect=RunSpec._canonical) as dumps:
+            for i in order:
+                member = family[i]
+                key = stable_hash({"spec": member.to_dict(), "code": tag})
+                if key_first:
+                    assert cache.key(member) == key
+                assert member.spec_hash() == stable_hash(member.to_dict())
+                assert member.token() == parent_token(member)
+                assert cache.key(member) == key
+                assert cache.path(member).name == f"{key}.pkl"
+        once = full[0].count(b'"seed":') == 1
+        assert dumps.call_count == (1 if once else n)
+        # memoised members no longer hold their family
+        assert all(type(member.__dict__["_memo"]) is tuple
+                   for member in family)
+        assert [pickle.dumps(member) for member in family] == [
+            pickle.dumps(twin) for twin in twins]
+
+    def test_a_seed_that_is_not_an_int_serialises_itself(self):
+        spec = replace(pinned_specs()["star"], seed=7.0)
+        family = seed_specs(spec, 3)
+        with mock.patch.object(RunSpec, "_canonical", autospec=True,
+                               side_effect=RunSpec._canonical) as dumps:
+            assert [member.spec_hash() for member in family] == [
+                stable_hash(member.to_dict()) for member in family]
+        assert dumps.call_count == 3
+        assert [member.seed for member in family] == [7.0, 8.0, 9.0]
+
+    def test_pinned_identities_hold_inside_a_family(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "_code_tag",
+                            lambda: PINNED_CODE_TAG)
+        cache = ResultCache("unused")
+        for name, spec in pinned_specs().items():
+            family = seed_specs(replace(spec, seed=spec.seed - 2), 4)
+            identities = [(member.token(), member.spec_hash(),
+                           cache.key(member)) for member in family]
+            assert family[2] == spec  # spliced from family[0]'s bytes
+            assert identities[2] == PINNED[name]
 
 
 def parent_token(spec):

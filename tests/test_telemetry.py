@@ -157,6 +157,21 @@ class TestFlightRecorder:
         assert loaded[0].fields == {"flow": 7, "seq": 3}
         assert loaded[1].fields["size"] == 1500
 
+    def test_export_is_json_dumps_per_event_byte_for_byte(self, tmp_path):
+        """The shared encoder writes what ``json.dumps(event, sort_keys=True)``
+        wrote per line: floats, non-ASCII text, nested dicts and lists."""
+        recorder = FlightRecorder()
+        recorder.emit(1e-9, "queue", "enqueue", port="s0→h1", bytes=1500,
+                      sojourn=0.1 + 0.2, nested={"z": [1.5, None], "a": True})
+        recorder.emit(2.0, "failure", "crash", text='quote " tab\t é 𝄞',
+                      inf=float("inf"), big=2**70, neg=-0.0)
+        recorder.emit(3.25, "scenario", "cell", cell={"b": {"d": 1, "c": [{}]}})
+        path = tmp_path / "trace.jsonl"
+        assert recorder.export_jsonl(str(path)) == 3
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(event.to_dict(), sort_keys=True) + "\n"
+            for event in recorder.events())
+
 
 # ------------------------------------------------------- runtime attachment
 
