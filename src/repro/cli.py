@@ -152,15 +152,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         "(default: REPRO_RETRIES or 1)",
     )
     parser.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="base delay for deterministic seeded exponential backoff "
-        "between retry attempts, with jitter, capped at 30s (default: "
-        "REPRO_RETRY_BACKOFF or off; 0 disables)",
-    )
-    parser.add_argument(
         "--spec-timeout",
         type=float,
         default=None,
@@ -642,14 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SIZE",
         default="32M",
         help="summary-cache byte cap (suffixes K/M/G; default: 32M)",
-    )
-    serve.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="summary-cache entry TTL (default: none -- entries live "
-        "until LRU eviction or a store change orphans them)",
     )
     serve.add_argument(
         "--trace",
@@ -1227,8 +1210,6 @@ def _main_serve(args, parser: argparse.ArgumentParser) -> int:
     )
     if cache_max_bytes <= 0:
         parser.error("--cache-max-bytes must be > 0")
-    if args.cache_ttl is not None and args.cache_ttl <= 0:
-        parser.error("--cache-ttl must be > 0 seconds")
     if not os.path.isdir(args.store_dir):
         parser.error(f"--store-dir {args.store_dir!r} is not a directory")
     telemetry = Telemetry(
@@ -1242,7 +1223,6 @@ def _main_serve(args, parser: argparse.ArgumentParser) -> int:
         port=args.port,
         golden_dir=args.golden_dir,
         cache_max_bytes=cache_max_bytes,
-        cache_ttl=args.cache_ttl,
         telemetry=telemetry,
     )
 
@@ -1330,6 +1310,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     configure_logging(quiet=args.quiet, verbose=args.verbose)
     try:
+        settings.fault_directives()  # a malformed test hook fails before any run
         return _COMMANDS[args.command](args, parser)
     except settings.SettingError as exc:
         log.error(f"# error: {exc}")

@@ -12,11 +12,10 @@ memoizes each cell's result on disk, so that
 * one crashed, hung or OOM-killed cell degrades to a recorded
   :class:`~repro.experiments.faults.RunFailure` instead of aborting the
   grid: worker exceptions are caught *inside* the worker, failed specs are
-  retried (``retries``, ``retry_backoff``), a per-spec wall-clock budget
-  (``spec_timeout``) abandons hung workers, and a ``BrokenProcessPool`` is
-  recovered by rebuilding the pool and requeueing only the unfinished
-  specs.  (Those five are :mod:`repro.settings` rows, resolved by
-  :meth:`Executor.from_env`.)
+  retried (``retries``), a per-spec wall-clock budget (``spec_timeout``)
+  abandons hung workers, and a ``BrokenProcessPool`` is recovered by
+  rebuilding the pool and requeueing only the unfinished specs.  (Those four
+  are :mod:`repro.settings` rows, resolved by :meth:`Executor.from_env`.)
 
 Determinism guarantee: every run owns its own
 :class:`~repro.sim.engine.Simulator` and ``numpy.random.default_rng(seed)``,
@@ -46,7 +45,6 @@ import hashlib
 import multiprocessing
 import os
 import pickle
-import random
 import tempfile
 import time
 import warnings
@@ -62,7 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .. import settings
 from ..telemetry.runtime import get_active, set_active
 from ..telemetry.spans import maybe_span
-from .faults import RunFailure, is_failure, maybe_inject_fault
+from .faults import RunFailure, counted_fault, is_failure, maybe_inject_fault
 from .specs import Cell, RunSpec, resolve_workload
 
 try:  # per-process peak RSS; stdlib on Unix, absent on Windows
@@ -207,16 +205,10 @@ def _guarded_execute(
     spec: RunSpec,
     attempt: int = 0,
     observe_spans: bool = False,
-    backoff_delay: float = 0.0,
 ) -> Any:
     """Worker entry point: run a spec, converting any exception into a
     picklable :class:`RunFailure` so nothing propagates (or fails to
     pickle) across the process boundary.
-
-    ``backoff_delay`` (seconds) is slept *here*, in the worker, before the
-    attempt runs: retry backoff must never block the parent's submission
-    loop, which keeps feeding other specs to the rest of the pool while a
-    retried one waits out its delay.
 
     Observability: the run is wrapped in a ``cell`` span and every outcome
     that can carry attributes gets an ``_obs`` payload (wall seconds, peak
@@ -226,8 +218,6 @@ def _guarded_execute(
     worker process (which inherits none) so its span subtree can be
     serialized into the payload and stitched into the parent's tree.
     """
-    if backoff_delay > 0:
-        time.sleep(backoff_delay)
     local_telemetry = None
     if observe_spans and get_active() is None:
         from ..telemetry.hub import Telemetry
@@ -423,10 +413,11 @@ class ResultCache:
                 stacklevel=2,
             )
             return
-        if os.environ.get("REPRO_CHAOS"):
-            from ..testing.chaos import chaos_cache_store
-
-            chaos_cache_store(path)
+        if counted_fault("cache_store", ("corrupt_cache",)):
+            # REPRO_FAULT_INJECT: truncate the entry in place, so a later
+            # load fails its checksum and must quarantine it.
+            with open(path, "r+b") as handle:
+                handle.truncate(max(1, os.path.getsize(path) // 2))
 
     @staticmethod
     def _unlink_tmp(tmp: str) -> None:
@@ -590,16 +581,6 @@ class Executor:
     Args:
         retries: extra attempts per failing spec (default 1, so each spec
             runs at most twice before its failure is recorded).
-        retry_backoff: base delay in seconds for retry backoff (``None``/0
-            disables it, the historical behaviour of immediate
-            re-submission).  Attempt ``k`` (1-based retry index) waits
-            ``base * 2**(k-1) * jitter`` with jitter uniform in
-            ``[0.5, 1.5)``, capped at 30 s -- and *deterministically
-            seeded* from ``(spec token, attempt)``, so a rerun of the same
-            grid backs off identically (manifest provenance records the
-            base).  The wait happens inside the worker attempt, never in
-            the parent's submission loop; note it therefore counts against
-            ``spec_timeout``.
         spec_timeout: per-spec wall-clock budget in seconds; a spec still
             running past it is abandoned (its worker killed, the pool
             rebuilt) and recorded as a ``RunFailure(kind="timeout")``.
@@ -607,15 +588,12 @@ class Executor:
             execution even at ``jobs=1``.  ``None`` (default) disables it.
     """
 
-    BACKOFF_CAP_SECONDS = 30.0
-
     def __init__(
         self,
         jobs: int = 1,
         cache: bool = False,
         cache_dir: Optional[Path] = None,
         retries: int = 1,
-        retry_backoff: Optional[float] = None,
         spec_timeout: Optional[float] = None,
         progress: Optional[Any] = None,
     ) -> None:
@@ -623,8 +601,6 @@ class Executor:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if retry_backoff is not None and retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0 (or None)")
         if spec_timeout is not None and spec_timeout <= 0:
             raise ValueError("spec_timeout must be positive (or None)")
         self.jobs = jobs
@@ -632,7 +608,6 @@ class Executor:
             ResultCache(cache_dir) if cache else None
         )
         self.retries = retries
-        self.retry_backoff = retry_backoff or None
         self.spec_timeout = spec_timeout
         self.stats = ExecutorStats()
         self.failures: List[RunFailure] = []
@@ -646,7 +621,7 @@ class Executor:
         self._spans_requested = False
         self._attribution: List[Optional[SpecAttribution]] = []
 
-    SETTINGS = ("jobs", "retries", "retry_backoff", "spec_timeout", "cache_dir")
+    SETTINGS = ("jobs", "retries", "spec_timeout", "cache_dir")
     """The constructor arguments that are :mod:`repro.settings` rows."""
 
     @classmethod
@@ -666,20 +641,6 @@ class Executor:
             cache = values["cache_dir"] is not None
         return cls(cache=cache, **values)
 
-    def _backoff_delay(self, spec: RunSpec, attempt: int) -> float:
-        """Seconds to wait before ``attempt`` (0 = first try, never
-        delayed).  Exponential in the retry index with jitter drawn from a
-        PRNG seeded by ``(spec token, attempt)``: deterministic across
-        reruns and processes, decorrelated across specs so a burst of
-        failures does not retry in lockstep."""
-        if not self.retry_backoff or attempt <= 0:
-            return 0.0
-        rng = random.Random(f"{spec.token()}|{attempt}")
-        delay = (
-            self.retry_backoff * (2 ** (attempt - 1)) * (0.5 + rng.random())
-        )
-        return min(delay, self.BACKOFF_CAP_SECONDS)
-
     def cached(self, spec: RunSpec) -> bool:
         """Whether :meth:`run` should find ``spec`` in the result cache: the
         cache is on and the entry file exists (:meth:`ResultCache.has`).  A
@@ -694,6 +655,7 @@ class Executor:
         :class:`RunFailure` if the spec failed terminally (after retries
         and, for pool-structural failures, one in-process fallback).
         """
+        settings.fault_directives()  # a malformed hook fails here, not in each cell
         specs = list(specs)
         self.stats.submitted += len(specs)
         telemetry = get_active()
@@ -749,10 +711,7 @@ class Executor:
         outcome: Any = None
         attempt = first_attempt
         while True:
-            outcome = _guarded_execute(
-                spec, attempt, self._spans_requested,
-                self._backoff_delay(spec, attempt),
-            )
+            outcome = _guarded_execute(spec, attempt, self._spans_requested)
             if not isinstance(outcome, RunFailure):
                 return outcome
             if attempt - first_attempt >= self.retries:
@@ -820,11 +779,8 @@ class Executor:
         while queue and len(futures) < workers:
             index = queue.popleft()
             try:
-                future = pool.submit(
-                    _guarded_execute, specs[index], attempts[index],
-                    self._spans_requested,
-                    self._backoff_delay(specs[index], attempts[index]),
-                )
+                future = pool.submit(_guarded_execute, specs[index],
+                                     attempts[index], self._spans_requested)
             except (BrokenProcessPool, RuntimeError):
                 # The pool broke before we noticed (a worker died between
                 # batches).  This submission never ran: requeue it at the

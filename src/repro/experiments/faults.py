@@ -13,24 +13,23 @@ and the downstream pooling/figure/CLI layers share:
   failed; it duck-types the parts of ``ExperimentResult`` the figure
   modules consume (empty summary/collector, zeroed counters) so tables
   render with gaps instead of crashing;
-* deterministic fault injection -- ``REPRO_FAULT_INJECT`` directives
-  consumed by :func:`maybe_inject_fault` at the top of
-  :func:`repro.experiments.executor.execute_spec`, so every recovery path
+* deterministic fault injection -- :func:`maybe_inject_fault` acts on
+  ``REPRO_FAULT_INJECT``'s ``raise``/``hang``/``exit`` directives at the top
+  of :func:`repro.experiments.executor.execute_spec`, so every recovery path
   (exception, hang+timeout, worker exit, retry-then-succeed) is testable
-  without flaky timing.
+  without flaky timing, and :func:`counted_fault` counts the store and cache
+  calls its kill/tear/corrupt directives fire at.
 
-Injection grammar (``;``-separated directives)::
-
-    REPRO_FAULT_INJECT="raise:<substr>[:<max_attempt>];hang:<substr>;exit:<substr>"
-
-``<substr>`` is substring-matched against :meth:`RunSpec.token`
-(``kind|label|seed=N|hash16``); an empty substring matches every spec.
-``raise`` throws :class:`InjectedFault`; ``hang`` sleeps forever (pair it
-with the executor's ``spec_timeout``); ``exit`` kills the worker process
-with ``os._exit`` (in the main process it raises instead -- a hard exit
-there would defeat the harness the hook exists to test).  The optional
-``<max_attempt>`` fires the fault only while ``attempt < max_attempt``,
-which is how retry-then-succeed is exercised deterministically.
+The grammar and its one parser are :class:`repro.settings.Fault` and
+:func:`repro.settings.fault_directives`.  ``<substr>`` is substring-matched
+against :meth:`RunSpec.token` (``kind|label|seed=N|hash16``); an empty
+substring matches every spec.  ``raise`` throws :class:`InjectedFault`;
+``hang`` sleeps forever (pair it with the executor's ``spec_timeout``);
+``exit`` kills the worker process with ``os._exit`` (in the main process it
+raises instead -- a hard exit there would defeat the harness the hook exists
+to test).  The optional ``<max_attempt>`` fires the fault only while
+``attempt < max_attempt``, which is how retry-then-succeed is exercised
+deterministically.
 """
 
 from __future__ import annotations
@@ -39,28 +38,29 @@ import multiprocessing
 import os
 import time
 import traceback as traceback_module
-import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
+from .. import settings
 from ..sim.engine import SimulationStalled
+from ..telemetry.runtime import get_active
 from .fct import FctCollector, FctSummary
 from .specs import RunSpec
 
 __all__ = [
-    "FAULT_INJECT_ENV",
+    "FAULT_EXIT_CODE",
     "InjectedFault",
     "RunFailure",
     "FailedCell",
     "is_failure",
+    "counted_fault",
     "gather_failures",
     "maybe_inject_fault",
-    "parse_fault_directives",
 ]
 
-FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
-
-_FAULT_ACTIONS = ("raise", "hang", "exit")
+FAULT_EXIT_CODE = 137
+"""Exit status of the kill/tear directives (the SIGKILL convention)."""
 
 
 class InjectedFault(RuntimeError):
@@ -212,44 +212,6 @@ def gather_failures(results: Sequence[Any]) -> List[RunFailure]:
 # --------------------------------------------------------- fault injection
 
 
-def parse_fault_directives(
-    raw: Optional[str] = None,
-) -> Tuple[Tuple[str, str, Optional[int]], ...]:
-    """Parse ``REPRO_FAULT_INJECT`` into ``(action, substr, max_attempt)``
-    triples; unknown actions or malformed attempt counts warn and are
-    skipped (an injection typo must not take down a real sweep)."""
-    if raw is None:
-        raw = os.environ.get(FAULT_INJECT_ENV, "")
-    directives: List[Tuple[str, str, Optional[int]]] = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        action = pieces[0].strip().lower()
-        if action not in _FAULT_ACTIONS:
-            warnings.warn(
-                f"{FAULT_INJECT_ENV}: unknown action {action!r} in {part!r} "
-                f"(expected one of {_FAULT_ACTIONS}); directive skipped",
-                stacklevel=2,
-            )
-            continue
-        substr = pieces[1] if len(pieces) > 1 else ""
-        max_attempt: Optional[int] = None
-        if len(pieces) > 2 and pieces[2].strip():
-            try:
-                max_attempt = int(pieces[2])
-            except ValueError:
-                warnings.warn(
-                    f"{FAULT_INJECT_ENV}: max-attempt {pieces[2]!r} in {part!r} "
-                    "is not an integer; directive skipped",
-                    stacklevel=2,
-                )
-                continue
-        directives.append((action, substr, max_attempt))
-    return tuple(directives)
-
-
 def _in_worker_process() -> bool:
     return multiprocessing.current_process().name != "MainProcess"
 
@@ -262,12 +224,13 @@ def maybe_inject_fault(spec: RunSpec, attempt: int) -> None:
     zero-based retry index; a directive with ``max_attempt`` only fires
     while ``attempt < max_attempt``.
     """
-    directives = parse_fault_directives()
+    directives = settings.fault_directives()
     if not directives:
         return
     token = spec.token()
-    for action, substr, max_attempt in directives:
-        if substr and substr not in token:
+    for fault in directives:
+        action, max_attempt = fault.mode, fault.n
+        if action not in settings.SPEC_FAULTS or fault.match not in token:
             continue
         if max_attempt is not None and attempt >= max_attempt:
             continue
@@ -285,3 +248,27 @@ def maybe_inject_fault(spec: RunSpec, attempt: int) -> None:
                 f"injected worker-exit for {token} (attempt {attempt}; "
                 "raised instead of exiting: not in a worker process)"
             )
+
+
+# Per-process call counts of the counted points.  Workers inherit
+# REPRO_FAULT_INJECT through the environment but never these counts, so
+# every process counts its own calls from one.
+_COUNTS: Counter = Counter()
+
+
+def counted_fault(point: str, modes: Tuple[str, ...]) -> Optional[str]:
+    """The first of ``modes`` whose directive names this call -- the n-th
+    call at ``point`` in this process -- or None.  A fired mode is counted
+    on the active telemetry before the caller acts on it (it may be about
+    to exit)."""
+    directives = settings.fault_directives()
+    if not directives:
+        return None
+    _COUNTS[point] += 1
+    for fault in directives:
+        if fault.mode in modes and fault.n == _COUNTS[point]:
+            telemetry = get_active()
+            if telemetry is not None:
+                telemetry.on_chaos_injection(fault.mode)
+            return fault.mode
+    return None

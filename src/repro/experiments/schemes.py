@@ -19,10 +19,9 @@ implementation choice); byte thresholds convert through Equation 2 at the
 
 from __future__ import annotations
 
-import os
-import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List
 
+from .. import settings
 from ..core import Codel, EcnSharp, EcnSharpConfig, SojournRed, Tcn
 from ..core.base import Aqm
 from ..sim.units import gbps, kb, us
@@ -31,7 +30,6 @@ from .specs import AqmSpec
 __all__ = [
     "AqmFactory",
     "AQM_BUILDERS",
-    "PERTURB_ENV",
     "build_aqm",
     "perturbed_params",
     "bytes_to_sojourn",
@@ -69,56 +67,20 @@ of unpicklable closure factories.
 """
 
 
-PERTURB_ENV = "REPRO_AQM_PERTURB"
-"""Deliberate-regression canary: ``kind:param:factor`` multiplies one AQM
-parameter at construction time.  Spawn workers inherit the environment, so
-the perturbation reaches every cell; the spec hash (and thus the result
-cache key) is *unchanged*, which is exactly the point -- the validation
-gate, not the cache, must catch the behavioral shift.  Run with
-``--no-cache`` so perturbed results are actually simulated."""
-
-_perturb_warned = False
-
-
-def _parse_perturbation() -> Optional[Tuple[str, str, float]]:
-    raw = os.environ.get(PERTURB_ENV, "").strip()
-    if not raw:
-        return None
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ValueError(
-            f"{PERTURB_ENV} must be 'kind:param:factor', got {raw!r}"
-        )
-    kind, param, factor_text = parts
-    try:
-        factor = float(factor_text)
-    except ValueError:
-        raise ValueError(
-            f"{PERTURB_ENV} factor must be a float, got {factor_text!r}"
-        ) from None
-    return kind, param, factor
-
-
 def perturbed_params(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    """``params`` with any matching :data:`PERTURB_ENV` canary applied.
+    """``params`` with each ``REPRO_FAULT_INJECT`` ``perturb:<kind>:<param>:
+    <factor>`` directive for ``kind`` applied: a deliberate-regression canary.
 
     Shared by the packet AQM constructors and the fluid marker banks so a
-    perturbation canary shifts behaviour identically at both fidelities.
+    canary shifts behaviour identically at both fidelities.  Spawn workers
+    inherit the environment, so it reaches every cell; the spec hash (and
+    thus the result cache key) is *unchanged*, which is exactly the point --
+    the validation gate, not the cache, must catch the shift.  Run with
+    ``--no-cache`` so perturbed results are actually simulated.
     """
-    perturbation = _parse_perturbation()
-    if perturbation is not None and perturbation[0] == kind:
-        _, param, factor = perturbation
-        if param in params:
-            params = dict(params)
-            params[param] = params[param] * factor
-            global _perturb_warned
-            if not _perturb_warned:
-                _perturb_warned = True
-                print(
-                    f"# WARNING: {PERTURB_ENV} active: "
-                    f"{kind}.{param} x{factor:g} (canary perturbation)",
-                    file=sys.stderr,
-                )
+    for fault in settings.fault_directives():
+        if fault.mode == "perturb" and fault.match == kind and fault.param in params:
+            params = {**params, fault.param: params[fault.param] * fault.factor}
     return params
 
 

@@ -233,13 +233,14 @@ def build_marker_bank(
 ) -> MarkerBank:
     """The fluid marking model for a registered AQM kind.
 
-    ``REPRO_AQM_PERTURB`` applies here exactly as it does to the packet
-    AQMs (via :func:`~repro.experiments.schemes.perturbed_params`), so the
-    validation canary also catches regressions in fluid campaigns.
+    A ``REPRO_FAULT_INJECT`` ``perturb`` directive applies here exactly as
+    it does to the packet AQMs (via
+    :func:`~repro.experiments.schemes.perturbed_params`), so the validation
+    canary also catches regressions in fluid campaigns.
     """
     from ..experiments.schemes import perturbed_params
 
-    params = dict(perturbed_params(kind, dict(params)))
+    params = perturbed_params(kind, params)
     if kind == "sojourn-red":
         return StepMarkerBank(params["sojourn"], n_ports)
     if kind == "tcn":

@@ -59,6 +59,7 @@ from ..experiments.executor import (
     get_default_executor,
     split_by_cell,
 )
+from ..experiments.faults import FAULT_EXIT_CODE, counted_fault
 from ..experiments.specs import Cell, canonical_json
 from ..telemetry.provenance import git_sha
 from ..telemetry.runtime import get_active
@@ -449,14 +450,19 @@ class CampaignStore:
         if not records:
             return
         payload = "".join(record.line + "\n" for record in records)
-        die_after_write = False
-        if os.environ.get("REPRO_CHAOS"):
-            from ..testing.chaos import CHAOS_EXIT_CODE, chaos_store_append
-
-            payload, die_after_write = chaos_store_append(payload)
+        # REPRO_FAULT_INJECT's crash points: exit before writing, after a
+        # durable append (records kept, cleanup lost), or after a torn one --
+        # half the first record, no newline, as a crash mid-write leaves.
+        fault = counted_fault("store_append",
+                              ("kill_after", "kill_before", "torn_write"))
+        if fault == "kill_before":
+            os._exit(FAULT_EXIT_CODE)
+        if fault == "torn_write":
+            first = payload.split("\n", 1)[0]
+            payload = first[: max(1, len(first) // 2)]
         self.log.append(payload, durable=True)
-        if die_after_write:
-            os._exit(CHAOS_EXIT_CODE)
+        if fault is not None:
+            os._exit(FAULT_EXIT_CODE)
 
 
 def as_store(store: "CampaignStore | Path | str") -> CampaignStore:

@@ -17,7 +17,7 @@ read-only over the stores it serves:
   summaries, render JSON or CSV deterministically.
 * :class:`~repro.service.cache.SummaryCache` -- an LRU of rendered
   response bodies keyed by ``(store fingerprint, query hash, format)``
-  with a byte-size cap and TTL, so warm queries never touch disk.
+  with a byte-size cap, so warm queries never touch disk.
 * :mod:`~repro.service.daemon` -- the ``ThreadingHTTPServer`` behind
   ``repro serve``: ``/query``, ``/stores``, ``/resources``, ``/goldens``,
   ``/healthz``, ``/metricz``; fingerprint-derived ``ETag`` with

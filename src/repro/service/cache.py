@@ -3,21 +3,17 @@
 This cache sits *above* the per-cell pickle cache (`ResultCache`): where
 that tier memoizes simulation results, this one memoizes whole serialized
 query responses, keyed by ``(store fingerprint seed, query hash, format)``.
-Because the fingerprint seed is part of the key, a store append simply
-orphans the old entries -- no invalidation protocol, stale entries age out
-via LRU / TTL eviction.
+Because the fingerprint seed is part of the key, an entry is never stale: a
+store append simply orphans the old entries, which age out by LRU eviction.
 
-Bounded two ways: a byte-size cap over stored bodies (LRU eviction) and an
-optional TTL (entries older than ``ttl`` seconds count as misses and are
-dropped on access).  Hit / miss / eviction totals feed the
-``service_cache_{hits,misses,evictions}_total`` telemetry counters, which
-is how tests assert a warm query was served entirely from memory.
+Bounded by a byte-size cap over stored bodies.  Hit / miss / eviction totals
+feed the ``service_cache_{hits,misses,evictions}_total`` telemetry counters,
+which is how tests assert a warm query was served entirely from memory.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
@@ -35,28 +31,20 @@ class SummaryCache:
         max_bytes: cap on the summed size of stored bodies; least-recently
             used entries are evicted to fit.  A single body larger than the
             cap is simply not retained.
-        ttl: seconds an entry stays servable, or ``None`` for no TTL.
         telemetry: optional :class:`~repro.telemetry.hub.Telemetry` whose
             registry receives the ``service_cache_*_total`` counters.
-        clock: injectable monotonic clock (tests).
     """
 
     def __init__(
         self,
         max_bytes: int = DEFAULT_CACHE_BYTES,
-        ttl: Optional[float] = None,
         telemetry=None,
-        clock=time.monotonic,
     ) -> None:
         if max_bytes <= 0:
             raise ValueError("cache max_bytes must be positive")
         self.max_bytes = max_bytes
-        self.ttl = ttl
         self.telemetry = telemetry
-        self._clock = clock
-        self._entries: "OrderedDict[CacheKey, Tuple[bytes, float]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[CacheKey, bytes]" = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
@@ -70,26 +58,20 @@ class SummaryCache:
             ).inc()
 
     def _evict(self, key: CacheKey) -> None:
-        body, _ = self._entries.pop(key)
+        body = self._entries.pop(key)
         self._bytes -= len(body)
         self.evictions += 1
         self._count("evictions")
 
     def get(self, key: CacheKey) -> Optional[bytes]:
-        """The cached body for ``key``, or ``None`` (miss / expired)."""
+        """The cached body for ``key``, or ``None`` (miss)."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                body, stored_at = entry
-                if self.ttl is not None and (
-                    self._clock() - stored_at > self.ttl
-                ):
-                    self._evict(key)
-                else:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    self._count("hits")
-                    return body
+            body = self._entries.get(key)
+            if body is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                self._count("hits")
+                return body
             self.misses += 1
             self._count("misses")
             return None
@@ -97,8 +79,8 @@ class SummaryCache:
     def put(self, key: CacheKey, body: bytes) -> None:
         with self._lock:
             if key in self._entries:
-                self._bytes -= len(self._entries.pop(key)[0])
-            self._entries[key] = (body, self._clock())
+                self._bytes -= len(self._entries.pop(key))
+            self._entries[key] = body
             self._bytes += len(body)
             while self._bytes > self.max_bytes and self._entries:
                 self._evict(next(iter(self._entries)))
@@ -109,7 +91,6 @@ class SummaryCache:
                 "entries": len(self._entries),
                 "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
-                "ttl": self.ttl,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,

@@ -94,7 +94,6 @@ class ResultsService:
         store_dir,
         golden_dir=None,
         cache_max_bytes: int = DEFAULT_CACHE_BYTES,
-        cache_ttl: Optional[float] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.telemetry = telemetry if telemetry is not None else Telemetry(
@@ -102,8 +101,7 @@ class ResultsService:
         )
         self.index = StoreIndex(store_dir, telemetry=self.telemetry)
         self.cache = SummaryCache(
-            max_bytes=cache_max_bytes, ttl=cache_ttl,
-            telemetry=self.telemetry,
+            max_bytes=cache_max_bytes, telemetry=self.telemetry
         )
         self.golden_dir = Path(golden_dir) if golden_dir is not None else None
         self.started = time.time()
@@ -390,7 +388,6 @@ def serve(
     port: int = 8077,
     golden_dir=None,
     cache_max_bytes: int = DEFAULT_CACHE_BYTES,
-    cache_ttl: Optional[float] = None,
     telemetry: Optional[Telemetry] = None,
     stream=None,
 ) -> int:
@@ -405,7 +402,6 @@ def serve(
         store_dir,
         golden_dir=golden_dir,
         cache_max_bytes=cache_max_bytes,
-        cache_ttl=cache_ttl,
         telemetry=telemetry,
     )
     server = _make_server(service, host, port)

@@ -191,7 +191,8 @@ class Telemetry:
             recorder.emit(0.0, "resilience", "cache_corrupt", entry=entry)
 
     def on_chaos_injection(self, mode: str) -> None:
-        """Record one fired ``REPRO_CHAOS`` injection (testing only)."""
+        """Record one fired counted ``REPRO_FAULT_INJECT`` directive
+        (testing only)."""
         self.registry.counter("chaos_injections_total", mode=mode).inc()
         recorder = self.recorder
         if recorder is not None and recorder.wants("resilience"):

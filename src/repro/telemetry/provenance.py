@@ -69,9 +69,7 @@ class RunManifest:
     """Event-queue implementation the run used (``repro.sim.eventq``)."""
     settings: Optional[dict] = None
     """:func:`repro.settings.snapshot` of the run: every resolved setting
-    plus any fault/canary hook that was set.  Retry delays are a pure
-    function of (spec token, attempt, ``retry_backoff``), so recording the
-    base makes retried runs bit-reproducible end to end."""
+    plus ``REPRO_FAULT_INJECT`` when it was set."""
 
     @classmethod
     def collect(

@@ -1,32 +1,12 @@
-"""Deterministic failure-injection utilities for resilience testing.
+"""Test harnesses that drive the package from outside.
 
-:mod:`repro.testing.chaos` is the campaign-level analogue of the
-executor's ``REPRO_FAULT_INJECT`` hook (see
-:mod:`repro.experiments.faults`): where fault injection kills individual
-*cells*, chaos injection kills whole *processes* at precisely counted
-store/cache interaction points, so the multi-writer coordination and
-store-merge layers can be proven convergent under crashes, torn writes
-and cache corruption without flaky timing.
+:mod:`repro.testing.chaos` runs shared campaigns in subprocess rounds under
+``REPRO_FAULT_INJECT``'s crash directives until they converge.  The
+directives themselves are parsed by :func:`repro.settings.fault_directives`
+and act at their points in the executor and the campaign store, so no
+run-time module imports this package.
 """
 
-from .chaos import (
-    CHAOS_ENV,
-    ChaosReport,
-    chaos_cache_store,
-    chaos_enabled,
-    chaos_store_append,
-    parse_chaos_directives,
-    reset_chaos_counts,
-    run_chaos_campaign,
-)
+from .chaos import ChaosReport, ChaosRound, run_chaos_campaign
 
-__all__ = [
-    "CHAOS_ENV",
-    "ChaosReport",
-    "chaos_cache_store",
-    "chaos_enabled",
-    "chaos_store_append",
-    "parse_chaos_directives",
-    "reset_chaos_counts",
-    "run_chaos_campaign",
-]
+__all__ = ["ChaosReport", "ChaosRound", "run_chaos_campaign"]

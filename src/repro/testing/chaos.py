@@ -1,37 +1,16 @@
-"""Deterministic chaos injection for campaign resilience testing.
+"""Convergence harness for shared campaigns under injected crashes.
 
-``REPRO_CHAOS`` holds ``;``-separated directives, each ``mode[:N]`` with
-``N`` defaulting to 1.  Counters are per-process (workers spawned with the
-variable inherit it at exec), so a directive fires at an exactly counted
-interaction point rather than at a wall-clock instant -- the same
-philosophy as ``REPRO_FAULT_INJECT`` one layer down:
-
-* ``kill_after:N`` -- ``os._exit(137)`` immediately *after* the N-th
-  campaign-store append has been written and fsynced.  The shard's records
-  are durable but the resources sidecar and any lease releases are not:
-  the SIGKILL analogue for "crashed between append and cleanup".
-* ``kill_before:N`` -- ``os._exit(137)`` immediately *before* the N-th
-  store append writes anything.  Claimed leases are left dangling, so this
-  is the deterministic way to exercise stale-lease reclamation.
-* ``torn_write:N`` -- the N-th store append writes only a prefix of its
-  first record (no trailing newline), fsyncs the torn line, then exits
-  137.  Exercises the torn-line probe and skip-on-load paths.
-* ``corrupt_cache:N`` -- the N-th result-cache store is truncated after
-  being written, so a later load sees a checksum mismatch and must
-  quarantine the entry.  The process keeps running.
-
-Injections that survive long enough to report (``corrupt_cache``, and the
-pre-exit moment of the kill/tear modes) increment the
-``chaos_injections_total{mode=...}`` counter and emit a ``resilience``
-trace event on the active telemetry.
-
-:func:`run_chaos_campaign` is the driving harness: it spawns
-``repro scenario run --shared`` worker subprocesses in rounds -- chaos
-directives applied to the first ``chaos_rounds`` rounds, clean reruns
-after that -- until the campaign converges (a clean pass that executes
-nothing, fails nothing, and skips every cell).  Tests then assert the
-surviving store is equivalent to an uninterrupted single-writer run via
-:func:`repro.scenarios.coordination.store_fingerprint`.
+:func:`run_chaos_campaign` spawns ``repro scenario run --shared`` worker
+subprocesses in rounds -- ``REPRO_FAULT_INJECT`` directives (usually the
+counted ``kill_after`` / ``kill_before`` / ``torn_write`` / ``corrupt_cache``
+modes, see :class:`repro.settings.Fault`) applied to the first
+``chaos_rounds`` rounds, clean reruns after that -- until the campaign
+converges (a clean pass that executes nothing, fails nothing, and skips
+every cell).  Tests then assert the surviving store is equivalent to an
+uninterrupted single-writer run via
+:func:`repro.scenarios.coordination.store_fingerprint`.  The directives act
+at their points (``CampaignStore.append``, ``ResultCache.store``); nothing
+here is imported at run time.
 """
 
 from __future__ import annotations
@@ -41,162 +20,14 @@ import re
 import subprocess
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-__all__ = [
-    "CHAOS_ENV",
-    "ChaosReport",
-    "chaos_cache_store",
-    "chaos_enabled",
-    "chaos_store_append",
-    "parse_chaos_directives",
-    "reset_chaos_counts",
-    "run_chaos_campaign",
-]
+from ..experiments.faults import FAULT_EXIT_CODE
+from ..settings import FAULT_INJECT
 
-CHAOS_ENV = "REPRO_CHAOS"
-
-CHAOS_EXIT_CODE = 137
-"""Exit status used by the kill/tear modes (the SIGKILL convention)."""
-
-_MODES = ("kill_after", "kill_before", "torn_write", "corrupt_cache")
-
-# Per-process interaction counters, keyed by chaos point name.  Workers
-# inherit REPRO_CHAOS through the environment but never these counts, so
-# every process counts its own interactions from zero.
-_COUNTS: Dict[str, int] = {}
-
-
-def chaos_enabled() -> bool:
-    """Cheap guard the instrumented hot points check first."""
-    return bool(os.environ.get(CHAOS_ENV, "").strip())
-
-
-def reset_chaos_counts() -> None:
-    """Zero the per-process interaction counters (test isolation)."""
-    _COUNTS.clear()
-
-
-def parse_chaos_directives(
-    raw: Optional[str] = None,
-) -> Tuple[Tuple[str, int], ...]:
-    """Parse ``REPRO_CHAOS`` into ``(mode, n)`` pairs.
-
-    Unknown modes or malformed counts warn and are skipped -- a chaos typo
-    must degrade to "no injection", never take down a real campaign.
-    """
-    if raw is None:
-        raw = os.environ.get(CHAOS_ENV, "")
-    directives: List[Tuple[str, int]] = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        mode = pieces[0].strip().lower()
-        if mode not in _MODES:
-            warnings.warn(
-                f"{CHAOS_ENV}: unknown mode {mode!r} in {part!r} "
-                f"(expected one of {_MODES}); directive skipped",
-                stacklevel=2,
-            )
-            continue
-        n = 1
-        if len(pieces) > 1 and pieces[1].strip():
-            try:
-                n = int(pieces[1])
-            except ValueError:
-                warnings.warn(
-                    f"{CHAOS_ENV}: count {pieces[1]!r} in {part!r} is not an "
-                    "integer; directive skipped",
-                    stacklevel=2,
-                )
-                continue
-            if n < 1:
-                warnings.warn(
-                    f"{CHAOS_ENV}: count in {part!r} must be >= 1; "
-                    "directive skipped",
-                    stacklevel=2,
-                )
-                continue
-        directives.append((mode, n))
-    return tuple(directives)
-
-
-def _bump(point: str) -> int:
-    _COUNTS[point] = _COUNTS.get(point, 0) + 1
-    return _COUNTS[point]
-
-
-def _record_injection(mode: str) -> None:
-    """Count the injection on the active telemetry (best-effort: the
-    process may be about to _exit, and chaos must never raise)."""
-    try:
-        from ..telemetry.runtime import get_active
-
-        telemetry = get_active()
-        if telemetry is not None:
-            telemetry.on_chaos_injection(mode)
-    except Exception:  # pragma: no cover - defensive: chaos must not raise
-        pass
-
-
-def _tear(payload: str) -> str:
-    """Truncate a shard payload mid-first-record, no trailing newline --
-    exactly what a crash mid-``write(2)`` leaves behind."""
-    first_line = payload.split("\n", 1)[0]
-    return first_line[: max(1, len(first_line) // 2)]
-
-
-def chaos_store_append(payload: str) -> Tuple[str, bool]:
-    """Chaos hook for :meth:`CampaignStore.append`.
-
-    Called with the shard's full serialized payload before it is written.
-    Returns ``(payload_to_write, die_after_write)``; ``kill_before``
-    directives exit here without writing anything.
-    """
-    if not chaos_enabled():
-        return payload, False
-    count = _bump("store_append")
-    for mode, n in parse_chaos_directives():
-        if count != n:
-            continue
-        if mode == "kill_before":
-            _record_injection(mode)
-            os._exit(CHAOS_EXIT_CODE)
-        if mode == "torn_write":
-            _record_injection(mode)
-            return _tear(payload), True
-        if mode == "kill_after":
-            _record_injection(mode)
-            return payload, True
-    return payload, False
-
-
-def chaos_cache_store(path: "Path | str") -> None:
-    """Chaos hook for :meth:`ResultCache.store`, called after the entry is
-    atomically in place: ``corrupt_cache`` truncates it so the checksum
-    footer no longer matches (simulated on-disk corruption)."""
-    if not chaos_enabled():
-        return
-    count = _bump("cache_store")
-    for mode, n in parse_chaos_directives():
-        if mode != "corrupt_cache" or count != n:
-            continue
-        _record_injection(mode)
-        try:
-            size = os.path.getsize(path)
-            with open(path, "r+b") as handle:
-                handle.truncate(max(1, size // 2))
-        except OSError:  # pragma: no cover - corruption is best-effort
-            pass
-
-
-# ----------------------------------------------------------------- harness
-
+__all__ = ["ChaosReport", "ChaosRound", "run_chaos_campaign"]
 
 _SUMMARY_RE = re.compile(
     r"# campaign: cells=(\d+) executed=(\d+) skipped=(\d+) failed=(\d+)"
@@ -230,7 +61,7 @@ class ChaosReport:
             1
             for r in self.rounds
             for code in r.exit_codes
-            if code == CHAOS_EXIT_CODE
+            if code == FAULT_EXIT_CODE
         )
 
 
@@ -291,7 +122,7 @@ def run_chaos_campaign(
 
     Each round launches ``writers`` concurrent ``repro scenario run
     --shared`` subprocesses against the same ``store``; rounds numbered
-    below ``chaos_rounds`` carry ``REPRO_CHAOS=chaos`` (per-writer: only
+    below ``chaos_rounds`` carry ``REPRO_FAULT_INJECT=chaos`` (per-writer: only
     the *first* writer of a round gets the chaos environment, so at least
     one writer per round can make untainted progress; peers are held back
     until the armed writer has claimed its first shard, so the injection
@@ -303,7 +134,7 @@ def run_chaos_campaign(
     store = Path(store)
     report = ChaosReport(store=store)
     base_env = dict(os.environ)
-    base_env.pop(CHAOS_ENV, None)
+    base_env.pop(FAULT_INJECT, None)
     if cache_dir is not None:
         base_env["REPRO_CACHE_DIR"] = str(cache_dir)
     leases_path = store.with_name(store.stem + ".leases.jsonl")
@@ -318,7 +149,7 @@ def run_chaos_campaign(
         for writer_index in range(writers):
             env = dict(base_env)
             if inject and writer_index == 0:
-                env[CHAOS_ENV] = chaos
+                env[FAULT_INJECT] = chaos
             cmd = [
                 sys.executable,
                 "-m",

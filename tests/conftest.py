@@ -15,13 +15,17 @@ from repro.sim.units import gbps, mb, us
 def _hermetic_executor(tmp_path, monkeypatch):
     """Isolate every test from ambient state: no inherited ``REPRO_*``
     setting or hook (the list is the settings table's, so a new knob cannot
-    be forgotten), and any cache use (e.g. CLI invocations, which cache by
-    default) lands in a per-test temp dir instead of ``~/.cache/repro``."""
+    be forgotten), no store or cache call counted by an earlier test's
+    ``REPRO_FAULT_INJECT``, and any cache use (e.g. CLI invocations, which
+    cache by default) lands in a per-test temp dir instead of
+    ``~/.cache/repro``."""
     from repro import settings
+    from repro.experiments import faults
     from repro.experiments.executor import set_default_executor
 
     for variable in settings.VARIABLES:
         monkeypatch.delenv(variable, raising=False)
+    faults._COUNTS.clear()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
     previous = set_default_executor(None)
     yield

@@ -20,7 +20,6 @@ from repro.experiments import executor as executor_module
 from repro.experiments.executor import Executor, ResultCache
 from repro.scenarios import compile_scenario, run_campaign, store_fingerprint
 from repro.scenarios.campaign import REPLAY_SHARD_SPECS, _shards
-from repro.testing import chaos
 
 from test_scenarios_campaign import tiny_scenario
 
@@ -161,7 +160,6 @@ def half_warm(tmp_path, monkeypatch):
     monkeypatch.setattr(executor_module, "execute_spec", execute_spec)
     monkeypatch.setattr(
         os, "_exit", lambda code: (_ for _ in ()).throw(Exited(code)))
-    chaos.reset_chaos_counts()
     return SimpleNamespace(
         scenario=scenario, cells=cells, clean=clean, cache_dir=cache_dir,
         cold_tokens={t for cell in cells[1::2] for t in cell.tokens()},
@@ -251,11 +249,11 @@ class TestHalfWarmCampaign:
         landed as they settled; killed after the append, it is durable.  (A
         shared pass re-claims its own dangling leases: same worker id.)"""
         store = tmp_path / "s.jsonl"
-        monkeypatch.setenv(chaos.CHAOS_ENV, directive)
+        monkeypatch.setenv("REPRO_FAULT_INJECT", directive)
         with pytest.raises(Exited):
             run_campaign([half_warm.scenario], store, half_warm.executor(),
                          shared=shared)
-        monkeypatch.delenv(chaos.CHAOS_ENV)
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
         if directive == "kill_after:1":
             assert len(store.read_bytes().splitlines()) == 8
             resumed = run_campaign([half_warm.scenario], store,

@@ -92,6 +92,10 @@ class TestMain:
             ("REPRO_FULL", "enable", "run fig5"),
             ("REPRO_FIDELITY", "fliud", "scenario check scenarios/fig10_microscopic.toml"),
             ("REPRO_FIDELITY", "fliud", "scenario run scenarios/ --dry-run"),
+            # a typo'd test hook must not run as a test that checks nothing
+            ("REPRO_FAULT_INJECT", "kill_aftr:1", "run table1"),
+            ("REPRO_FAULT_INJECT", "perturb:ecn-sharp:pst_interval:x20",
+             "scenario run scenarios/ --dry-run"),
             ("--retries", "-3", "run fig5 --retries -3"),
         ],
     )

@@ -1,5 +1,5 @@
-"""Tests for run specs, the parallel executor, the result cache (with
-checksum integrity and gc), and deterministic retry backoff."""
+"""Tests for run specs, the parallel executor, and the result cache (with
+checksum integrity and gc)."""
 
 import os
 import pickle
@@ -373,58 +373,6 @@ class TestCacheGc:
         )
 
 
-class TestRetryBackoff:
-    def test_disabled_by_default(self):
-        executor = Executor(jobs=1)
-        assert executor.retry_backoff is None
-        assert executor._backoff_delay(tiny_spec(), 3) == 0.0
-
-    def test_zero_disables_and_negative_rejected(self):
-        assert Executor(jobs=1, retry_backoff=0).retry_backoff is None
-        with pytest.raises(ValueError, match="retry_backoff"):
-            Executor(jobs=1, retry_backoff=-1.0)
-
-    def test_first_attempt_never_delayed(self):
-        executor = Executor(jobs=1, retry_backoff=1.0)
-        assert executor._backoff_delay(tiny_spec(), 0) == 0.0
-
-    def test_deterministic_exponential_with_jitter(self):
-        executor = Executor(jobs=1, retry_backoff=0.1)
-        spec = tiny_spec()
-        first = executor._backoff_delay(spec, 1)
-        assert first == executor._backoff_delay(spec, 1)  # seeded, stable
-        assert 0.05 <= first < 0.15  # base * [0.5, 1.5)
-        second = executor._backoff_delay(spec, 2)
-        assert 0.1 <= second < 0.3  # base * 2 * [0.5, 1.5)
-        # decorrelated across specs: a failure burst does not retry in
-        # lockstep
-        assert first != executor._backoff_delay(tiny_spec(seed=4), 1)
-
-    def test_capped(self):
-        executor = Executor(jobs=1, retry_backoff=100.0)
-        assert (
-            executor._backoff_delay(tiny_spec(), 5)
-            == Executor.BACKOFF_CAP_SECONDS
-        )
-
-    def test_retry_sleeps_the_backoff_in_the_attempt(self, monkeypatch):
-        """An injected first-attempt failure with backoff on must sleep
-        exactly the seeded delay before the retry attempt."""
-        import repro.experiments.executor as executor_module
-
-        slept = []
-        monkeypatch.setattr(
-            executor_module.time, "sleep", lambda s: slept.append(s)
-        )
-        spec = tiny_spec()
-        monkeypatch.setenv("REPRO_FAULT_INJECT", f"raise:{spec.token()}:1")
-        executor = Executor(jobs=1, retries=1, retry_backoff=0.01)
-        result = executor.run([spec])[0]
-        assert result.summary.n_flows > 0  # the retry succeeded
-        assert executor.stats.retried == 1
-        assert slept == [executor._backoff_delay(spec, 1)]
-
-
 class TestRunGrid:
     def test_pools_each_cell(self):
         cells = [seed_specs(tiny_spec(seed=3), 2), seed_specs(tiny_spec(seed=9), 1)]
@@ -464,17 +412,17 @@ class TestDefaultExecutor:
     @pytest.mark.parametrize(
         "variable, text",
         [("REPRO_JOBS", "many"), ("REPRO_RETRIES", "-3"),
-         ("REPRO_RETRY_BACKOFF", "soon"), ("REPRO_SPEC_TIMEOUT", "soon")],
+         ("REPRO_SPEC_TIMEOUT", "soon")],
     )
     def test_from_env_rejects_malformed_settings(self, variable, text, monkeypatch):
         monkeypatch.setenv(variable, text)
         with pytest.raises(SettingError, match=f"{variable}='{text}'"):
             Executor.from_env()
         explicit = Executor.from_env(
-            jobs=2, retries=3, retry_backoff=0, spec_timeout=2.5
+            jobs=2, retries=3, spec_timeout=2.5
         )  # explicit beats (and never parses) the environment
         assert (explicit.jobs, explicit.retries) == (2, 3)
-        assert (explicit.retry_backoff, explicit.spec_timeout) == (None, 2.5)
+        assert explicit.spec_timeout == 2.5
         with pytest.raises(TypeError, match="not executor settings"):
             Executor.from_env(job=2)
 

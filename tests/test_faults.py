@@ -18,12 +18,12 @@ from repro.experiments.faults import (
     gather_failures,
     is_failure,
     maybe_inject_fault,
-    parse_fault_directives,
 )
 from repro.experiments.fct import FctCollector, FlowRecord
 from repro.experiments.report import format_failure_table
 from repro.experiments.runner import ExperimentResult, pool_results
 from repro.experiments.specs import AqmSpec, RunSpec, seed_specs
+from repro.settings import Fault, SettingError, fault_directives
 from repro.sim.units import us
 from repro.workloads import WEB_SEARCH
 
@@ -47,26 +47,46 @@ def inject(monkeypatch, directive):
 class TestDirectiveParsing:
     def test_empty_and_missing(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
-        assert parse_fault_directives() == ()
-        assert parse_fault_directives("") == ()
-        assert parse_fault_directives(" ; ; ") == ()
+        assert fault_directives() == ()
+        for text in ("", " ; ; "):
+            inject(monkeypatch, text)
+            assert fault_directives() == ()
 
-    def test_grammar(self):
-        assert parse_fault_directives("raise:ECN#") == (("raise", "ECN#", None),)
-        assert parse_fault_directives("hang:seed=3|;exit:TCN:2") == (
-            ("hang", "seed=3|", None),
-            ("exit", "TCN", 2),
+    def test_grammar(self, monkeypatch):
+        inject(monkeypatch, "raise:ECN#")
+        assert fault_directives() == (Fault("raise", "ECN#", None),)
+        inject(monkeypatch, "hang:seed=3|;exit:TCN:2")
+        assert fault_directives() == (
+            Fault("hang", "seed=3|", None),
+            Fault("exit", "TCN", 2),
         )
         # Empty substring matches everything.
-        assert parse_fault_directives("raise") == (("raise", "", None),)
+        inject(monkeypatch, "raise")
+        assert fault_directives() == (Fault("raise", "", None),)
 
-    def test_unknown_action_warns_and_skips(self):
-        with pytest.warns(UserWarning, match="unknown action"):
-            assert parse_fault_directives("explode:ECN#") == ()
+    def test_unknown_action_raises_naming_the_variable(self, monkeypatch):
+        inject(monkeypatch, "explode:ECN#")
+        with pytest.raises(SettingError,
+                           match="REPRO_FAULT_INJECT=.*unknown mode 'explode'"):
+            maybe_inject_fault(tiny_spec(), attempt=0)
 
-    def test_bad_max_attempt_warns_and_skips(self):
-        with pytest.warns(UserWarning, match="not an integer"):
-            assert parse_fault_directives("raise:ECN#:soon") == ()
+    def test_bad_max_attempt_raises_naming_the_variable(self, monkeypatch):
+        inject(monkeypatch, "raise:ECN#:soon")
+        with pytest.raises(SettingError,
+                           match="REPRO_FAULT_INJECT=.*not a valid int"):
+            maybe_inject_fault(tiny_spec(), attempt=0)
+
+    def test_malformed_directive_fails_the_grid_before_any_cell(self, monkeypatch):
+        inject(monkeypatch, "raise:ECN#:soon")
+        executor = Executor(jobs=1, retries=1)
+        with pytest.raises(SettingError, match="REPRO_FAULT_INJECT="):
+            executor.run([tiny_spec()])
+        assert (executor.stats.executed, executor.failures) == (0, [])
+
+    def test_other_modes_never_fire_at_execute_spec(self, monkeypatch):
+        inject(monkeypatch, "kill_before:1;corrupt_cache;"
+                            "perturb:ecn-sharp:pst_target:2")
+        maybe_inject_fault(tiny_spec(), attempt=0)  # must not raise
 
     def test_injection_is_a_noop_without_directives(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)

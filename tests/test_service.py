@@ -265,17 +265,6 @@ class TestSummaryCache:
         assert cache.get(("s", "q", "json")) is None
         assert cache.stats()["bytes"] == 0
 
-    def test_ttl_expiry(self):
-        clock = [0.0]
-        cache = SummaryCache(max_bytes=1000, ttl=5.0,
-                             clock=lambda: clock[0])
-        cache.put(("s", "q", "json"), b"body")
-        clock[0] = 4.0
-        assert cache.get(("s", "q", "json")) == b"body"
-        clock[0] = 10.0
-        assert cache.get(("s", "q", "json")) is None
-        assert cache.evictions == 1
-
     def test_telemetry_counters(self):
         telemetry = Telemetry(metrics=True, profile=False)
         cache = SummaryCache(max_bytes=100, telemetry=telemetry)

@@ -359,7 +359,7 @@ class TestCliTelemetry:
         one_small_fig10_cell(monkeypatch)
 
         # A factor-1 perturbation changes nothing but is a set hook.
-        monkeypatch.setenv("REPRO_AQM_PERTURB", "ecn-sharp:pst_target:1")
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "perturb:ecn-sharp:pst_target:1")
         monkeypatch.setenv("REPRO_RETRIES", "4")
         trace_path = str(tmp_path / "t.jsonl")
         metrics_path = str(tmp_path / "m.json")
@@ -370,7 +370,6 @@ class TestCliTelemetry:
                     "--trace",
                     "--trace-out", trace_path,
                     "--metrics-out", metrics_path,
-                    "--retry-backoff", "0.25",
                 ]
             )
             == 0
@@ -393,12 +392,11 @@ class TestCliTelemetry:
         assert data["manifest"]["settings"] == {
             "jobs": 1,
             "retries": 4,
-            "retry_backoff": 0.25,
             "spec_timeout": None,
             "cache_dir": str(tmp_path / "repro-cache"),
             "fidelity": "packet",
             "full": False,
-            "REPRO_AQM_PERTURB": "ecn-sharp:pst_target:1",
+            "REPRO_FAULT_INJECT": "perturb:ecn-sharp:pst_target:1",
         }
         assert data["metrics"]["counters"]
         assert data["profile"]["events"] > 0

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.experiments.executor import Executor
+from repro.settings import SettingError
 from repro.telemetry import Telemetry, activate
 from repro.validation import (
     StaleBaselineError,
@@ -109,7 +110,7 @@ class TestCanary:
         # pst_target 10us -> 200us (still below ins_target 220us): ECN#
         # runs cleanly but keeps a RED-like standing queue.  No cache, so
         # the perturbed simulation actually executes.
-        monkeypatch.setenv("REPRO_AQM_PERTURB", "ecn-sharp:pst_target:20")
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "perturb:ecn-sharp:pst_target:20")
         executor = Executor(jobs=1, cache=False)
         report = run_gate(scale, executor, baseline_path=path)
         assert report.status == FAIL
@@ -124,8 +125,8 @@ class TestCanary:
         from repro.experiments.schemes import build_aqm
         from repro.sim.units import us
 
-        monkeypatch.setenv("REPRO_AQM_PERTURB", "not-a-valid-spec")
-        with pytest.raises(ValueError, match="REPRO_AQM_PERTURB"):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "perturb:not-a-valid-spec")
+        with pytest.raises(SettingError, match="REPRO_FAULT_INJECT"):
             build_aqm("sojourn-red", {"sojourn": us(204.8)})
 
 
