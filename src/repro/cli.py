@@ -48,11 +48,12 @@ JSON, its ``claims`` verdicts (CSV with a ``.csv`` suffix: the grid only).
 See DESIGN.md ("Telemetry & instrumentation").
 
 Fault tolerance: a cell that crashes, stalls or hangs does not abort the
-figure.  Failed cells are retried (``--retries``, default 1), optionally
-bounded by a per-spec wall-clock budget (``--spec-timeout``, off by
-default), and finally recorded; the figure renders the surviving cells with
-gaps, a failure summary table is printed, and the exit code is non-zero
-only when *no* cell produced a usable result.
+figure.  A cell runs once, optionally bounded by a per-spec wall-clock
+budget (``--spec-timeout``, off by default), and its failure is recorded
+(only a cell whose worker process died runs again, once, in-process); the
+figure renders the surviving cells with gaps, a failure summary table is
+printed, and the exit code is non-zero only when *no* cell produced a
+usable result.
 
 ``scenario`` runs declarative scenario files (see the README's "Scenarios"
 section): ``list``/``check`` inspect and validate them without simulating,
@@ -120,6 +121,7 @@ from .experiments.report import (
     to_csv,
     to_json,
 )
+from .experiments.schemes import check_fault_directives
 from .logs import configure_logging, get_logger
 from .sim.units import ms
 from .telemetry import CATEGORIES, RunManifest, Telemetry, activate, make_progress
@@ -142,14 +144,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="always simulate, ignoring and not writing the result cache",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="extra attempts for a failed cell before recording the failure "
-        "(default: REPRO_RETRIES or 1)",
     )
     parser.add_argument(
         "--spec-timeout",
@@ -1310,7 +1304,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     configure_logging(quiet=args.quiet, verbose=args.verbose)
     try:
-        settings.fault_directives()  # a malformed test hook fails before any run
+        check_fault_directives()  # a malformed test hook fails before any run
         return _COMMANDS[args.command](args, parser)
     except settings.SettingError as exc:
         log.error(f"# error: {exc}")

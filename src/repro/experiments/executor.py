@@ -11,11 +11,13 @@ memoizes each cell's result on disk, so that
   re-simulating them (``cache_dir``), and
 * one crashed, hung or OOM-killed cell degrades to a recorded
   :class:`~repro.experiments.faults.RunFailure` instead of aborting the
-  grid: worker exceptions are caught *inside* the worker, failed specs are
-  retried (``retries``), a per-spec wall-clock budget (``spec_timeout``)
-  abandons hung workers, and a ``BrokenProcessPool`` is recovered by
-  rebuilding the pool and requeueing only the unfinished specs.  (Those four
-  are :mod:`repro.settings` rows, resolved by :meth:`Executor.from_env`.)
+  grid.  A spec runs once: it is deterministic, so its own exception,
+  stall or timeout (``spec_timeout``, a per-spec wall-clock budget that
+  abandons hung workers) is its verdict.  A worker lost under a spec
+  (``BrokenProcessPool``) is not the spec's verdict: every spec in flight on
+  the broken pool gets one in-process run, and the pool is rebuilt for the
+  rest.  (``jobs``, ``spec_timeout`` and ``cache_dir`` are
+  :mod:`repro.settings` rows, resolved by :meth:`Executor.from_env`.)
 
 Determinism guarantee: every run owns its own
 :class:`~repro.sim.engine.Simulator` and ``numpy.random.default_rng(seed)``,
@@ -51,7 +53,7 @@ import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from time import perf_counter
@@ -61,6 +63,7 @@ from .. import settings
 from ..telemetry.runtime import get_active, set_active
 from ..telemetry.spans import maybe_span
 from .faults import RunFailure, counted_fault, is_failure, maybe_inject_fault
+from .schemes import check_fault_directives
 from .specs import Cell, RunSpec, resolve_workload
 
 try:  # per-process peak RSS; stdlib on Unix, absent on Windows
@@ -113,18 +116,16 @@ def default_cache_dir(explicit: Optional[str] = None) -> Path:
 # --------------------------------------------------------------- execution
 
 
-def execute_spec(spec: RunSpec, attempt: int = 0) -> Any:
+def execute_spec(spec: RunSpec) -> Any:
     """Run one spec to completion and return its result.
 
     Module-level (spawn-safe) dispatch over the spec's topology kind.  The
     rig modules are imported lazily: this module is imported by every figure
     module, and the microscopic/scheduler rigs live in figure modules.
-
-    ``attempt`` is the zero-based retry index; it exists so deterministic
-    fault injection (``REPRO_FAULT_INJECT``, checked here before the rig
-    runs) can fail the first N attempts and let a retry succeed.
+    Deterministic fault injection (``REPRO_FAULT_INJECT``) is checked here,
+    before the rig runs.
     """
-    maybe_inject_fault(spec, attempt)
+    maybe_inject_fault(spec)
     aqm_factory = spec.aqm.build
     kwargs: Dict[str, Any] = dict(spec.extras)
     # The fidelity is part of the spec (and therefore of the cache key);
@@ -201,11 +202,7 @@ def _max_rss_kb() -> Optional[int]:
     return int(_resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _guarded_execute(
-    spec: RunSpec,
-    attempt: int = 0,
-    observe_spans: bool = False,
-) -> Any:
+def _guarded_execute(spec: RunSpec, observe_spans: bool = False) -> Any:
     """Worker entry point: run a spec, converting any exception into a
     picklable :class:`RunFailure` so nothing propagates (or fails to
     pickle) across the process boundary.
@@ -226,11 +223,10 @@ def _guarded_execute(
         set_active(local_telemetry)
     wall_start = perf_counter()
     try:
-        with maybe_span("cell", kind="cell", token=spec.token(),
-                        attempt=attempt):
-            outcome = execute_spec(spec, attempt=attempt)
+        with maybe_span("cell", kind="cell", token=spec.token()):
+            outcome = execute_spec(spec)
     except Exception as exc:
-        outcome = RunFailure.from_exception(spec, exc, attempts=attempt + 1)
+        outcome = RunFailure.from_exception(spec, exc)
     finally:
         if local_telemetry is not None:
             set_active(None)
@@ -512,6 +508,7 @@ class SpecAttribution:
     from the on-disk result cache) or ``"failed"`` (terminal failure).
     ``wall_seconds``/``max_rss_kb`` come from the process that executed
     the spec (worker or parent); ``events`` is the simulated event count.
+    ``attempts`` is 1, or 2 when a lost worker bought an in-process run.
     """
 
     token: str
@@ -552,7 +549,6 @@ class ExecutorStats:
     executed: int = 0
     cache_hits: int = 0
     failed: int = 0
-    retried: int = 0
     timeouts: int = 0
     pool_rebuilds: int = 0
     inline_fallbacks: int = 0
@@ -562,9 +558,10 @@ class ExecutorStats:
             f"specs={self.submitted} executed={self.executed} "
             f"cache_hits={self.cache_hits}"
         )
-        if self.failed or self.retried or self.pool_rebuilds:
+        if self.failed or self.inline_fallbacks or self.pool_rebuilds:
             line += (
-                f" failed={self.failed} retried={self.retried} "
+                f" failed={self.failed} "
+                f"inline_fallbacks={self.inline_fallbacks} "
                 f"pool_rebuilds={self.pool_rebuilds}"
             )
         return line
@@ -579,8 +576,6 @@ class Executor:
     :class:`RunFailure` in its slot rather than raising.
 
     Args:
-        retries: extra attempts per failing spec (default 1, so each spec
-            runs at most twice before its failure is recorded).
         spec_timeout: per-spec wall-clock budget in seconds; a spec still
             running past it is abandoned (its worker killed, the pool
             rebuilt) and recorded as a ``RunFailure(kind="timeout")``.
@@ -593,27 +588,23 @@ class Executor:
         jobs: int = 1,
         cache: bool = False,
         cache_dir: Optional[Path] = None,
-        retries: int = 1,
         spec_timeout: Optional[float] = None,
         progress: Optional[Any] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         if spec_timeout is not None and spec_timeout <= 0:
             raise ValueError("spec_timeout must be positive (or None)")
         self.jobs = jobs
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if cache else None
         )
-        self.retries = retries
         self.spec_timeout = spec_timeout
         self.stats = ExecutorStats()
         self.failures: List[RunFailure] = []
         self.progress: Optional[Any] = progress
         """A :class:`~repro.telemetry.progress.ProgressReporter` (or any
-        object with ``add_total``/``cell_done``/``retry``), or None."""
+        object with ``add_total``/``cell_done``), or None."""
         self.last_run_attribution: List[Optional[SpecAttribution]] = []
         """Per-spec :class:`SpecAttribution` of the most recent
         :meth:`run` call, in submission order (None for a slot the run
@@ -621,7 +612,7 @@ class Executor:
         self._spans_requested = False
         self._attribution: List[Optional[SpecAttribution]] = []
 
-    SETTINGS = ("jobs", "retries", "spec_timeout", "cache_dir")
+    SETTINGS = ("jobs", "spec_timeout", "cache_dir")
     """The constructor arguments that are :mod:`repro.settings` rows."""
 
     @classmethod
@@ -652,10 +643,10 @@ class Executor:
         """Execute every spec (cache, then workers) in submission order.
 
         Each slot of the returned list holds the spec's result, or a
-        :class:`RunFailure` if the spec failed terminally (after retries
-        and, for pool-structural failures, one in-process fallback).
+        :class:`RunFailure` if the spec failed (a spec whose worker was
+        lost gets one in-process run first).
         """
-        settings.fault_directives()  # a malformed hook fails here, not in each cell
+        check_fault_directives()  # a malformed hook fails here, not in each cell
         specs = list(specs)
         self.stats.submitted += len(specs)
         telemetry = get_active()
@@ -698,28 +689,10 @@ class Executor:
                 self._run_pool(specs, pending, results)
             else:
                 for index in pending:
-                    self._settle(
-                        specs, index, self._run_inline(specs[index]), results
-                    )
+                    outcome = _guarded_execute(specs[index],
+                                               self._spans_requested)
+                    self._settle(specs, index, outcome, results)
         return results
-
-    # ------------------------------------------------------------ in-process
-
-    def _run_inline(self, spec: RunSpec, first_attempt: int = 0) -> Any:
-        """Run one spec in-process with retries; returns the result or the
-        final :class:`RunFailure`."""
-        outcome: Any = None
-        attempt = first_attempt
-        while True:
-            outcome = _guarded_execute(spec, attempt, self._spans_requested)
-            if not isinstance(outcome, RunFailure):
-                return outcome
-            if attempt - first_attempt >= self.retries:
-                return outcome
-            self.stats.retried += 1
-            if self.progress is not None:
-                self.progress.retry()
-            attempt += 1
 
     # ----------------------------------------------------------------- pool
 
@@ -732,20 +705,19 @@ class Executor:
         submitted future is (almost immediately) a *running* future --
         that's what makes the per-spec wall-clock deadline meaningful.
         Worker exceptions come back as :class:`RunFailure` values (never
-        raised); ``BrokenProcessPool`` and expired deadlines kill and
-        rebuild the pool, requeueing the innocent in-flight specs.
+        raised); a lost worker and an expired deadline kill and rebuild the
+        pool.
         """
         context = multiprocessing.get_context("spawn")
         workers = min(self.jobs, len(pending))
         queue: deque = deque(pending)
-        attempts: Dict[int, int] = {index: 0 for index in pending}
         futures: Dict[Any, Tuple[int, float]] = {}  # future -> (index, started)
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         settled = False
         try:
             while queue or futures:
-                pool = self._fill(pool, context, workers, queue, attempts,
-                                  futures, specs, results)
+                pool = self._fill(pool, context, workers, queue, futures,
+                                  specs, results)
                 if not futures:
                     continue
                 wait_timeout = None
@@ -761,11 +733,11 @@ class Executor:
                     return_when=FIRST_COMPLETED,
                 )
                 if done:
-                    pool = self._collect(pool, context, workers, done, queue,
-                                         attempts, futures, specs, results)
+                    pool = self._collect(pool, context, workers, done,
+                                         futures, specs, results)
                 else:
                     pool = self._expire(pool, context, workers, queue,
-                                        attempts, futures, specs, results)
+                                        futures, specs, results)
             settled = True
         finally:
             # With every future settled the workers are idle, so waiting
@@ -773,64 +745,50 @@ class Executor:
             # exception a worker may be mid-spec, and nothing waits for it.
             pool.shutdown(wait=settled, cancel_futures=True)
 
-    def _fill(self, pool, context, workers, queue, attempts, futures,
-              specs, results):
+    def _fill(self, pool, context, workers, queue, futures, specs, results):
         """Top the pool up to one in-flight future per worker."""
         while queue and len(futures) < workers:
             index = queue.popleft()
             try:
                 future = pool.submit(_guarded_execute, specs[index],
-                                     attempts[index], self._spans_requested)
+                                     self._spans_requested)
             except (BrokenProcessPool, RuntimeError):
                 # The pool broke before we noticed (a worker died between
                 # batches).  This submission never ran: requeue it at the
-                # front without charging an attempt, fail over the
-                # in-flight futures, and rebuild.
+                # front.
                 queue.appendleft(index)
-                for doomed_index, _ in futures.values():
-                    self._worker_death(specs, doomed_index, attempts, queue,
-                                       results)
-                futures.clear()
-                return self._rebuild(pool, context, workers)
+                return self._worker_lost(pool, context, workers, futures,
+                                         specs, results)
             futures[future] = (index, time.monotonic())
         return pool
 
-    def _collect(self, pool, context, workers, done, queue, attempts,
-                 futures, specs, results):
-        """Settle completed futures; recover if the pool broke."""
-        broken = False
+    def _collect(self, pool, context, workers, done, futures, specs, results):
+        """Settle completed futures; recover if a worker was lost."""
+        lost = False
         for future in done:
-            index, _started = futures.pop(future)
+            index, _started = futures[future]
             try:
                 outcome = future.result()
-            except BrokenProcessPool as exc:
-                broken = True
-                self._worker_death(specs, index, attempts, queue, results,
-                                   detail=str(exc))
+            except BrokenProcessPool:
+                lost = True  # stays in ``futures`` for ``_worker_lost``
                 continue
             except Exception as exc:
                 # Pool-structural failure that is not a broken pool, e.g.
                 # the result failed to unpickle in this process.
-                outcome = RunFailure.from_exception(
-                    specs[index], exc, attempts=attempts[index] + 1
-                )
-            self._settle_pool(specs, index, attempts, queue, outcome, results)
-        if broken:
-            # Every other in-flight future on the broken pool is doomed;
-            # fail them over now and requeue the survivors' specs.
-            for future, (index, _started) in list(futures.items()):
-                self._worker_death(specs, index, attempts, queue, results)
-            futures.clear()
-            pool = self._rebuild(pool, context, workers)
+                outcome = RunFailure.from_exception(specs[index], exc)
+            del futures[future]
+            self._settle(specs, index, outcome, results)
+        if lost:
+            return self._worker_lost(pool, context, workers, futures, specs,
+                                     results)
         return pool
 
-    def _expire(self, pool, context, workers, queue, attempts, futures,
-                specs, results):
+    def _expire(self, pool, context, workers, queue, futures, specs, results):
         """Handle a wait() timeout: abandon overdue futures.
 
         A hung worker cannot be cancelled, so the pool's processes are
         killed and the pool rebuilt; in-flight specs that were *not*
-        overdue are requeued without being charged an attempt.
+        overdue are requeued.
         """
         now = time.monotonic()
         overdue = [
@@ -846,59 +804,37 @@ class Executor:
                 try:
                     outcome = future.result()
                 except Exception as exc:
-                    outcome = RunFailure.from_exception(
-                        specs[index], exc, attempts=attempts[index] + 1
-                    )
-                self._settle_pool(specs, index, attempts, queue, outcome,
-                                  results)
+                    outcome = RunFailure.from_exception(specs[index], exc)
+                self._settle(specs, index, outcome, results)
                 continue
             self.stats.timeouts += 1
             self._record_failure(
-                RunFailure.timeout(
-                    specs[index], self.spec_timeout, attempts[index] + 1
-                ),
+                RunFailure.timeout(specs[index], self.spec_timeout),
                 index,
                 results,
             )
-        for future, (index, _started) in list(futures.items()):
-            queue.appendleft(index)  # innocent bystanders: no attempt charged
+        for index, _started in futures.values():
+            queue.appendleft(index)  # innocent bystanders
         futures.clear()
         return self._rebuild(pool, context, workers, kill=True)
 
     # ------------------------------------------------------------- plumbing
 
-    def _settle_pool(self, specs, index, attempts, queue, outcome, results):
-        """Record one pool outcome: success, retry, or terminal failure."""
-        if not isinstance(outcome, RunFailure):
+    def _worker_lost(self, pool, context, workers, futures, specs, results):
+        """A worker died under the pool (``BrokenProcessPool``).  That is
+        not a spec's own outcome, and the pool cannot say which spec killed
+        it, so every spec in flight (``futures``) gets one in-process run,
+        where the parent has the last word.  The pool is then rebuilt for
+        the rest of the queue."""
+        for index, _started in futures.values():
+            self.stats.inline_fallbacks += 1
+            outcome = _guarded_execute(specs[index], self._spans_requested)
+            if isinstance(outcome, RunFailure):  # the worker's run counts
+                outcome = replace(outcome, attempts=2)
             self._settle(specs, index, outcome, results)
-            return
-        attempts[index] += 1
-        if attempts[index] <= self.retries:
-            self.stats.retried += 1
-            if self.progress is not None:
-                self.progress.retry()
-            queue.append(index)
-            return
-        self._record_failure(outcome, index, results)
-
-    def _worker_death(self, specs, index, attempts, queue, results,
-                      detail: str = "worker process died unexpectedly"):
-        """One future lost to a dead worker: retry, then fall back to one
-        in-process attempt (the failure is pool-structural, not the
-        spec's own exception, so the parent process gets the last word)."""
-        attempts[index] += 1
-        if attempts[index] <= self.retries:
-            self.stats.retried += 1
-            if self.progress is not None:
-                self.progress.retry()
-            queue.append(index)
-            return
-        self.stats.inline_fallbacks += 1
-        outcome = self._run_inline(specs[index], first_attempt=attempts[index])
-        if isinstance(outcome, RunFailure):
-            self._record_failure(outcome, index, results)
-        else:
-            self._settle(specs, index, outcome, results)
+            self._attribution[index].attempts = 2
+        futures.clear()
+        return self._rebuild(pool, context, workers)
 
     def _settle(self, specs, index, outcome, results):
         """Record a final outcome (success or failure) for one spec.

@@ -6,7 +6,8 @@ failure, not abort the sweep.  This module provides the pieces the executor
 and the downstream pooling/figure/CLI layers share:
 
 * :class:`RunFailure` -- a typed, picklable record of one cell's death
-  (spec identity, exception type/message, traceback text, attempt count),
+  (spec identity, exception type/message, traceback text, how many runs
+  it took: 1, or 2 when its worker was lost and the parent re-ran it),
   safe to ship across the spawn process boundary and into telemetry
   snapshots;
 * :class:`FailedCell` -- the stand-in for a pooled cell whose every seed
@@ -16,20 +17,18 @@ and the downstream pooling/figure/CLI layers share:
 * deterministic fault injection -- :func:`maybe_inject_fault` acts on
   ``REPRO_FAULT_INJECT``'s ``raise``/``hang``/``exit`` directives at the top
   of :func:`repro.experiments.executor.execute_spec`, so every recovery path
-  (exception, hang+timeout, worker exit, retry-then-succeed) is testable
-  without flaky timing, and :func:`counted_fault` counts the store and cache
-  calls its kill/tear/corrupt directives fire at.
+  (exception, hang+timeout, lost worker) is testable without flaky timing,
+  and :func:`counted_fault` counts the store and cache calls its
+  kill/tear/corrupt directives fire at.
 
 The grammar and its one parser are :class:`repro.settings.Fault` and
 :func:`repro.settings.fault_directives`.  ``<substr>`` is substring-matched
 against :meth:`RunSpec.token` (``kind|label|seed=N|hash16``); an empty
 substring matches every spec.  ``raise`` throws :class:`InjectedFault`;
 ``hang`` sleeps forever (pair it with the executor's ``spec_timeout``);
-``exit`` kills the worker process with ``os._exit`` (in the main process it
-raises instead -- a hard exit there would defeat the harness the hook exists
-to test).  The optional ``<max_attempt>`` fires the fault only while
-``attempt < max_attempt``, which is how retry-then-succeed is exercised
-deterministically.
+``exit`` models a lost worker: it kills the worker process with
+``os._exit``, and in the main process, where there is no worker to lose,
+it does nothing.
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ FAULT_EXIT_CODE = 137
 
 
 class InjectedFault(RuntimeError):
-    """The exception thrown by ``raise`` fault-injection directives (and
-    by ``exit`` directives executing in the main process)."""
+    """The exception thrown by ``raise`` fault-injection directives."""
 
 
 # ----------------------------------------------------------------- records
@@ -82,9 +80,9 @@ class RunFailure:
     * ``"stall"`` -- the engine raised :class:`SimulationStalled`.
     * ``"timeout"`` -- the spec exceeded the executor's per-spec
       wall-clock budget and its worker was abandoned.
-    * ``"worker-exit"`` -- the worker process died (OOM kill,
-      ``os._exit``) and the in-process fallback was not attempted or
-      could not identify a survivor.
+
+    ``attempts`` is how many times the spec ran: 1, or 2 when a lost
+    worker bought it an in-process run.
     """
 
     spec_key: str  # RunSpec.token(): kind|label|seed=N|hash16
@@ -97,9 +95,7 @@ class RunFailure:
     attempts: int = 1
 
     @classmethod
-    def from_exception(
-        cls, spec: RunSpec, exc: BaseException, attempts: int
-    ) -> "RunFailure":
+    def from_exception(cls, spec: RunSpec, exc: BaseException) -> "RunFailure":
         kind = "stall" if isinstance(exc, SimulationStalled) else "exception"
         return cls(
             spec_key=spec.token(),
@@ -111,11 +107,10 @@ class RunFailure:
             traceback="".join(
                 traceback_module.format_exception(type(exc), exc, exc.__traceback__)
             ),
-            attempts=attempts,
         )
 
     @classmethod
-    def timeout(cls, spec: RunSpec, timeout_seconds: float, attempts: int) -> "RunFailure":
+    def timeout(cls, spec: RunSpec, timeout_seconds: float) -> "RunFailure":
         return cls(
             spec_key=spec.token(),
             kind="timeout",
@@ -126,19 +121,6 @@ class RunFailure:
                 f"spec exceeded the {timeout_seconds:g}s wall-clock budget; "
                 "worker abandoned"
             ),
-            attempts=attempts,
-        )
-
-    @classmethod
-    def worker_exit(cls, spec: RunSpec, detail: str, attempts: int) -> "RunFailure":
-        return cls(
-            spec_key=spec.token(),
-            kind="worker-exit",
-            label=spec.label or spec.aqm.kind,
-            seed=spec.seed,
-            exc_type="BrokenProcessPool",
-            message=detail,
-            attempts=attempts,
         )
 
     def to_dict(self) -> dict:
@@ -216,38 +198,26 @@ def _in_worker_process() -> bool:
     return multiprocessing.current_process().name != "MainProcess"
 
 
-def maybe_inject_fault(spec: RunSpec, attempt: int) -> None:
+def maybe_inject_fault(spec: RunSpec) -> None:
     """Fire any ``REPRO_FAULT_INJECT`` directive matching ``spec``.
 
     Called at the top of ``execute_spec`` in whichever process runs the
-    spec (workers inherit the environment at spawn).  ``attempt`` is the
-    zero-based retry index; a directive with ``max_attempt`` only fires
-    while ``attempt < max_attempt``.
+    spec (workers inherit the environment at spawn).
     """
     directives = settings.fault_directives()
     if not directives:
         return
     token = spec.token()
     for fault in directives:
-        action, max_attempt = fault.mode, fault.n
-        if action not in settings.SPEC_FAULTS or fault.match not in token:
+        if fault.mode not in settings.SPEC_FAULTS or fault.match not in token:
             continue
-        if max_attempt is not None and attempt >= max_attempt:
-            continue
-        if action == "raise":
-            raise InjectedFault(
-                f"injected fault for {token} (attempt {attempt})"
-            )
-        if action == "hang":
+        if fault.mode == "raise":
+            raise InjectedFault(f"injected fault for {token}")
+        if fault.mode == "hang":
             while True:  # parent-side spec_timeout is the only way out
                 time.sleep(3600.0)
-        if action == "exit":
-            if _in_worker_process():
-                os._exit(17)
-            raise InjectedFault(
-                f"injected worker-exit for {token} (attempt {attempt}; "
-                "raised instead of exiting: not in a worker process)"
-            )
+        if _in_worker_process():  # exit: only a worker can be lost
+            os._exit(17)
 
 
 # Per-process call counts of the counted points.  Workers inherit

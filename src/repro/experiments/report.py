@@ -130,8 +130,7 @@ def format_failure_table(failures: Sequence[object]) -> str:
     """Render the executor's :class:`RunFailure` records as a table.
 
     One row per failed cell: the spec token, the failure kind (exception /
-    stall / timeout / worker-exit), the attempt count, and the exception
-    headline.  Tracebacks stay out of the table; they live on the records
+    stall / timeout), how many runs it took, and the exception headline.  Tracebacks stay out of the table; they live on the records
     (and in the telemetry snapshot) for forensics."""
     rows: List[List[str]] = []
     for failure in failures:

@@ -19,6 +19,8 @@ implementation choice); byte thresholds convert through Equation 2 at the
 
 from __future__ import annotations
 
+import inspect
+import os
 from typing import Any, Callable, Dict, List
 
 from .. import settings
@@ -31,6 +33,7 @@ __all__ = [
     "AqmFactory",
     "AQM_BUILDERS",
     "build_aqm",
+    "check_fault_directives",
     "perturbed_params",
     "bytes_to_sojourn",
     "testbed_schemes",
@@ -65,6 +68,30 @@ This is what lets a :class:`~repro.experiments.specs.AqmSpec` cross a
 process boundary -- the worker rebuilds the AQM from (name, params) instead
 of unpicklable closure factories.
 """
+
+
+def check_fault_directives() -> None:
+    """Parse ``REPRO_FAULT_INJECT`` and check each ``perturb`` directive
+    against :data:`AQM_BUILDERS`: a kind that is not registered, or a
+    parameter its builder does not take, raises
+    :class:`~repro.settings.SettingError` naming the variable, because such
+    a canary would perturb nothing.  ``cli.main`` and ``Executor.run`` call
+    this before anything is simulated."""
+    for fault in settings.fault_directives():
+        if fault.mode != "perturb":
+            continue
+        builder = AQM_BUILDERS.get(fault.match)
+        if builder is None:
+            problem = (f"unknown AQM kind {fault.match!r} "
+                       f"(available: {sorted(AQM_BUILDERS)})")
+        else:
+            params = list(inspect.signature(builder).parameters)
+            if fault.param in params:
+                continue
+            problem = (f"AQM {fault.match!r} has no parameter "
+                       f"{fault.param!r} (it takes {params})")
+        raw = os.environ.get(settings.FAULT_INJECT, "")
+        raise settings.SettingError(f"{settings.FAULT_INJECT}={raw!r}: {problem}")
 
 
 def perturbed_params(kind: str, params: Dict[str, Any]) -> Dict[str, Any]:

@@ -635,11 +635,7 @@ def _execute_shard(
     """Execute one shard through the executor and settle its records
     (store appends are the caller's job, under the store lock)."""
     cells = [cell for _, cell, _ in shard]
-    retried_before = executor.stats.retried
     outcomes = executor.run([spec for cell in cells for spec in cell.specs])
-    if progress is not None:
-        for _ in range(executor.stats.retried - retried_before):
-            progress.retry()
     shard_records: List[CellRecord] = []
     shard_resources: List[Dict[str, Any]] = []
     for (comp, cell, key), runs, cell_attrs in zip(

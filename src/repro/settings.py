@@ -3,7 +3,7 @@
 Every user-facing setting is a row of :data:`SETTINGS` and :func:`resolve` is
 the only code that reads their variables: explicit keyword/flag > environment
 > default, and malformed or out-of-range text from *either* source raises
-:class:`SettingError` naming it (``REPRO_RETRIES='-3'``, ``--retries -3``).
+:class:`SettingError` naming it (``REPRO_JOBS='0'``, ``--jobs 0``).
 ``cli.main`` turns that into one ``# error:`` line and exit 2; nothing warns
 and runs with another value.
 
@@ -68,7 +68,6 @@ _seconds = _number(float, 0, zero_is_off=True)
 
 SETTINGS: Dict[str, Setting] = {
     "jobs": Setting("REPRO_JOBS", "--jobs", _number(int, 1), 1),
-    "retries": Setting("REPRO_RETRIES", "--retries", _number(int, 0), 1),
     "spec_timeout": Setting("REPRO_SPEC_TIMEOUT", "--spec-timeout", _seconds, None),
     # Unset: library executors do not cache, the CLI uses ~/.cache/repro.
     "cache_dir": Setting("REPRO_CACHE_DIR", "--cache-dir", str, None),
@@ -115,9 +114,8 @@ class Fault(NamedTuple):
     """One ``REPRO_FAULT_INJECT`` directive.  The variable holds
     ``;``-separated directives, each acting at one point:
 
-    * ``raise|hang|exit:<substr>[:<max_attempt>]`` -- ``execute_spec``, for
-      specs whose token contains ``substr`` (empty: every spec), while the
-      zero-based attempt is below ``max_attempt`` (``n``; None: always);
+    * ``raise|hang|exit[:<substr>]`` -- ``execute_spec``, for specs whose
+      token contains ``substr`` (empty: every spec);
     * ``kill_after|kill_before|torn_write[:<n>]`` -- this process's n-th
       ``CampaignStore.append`` (default 1);
     * ``corrupt_cache[:<n>]`` -- this process's n-th ``ResultCache.store``;
@@ -156,14 +154,12 @@ def _fault(part: str) -> Fault:
         if not factor > 0:  # also rejects nan
             raise ValueError(f"factor {text!r} must be > 0")
         return Fault(mode, kind, param=param, factor=factor)
-    if mode in COUNTED_FAULTS:
-        fields.insert(0, "")  # no substring: the count is the only field
-    if len(fields) > 2:
+    if len(fields) > 1:
         raise ValueError("too many ':' fields")
-    match, count = (fields + ["", ""])[:2]
-    if count.strip():
-        return Fault(mode, match, _count(count))
-    return Fault(mode, match, 1 if mode in COUNTED_FAULTS else None)
+    field = fields[0] if fields else ""
+    if mode in COUNTED_FAULTS:  # the one field is the count
+        return Fault(mode, n=_count(field) if field.strip() else 1)
+    return Fault(mode, field)
 
 
 @lru_cache(maxsize=32)

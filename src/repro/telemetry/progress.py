@@ -5,7 +5,7 @@ summary line.  This module provides the reporting half of the executor's
 progress hooks:
 
 * :class:`ProgressTracker` -- pure accounting (no I/O): cells done /
-  failed / retried / cache-hit / store-skipped, an exponentially-weighted
+  failed / cache-hit / store-skipped, an exponentially-weighted
   moving average of simulated events per wall second, and an ETA derived
   from the observed completion rate.  Fully deterministic given its
   inputs, so it is unit-testable without a terminal.
@@ -15,7 +15,7 @@ progress hooks:
   non-TTY consumers; machine-parseable, append-only, safe to ``tail -f``.
 
 The executor and the campaign orchestrator call the reporter interface
-(``add_total`` / ``cell_done`` / ``retry`` / ``close``); when no reporter
+(``add_total`` / ``cell_done`` / ``close``); when no reporter
 is attached they pay a single ``is not None`` check per settled cell.
 """
 
@@ -53,7 +53,6 @@ class ProgressTracker:
         "failed",
         "cache_hits",
         "skipped",
-        "retried",
         "started",
         "events_total",
         "_eps_ewma",
@@ -65,7 +64,6 @@ class ProgressTracker:
         self.failed = 0
         self.cache_hits = 0
         self.skipped = 0
-        self.retried = 0
         self.started = perf_counter()
         self.events_total = 0
         self._eps_ewma: Optional[float] = None
@@ -103,9 +101,6 @@ class ProgressTracker:
                 self._eps_ewma = (
                     EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * self._eps_ewma
                 )
-
-    def record_retry(self) -> None:
-        self.retried += 1
 
     # ------------------------------------------------------------- derived
 
@@ -146,7 +141,6 @@ class ProgressTracker:
             "failed": self.failed,
             "cache_hits": self.cache_hits,
             "skipped": self.skipped,
-            "retried": self.retried,
             "events": self.events_total,
             "events_per_sec": round(eps, 1) if eps is not None else None,
             "eta_seconds": round(eta, 3) if eta is not None else None,
@@ -205,10 +199,6 @@ class ProgressReporter:
         self.tracker.record(status, wall_seconds=wall_seconds, events=events)
         self._maybe_emit()
 
-    def retry(self) -> None:
-        self.tracker.record_retry()
-        self._maybe_emit()
-
     def close(self) -> None:
         if self._closed:
             return
@@ -247,8 +237,6 @@ class TtyProgress(ProgressReporter):
         ]
         if t.skipped:
             parts.append(f"skipped={t.skipped}")
-        if t.retried:
-            parts.append(f"retried={t.retried}")
         parts.append(f"| {_fmt_rate(t.events_per_sec)}")
         parts.append(f"| eta {_fmt_eta(t.eta_seconds())}")
         return " ".join(parts)

@@ -144,7 +144,7 @@ def half_warm(tmp_path, monkeypatch):
     scenario = tiny_scenario(loads=LOADS)
     cells = compile_scenario(scenario).cells
     clean = tmp_path / "clean.jsonl"
-    run_campaign([scenario], clean, Executor(jobs=1, cache=False, retries=0))
+    run_campaign([scenario], clean, Executor(jobs=1, cache=False))
     cache_dir = tmp_path / "cache"
     warm_cells = cells[::2]
     Executor(jobs=1, cache=True, cache_dir=cache_dir).run(
@@ -153,9 +153,9 @@ def half_warm(tmp_path, monkeypatch):
     simulated = Counter()
     real = executor_module.execute_spec
 
-    def execute_spec(spec, attempt=0):
+    def execute_spec(spec):
         simulated[spec.token()] += 1
-        return real(spec, attempt=attempt)
+        return real(spec)
 
     monkeypatch.setattr(executor_module, "execute_spec", execute_spec)
     monkeypatch.setattr(
@@ -164,8 +164,7 @@ def half_warm(tmp_path, monkeypatch):
         scenario=scenario, cells=cells, clean=clean, cache_dir=cache_dir,
         cold_tokens={t for cell in cells[1::2] for t in cell.tokens()},
         simulated=simulated,
-        executor=lambda: Executor(jobs=1, cache=True, cache_dir=cache_dir,
-                                  retries=0),
+        executor=lambda: Executor(jobs=1, cache=True, cache_dir=cache_dir),
     )
 
 

@@ -193,11 +193,11 @@ class TestInProcessChaosCampaign:
     ):
         spec = tiny_spec()
         chaos(monkeypatch, "corrupt_cache:1")
-        first = Executor(jobs=1, cache=True, cache_dir=tmp_path, retries=0)
+        first = Executor(jobs=1, cache=True, cache_dir=tmp_path)
         baseline = first.run([spec])[0]
 
         monkeypatch.delenv("REPRO_FAULT_INJECT")
-        second = Executor(jobs=1, cache=True, cache_dir=tmp_path, retries=0)
+        second = Executor(jobs=1, cache=True, cache_dir=tmp_path)
         telemetry = Telemetry()
         with activate(telemetry):
             with pytest.warns(UserWarning, match="quarantined"):

@@ -87,7 +87,6 @@ class TestMain:
         "variable, value, argv",
         [
             ("REPRO_JOBS", "abc", "run fig5"),
-            ("REPRO_RETRIES", "-3", "run fig5"),
             ("REPRO_SPEC_TIMEOUT", "abc", "run fig5"),
             ("REPRO_FULL", "enable", "run fig5"),
             ("REPRO_FIDELITY", "fliud", "scenario check scenarios/fig10_microscopic.toml"),
@@ -96,7 +95,12 @@ class TestMain:
             ("REPRO_FAULT_INJECT", "kill_aftr:1", "run table1"),
             ("REPRO_FAULT_INJECT", "perturb:ecn-sharp:pst_interval:x20",
              "scenario run scenarios/ --dry-run"),
-            ("--retries", "-3", "run fig5 --retries -3"),
+            # ... nor a typo'd canary that perturbs nothing
+            ("REPRO_FAULT_INJECT", "perturb:ecn-shrap:pst_interval:20",
+             "run fig5"),
+            ("REPRO_FAULT_INJECT", "perturb:ecn-sharp:pst_intreval:20",
+             "run fig10 --dry-run"),
+            ("--spec-timeout", "-1", "run fig5 --spec-timeout -1"),
         ],
     )
     def test_malformed_setting_is_one_error_line(

@@ -406,12 +406,11 @@ class TestDefaultExecutor:
         executor = Executor.from_env()
         assert executor.jobs == 1
         assert executor.cache is None
-        assert executor.retries == 1
         assert executor.spec_timeout is None
 
     @pytest.mark.parametrize(
         "variable, text",
-        [("REPRO_JOBS", "many"), ("REPRO_RETRIES", "-3"),
+        [("REPRO_JOBS", "many"), ("REPRO_JOBS", "-3"),
          ("REPRO_SPEC_TIMEOUT", "soon")],
     )
     def test_from_env_rejects_malformed_settings(self, variable, text, monkeypatch):
@@ -419,9 +418,9 @@ class TestDefaultExecutor:
         with pytest.raises(SettingError, match=f"{variable}='{text}'"):
             Executor.from_env()
         explicit = Executor.from_env(
-            jobs=2, retries=3, spec_timeout=2.5
+            jobs=2, spec_timeout=2.5
         )  # explicit beats (and never parses) the environment
-        assert (explicit.jobs, explicit.retries) == (2, 3)
+        assert explicit.jobs == 2
         assert explicit.spec_timeout == 2.5
         with pytest.raises(TypeError, match="not executor settings"):
             Executor.from_env(job=2)

@@ -1,5 +1,5 @@
 """Fault-tolerance tests: injection grammar, the executor recovery matrix
-(raise / hang / worker-exit across jobs=1 and jobs=N), failure pooling,
+(raise / hang / lost worker across jobs=1 and jobs=N), failure pooling,
 figure gap rendering, telemetry failure records, and the CLI exit-code
 contract.
 
@@ -8,8 +8,13 @@ hook, so nothing here depends on flaky timing except the hang tests, which
 use a generous per-spec timeout to absorb worker spawn cost.
 """
 
+import multiprocessing
+import os
+from collections import Counter
+
 import pytest
 
+from repro.experiments import executor as executor_module
 from repro.experiments.executor import Executor, run_grid
 from repro.experiments.faults import (
     FailedCell,
@@ -44,6 +49,31 @@ def inject(monkeypatch, directive):
     monkeypatch.setenv("REPRO_FAULT_INJECT", directive)
 
 
+RUN_LOG = "TEST_FAULTS_RUN_LOG"
+_real_guarded_execute = executor_module._guarded_execute
+
+
+def logged_guarded_execute(spec, observe_spans=False):
+    """``_guarded_execute`` that first appends the spec's token to the file
+    named by ``RUN_LOG``.  Module-level, so a spawn worker unpickles it
+    too: the log counts every run of ``execute_spec``, in any process."""
+    with open(os.environ[RUN_LOG], "a", encoding="utf-8") as log:
+        log.write(spec.token() + "\n")
+    return _real_guarded_execute(spec, observe_spans)
+
+
+@pytest.fixture
+def runs(monkeypatch, tmp_path):
+    """Log every spec run from here on; call the fixture's value for the
+    count of runs per spec token."""
+    path = tmp_path / "runs.log"
+    path.touch()
+    monkeypatch.setenv(RUN_LOG, str(path))
+    monkeypatch.setattr(executor_module, "_guarded_execute",
+                        logged_guarded_execute)
+    return lambda: Counter(path.read_text().split())
+
+
 class TestDirectiveParsing:
     def test_empty_and_missing(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
@@ -55,10 +85,10 @@ class TestDirectiveParsing:
     def test_grammar(self, monkeypatch):
         inject(monkeypatch, "raise:ECN#")
         assert fault_directives() == (Fault("raise", "ECN#", None),)
-        inject(monkeypatch, "hang:seed=3|;exit:TCN:2")
+        inject(monkeypatch, "hang:seed=3|;exit:TCN")
         assert fault_directives() == (
             Fault("hang", "seed=3|", None),
-            Fault("exit", "TCN", 2),
+            Fault("exit", "TCN", None),
         )
         # Empty substring matches everything.
         inject(monkeypatch, "raise")
@@ -68,49 +98,64 @@ class TestDirectiveParsing:
         inject(monkeypatch, "explode:ECN#")
         with pytest.raises(SettingError,
                            match="REPRO_FAULT_INJECT=.*unknown mode 'explode'"):
-            maybe_inject_fault(tiny_spec(), attempt=0)
+            maybe_inject_fault(tiny_spec())
 
     def test_bad_max_attempt_raises_naming_the_variable(self, monkeypatch):
-        inject(monkeypatch, "raise:ECN#:soon")
-        with pytest.raises(SettingError,
-                           match="REPRO_FAULT_INJECT=.*not a valid int"):
-            maybe_inject_fault(tiny_spec(), attempt=0)
+        # A spec runs once, so raise/hang/exit take no attempt bound: any
+        # trailing count is malformed.
+        for text in ("raise:ECN#:soon", "raise:x:1"):
+            inject(monkeypatch, text)
+            with pytest.raises(SettingError,
+                               match="REPRO_FAULT_INJECT=.*too many ':' fields"):
+                maybe_inject_fault(tiny_spec())
 
     def test_malformed_directive_fails_the_grid_before_any_cell(self, monkeypatch):
         inject(monkeypatch, "raise:ECN#:soon")
-        executor = Executor(jobs=1, retries=1)
+        executor = Executor(jobs=1)
         with pytest.raises(SettingError, match="REPRO_FAULT_INJECT="):
+            executor.run([tiny_spec()])
+        assert (executor.stats.executed, executor.failures) == (0, [])
+
+    @pytest.mark.parametrize(
+        "directive, problem",
+        [
+            ("perturb:ecn-shrap:pst_interval:20", "unknown AQM kind 'ecn-shrap'"),
+            ("perturb:ecn-sharp:pst_intreval:20",
+             "AQM 'ecn-sharp' has no parameter 'pst_intreval'"),
+        ],
+        ids=["kind", "param"],
+    )
+    def test_typod_perturb_fails_the_grid_before_any_cell(
+        self, monkeypatch, directive, problem
+    ):
+        # Otherwise the canary would run and perturb nothing.
+        inject(monkeypatch, directive)
+        executor = Executor(jobs=1)
+        with pytest.raises(SettingError,
+                           match=f"REPRO_FAULT_INJECT=.*{problem}"):
             executor.run([tiny_spec()])
         assert (executor.stats.executed, executor.failures) == (0, [])
 
     def test_other_modes_never_fire_at_execute_spec(self, monkeypatch):
         inject(monkeypatch, "kill_before:1;corrupt_cache;"
                             "perturb:ecn-sharp:pst_target:2")
-        maybe_inject_fault(tiny_spec(), attempt=0)  # must not raise
+        maybe_inject_fault(tiny_spec())  # must not raise
 
     def test_injection_is_a_noop_without_directives(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
-        maybe_inject_fault(tiny_spec(), attempt=0)  # must not raise
+        maybe_inject_fault(tiny_spec())  # must not raise
 
     def test_substring_targets_one_spec(self, monkeypatch):
         inject(monkeypatch, "raise:seed=4|")
-        maybe_inject_fault(tiny_spec(seed=3), attempt=0)
+        maybe_inject_fault(tiny_spec(seed=3))
         with pytest.raises(InjectedFault):
-            maybe_inject_fault(tiny_spec(seed=4), attempt=0)
+            maybe_inject_fault(tiny_spec(seed=4))
 
-    def test_max_attempt_bounds_firing(self, monkeypatch):
-        inject(monkeypatch, "raise:seed=3|:2")
-        for attempt in (0, 1):
-            with pytest.raises(InjectedFault):
-                maybe_inject_fault(tiny_spec(seed=3), attempt=attempt)
-        maybe_inject_fault(tiny_spec(seed=3), attempt=2)  # fault exhausted
-
-    def test_exit_in_main_process_raises_instead(self, monkeypatch):
-        # os._exit in the parent would kill the test run; the hook must
-        # degrade to an exception outside worker processes.
+    def test_exit_in_main_process_is_a_noop(self, monkeypatch):
+        # exit models a lost worker; the main process has none to lose.
         inject(monkeypatch, "exit:seed=3|")
-        with pytest.raises(InjectedFault, match="worker-exit"):
-            maybe_inject_fault(tiny_spec(seed=3), attempt=0)
+        maybe_inject_fault(tiny_spec(seed=3))  # must neither exit nor raise
+        assert not is_failure(Executor(jobs=1).run([tiny_spec(seed=3)])[0])
 
 
 class TestRunFailureRecord:
@@ -120,23 +165,23 @@ class TestRunFailureRecord:
         try:
             raise ValueError("boom")
         except ValueError as exc:
-            failure = RunFailure.from_exception(tiny_spec(), exc, attempts=2)
+            failure = RunFailure.from_exception(tiny_spec(), exc)
         assert failure.kind == "exception"
         assert failure.exc_type == "ValueError"
         assert failure.message == "boom"
         assert "ValueError: boom" in failure.traceback
-        assert failure.attempts == 2
+        assert failure.attempts == 1
         assert pickle.loads(pickle.dumps(failure)) == failure
 
     def test_stall_kind(self):
         from repro.sim.engine import SimulationStalled
 
         stall = SimulationStalled(clock=0.5, events=100, pending=3)
-        failure = RunFailure.from_exception(tiny_spec(), stall, attempts=1)
+        failure = RunFailure.from_exception(tiny_spec(), stall)
         assert failure.kind == "stall"
 
     def test_to_dict_and_summary_line(self):
-        failure = RunFailure.timeout(tiny_spec(seed=3), 5.0, attempts=1)
+        failure = RunFailure.timeout(tiny_spec(seed=3), 5.0)
         data = failure.to_dict()
         assert data["kind"] == "timeout"
         assert data["seed"] == 3
@@ -144,50 +189,36 @@ class TestRunFailureRecord:
         assert "timeout" in failure.summary_line()
 
     def test_format_failure_table(self):
-        failure = RunFailure.timeout(tiny_spec(seed=3), 5.0, attempts=2)
+        failure = RunFailure.timeout(tiny_spec(seed=3), 5.0)
         table = format_failure_table([failure])
         assert failure.spec_key in table
         assert "timeout" in table
 
 
 class TestInProcessRecovery:
-    def test_raise_isolates_one_cell(self, monkeypatch):
+    def test_raise_isolates_one_cell(self, monkeypatch, runs):
+        specs = grid_specs(4)
         inject(monkeypatch, "raise:seed=4|")
-        executor = Executor(jobs=1, retries=1)
-        results = executor.run(grid_specs(4))
+        executor = Executor(jobs=1)
+        results = executor.run(specs)
         kinds = [type(r).__name__ for r in results]
         assert kinds == [
             "ExperimentResult", "RunFailure", "ExperimentResult",
             "ExperimentResult",
         ]
         assert results[1].kind == "exception"
-        assert results[1].attempts == 2  # initial try + 1 retry
+        assert results[1].attempts == 1
         assert executor.failures == [results[1]]
         assert executor.stats.failed == 1
-        assert executor.stats.retried == 1
-
-    def test_retry_then_succeed(self, monkeypatch):
-        inject(monkeypatch, "raise:seed=3|:1")  # fails attempt 0 only
-        executor = Executor(jobs=1, retries=1)
-        results = executor.run([tiny_spec(seed=3)])
-        assert not is_failure(results[0])
-        assert executor.stats.failed == 0
-        assert executor.stats.retried == 1
-
-    def test_zero_retries_fails_after_one_attempt(self, monkeypatch):
-        inject(monkeypatch, "raise:seed=3|")
-        executor = Executor(jobs=1, retries=0)
-        failure = executor.run([tiny_spec(seed=3)])[0]
-        assert is_failure(failure)
-        assert failure.attempts == 1
-        assert executor.stats.retried == 0
+        # The spec is deterministic, so its failure is final: one run each.
+        assert runs() == Counter(spec.token() for spec in specs)
 
     def test_survivors_bit_identical_to_clean_run(self, monkeypatch):
         specs = grid_specs(4)
         clean = [result_fingerprint(r) for r in Executor(jobs=1).run(specs)]
 
         inject(monkeypatch, "raise:seed=5|")
-        damaged = Executor(jobs=1, retries=0).run(specs)
+        damaged = Executor(jobs=1).run(specs)
         for index, result in enumerate(damaged):
             if index == 2:  # seed 5
                 assert is_failure(result)
@@ -197,7 +228,7 @@ class TestInProcessRecovery:
     def test_failures_are_never_cached(self, monkeypatch, tmp_path):
         spec = tiny_spec(seed=3)
         inject(monkeypatch, "raise:seed=3|")
-        executor = Executor(jobs=1, retries=0, cache=True, cache_dir=tmp_path)
+        executor = Executor(jobs=1, cache=True, cache_dir=tmp_path)
         assert is_failure(executor.run([spec])[0])
         # Fault cleared: the spec must re-execute, not replay the failure.
         monkeypatch.delenv("REPRO_FAULT_INJECT")
@@ -207,48 +238,67 @@ class TestInProcessRecovery:
 
 
 class TestPoolRecovery:
-    def test_raise_in_worker_isolates_one_cell(self, monkeypatch):
+    def test_raise_in_worker_isolates_one_cell(self, monkeypatch, runs):
         specs = grid_specs(4)
         clean = [result_fingerprint(r) for r in Executor(jobs=1).run(specs)]
 
         inject(monkeypatch, "raise:seed=4|")
-        executor = Executor(jobs=4, retries=1)
+        before = runs()
+        executor = Executor(jobs=4)
         results = executor.run(specs)
         assert is_failure(results[1])
         assert results[1].kind == "exception"
-        assert results[1].attempts == 2
+        assert results[1].attempts == 1
         for index in (0, 2, 3):
             assert result_fingerprint(results[index]) == clean[index]
         assert executor.stats.failed == 1
+        assert executor.stats.inline_fallbacks == 0
+        # One run each, all of them in the workers.
+        assert runs() - before == Counter(spec.token() for spec in specs)
 
-    def test_worker_exit_rebuilds_pool_and_completes_grid(self, monkeypatch):
+    def test_worker_exit_rebuilds_pool_and_completes_grid(
+        self, monkeypatch, runs
+    ):
         specs = grid_specs(4)
         clean = [result_fingerprint(r) for r in Executor(jobs=1).run(specs)]
 
         inject(monkeypatch, "exit:seed=4|")
-        executor = Executor(jobs=2, retries=1)
+        before = runs()
+        executor = Executor(jobs=2)
         results = executor.run(specs)
-        # The dying worker breaks the pool; the executor must rebuild it,
-        # requeue the innocent in-flight specs, and (after retries) give
-        # the poisoned spec an in-process attempt -- where the directive
-        # raises instead of exiting, producing a recorded failure.
+        # The dying worker breaks the pool.  Every spec in flight on it gets
+        # one in-process run, where exit is a no-op, and the rebuilt pool
+        # runs the rest: the lost worker costs the grid nothing.
+        assert [result_fingerprint(r) for r in results] == clean
+        assert executor.stats.failed == 0
+        assert executor.stats.pool_rebuilds >= 1
+        assert executor.stats.inline_fallbacks >= 1
+        ran = runs() - before
+        assert ran[specs[1].token()] == 2  # in the lost worker, then here
+        assert set(ran) == {spec.token() for spec in specs}
+        assert max(ran.values()) == 2
+
+    def test_worker_exit_then_inline_failure_counts_both_runs(
+        self, monkeypatch, runs
+    ):
+        specs = grid_specs(4)
+        clean = [result_fingerprint(r) for r in Executor(jobs=1).run(specs)]
+
+        # seed 4 loses its worker, then raises in its in-process run, where
+        # exit is a no-op: that failure is its verdict, and it counts both.
+        inject(monkeypatch, "exit:seed=4|;raise:seed=4|")
+        before = runs()
+        executor = Executor(jobs=2)
+        results = executor.run(specs)
         assert is_failure(results[1])
+        assert results[1].kind == "exception"
+        assert results[1].attempts == 2
+        assert executor.failures == [results[1]]
+        assert executor.stats.failed == 1
         assert executor.stats.pool_rebuilds >= 1
         for index in (0, 2, 3):
             assert result_fingerprint(results[index]) == clean[index]
-
-    def test_worker_exit_fault_cleared_by_attempt_bound_recovers(
-        self, monkeypatch
-    ):
-        # Worker dies on attempt 0 only: the BrokenProcessPool retry must
-        # bring the cell back clean with no recorded failure.
-        specs = grid_specs(4)
-        inject(monkeypatch, "exit:seed=4|:1")
-        executor = Executor(jobs=2, retries=1)
-        results = executor.run(specs)
-        assert not any(is_failure(r) for r in results)
-        assert executor.stats.failed == 0
-        assert executor.stats.pool_rebuilds >= 1
+        assert runs()[specs[1].token()] - before[specs[1].token()] == 2
 
     def test_hang_with_timeout_marks_failure_and_grid_survives(
         self, monkeypatch
@@ -257,17 +307,19 @@ class TestPoolRecovery:
         clean = [result_fingerprint(r) for r in Executor(jobs=1).run(specs)]
 
         inject(monkeypatch, "hang:seed=6|")
-        executor = Executor(jobs=2, retries=1, spec_timeout=HANG_TIMEOUT)
+        executor = Executor(jobs=2, spec_timeout=HANG_TIMEOUT)
         results = executor.run(specs)
         assert is_failure(results[3])
         assert results[3].kind == "timeout"
+        assert results[3].attempts == 1
         assert executor.stats.timeouts == 1
         for index in (0, 1, 2):
             assert result_fingerprint(results[index]) == clean[index]
+        assert multiprocessing.active_children() == []
 
     def test_spec_timeout_forces_pool_even_at_jobs_1(self, monkeypatch):
         inject(monkeypatch, "hang:seed=3|")
-        executor = Executor(jobs=1, retries=0, spec_timeout=HANG_TIMEOUT)
+        executor = Executor(jobs=1, spec_timeout=HANG_TIMEOUT)
         results = executor.run([tiny_spec(seed=3), tiny_spec(seed=4)])
         assert is_failure(results[0])
         assert results[0].kind == "timeout"
@@ -275,16 +327,17 @@ class TestPoolRecovery:
 
 
     @pytest.mark.parametrize(
-        "directive, settings",
+        "directive, settings, fails",
         [
-            (None, {}),
-            ("raise:seed=4|", {"retries": 0}),
-            ("exit:seed=4|", {"retries": 0}),
-            ("hang:seed=4|", {"retries": 0, "spec_timeout": 3.0}),
+            (None, {}, False),
+            ("raise:seed=4|", {}, True),
+            ("exit:seed=4|", {}, False),  # its in-process run succeeds
+            ("hang:seed=4|", {"spec_timeout": 3.0}, True),
         ],
         ids=["clean", "raise", "exit", "hang"],
     )
-    def test_no_worker_outlives_run(self, monkeypatch, directive, settings):
+    def test_no_worker_outlives_run(self, monkeypatch, directive, settings,
+                                    fails):
         """``Executor.run`` returns with its pool's workers reaped on every
         path: settled futures (clean, raise), a broken pool (exit) and
         killed hung workers (hang).  Before this held, the clean path left
@@ -292,20 +345,18 @@ class TestPoolRecovery:
         path one killed-but-unreaped child; neither lingered past half a
         second, so the executor is not the source of the long-lived orphan
         workers noted in benchmarks/ledger/README.md."""
-        import multiprocessing
-
         if directive:
             inject(monkeypatch, directive)
         results = Executor(jobs=2, **settings).run(grid_specs(3))
         assert multiprocessing.active_children() == []
-        assert is_failure(results[1]) == bool(directive)
+        assert is_failure(results[1]) == fails
 
 
 class TestFailurePooling:
     def _mixed_results(self, monkeypatch):
         specs = seed_specs(tiny_spec(seed=3), 3)
         inject(monkeypatch, "raise:seed=4|")
-        return Executor(jobs=1, retries=0).run(specs)
+        return Executor(jobs=1).run(specs)
 
     def test_pool_results_pools_around_failures(self, monkeypatch):
         results = self._mixed_results(monkeypatch)
@@ -321,7 +372,7 @@ class TestFailurePooling:
 
     def test_all_failed_cell_degrades_to_failed_cell(self, monkeypatch):
         inject(monkeypatch, "raise:star|")  # every star spec
-        results = Executor(jobs=1, retries=0).run(seed_specs(tiny_spec(), 2))
+        results = Executor(jobs=1).run(seed_specs(tiny_spec(), 2))
         cell = pool_results(results)
         assert isinstance(cell, FailedCell)
         assert is_failure(cell)
@@ -334,7 +385,7 @@ class TestFailurePooling:
     def test_gather_failures_flattens_all_shapes(self, monkeypatch):
         results = self._mixed_results(monkeypatch)
         pooled = pool_results(results)
-        failed_cell = FailedCell([RunFailure.timeout(tiny_spec(), 1.0, 1)])
+        failed_cell = FailedCell([RunFailure.timeout(tiny_spec(), 1.0)])
         flat = gather_failures([pooled, failed_cell, *results])
         assert len(flat) == 3  # pooled's one + cell's one + raw one
 
@@ -344,7 +395,7 @@ class TestFailurePooling:
             seed_specs(tiny_spec(seed=3), 2),   # loses seed 4
             seed_specs(tiny_spec(seed=9), 1),   # untouched
         ]
-        pooled = run_grid(cells, Executor(jobs=1, retries=0))
+        pooled = run_grid(cells, Executor(jobs=1))
         assert len(pooled[0].failures) == 1
         assert pooled[1].failures == []
 
@@ -353,7 +404,7 @@ class TestFigureGapRendering:
     def test_fig10_renders_gap_for_failed_scheme(self):
         from repro.experiments.figures import fig10
 
-        failure = RunFailure.timeout(tiny_spec(label="CoDel"), 5.0, 1)
+        failure = RunFailure.timeout(tiny_spec(label="CoDel"), 5.0)
         good = fig10.MicroscopicRun(
             scheme="ECN#", samples=([], []), standing_queue_pkts=8.0,
             floor_queue_pkts=7.5, peak_queue_pkts=90, drops=0, marks=10,
@@ -368,7 +419,7 @@ class TestFigureGapRendering:
     def test_fig11_accessors_treat_failures_as_gaps(self):
         from repro.experiments.figures import fig11
 
-        failure = RunFailure.timeout(tiny_spec(label="CoDel"), 5.0, 1)
+        failure = RunFailure.timeout(tiny_spec(label="CoDel"), 5.0)
         good = __import__(
             "repro.experiments.figures.fig10", fromlist=["MicroscopicRun"]
         ).MicroscopicRun(
@@ -400,7 +451,7 @@ class TestFigureGapRendering:
             ],
             probe_fcts=[0.001],
         )
-        failure = RunFailure.timeout(tiny_spec(label="TCN"), 5.0, 1)
+        failure = RunFailure.timeout(tiny_spec(label="TCN"), 5.0)
         result = fig13.Fig13Result(runs={"ECN#": good, "TCN": failure})
         assert result.probe_fct_ratio() is None
         rendered = fig13.render(result)
@@ -418,7 +469,7 @@ class TestFigureGapRendering:
     ):
         from repro.experiments.figures import fig12
 
-        failure = RunFailure.timeout(tiny_spec(label="ECN#"), 5.0, 1)
+        failure = RunFailure.timeout(tiny_spec(label="ECN#"), 5.0)
         collector = FctCollector()
         collector.records.append(FlowRecord(1, 1000, 1e-3, 0.0, 0, 0))
         good = ExperimentResult(
@@ -450,7 +501,7 @@ class TestTelemetryFailures:
         inject(monkeypatch, "raise:seed=4|")
         telemetry = Telemetry(trace_categories=["failure"], metrics=True)
         with activate(telemetry):
-            executor = Executor(jobs=1, retries=0)
+            executor = Executor(jobs=1)
             executor.run(grid_specs(3))
         assert len(telemetry.failures) == 1
         assert telemetry.failures[0].kind == "exception"
@@ -477,7 +528,7 @@ class TestStalledRunBecomesFailure:
         from repro.experiments import runner
 
         monkeypatch.setattr(runner, "MAX_EVENTS_PER_RUN", 50)
-        executor = Executor(jobs=1, retries=0)
+        executor = Executor(jobs=1)
         failure = executor.run([tiny_spec(seed=3)])[0]
         assert is_failure(failure)
         assert failure.kind == "stall"
@@ -500,7 +551,7 @@ class TestCliFailureContract:
         from repro.cli import main
 
         inject(monkeypatch, "raise:seed=8|")
-        argv = ["run", "fig2", "--full", "--no-cache", "--retries", "0"]
+        argv = ["run", "fig2", "--full", "--no-cache"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "run(s) failed" in out
@@ -511,13 +562,13 @@ class TestCliFailureContract:
         from repro.cli import main
 
         inject(monkeypatch, "raise:star|")
-        argv = ["run", "fig2", "--full", "--no-cache", "--retries", "0"]
+        argv = ["run", "fig2", "--full", "--no-cache"]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "no usable results" in captured.err
         assert "run(s) failed" in captured.out
 
-    def test_retry_and_timeout_flags_reach_executor(self, monkeypatch):
+    def test_timeout_flag_reaches_executor(self, monkeypatch):
         import repro.cli as cli_module
 
         captured = {}
@@ -528,6 +579,5 @@ class TestCliFailureContract:
                 super().__init__(**kwargs)
 
         monkeypatch.setattr(cli_module, "Executor", Spy)
-        cli_module.main(["run", "fig5", "--retries", "2", "--spec-timeout", "30"])
-        assert captured["retries"] == 2
+        cli_module.main(["run", "fig5", "--spec-timeout", "30"])
         assert captured["spec_timeout"] == 30.0

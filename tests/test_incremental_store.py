@@ -480,7 +480,7 @@ class TestCostIsLinear:
             scenario, specs = self.grid(n_cells)
             result = executor_module.execute_spec(specs[0])
             monkeypatch.setattr(executor_module, "execute_spec",
-                                lambda spec, attempt=0, result=result: result)
+                                lambda spec, result=result: result)
             counts.clear()
             rounds.clear()
             run_campaign([scenario], tmp_path / f"{n_cells}.jsonl",
@@ -498,7 +498,7 @@ class TestCostIsLinear:
         scenario, specs = self.grid()
         result = executor_module.execute_spec(specs[0])
         monkeypatch.setattr(executor_module, "execute_spec",
-                            lambda spec, attempt=0: result)
+                            lambda spec: result)
         appended = []
         real_append = CampaignStore.append
 

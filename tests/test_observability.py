@@ -117,7 +117,7 @@ class TestSpan:
 
 class TestDisabledPathAllocatesNothing:
     def test_executor_run_without_telemetry_allocates_no_spans(self):
-        executor = Executor(jobs=1, cache=False, retries=0)
+        executor = Executor(jobs=1, cache=False)
         before = Span.allocated
         executor.run([tiny_spec()])
         assert Span.allocated == before
@@ -142,7 +142,7 @@ def tree_shape(span_dict):
 class TestCrossProcessStitching:
     def run_with_spans(self, jobs):
         telemetry = Telemetry(metrics=False, profile=False, spans=True)
-        executor = Executor(jobs=jobs, cache=False, retries=0)
+        executor = Executor(jobs=jobs, cache=False)
         with activate(telemetry):
             results = executor.run([tiny_spec(seed=3), tiny_spec(seed=4)])
         assert all(r is not None for r in results)
@@ -212,7 +212,6 @@ class TestReporters:
         reporter = JsonlHeartbeat(stream=stream, min_interval=0.0)
         reporter.add_total(2)
         reporter.cell_done("ok", wall_seconds=0.1, events=500)
-        reporter.retry()
         reporter.cell_done("failed")
         reporter.close()
         lines = [json.loads(l) for l in stream.getvalue().splitlines()]
@@ -220,7 +219,7 @@ class TestReporters:
         final = lines[-1]
         assert final["kind"] == "summary"
         assert final["done"] == 2 and final["ok"] == 1
-        assert final["failed"] == 1 and final["retried"] == 1
+        assert final["failed"] == 1
         assert final["events"] == 500
 
     def test_close_is_idempotent(self):
@@ -255,7 +254,7 @@ class TestReporters:
 
 class TestResourceAttribution:
     def test_run_records_wall_events_and_rss(self):
-        executor = Executor(jobs=1, cache=False, retries=0)
+        executor = Executor(jobs=1, cache=False)
         executor.run([tiny_spec()])
         attribution = executor.last_run_attribution
         assert len(attribution) == 1
@@ -268,7 +267,7 @@ class TestResourceAttribution:
         assert attr.to_dict()["token"] == tiny_spec().token()
 
     def test_cache_hits_are_attributed_as_cache(self, tmp_path):
-        executor = Executor(jobs=1, cache=True, cache_dir=tmp_path, retries=0)
+        executor = Executor(jobs=1, cache=True, cache_dir=tmp_path)
         executor.run([tiny_spec()])
         executor.run([tiny_spec()])
         attr = executor.last_run_attribution[0]
@@ -276,7 +275,7 @@ class TestResourceAttribution:
         assert attr.wall_seconds == 0.0
 
     def test_obs_payload_never_reaches_the_result(self, tmp_path):
-        executor = Executor(jobs=1, cache=True, cache_dir=tmp_path, retries=0)
+        executor = Executor(jobs=1, cache=True, cache_dir=tmp_path)
         first = executor.run([tiny_spec()])[0]
         assert not hasattr(first, "_obs")
         replayed = executor.run([tiny_spec()])[0]
@@ -285,7 +284,7 @@ class TestResourceAttribution:
     def test_progress_reporter_sees_executor_cells(self):
         stream = io.StringIO()
         reporter = JsonlHeartbeat(stream=stream, min_interval=0.0)
-        executor = Executor(jobs=1, cache=False, retries=0, progress=reporter)
+        executor = Executor(jobs=1, cache=False, progress=reporter)
         executor.run([tiny_spec()])
         reporter.close()
         final = json.loads(stream.getvalue().splitlines()[-1])
@@ -296,7 +295,7 @@ class TestCampaignResources:
     def test_sidecar_rows_carry_resource_fields(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
         run_campaign([tiny_scenario()], store_path,
-                     Executor(jobs=1, cache=False, retries=0))
+                     Executor(jobs=1, cache=False))
         store = CampaignStore(store_path)
         rows = store.load_resources()
         assert len(rows) == 1
@@ -314,7 +313,7 @@ class TestCampaignResources:
         schema must not grow resource fields."""
         store_path = tmp_path / "campaign.jsonl"
         run_campaign([tiny_scenario()], store_path,
-                     Executor(jobs=1, cache=False, retries=0))
+                     Executor(jobs=1, cache=False))
         record = json.loads(store_path.read_text().splitlines()[0])
         assert set(record) == {
             "scenario", "scenario_hash", "cell_key", "component", "tokens",
@@ -327,10 +326,10 @@ class TestCampaignResources:
         store_path = tmp_path / "campaign.jsonl"
         scenario = tiny_scenario()
         run_campaign([scenario], store_path,
-                     Executor(jobs=1, cache=False, retries=0),
+                     Executor(jobs=1, cache=False),
                      progress=reporter)
         run_campaign([scenario], store_path,
-                     Executor(jobs=1, cache=False, retries=0),
+                     Executor(jobs=1, cache=False),
                      progress=reporter)
         reporter.close()
         final = json.loads(stream.getvalue().splitlines()[-1])

@@ -89,7 +89,7 @@ class TestCliResultsOut:
         assert payload["figure"] == "table1"
         assert payload["derived"]["variation_ratio"] > 1.5
 
-    FIG10 = ["run", "fig10", "--no-cache", "--retries", "0", "--seed", "5"]
+    FIG10 = ["run", "fig10", "--no-cache", "--seed", "5"]
 
     def test_grid_figure_results_out_json(self, tmp_path, monkeypatch):
         """fig10 at small fanout with CoDel's cell failing: the file has the

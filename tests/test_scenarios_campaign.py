@@ -34,7 +34,7 @@ def tiny_scenario(name="campaign-unit", loads=(0.2, 0.4), seed=7):
 
 
 def executor():
-    return Executor(jobs=1, cache=False, retries=0)
+    return Executor(jobs=1, cache=False)
 
 
 class TestRunAndResume:

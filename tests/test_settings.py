@@ -14,7 +14,6 @@ REPO = Path(__file__).parent.parent
 # name -> (env text, its value, explicit value, its value, malformed texts)
 CASES = {
     "jobs": ("3", 3, 2, 2, ["abc", "0", "2.5"]),
-    "retries": ("3", 3, 0, 0, ["lots", "-3"]),
     "spec_timeout": ("2.5", 2.5, 0, None, ["soon", "-1"]),
     "cache_dir": ("/tmp/a", "/tmp/a", Path("/tmp/b"), "/tmp/b", []),
     "fidelity": ("fluid", "fluid", "packet", "packet", ["fliud"]),
@@ -60,8 +59,8 @@ VALID_FAULTS = {
     " ; ; ": (),
     "raise": (Fault("raise"),),
     "raise:ECN#": (Fault("raise", "ECN#"),),
-    "hang:seed=3|;exit:TCN:2": (Fault("hang", "seed=3|"), Fault("exit", "TCN", 2)),
-    "exit::1": (Fault("exit", "", 1),),
+    "hang:seed=3|;exit:TCN": (Fault("hang", "seed=3|"), Fault("exit", "TCN")),
+    "exit:": (Fault("exit", ""),),
     "kill_after": (Fault("kill_after", n=1),),
     "kill_before:2": (Fault("kill_before", n=2),),
     "torn_write:3": (Fault("torn_write", n=3),),
@@ -80,9 +79,7 @@ MALFORMED_FAULTS = {
     "not-a-valid-spec": "unknown mode",
     "kill_after:2;expode": "unknown mode 'expode'",
     "kill_after:soon": "not a valid int",
-    "raise:ECN#:soon": "not a valid int",
     "corrupt_cache:0": "must be >= 1",
-    "raise:ECN#:0": "must be >= 1",
     "torn_write:-1": "must be >= 1",
     "perturb:ecn-sharp:pst_interval:lots": "factor 'lots' is not a float",
     "perturb:ecn-sharp:pst_interval:0": "factor '0' must be > 0",
@@ -90,6 +87,11 @@ MALFORMED_FAULTS = {
     "perturb:ecn-sharp:pst_interval:20:1": "expected perturb:",
     "kill_after:1:2": "too many ':' fields",
     "raise:ECN#:1:2": "too many ':' fields",
+    # a spec runs once, so raise/hang/exit take no attempt bound
+    "raise:ECN#:1": "too many ':' fields",
+    "raise:ECN#:soon": "too many ':' fields",
+    "raise:ECN#:0": "too many ':' fields",
+    "exit::1": "too many ':' fields",
 }
 
 

@@ -410,8 +410,8 @@ class TestParentArtifactsReplay:
         specs = compiled.specs()
         reference = run_campaign(
             [scenario], tmp_path / "reference.jsonl",
-            Executor(jobs=1, cache=False, retries=0))
-        results = Executor(jobs=1, cache=False, retries=0).run(specs)
+            Executor(jobs=1, cache=False))
+        results = Executor(jobs=1, cache=False).run(specs)
         for spec, result in zip(specs, results):
             write_parent_cache_entry(tmp_path / "cache", spec, result)
 

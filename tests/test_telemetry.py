@@ -360,7 +360,6 @@ class TestCliTelemetry:
 
         # A factor-1 perturbation changes nothing but is a set hook.
         monkeypatch.setenv("REPRO_FAULT_INJECT", "perturb:ecn-sharp:pst_target:1")
-        monkeypatch.setenv("REPRO_RETRIES", "4")
         trace_path = str(tmp_path / "t.jsonl")
         metrics_path = str(tmp_path / "m.json")
         assert (
@@ -391,7 +390,6 @@ class TestCliTelemetry:
         assert data["manifest"]["scale"] == {"name": "reduced", "params": {}}
         assert data["manifest"]["settings"] == {
             "jobs": 1,
-            "retries": 4,
             "spec_timeout": None,
             "cache_dir": str(tmp_path / "repro-cache"),
             "fidelity": "packet",
