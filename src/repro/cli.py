@@ -617,21 +617,10 @@ def build_parser() -> argparse.ArgumentParser:
         "printed on the startup line)",
     )
     serve.add_argument(
-        "--golden-dir",
-        metavar="DIR",
-        default=None,
-        help="golden baseline directory to serve read-only at /goldens",
-    )
-    serve.add_argument(
         "--cache-max-bytes",
         metavar="SIZE",
         default="32M",
         help="summary-cache byte cap (suffixes K/M/G; default: 32M)",
-    )
-    serve.add_argument(
-        "--trace",
-        action="store_true",
-        help="record 'service' flight-recorder events per request",
     )
 
     query = sub.add_parser(
@@ -1206,18 +1195,11 @@ def _main_serve(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--cache-max-bytes must be > 0")
     if not os.path.isdir(args.store_dir):
         parser.error(f"--store-dir {args.store_dir!r} is not a directory")
-    telemetry = Telemetry(
-        metrics=True,
-        profile=False,
-        trace_categories=["service"] if args.trace else None,
-    )
     return run_service(
         args.store_dir,
         host=args.host,
         port=args.port,
-        golden_dir=args.golden_dir,
         cache_max_bytes=cache_max_bytes,
-        telemetry=telemetry,
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..scenarios.campaign import CampaignStore, JsonlTail
+from ..scenarios.campaign import CampaignStore, JsonlTail, outcome_tallies
 from ..scenarios.compile import scheme_of
 
 __all__ = ["ObsReport", "build_report", "summarize_metricz"]
@@ -391,34 +391,25 @@ def build_report(
             if isinstance(payload, dict) and payload:
                 report.service = summarize_metricz(payload)
 
-    records: List[Dict[str, Any]] = []
     if store is not None:
         campaign_store = CampaignStore(store)
         report.store_path = str(campaign_store.path)
-        index = campaign_store.load()
+        records = list(campaign_store.load().values())
         report.torn_lines = campaign_store.load_stats.torn_lines
-        records = [record.to_dict() for record in index.values()]
+        report.status_counts, report.failure_kinds = outcome_tallies(records)
+        report.failed_cells = [
+            {
+                "scenario": record.scenario,
+                "cell_key": record.cell_key,
+                "kinds": ",".join(sorted({
+                    failure.get("kind", "unknown")
+                    for failure in record.failures
+                })) or "-",
+            }
+            for record in records if record.status == "failed"
+        ]
         if resources is None:
             resources = campaign_store.resources_path
-
-    for record in records:
-        status = record["status"]
-        report.status_counts[status] = (
-            report.status_counts.get(status, 0) + 1
-        )
-        kinds = []
-        for failure in record.get("failures", []):
-            kind = failure.get("kind", "unknown")
-            kinds.append(kind)
-            report.failure_kinds[kind] = (
-                report.failure_kinds.get(kind, 0) + 1
-            )
-        if status == "failed":
-            report.failed_cells.append({
-                "scenario": record["scenario"],
-                "cell_key": record["cell_key"],
-                "kinds": ",".join(sorted(set(kinds))) or "-",
-            })
 
     if resources is not None:
         latest: Dict[tuple, Dict[str, Any]] = {}

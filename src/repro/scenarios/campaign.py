@@ -76,6 +76,7 @@ __all__ = [
     "canonical_json",
     "as_store",
     "run_campaign",
+    "outcome_tallies",
     "render_store_report",
     "DEFAULT_STORE",
 ]
@@ -848,6 +849,21 @@ def run_campaign(
 # ---------------------------------------------------------------- reporting
 
 
+def outcome_tallies(
+    records: Iterable[CellRecord],
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Cells by status and terminal run failures by kind (``unknown`` for
+    a failure that names none), the tallies both store reports print."""
+    status_counts: Dict[str, int] = {}
+    failure_kinds: Dict[str, int] = {}
+    for record in records:
+        status_counts[record.status] = status_counts.get(record.status, 0) + 1
+        for failure in record.failures:
+            kind = failure.get("kind", "unknown")
+            failure_kinds[kind] = failure_kinds.get(kind, 0) + 1
+    return status_counts, failure_kinds
+
+
 def render_store_report(
     store: "CampaignStore | Path | str",
     scenarios: Optional[Sequence[Scenario]] = None,
@@ -875,13 +891,7 @@ def render_store_report(
 
     # Aggregate counters in the telemetry registry's naming: cell outcomes
     # and terminal run-failure kinds across every reported record.
-    status_counts: Dict[str, int] = {}
-    failure_kinds: Dict[str, int] = {}
-    for record in records:
-        status_counts[record.status] = status_counts.get(record.status, 0) + 1
-        for failure in record.failures:
-            kind = failure.get("kind", "unknown")
-            failure_kinds[kind] = failure_kinds.get(kind, 0) + 1
+    status_counts, failure_kinds = outcome_tallies(records)
     counter_lines = [
         f'campaign_cells_total{{status="{status}"}} {count}'
         for status, count in sorted(status_counts.items())

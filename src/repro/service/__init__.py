@@ -9,7 +9,7 @@ read-only over the stores it serves:
 * :class:`~repro.service.index.StoreIndex` -- discovers stores under a
   root directory, keys each by its canonical
   :func:`~repro.scenarios.coordination.store_fingerprint`, and revalidates
-  with one ``stat`` per file (the store's own logs answer "changed?"), so
+  with one ``stat`` per store (the store's own log answers "changed?"), so
   appends by concurrent ``--shared`` writers become visible without a
   restart.
 * :mod:`~repro.service.query` -- filter cells by scenario / scheme /
@@ -19,9 +19,9 @@ read-only over the stores it serves:
   response bodies keyed by ``(store fingerprint, query hash, format)``
   with a byte-size cap, so warm queries never touch disk.
 * :mod:`~repro.service.daemon` -- the ``ThreadingHTTPServer`` behind
-  ``repro serve``: ``/query``, ``/stores``, ``/resources``, ``/goldens``,
-  ``/healthz``, ``/metricz``; fingerprint-derived ``ETag`` with
-  ``If-None-Match`` -> 304; graceful SIGTERM drain.
+  ``repro serve``: ``/query``, ``/healthz``, ``/metricz``;
+  fingerprint-derived ``ETag`` with ``If-None-Match`` -> 304; graceful
+  SIGTERM drain.
 * :class:`~repro.service.client.ServiceClient` -- the stdlib HTTP client
   behind ``repro query``.
 """

@@ -135,9 +135,6 @@ class ServiceClient:
     def metricz(self) -> dict:
         return self.get("/metricz").json()
 
-    def stores(self) -> dict:
-        return self.get("/stores").json()
-
     def query(
         self,
         params: Optional[Dict[str, str]] = None,

@@ -6,9 +6,6 @@ Routes (all GET, all read-only):
   JSON or CSV via ``format=`` / ``Accept``; ``ETag`` derived from the
   store fingerprint so ``If-None-Match`` returns 304 exactly while the
   settled cells are unchanged.
-* ``/stores``    -- discovered stores with cell counts and ETag seeds.
-* ``/resources`` -- ``.resources.jsonl`` sidecar rows.
-* ``/goldens``   -- golden baseline JSON files (``--golden-dir``).
 * ``/healthz``   -- liveness + store count.
 * ``/metricz``   -- telemetry registry snapshot + summary-cache stats.
 
@@ -33,14 +30,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..scenarios.coordination import GracefulShutdown
 from ..telemetry.hub import Telemetry
 from .cache import DEFAULT_CACHE_BYTES, SummaryCache
-from .index import StoreEntry, StoreIndex
+from .index import StoreIndex
 from .query import FORMATS, Query, QueryError, render, run_query
 
 __all__ = ["ResultsService", "Response", "serve"]
@@ -89,21 +85,13 @@ def _pick_format(params: Dict[str, str], accept: str) -> str:
 class ResultsService:
     """Store index + query engine + summary cache behind one dispatcher."""
 
-    def __init__(
-        self,
-        store_dir,
-        golden_dir=None,
-        cache_max_bytes: int = DEFAULT_CACHE_BYTES,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        self.telemetry = telemetry if telemetry is not None else Telemetry(
-            metrics=True, profile=False
-        )
+    def __init__(self, store_dir,
+                 cache_max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
+        self.telemetry = Telemetry(metrics=True, profile=False)
         self.index = StoreIndex(store_dir, telemetry=self.telemetry)
         self.cache = SummaryCache(
             max_bytes=cache_max_bytes, telemetry=self.telemetry
         )
-        self.golden_dir = Path(golden_dir) if golden_dir is not None else None
         self.started = time.time()
 
     # ------------------------------------------------------------- dispatch
@@ -112,9 +100,6 @@ class ResultsService:
                  headers: Dict[str, str]) -> Response:
         routes = {
             "/query": self._route_query,
-            "/stores": self._route_stores,
-            "/resources": self._route_resources,
-            "/goldens": self._route_goldens,
             "/healthz": self._route_healthz,
             "/metricz": self._route_metricz,
         }
@@ -128,29 +113,21 @@ class ResultsService:
 
     # --------------------------------------------------------------- routes
 
-    def _resolve(self, store: str) -> Tuple[List[StoreEntry], str]:
-        """Entries + combined ETag seed for ``store`` ("" = every store).
-        Raises :class:`QueryError` flavored as a 404 for unknown names."""
-        if store:
-            entry = self.index.get(store)
-            if entry is None:
-                raise _NotFound(f"no such store: {store}")
-            return [entry], entry.etag_seed
-        entries = self.index.entries()
-        seed = hashlib.sha256(
-            "\n".join(f"{e.name}:{e.etag_seed}" for e in entries)
-            .encode("utf-8")
-        ).hexdigest()
-        return entries, seed
-
     def _route_query(self, params: Dict[str, str],
                      headers: Dict[str, str]) -> Response:
         query = Query.from_params(params)
         fmt = _pick_format(params, headers.get("Accept", ""))
-        try:
-            entries, seed = self._resolve(query.store)
-        except _NotFound as exc:
-            return _error(404, str(exc), "query")
+        if query.store:
+            entry = self.index.get(query.store)
+            if entry is None:
+                return _error(404, f"no such store: {query.store}", "query")
+            entries, seed = [entry], entry.etag_seed
+        else:  # every store, under one ETag seed
+            entries = self.index.entries()
+            seed = hashlib.sha256(
+                "\n".join(f"{e.name}:{e.etag_seed}" for e in entries)
+                .encode("utf-8")
+            ).hexdigest()
         etag = _make_etag(seed, query.query_hash(), fmt)
         if _etag_matches(headers.get("If-None-Match", ""), etag):
             return Response(status=304, etag=etag,
@@ -182,53 +159,6 @@ class ResultsService:
             etag=etag, cache_state=cache_state, endpoint="query",
         )
 
-    def _route_stores(self, params: Dict[str, str],
-                      headers: Dict[str, str]) -> Response:
-        listing = [
-            {
-                "name": entry.name,
-                "cells": len(entry.records),
-                "etag_seed": entry.etag_seed,
-                "torn_lines": entry.torn_lines,
-                "resources": len(entry.resources),
-            }
-            for entry in self.index.entries()
-        ]
-        return _hashed_json({"stores": listing}, headers, "stores")
-
-    def _route_resources(self, params: Dict[str, str],
-                         headers: Dict[str, str]) -> Response:
-        store = params.get("store", "")
-        try:
-            entries, _ = self._resolve(store)
-        except _NotFound as exc:
-            return _error(404, str(exc), "resources")
-        payload = {
-            "resources": {e.name: e.resources for e in entries}
-        }
-        return _hashed_json(payload, headers, "resources")
-
-    def _route_goldens(self, params: Dict[str, str],
-                       headers: Dict[str, str]) -> Response:
-        if self.golden_dir is None or not self.golden_dir.is_dir():
-            return _error(404, "no golden directory configured", "goldens")
-        name = params.get("name", "")
-        if not name:
-            listing = sorted(
-                p.stem for p in self.golden_dir.glob("*.json")
-            )
-            return _hashed_json({"goldens": listing}, headers, "goldens")
-        if "/" in name or "\\" in name or name.startswith("."):
-            return _error(400, f"invalid golden name: {name}", "goldens")
-        path = self.golden_dir / (name + ".json")
-        if not path.is_file():
-            return _error(404, f"no such golden: {name}", "goldens")
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:
-            return _error(500, f"unreadable golden: {name}", "goldens")
-        return _hashed_json(payload, headers, "goldens")
-
     def _route_healthz(self, params: Dict[str, str],
                        headers: Dict[str, str]) -> Response:
         payload = {
@@ -251,10 +181,6 @@ class ResultsService:
                         endpoint="metricz")
 
 
-class _NotFound(Exception):
-    pass
-
-
 def _make_etag(seed: str, query_hash: str, fmt: str) -> str:
     digest = hashlib.sha256(
         f"{seed}/{query_hash}/{fmt}".encode("utf-8")
@@ -269,18 +195,6 @@ def _etag_matches(header: str, etag: str) -> bool:
         return True
     candidates = [c.strip() for c in header.split(",")]
     return etag in candidates or etag.strip('"') in candidates
-
-
-def _hashed_json(payload: object, headers: Dict[str, str],
-                 endpoint: str) -> Response:
-    """A JSON response whose ETag is the body hash (for routes with no
-    natural fingerprint, e.g. ``/stores``)."""
-    body = _json_body(payload)
-    etag = f'"{hashlib.sha256(body).hexdigest()[:32]}"'
-    if _etag_matches(headers.get("If-None-Match", ""), etag):
-        return Response(status=304, etag=etag, cache_state="not_modified",
-                        endpoint=endpoint)
-    return Response(status=200, body=body, etag=etag, endpoint=endpoint)
 
 
 # -------------------------------------------------------------------- HTTP
@@ -299,7 +213,6 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # request logging goes through telemetry, not stderr
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        started = time.perf_counter()
         parsed = urlsplit(self.path)
         params = {
             key: values[-1]
@@ -316,10 +229,10 @@ class _Handler(BaseHTTPRequestHandler):
             response = _error(500, f"internal error: {exc}", "error")
         # Count before writing: a client that pipelines a /metricz right
         # after this response must already see this request counted.
-        service.telemetry.on_service_request(
-            response.endpoint, response.status, response.cache_state,
-            time.perf_counter() - started,
-        )
+        service.telemetry.registry.counter(
+            "service_requests_total", endpoint=response.endpoint,
+            status=str(response.status),
+        ).inc()
         self.send_response(response.status)
         if response.etag is not None:
             self.send_header("ETag", response.etag)
@@ -386,9 +299,7 @@ def serve(
     store_dir,
     host: str = "127.0.0.1",
     port: int = 8077,
-    golden_dir=None,
     cache_max_bytes: int = DEFAULT_CACHE_BYTES,
-    telemetry: Optional[Telemetry] = None,
     stream=None,
 ) -> int:
     """Run the daemon until SIGTERM/SIGINT, then drain and return 0.
@@ -398,12 +309,7 @@ def serve(
     import sys
 
     out = stream if stream is not None else sys.stdout
-    service = ResultsService(
-        store_dir,
-        golden_dir=golden_dir,
-        cache_max_bytes=cache_max_bytes,
-        telemetry=telemetry,
-    )
+    service = ResultsService(store_dir, cache_max_bytes=cache_max_bytes)
     server = _make_server(service, host, port)
     bound_host, bound_port = server.server_address[:2]
     stores = len(service.index.discover())

@@ -1,16 +1,16 @@
 """Store discovery and revalidation for the results service.
 
-The index is the daemon's only path to disk.  A store is loaded (read,
-fingerprinted, its sidecar read) at most once per *content change*: the
-index keeps one :class:`~repro.scenarios.campaign.CampaignStore` per name
-and asks its two logs on every request whether the store or its
-``.resources.jsonl`` sidecar changed since that load
-(:meth:`~repro.scenarios.campaign.JsonlTail.changed`: one ``stat(2)`` per
-file, no reads, the identity the log's reader resumes by).
-Appends by concurrent ``--shared`` writers change it, so fresh cells
-become visible on the next request without restarting the daemon, and
-that load parses and serialises only the appended lines; a replaced or
-shrunken file is parsed again in full.  A change that leaves both folds
+The index is the daemon's only path to disk.  A store is loaded (read and
+fingerprinted) at most once per *content change*: the index keeps one
+:class:`~repro.scenarios.campaign.CampaignStore` per name and asks its log
+on every request whether the store changed since that load
+(:meth:`~repro.scenarios.campaign.JsonlTail.changed`: one ``stat(2)``, no
+reads, the identity the log's reader resumes by).  The store's
+``.resources.jsonl`` sidecar is not served, so it is never read here.
+Appends by concurrent ``--shared`` writers change the store, so fresh
+cells become visible on the next request without restarting the daemon,
+and that load parses and serialises only the appended lines; a replaced
+or shrunken file is parsed again in full.  A change that leaves the fold
 with nothing new (a ``touch``, a rename in place) keeps the entry: no
 re-sort, no re-fingerprint, no load counted
 (:attr:`~repro.scenarios.campaign.JsonlTail.grew`).
@@ -47,10 +47,8 @@ class StoreEntry:
     name: str
     path: Path
     records: List[CellRecord]
-    resources: List[dict]
     fingerprint: bytes
     etag_seed: str
-    torn_lines: int
 
 
 class StoreIndex:
@@ -95,8 +93,7 @@ class StoreIndex:
 
     def get(self, name: str) -> Optional[StoreEntry]:
         """Current entry for ``name``, reloading only when its store says
-        it (or its sidecar) changed; ``None`` for unknown or path-escaping
-        names."""
+        it changed; ``None`` for unknown or path-escaping names."""
         path = self._path_of(name)
         if path is None or not path.is_file():
             return None
@@ -105,15 +102,13 @@ class StoreIndex:
             store = self._stores.setdefault(name, CampaignStore(path))
         with self._lock:
             entry = self._entries.get(name)
-            logs = (store.log, store.resources_log)
-            if entry is not None and not any(log.changed() for log in logs):
+            if entry is not None and not store.log.changed():
                 return entry
             # A writer appending during the load leaves the store changed
             # since the identity the load began from, so the next request
             # loads again -- never stale forever.
             index = store.load()
-            resources = store.load_resources()
-            if entry is not None and not any(log.grew for log in logs):
+            if entry is not None and not store.log.grew:
                 return entry  # touched or renamed in place: no new line
             records = sorted(index.values(), key=canonical_sort_key)
             fingerprint = fingerprint_records(records)
@@ -121,10 +116,8 @@ class StoreIndex:
                 name=name,
                 path=path,
                 records=records,
-                resources=resources,
                 fingerprint=fingerprint,
                 etag_seed=hashlib.sha256(fingerprint).hexdigest(),
-                torn_lines=store.load_stats.torn_lines,
             )
             self._entries[name] = entry
             self.store_loads += 1

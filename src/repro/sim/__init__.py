@@ -2,7 +2,7 @@
 
 from . import units
 from .engine import SimulationError, SimulationStalled, Simulator, Timer
-from .monitor import DropTracer, QueueMonitor, QueueSample
+from .monitor import QueueMonitor, QueueSample
 from .network import Host, Network, Node, Switch
 from .packet import Ecn, Packet, PacketFactory
 from .port import Port, PortStats
@@ -15,7 +15,6 @@ __all__ = [
     "SimulationStalled",
     "Simulator",
     "Timer",
-    "DropTracer",
     "QueueMonitor",
     "QueueSample",
     "Host",

@@ -1,32 +1,29 @@
-"""Instrumentation: queue sampling and drop tracing.
+"""Instrumentation: queue sampling.
 
 :class:`QueueMonitor` reproduces the paper's Figure 10 methodology: it
 samples the instantaneous queue length of a port at a fixed interval and
-records ``(time, packets, bytes)`` triples.  :class:`DropTracer` hooks a
-port's drop callback and tallies drops by reason and by flow.
+records ``(time, packets)`` pairs.  Drops are observed through telemetry
+(``drops_total{port,reason}`` and ``drop`` flight-recorder events).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.stats_util import percentile as _percentile
 from .engine import Simulator
-from .packet import Packet
 from .port import Port
 
-__all__ = ["QueueMonitor", "QueueSample", "DropTracer"]
+__all__ = ["QueueMonitor", "QueueSample"]
 
 
 class QueueSample:
     """One observation of a port's queue."""
 
-    __slots__ = ("time", "packets", "bytes")
+    __slots__ = ("time", "packets")
 
-    def __init__(self, time: float, packets: int, bytes_: int) -> None:
+    def __init__(self, time: float, packets: int) -> None:
         self.time = time
         self.packets = packets
-        self.bytes = bytes_
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<QueueSample t={self.time:.6f} pkts={self.packets}>"
@@ -64,18 +61,10 @@ class QueueMonitor:
         now = self.sim.now
         if self.stop is not None and now > self.stop:
             return
-        self.samples.append(
-            QueueSample(now, self.port.queue_packets, self.port.queue_bytes)
-        )
+        self.samples.append(QueueSample(now, self.port.queue_packets))
         self.sim.schedule(self.interval, self._sample)
 
     # ------------------------------------------------------------- analysis
-
-    def average_packets(self) -> float:
-        """Mean queue length in packets over all samples."""
-        if not self.samples:
-            return 0.0
-        return sum(s.packets for s in self.samples) / len(self.samples)
 
     def max_packets(self) -> int:
         """Peak sampled queue length in packets."""
@@ -84,52 +73,3 @@ class QueueMonitor:
     def series(self) -> Tuple[List[float], List[int]]:
         """(times, packet counts) suitable for plotting Figure 10."""
         return [s.time for s in self.samples], [s.packets for s in self.samples]
-
-    def series_bytes(self) -> Tuple[List[float], List[int]]:
-        """(times, byte counts), the byte-occupancy companion of
-        :meth:`series`."""
-        return [s.time for s in self.samples], [s.bytes for s in self.samples]
-
-    def percentile(self, p: float, bytes_: bool = False) -> float:
-        """p-th percentile of sampled depth (packets, or bytes when
-        ``bytes_`` is set), by linear interpolation on the sorted samples
-        (the shared :func:`repro.core.stats_util.percentile` definition,
-        consistent with the FCT breakdown's p99)."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        if not self.samples:
-            return 0.0
-        values = [(s.bytes if bytes_ else s.packets) for s in self.samples]
-        return _percentile(values, p)
-
-    def percentiles(
-        self, ps: Tuple[float, ...] = (50.0, 95.0, 99.0), bytes_: bool = False
-    ) -> Dict[float, float]:
-        """Convenience bundle of :meth:`percentile` values (metrics
-        snapshots report p50/p95/p99 of queue depth)."""
-        return {p: self.percentile(p, bytes_=bytes_) for p in ps}
-
-
-class DropTracer:
-    """Counts packet drops on a port by reason and flow.
-
-    Chains to any previously installed ``port.on_drop`` callback, so
-    several observers (and the telemetry layer) can coexist on one port.
-    """
-
-    def __init__(self, port: Port) -> None:
-        self.total = 0
-        self.by_reason: Dict[str, int] = {}
-        self.by_flow: Dict[int, int] = {}
-        self.events: List[Tuple[float, int, str]] = []
-        self._port = port
-        self._chained = port.on_drop
-        port.on_drop = self._record
-
-    def _record(self, packet: Packet, reason: str) -> None:
-        if self._chained is not None:
-            self._chained(packet, reason)
-        self.total += 1
-        self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
-        self.by_flow[packet.flow_id] = self.by_flow.get(packet.flow_id, 0) + 1
-        self.events.append((self._port.sim.now, packet.flow_id, reason))

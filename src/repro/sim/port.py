@@ -25,7 +25,7 @@ serialization callback is bound once at construction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..telemetry.runtime import dataplane_telemetry
 from .engine import Simulator
@@ -77,7 +77,6 @@ class Port:
         "peer",
         "stats",
         "_busy",
-        "on_drop",
         "telemetry",
         "_q",
         "_transmission_done",
@@ -115,7 +114,6 @@ class Port:
         self.peer: Optional["Node"] = None
         self.stats = PortStats()
         self._busy = False
-        self.on_drop: Optional[Callable[[Packet, str], None]] = None
         self._transmission_done = self._transmission_complete
         # Attached once here; every hot-path hook below is a single
         # ``is not None`` check when telemetry is inactive.
@@ -165,8 +163,6 @@ class Port:
             self.stats.dropped_overflow += 1
         else:
             self.stats.dropped_aqm += 1
-        if self.on_drop is not None:
-            self.on_drop(packet, reason)
         if self.telemetry is not None:
             self.telemetry.on_drop(self, packet, reason, now)
 

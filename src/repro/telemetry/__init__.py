@@ -30,7 +30,6 @@ from .registry import (
     FCT_US_BUCKETS,
     QUEUE_PKT_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Snapshotter,
@@ -56,7 +55,6 @@ __all__ = [
     "FCT_US_BUCKETS",
     "QUEUE_PKT_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Snapshotter",

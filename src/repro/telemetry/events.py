@@ -33,7 +33,6 @@ CATEGORIES: tuple = (
     "scenario",    # campaign cell settled (executed, skipped or failed)
     "resilience",  # lease reclaim, cache quarantine, chaos injection
     "fluid",       # flow-level fluid engine run completed
-    "service",     # results-service request handled (query, healthz, ...)
 )
 """Every category the built-in instrumentation emits."""
 

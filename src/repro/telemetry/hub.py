@@ -28,6 +28,10 @@ from .spans import SpanTracer
 
 __all__ = ["Telemetry"]
 
+SNAPSHOT_MAX_SIMS = 4
+"""Simulators per :class:`Telemetry` that get a queue-depth sampler; ports
+of later simulators are summarised but not sampled."""
+
 
 class Telemetry:
     """Aggregation point for one observed run (or batch of runs).
@@ -41,7 +45,8 @@ class Telemetry:
             With ``metrics=False`` and ``trace=False`` only the engine
             profiler runs (the CLI's default, zero per-packet cost).
         snapshot_interval: if set, sample per-port queue depth time series
-            every this many *virtual* seconds.
+            every this many *virtual* seconds (the first
+            :data:`SNAPSHOT_MAX_SIMS` simulators only).
         profile: attach a :class:`RunProfiler` to simulators.
         spans: attach a :class:`~repro.telemetry.spans.SpanTracer` so the
             campaign/grid/cell/engine-phase layers record a hierarchical
@@ -56,7 +61,6 @@ class Telemetry:
         ring_capacity: int = 65_536,
         metrics: bool = True,
         snapshot_interval: Optional[float] = None,
-        snapshot_max_sims: int = 4,
         profile: bool = True,
         spans: bool = False,
     ) -> None:
@@ -70,7 +74,6 @@ class Telemetry:
         self.spans: Optional[SpanTracer] = SpanTracer() if spans else None
         self.metrics_enabled = metrics
         self.snapshot_interval = snapshot_interval
-        self.snapshot_max_sims = snapshot_max_sims
         self._ports: List = []
         self._snapshotters: Dict[int, Snapshotter] = {}
         self._sim_ports: Dict[int, List] = {}
@@ -92,7 +95,7 @@ class Telemetry:
         sim_key = id(port.sim)
         snapshotter = self._snapshotters.get(sim_key)
         if snapshotter is None:
-            if len(self._snapshotters) >= self.snapshot_max_sims:
+            if len(self._snapshotters) >= SNAPSHOT_MAX_SIMS:
                 return
             snapshotter = Snapshotter(port.sim, self.snapshot_interval)
             self._snapshotters[sim_key] = snapshotter
@@ -197,28 +200,6 @@ class Telemetry:
         recorder = self.recorder
         if recorder is not None and recorder.wants("resilience"):
             recorder.emit(0.0, "resilience", "chaos_injection", mode=mode)
-
-    # --------------------------------------------------------- service hooks
-
-    def on_service_request(
-        self,
-        endpoint: str,
-        status: int,
-        cache: str,
-        wall_seconds: float,
-    ) -> None:
-        """Record one results-service request: ``endpoint`` is the route
-        (``query``, ``stores``, ``healthz``, ``metricz``), ``cache`` is how
-        it was answered (``hit``, ``miss``, ``not_modified``, ``none``)."""
-        self.registry.counter(
-            "service_requests_total", endpoint=endpoint, status=str(status)
-        ).inc()
-        recorder = self.recorder
-        if recorder is not None and recorder.wants("service"):
-            recorder.emit(
-                0.0, "service", endpoint,
-                status=status, cache=cache, wall_seconds=wall_seconds,
-            )
 
     # ----------------------------------------------------------- fluid hooks
 

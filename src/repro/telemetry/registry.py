@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters and fixed-bucket histograms.
 
 The registry is the aggregation side of the telemetry layer: hooks in the
 data plane and the transports increment labeled instruments, and a snapshot
@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Snapshotter",
@@ -55,24 +54,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value that can move both ways; tracks its peak."""
-
-    __slots__ = ("value", "peak")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self.peak = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.peak:
-            self.peak = value
-
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
 
 
 class Histogram:
@@ -157,7 +138,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str, **labels: object) -> Counter:
@@ -165,13 +145,6 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter()
-        return instrument
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        key = _series_key(name, labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
         return instrument
 
     def histogram(
@@ -189,10 +162,6 @@ class MetricsRegistry:
         """Plain-dict dump of every instrument (JSON-serializable)."""
         return {
             "counters": {k: c.value for k, c in sorted(self._counters.items())},
-            "gauges": {
-                k: {"value": g.value, "peak": g.peak}
-                for k, g in sorted(self._gauges.items())
-            },
             "histograms": {
                 k: h.to_dict() for k, h in sorted(self._histograms.items())
             },
@@ -205,7 +174,8 @@ class Snapshotter:
     Each tick calls every registered sampler (a zero-argument callable
     returning a dict of column -> value) and appends one row.  Rows beyond
     ``max_rows`` evict the oldest so an unexpectedly long run cannot grow
-    memory without bound.
+    memory without bound.  Sampling ends at the first tick that finds no
+    other event queued: the sampler observes a run, it never extends one.
     """
 
     def __init__(
@@ -238,4 +208,8 @@ class Snapshotter:
         self.rows.append(row)
         if len(self.rows) > self.max_rows:
             del self.rows[0 : len(self.rows) - self.max_rows]
-        self.sim.schedule(self.interval, self._tick)
+        # Tick only while the run has other work: rescheduling onto an
+        # otherwise empty queue would keep a drain-to-idle run alive
+        # forever (``run_until_idle`` would never find the queue empty).
+        if self.sim.pending_events:
+            self.sim.schedule(self.interval, self._tick)

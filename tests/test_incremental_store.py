@@ -193,13 +193,14 @@ class StoreMachine(_FileMachine):
             assert live_stats == fresh_store.load_stats
             assert store_fingerprint(self.store) == store_fingerprint(
                 CampaignStore(self.path))
+            assert self.store.load_resources() == \
+                fresh_store.load_resources()
             entry = self.index.get("s")
             fresh_entry = StoreIndex(self.dir).get("s")
         if fresh_entry is None:
             assert entry is None
         else:
-            for name in ("records", "resources", "fingerprint", "etag_seed",
-                         "torn_lines"):
+            for name in ("records", "fingerprint", "etag_seed"):
                 assert getattr(entry, name) == getattr(fresh_entry, name), name
             assert entry.fingerprint == store_fingerprint(fresh_store)
         # Whatever a caller does to the mapping it was handed stays theirs.

@@ -1,10 +1,12 @@
-"""Unit tests for queue monitoring and drop tracing."""
+"""Unit tests for queue monitoring and for drop observation through
+telemetry."""
 
 import pytest
 
-from repro.sim.monitor import DropTracer, QueueMonitor, QueueSample
+from repro.sim.monitor import QueueMonitor
 from repro.sim.port import Port
 from repro.sim.units import gbps, us
+from repro.telemetry import Telemetry, activate
 
 from conftest import make_packet
 
@@ -47,7 +49,6 @@ class TestQueueMonitor:
         # 9 sent, 1 serializing: 8 queued at t=0, draining ~1/1.2us.
         assert monitor.samples[0].packets == 8
         assert monitor.max_packets() == 8
-        assert monitor.average_packets() <= 8
 
     def test_series_shape(self, sim):
         port = make_port(sim)
@@ -65,81 +66,33 @@ class TestQueueMonitor:
         port = make_port(sim)
         monitor = QueueMonitor(sim, port, interval=us(10), start=us(100), stop=us(50))
         sim.run(until=us(200))
-        assert monitor.average_packets() == 0.0
+        assert monitor.samples == []
         assert monitor.max_packets() == 0
-        assert monitor.percentile(99) == 0.0
-
-    def test_series_bytes_matches_samples(self, sim):
-        port = make_port(sim)
-        for seq in range(5):
-            port.send(make_packet(seq=seq))
-        monitor = QueueMonitor(sim, port, interval=us(1), stop=us(3))
-        sim.run(until=us(10))
-        times, byte_counts = monitor.series_bytes()
-        assert times == monitor.series()[0]
-        assert byte_counts == [s.bytes for s in monitor.samples]
-        assert byte_counts[0] == 4 * 1500  # 5 sent, 1 serializing
-
-    def test_percentile_linear_interpolation(self, sim):
-        port = make_port(sim)
-        monitor = QueueMonitor(sim, port, interval=us(1))
-        monitor.samples[:] = [
-            QueueSample(float(i), packets, packets * 1500)
-            for i, packets in enumerate([1, 2, 3, 4, 10])
-        ]
-        assert monitor.percentile(50) == 3.0
-        assert monitor.percentile(0) == 1.0
-        assert monitor.percentile(100) == 10.0
-        # rank (5-1)*0.95 = 3.8 -> lerp between 6000 and 15000
-        assert monitor.percentile(95, bytes_=True) == pytest.approx(13_200.0)
-        assert monitor.percentiles() == pytest.approx(
-            {50.0: 3.0, 95.0: 8.8, 99.0: 9.76}
-        )
-
-    def test_percentile_rejects_out_of_range(self, sim):
-        port = make_port(sim)
-        monitor = QueueMonitor(sim, port, interval=us(1))
-        with pytest.raises(ValueError):
-            monitor.percentile(101)
+        assert monitor.series() == ([], [])
 
 
-class TestDropTracer:
+class TestDropTelemetry:
+    """Drops are observed through the port's telemetry: the
+    ``drops_total{port,reason}`` counter and ``drop`` recorder events."""
+
     def test_counts_by_reason_and_flow(self, sim):
-        port = make_port(sim, buffer_bytes=1500)
-        tracer = DropTracer(port)
+        with activate(Telemetry(trace=True, profile=False)) as telemetry:
+            port = make_port(sim, buffer_bytes=1500)
         for seq in range(3):
             port.send(make_packet(flow_id=7, seq=seq))
         sim.run()
-        assert tracer.total >= 1
-        assert tracer.by_reason.get("overflow", 0) == tracer.total
-        assert tracer.by_flow.get(7, 0) == tracer.total
-        assert all(flow == 7 for _, flow, _ in tracer.events)
+        # seq 0 goes on the wire, seq 1 fills the buffer, seq 2 overflows.
+        (drop,) = telemetry.recorder.events("drop")
+        assert (drop.kind, drop.fields["port"], drop.fields["flow"],
+                drop.fields["seq"]) == ("overflow", "p", 7, 2)
+        assert telemetry.registry.snapshot()["counters"] == {
+            "drops_total{port=p,reason=overflow}": 1}
+        assert port.stats.dropped_overflow == 1
 
     def test_no_drops_no_events(self, sim):
-        port = make_port(sim)
-        tracer = DropTracer(port)
+        with activate(Telemetry(trace=True, profile=False)) as telemetry:
+            port = make_port(sim)
         port.send(make_packet())
         sim.run()
-        assert tracer.total == 0
-
-    def test_chains_prior_on_drop_callback(self, sim):
-        port = make_port(sim, buffer_bytes=1500)
-        seen = []
-        port.on_drop = lambda packet, reason: seen.append((packet.seq, reason))
-        tracer = DropTracer(port)
-        for seq in range(3):
-            port.send(make_packet(seq=seq))
-        sim.run()
-        # Both the pre-existing callback and the tracer observed every drop.
-        assert tracer.total >= 1
-        assert len(seen) == tracer.total
-        assert all(reason == "overflow" for _, reason in seen)
-
-    def test_two_tracers_coexist(self, sim):
-        port = make_port(sim, buffer_bytes=1500)
-        first = DropTracer(port)
-        second = DropTracer(port)
-        for seq in range(3):
-            port.send(make_packet(seq=seq))
-        sim.run()
-        assert first.total == second.total >= 1
+        assert telemetry.recorder.events("drop") == []
+        assert telemetry.registry.snapshot()["counters"] == {}

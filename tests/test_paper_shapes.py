@@ -49,7 +49,8 @@ class TestStandingQueueShape:
             topo.sim, topo.bottleneck, interval=us(10), start=ms(5), stop=ms(15)
         )
         topo.network.run(until=ms(15))
-        return monitor.average_packets(), topo.bottleneck.stats.dropped_total
+        _, depths = monitor.series()
+        return float(np.mean(depths)), topo.bottleneck.stats.dropped_total
 
     def test_red_tail_keeps_threshold_queue(self):
         queue, drops = self.standing_queue(sim_red_tail)

@@ -8,6 +8,7 @@ from repro.sim.network import Network
 from repro.sim.packet import Ecn
 from repro.sim.port import Port
 from repro.sim.units import gbps, us
+from repro.telemetry import Telemetry, activate
 
 from conftest import make_packet
 
@@ -87,13 +88,15 @@ class TestBuffering:
         assert 0 in delivered  # head was never dropped
 
     def test_on_drop_callback(self, sim):
-        port, _ = make_port(sim, buffer_bytes=1500)
-        drops = []
-        port.on_drop = lambda packet, reason: drops.append((packet.seq, reason))
+        """Every drop reaches the attached telemetry's ``on_drop`` hook."""
+        with activate(Telemetry(metrics=True, profile=False)) as telemetry:
+            port, _ = make_port(sim, buffer_bytes=1500)
         for seq in range(3):
             port.send(make_packet(seq=seq))
         sim.run()
-        assert drops and all(reason == "overflow" for _, reason in drops)
+        assert port.stats.dropped_overflow >= 1
+        assert telemetry.registry.snapshot()["counters"] == {
+            "drops_total{port=p,reason=overflow}": port.stats.dropped_overflow}
 
     def test_buffer_released_after_transmit(self, sim):
         port, _ = make_port(sim, buffer_bytes=3000)

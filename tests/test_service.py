@@ -85,15 +85,16 @@ class TestStoreIndex:
         assert len(after.records) == 2
         assert after.etag_seed != before.etag_seed
 
-    def test_sidecar_append_invalidates_probe(self, tmp_path):
+    def test_sidecar_append_reloads_nothing(self, tmp_path):
+        """The daemon serves no sidecar rows, so an append to the
+        ``.resources.jsonl`` sidecar alone is no change to the store."""
         store = make_store(tmp_path / "a.jsonl", [record()])
         index = StoreIndex(tmp_path)
-        index.get("a")
+        entry = index.get("a")
         store.append_resources([{"scenario": "fig10", "cell_key": "k",
                                  "wall_seconds": 1.0}])
-        entry = index.get("a")
-        assert index.store_loads == 2
-        assert len(entry.resources) == 1
+        assert index.get("a") is entry
+        assert index.store_loads == 1
 
     def test_a_touch_keeps_the_entry(self, tmp_path):
         """A new timestamp (or a sidecar's) with no new line is no new
@@ -122,12 +123,12 @@ class TestStoreIndex:
         index = StoreIndex(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert index.get("a").torn_lines == 1
+            assert len(index.get("a").records) == 1
             with open(store.path, "ab") as handle:
                 handle.write(line[10:])  # complete, still no newline
             entry = index.get("a")
         assert index.store_loads == 2
-        assert (entry.torn_lines, len(entry.records)) == (0, 2)
+        assert len(entry.records) == 2
 
     def test_same_size_replace_that_keeps_the_mtime_reloads(self, tmp_path):
         """An updated store copied over the served one with its timestamp
@@ -396,32 +397,6 @@ class TestDispatch:
         assert "service_cache_misses_total" in metricz["metrics"]["counters"]
         assert metricz["cache"]["entries"] == 1
 
-    def test_stores_and_resources_routes(self, tmp_path):
-        svc = self.service(tmp_path)
-        CampaignStore(tmp_path / "a.jsonl").append_resources(
-            [{"scenario": "fig10", "cell_key": "k", "wall_seconds": 2.0}]
-        )
-        stores = json.loads(svc.dispatch("/stores", {}, {}).body)
-        assert stores["stores"][0]["name"] == "a"
-        assert stores["stores"][0]["cells"] == 1
-        resources = json.loads(
-            svc.dispatch("/resources", {"store": "a"}, {}).body
-        )
-        assert resources["resources"]["a"][0]["wall_seconds"] == 2.0
-
-    def test_goldens_route(self, tmp_path):
-        golden_dir = tmp_path / "baselines"
-        golden_dir.mkdir()
-        (golden_dir / "tiny.json").write_text('{"cells": {}}')
-        make_store(tmp_path / "stores" / "a.jsonl", [record()])
-        svc = ResultsService(tmp_path / "stores", golden_dir=golden_dir)
-        listing = json.loads(svc.dispatch("/goldens", {}, {}).body)
-        assert listing["goldens"] == ["tiny"]
-        golden = svc.dispatch("/goldens", {"name": "tiny"}, {})
-        assert json.loads(golden.body) == {"cells": {}}
-        assert svc.dispatch("/goldens", {"name": "ghost"}, {}).status == 404
-        assert svc.dispatch("/goldens", {"name": "../x"}, {}).status == 400
-
     def test_fluid_fidelity_round_trip(self, tmp_path):
         """fidelity is denormalized onto records (elided when packet) and
         queryable end to end."""
@@ -484,9 +459,9 @@ class TestForeignMetricValues:
             for mode in ("summary", "cells"):
                 assert svc.dispatch("/query", {"format": fmt, "mode": mode},
                                     {}).status == 200
-        stores = json.loads(svc.dispatch("/stores", {}, {}).body)
-        assert stores["stores"][0]["cells"] == 1
-        assert stores["stores"][0]["torn_lines"] == len(BAD_METRICS)
+        cells = json.loads(svc.dispatch(
+            "/query", {"mode": "cells", "metric": "fct"}, {}).body)
+        assert cells["count"] == 1
 
     def test_cli_summary_skips_the_foreign_lines(self, tmp_path, capsys):
         from repro.cli import main
@@ -501,6 +476,8 @@ class TestForeignMetricValues:
 
 QUERY_FIELDS = ("store", "scenario", "scheme", "metric", "fidelity",
                 "token", "status", "mode", "format")
+GONE_ROUTES = ("/stores", "/resources", "/goldens")
+"""Routes the daemon no longer serves: each answers a JSON 404."""
 FUZZ_PATHS = st.text(max_size=16) | st.sampled_from(
     ["/query", "/query/", "/stores", "/resources", "/goldens", "/healthz",
      "/metricz", "/", "", "/nope", "//query", "/query/x"])
@@ -532,13 +509,9 @@ class TestDispatchFuzz:
         write_foreign_store(tmp_path / "stores" / "b.jsonl")
         (tmp_path / "stores" / "junk.jsonl").write_bytes(
             b'[1]\nnot json\n{"scenario": 1}\n\xff\n{"torn')
-        golden_dir = tmp_path / "baselines"
-        golden_dir.mkdir()
-        (golden_dir / "tiny.json").write_text('{"cells": {}}')
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            service = ResultsService(tmp_path / "stores",
-                                     golden_dir=golden_dir)
+            service = ResultsService(tmp_path / "stores")
 
             @settings(max_examples=300, deadline=None)
             @given(path=FUZZ_PATHS, params=FUZZ_PARAMS, headers=FUZZ_HEADERS)
@@ -546,6 +519,9 @@ class TestDispatchFuzz:
                 response = service.dispatch(path, params, headers)
                 assert 200 <= response.status < 500, (response.status,
                                                       response.body)
+                if path.rstrip("/") in GONE_ROUTES:
+                    assert response.status == 404
+                    assert "error" in json.loads(response.body)
 
             check()
 
@@ -574,8 +550,8 @@ def live_service(tmp_path):
 class TestClient:
     def test_healthz_stores_query(self, live_service):
         _store, _service, client = live_service
-        assert client.healthz()["status"] == "ok"
-        assert client.stores()["stores"][0]["name"] == "a"
+        health = client.healthz()
+        assert health["status"] == "ok" and health["stores"] == 1
         response = client.query({"metric": "fct"})
         assert response.status == 200
         assert response.etag
@@ -880,6 +856,15 @@ class TestCli:
         assert main(["query", "--url", "http://127.0.0.1:9",
                      "--store-dir", str(tmp_path)]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 1
+
+    @pytest.mark.parametrize("flag", [["--trace"], ["--golden-dir", "."]])
+    def test_serve_has_no_trace_or_golden_dir(self, tmp_path, flag):
+        """Usage errors before a socket is bound."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--store-dir", str(tmp_path), *flag])
+        assert exited.value.code == 2
 
 
 # ------------------------------------------------------- obs metricz section

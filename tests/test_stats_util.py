@@ -54,7 +54,7 @@ class TestOptionalHelpers:
 
 
 class TestConsumersShareInterpolation:
-    """fct.py and monitor.py must agree on percentile semantics."""
+    """fct.py's percentiles use the shared helper's interpolation."""
 
     def test_fct_p99_uses_shared_helper(self):
         from repro.experiments.fct import FctSummary, FlowRecord
@@ -73,16 +73,4 @@ class TestConsumersShareInterpolation:
         summary = FctSummary.from_records(records)
         assert summary.short_p99 == pytest.approx(
             float(np.percentile([r.fct for r in records], 99))
-        )
-
-    def test_monitor_percentile_matches_numpy(self):
-        from repro.sim.monitor import QueueMonitor, QueueSample
-
-        monitor = QueueMonitor.__new__(QueueMonitor)
-        monitor.samples = [
-            QueueSample(float(i), pkts, pkts * 1500)
-            for i, pkts in enumerate([1, 2, 3, 10])
-        ]
-        assert monitor.percentile(50) == pytest.approx(
-            float(np.percentile([1, 2, 3, 10], 50))
         )

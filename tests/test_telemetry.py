@@ -88,13 +88,6 @@ class TestRegistry:
         assert snap["counters"]["drops{port=a}"] == 3
         assert snap["counters"]["drops{port=b}"] == 1
 
-    def test_gauge_tracks_peak(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        gauge.set(5)
-        gauge.set(2)
-        assert registry.snapshot()["gauges"]["depth"] == {"value": 2, "peak": 5}
-
     def test_snapshot_is_json_serializable(self):
         registry = MetricsRegistry()
         registry.histogram("fct_us", FCT_US_BUCKETS, cc="Dctcp").observe(123.0)
@@ -106,6 +99,7 @@ class TestSnapshotter:
         snapshotter = Snapshotter(sim, interval=us(10))
         values = iter(range(100))
         snapshotter.add_sampler(lambda: {"x": next(values)})
+        sim.schedule(us(50), lambda: None)  # the run it observes
         sim.run(until=us(35))
         assert [row["x"] for row in snapshotter.rows] == [0, 1, 2, 3]
         assert snapshotter.rows[1]["time"] == pytest.approx(us(10))
@@ -113,9 +107,42 @@ class TestSnapshotter:
     def test_row_cap_evicts_oldest(self, sim):
         snapshotter = Snapshotter(sim, interval=us(1), max_rows=5)
         snapshotter.add_sampler(lambda: {})
+        sim.schedule(us(50), lambda: None)
         sim.run(until=us(20))
         assert len(snapshotter.rows) == 5
         assert snapshotter.rows[0]["time"] > us(14)
+
+    def test_stops_when_nothing_else_is_pending(self, sim):
+        snapshotter = Snapshotter(sim, interval=us(10))
+        snapshotter.add_sampler(lambda: {})
+        sim.schedule(us(25), lambda: None)
+        sim.run_until_idle(max_events=100)
+        assert [row["time"] for row in snapshotter.rows] == pytest.approx(
+            [0.0, us(10), us(20), us(30)])
+        assert sim.pending_events == 0
+
+    def test_drain_to_idle_run_completes_under_sampling(self, monkeypatch):
+        """A sampled star cell drains like a bare one: a snapshotter that
+        rescheduled itself forever kept ``run_until_idle`` from ever
+        finding the queue empty, so the cell ran out its whole event
+        budget and raised ``SimulationStalled``."""
+        from repro.experiments import runner
+        from repro.experiments.schemes import simulation_schemes
+        from repro.workloads.websearch import WEB_SEARCH
+
+        def cell():
+            return runner.run_star_fct(
+                simulation_schemes()["ECN#"], WEB_SEARCH, 0.5, 20, seed=7)
+
+        bare = cell()
+        # ~5x the cell's events, so a sampler that never stops fails fast.
+        monkeypatch.setattr(runner, "MAX_EVENTS_PER_RUN", 50_000)
+        with activate(Telemetry(metrics=True, snapshot_interval=ms(1))) as tel:
+            observed = cell()
+        assert observed.collector.records == bare.collector.records
+        assert observed.summary == bare.summary
+        (rows,) = tel.snapshot()["series"]
+        assert rows[-1]["time"] <= observed.sim_duration + ms(1)
 
 
 # --------------------------------------------------------- flight recorder
@@ -419,6 +446,17 @@ class TestCliTelemetry:
         events = FlightRecorder.load_jsonl(trace_path)
         assert events
         assert {e.category for e in events} <= {"cwnd", "timer"}
+
+    def test_service_is_no_trace_category(self, capsys):
+        """Nothing records per-request service events any more, so the
+        category is an unknown one: a usage error before anything runs."""
+        from repro.cli import main
+
+        assert "service" not in CATEGORIES
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "table1", "--trace-categories", "service"])
+        assert exited.value.code == 2
+        assert "unknown trace categories: service" in capsys.readouterr().err
 
     def test_plain_run_prints_profile_without_dataplane_hooks(self, capsys):
         from repro.cli import main
