@@ -3,10 +3,10 @@
     python3 benchmarks/ab.py REF WORKLOAD [WORKLOAD ...] [--pairs N]
                              [--seed S] [--seconds T]
 
-checks ``REF`` out into a temporary ``git worktree`` and, for each
-``WORKLOAD`` in turn, runs ``benchmarks/ledger/run.py --workload WORKLOAD
---trace 0`` on it and on the working tree this script lives in, alternately,
-``N`` pairs (10 by default).  Within a pair the side that goes first
+checks ``REF`` out into a temporary ``git worktree``, and the working tree
+this script lives in into a second one, and, for each ``WORKLOAD`` in turn,
+runs ``benchmarks/ledger/run.py --workload WORKLOAD --trace 0`` on the two,
+alternately, ``N`` pairs (10 by default).  Within a pair the side that goes first
 alternates, so a host that drifts slower over the session does not always
 tax the same side.  Each side's runs go to its own interpreter, one at a
 time: never two at once.
@@ -21,14 +21,23 @@ signature and no failed check; the exit status is 1 when any workload did
 not.  Naming every workload a change must not move makes those pairs one
 command.
 
-Run nothing else CPU-bound on the host meanwhile, and do not edit the
-working tree under it: every run re-reads the source.
+Both sides are the same kind of checkout, so an A/A run (the working tree
+unchanged from ``REF``) reads no difference that the checkouts made.  The
+working-tree side is a snapshot taken at start -- tracked changes and the
+untracked files git does not ignore, staged through a temporary index into a
+tree object -- laid over a worktree of ``REF``'s commit.  Both sides report
+that commit as theirs, so the commit id every campaign store record carries
+is the same on both, and so is every repetition signature that hashes the
+store.  No ref, stash or index of the repository moves.
+
+Run nothing else CPU-bound on the host meanwhile.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -63,13 +72,23 @@ def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     return args
 
 
-def git(*args: str) -> str:
-    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                          text=True)
+def git(*args: str, cwd: Path = ROOT, env: Optional[Dict] = None) -> str:
+    done = subprocess.run(["git", *args], cwd=cwd, capture_output=True,
+                          text=True, env=env)
     if done.returncode != 0:
         raise SystemExit(f"ab.py: git {' '.join(args)}: "
                          f"{done.stderr.strip()}")
     return done.stdout.strip()
+
+
+def snapshot_tree(scratch: Path) -> str:
+    """The working tree as a git tree object: ``HEAD`` read into a
+    temporary index, then every change and every untracked file that is not
+    ignored added to it."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(scratch / "snapshot.index")}
+    git("read-tree", "HEAD", env=env)
+    git("add", "-A", env=env)
+    return git("write-tree", env=env)
 
 
 def run_once(tree: Path, workload: str, args: argparse.Namespace,
@@ -139,14 +158,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     sha = git("rev-parse", "--verify", f"{args.ref}^{{commit}}")
     title = f"ref {args.ref} ({sha[:12]}) vs working tree"
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
-        worktree = Path(scratch) / "ref"
-        git("worktree", "add", "--detach", str(worktree), sha)
+        tree = snapshot_tree(Path(scratch))
+        trees = {side: Path(scratch) / side for side in SIDES}
         try:
-            trees: Dict[str, Path] = {"ref": worktree, "tree": ROOT}
+            for path in trees.values():
+                git("worktree", "add", "--detach", str(path), sha)
+            git("read-tree", "--reset", "-u", tree, cwd=trees["tree"])
             ok = [compare(workload, args, trees, Path(scratch), title)
                   for workload in args.workloads]
         finally:
-            git("worktree", "remove", "--force", str(worktree))
+            for path in trees.values():
+                if path.exists():
+                    git("worktree", "remove", "--force", str(path))
     return 0 if all(ok) else 1
 
 

@@ -17,7 +17,7 @@ Usage::
     python -m repro scenario check scenarios/
     python -m repro scenario run scenarios/fig6_websearch.toml --store campaign.jsonl
     python -m repro scenario run scenarios/leafspine_1024.toml --fidelity fluid
-    python -m repro scenario run scenarios/ --store shared.jsonl --shared
+    python -m repro scenario run scenarios/ --store host1.jsonl --jobs 4
     python -m repro scenario merge a.jsonl b.jsonl --out merged.jsonl
     python -m repro scenario report --store campaign.jsonl
     python -m repro cache gc --max-bytes 512M --max-age 604800
@@ -60,10 +60,10 @@ section): ``list``/``check`` inspect and validate them without simulating,
 ``run`` executes one file or a directory as a resumable campaign appending
 each finished cell to a crash-safe JSONL store (rerunning skips completed
 cells), and ``report`` renders per-scenario tables straight from the store.
-``run --shared`` lets N concurrent processes share one store (lease-based
-cell claiming under an advisory lock; a killed worker's cells are reclaimed
-after ``--lease-ttl``); ``merge`` combines N stores idempotently, failing
-hard when two ok records disagree; ``cache gc`` evicts result-cache entries
+A store has one writer: ``run --jobs N`` spreads its cells over N worker
+processes, and hosts that each wrote their own store join them with
+``merge``, which combines N stores idempotently, failing hard when two ok
+records disagree; ``cache gc`` evicts result-cache entries
 by size/age and clears quarantined ``*.corrupt`` entries.  SIGINT/SIGTERM
 during ``scenario run`` finishes and appends the in-flight shard, then
 exits ``128+signum`` with the store fully resumable.
@@ -431,35 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="engine fidelity for every cell (beats the scenario's "
         "[run] fidelity and REPRO_FIDELITY; default: packet)",
-    )
-    s_run.add_argument(
-        "--shared",
-        action="store_true",
-        help="multi-writer mode: claim pending cells through lease records "
-        "under the store's advisory lock, so any number of concurrent "
-        "'scenario run --shared' processes can share one store",
-    )
-    s_run.add_argument(
-        "--worker-id",
-        metavar="ID",
-        default=None,
-        help="worker identity for --shared lease records (default: host:pid)",
-    )
-    s_run.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds before another worker may reclaim a claimed cell "
-        "(--shared; default: 60)",
-    )
-    s_run.add_argument(
-        "--lock-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="how long to wait for the store lock before giving up "
-        "(--shared; default: 60)",
     )
     _add_executor_args(s_run)
     _add_observability_args(s_run)
@@ -978,14 +949,7 @@ def _main_scenario(args, parser: argparse.ArgumentParser) -> int:
             announce=print,
         )
 
-    if not args.shared:
-        for option in ("worker_id", "lease_ttl", "lock_timeout"):
-            if getattr(args, option) is not None:
-                parser.error(
-                    f"--{option.replace('_', '-')} requires --shared"
-                )
-
-    from .scenarios import GracefulShutdown, LockTimeout
+    from .scenarios import GracefulShutdown
 
     executor = Executor.from_env(
         cache=not args.no_cache, **_executor_settings(args)
@@ -1002,16 +966,9 @@ def _main_scenario(args, parser: argparse.ArgumentParser) -> int:
                 executor=executor,
                 max_cells=args.max_cells,
                 progress=progress,
-                shared=args.shared,
-                worker_id=args.worker_id,
-                lease_ttl=args.lease_ttl,
-                lock_timeout=args.lock_timeout,
                 shutdown=shutdown,
                 fidelity=args.fidelity,
             )
-    except LockTimeout as exc:
-        log.error(f"# error: {exc}")
-        return 1
     finally:
         set_default_executor(previous_executor)
         _finish_observability(args, telemetry, progress, progress_stream)

@@ -534,8 +534,8 @@ class Cell:
 
     @cached_property
     def _tokens(self) -> Tuple[str, ...]:
-        """Built once per cell: a campaign asks on every resume walk,
-        settle and lease round."""
+        """Built once per cell: a campaign asks on its resume walk and
+        again as each cell settles."""
         return tuple(spec.token() for spec in self.specs)
 
     def with_fidelity(self, fidelity: str) -> "Cell":

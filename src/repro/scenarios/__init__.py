@@ -10,9 +10,9 @@ campaign.
 * :mod:`~repro.scenarios.campaign` -- resumable campaign orchestration over
   a directory of scenario files with a crash-safe JSONL result store.
 
-* :mod:`~repro.scenarios.coordination` -- multi-writer resilience: store
-  lock, lease-based cell claiming with stale-lease reclamation, graceful
-  shutdown, idempotent store merge and canonical store fingerprints.
+* :mod:`~repro.scenarios.coordination` -- graceful shutdown, the
+  idempotent merge that joins stores written on several hosts, and
+  canonical store fingerprints.
 
 CLI: ``repro scenario list|check|run|report|merge``.  The checked-in
 ``scenarios/`` directory holds faithful re-expressions of the paper's
@@ -30,12 +30,8 @@ from .campaign import (
 )
 from .coordination import (
     GracefulShutdown,
-    LeaseBoard,
-    LockTimeout,
     MergeConflictError,
     MergeResult,
-    StoreLock,
-    default_worker_id,
     merge_stores,
     store_fingerprint,
 )
@@ -70,12 +66,8 @@ __all__ = [
     "run_campaign",
     "render_store_report",
     "GracefulShutdown",
-    "LeaseBoard",
-    "LockTimeout",
     "MergeConflictError",
     "MergeResult",
-    "StoreLock",
-    "default_worker_id",
     "merge_stores",
     "store_fingerprint",
 ]

@@ -17,23 +17,20 @@ campaign's store is byte-identical to an uninterrupted one.
 
 Crash safety: the store is append-only, one JSON object per line, flushed
 and fsynced per shard; a torn trailing line (the process died mid-write) is
-skipped with a warning on load and its cell simply re-executes.  The store,
-its sidecars and the lease ledger are each one :class:`JsonlTail`: the one
-append, atomic rewrite, incremental read and "changed?" check, so a reused
-store (a daemon revalidating, a campaign re-loading every round) parses
-only the lines appended since its last load.
+skipped with a warning on load and its cell simply re-executes.  The store
+and its sidecar are each one :class:`JsonlTail`: the one append, atomic
+rewrite, incremental read and "changed?" check, so a reused store (the
+results daemon revalidating while a campaign appends) parses only the
+lines appended since its last load.
 
-One loop runs both modes (:func:`_run`).  A ``--shared`` worker serialises
-its loads and appends through the store lock and takes its cells through
-the lease ledger (:mod:`repro.scenarios.coordination`); a lone writer is
-the same loop with no lock and a board that hands it every remaining cell,
-so it never creates a lock or a lease file.
+A store has one writer (:func:`_run`): the campaign loads it once, then
+executes and appends the remaining cells shard by shard.  Parallelism on
+one host is the executor's ``--jobs``; several hosts write independent
+stores and join them with :func:`~repro.scenarios.coordination.merge_stores`.
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import json
 import os
 import warnings
@@ -184,8 +181,8 @@ class StoreLoadStats:
 
 
 class JsonlTail:
-    """One append-only JSONL file: the store, its sidecars and the lease
-    ledger append, atomically rewrite, read and ask "changed?" only here.
+    """One append-only JSONL file: the store and its sidecar append,
+    atomically rewrite, read and ask "changed?" only here.
 
     :meth:`fold` parses the whole file the first time and, on the same
     instance later, only what was appended since.  It remembers the file's
@@ -201,15 +198,14 @@ class JsonlTail:
 
     After each fold, :attr:`grew` says whether its result can differ from
     the previous fold's (it rewound, consumed a line, or its unsettled tail
-    changed) and :attr:`foreign` whether it read anything this instance did
-    not :meth:`append` itself since then.
+    changed).
     """
 
     GUARD = 64
 
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
-        self.grew = self.foreign = True
+        self.grew = True
         self._tail: Optional[bytes] = None  # the last fold's unsettled line
         self._forget()
 
@@ -218,10 +214,6 @@ class JsonlTail:
         self._offset = 0
         self._guard = b""
         self._lines = 0  # physical lines consumed, for line numbers
-        # Where this instance's own appends since ``_offset`` end; None
-        # once another writer's bytes (or a torn line they ended) are
-        # among them.
-        self._own_end: Optional[int] = 0
 
     def changed(self) -> bool:
         """Whether the file may differ from what the last :meth:`fold`
@@ -241,7 +233,7 @@ class JsonlTail:
         try:
             handle = open(self.path, "rb")
         except FileNotFoundError:
-            self.grew = self.foreign = self._seen != ()
+            self.grew = self._seen != ()
             self._forget()
             self._seen, self._state, self._tail = (), start(), None
             return copy(self._state)
@@ -283,10 +275,7 @@ class JsonlTail:
                 self._forget()
                 raise
             self.grew = rewound or offset != self._offset or tail != self._tail
-            self.foreign = (rewound or tail is not None
-                            or offset != self._own_end)
             self._offset, self._lines, self._tail = offset, lines, tail
-            self._own_end = offset
             self._guard = self._read_guard(handle)
         state = copy(self._state)
         if unsettled is not None:
@@ -313,19 +302,14 @@ class JsonlTail:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+b") as handle:
-            start = handle.seek(0, os.SEEK_END)
-            healed = False
-            if start:
+            if handle.seek(0, os.SEEK_END):
                 handle.seek(-1, os.SEEK_END)
                 if handle.read(1) != b"\n":
-                    text, healed = "\n" + text, True
-            data = text.encode("utf-8")
-            handle.write(data)
+                    text = "\n" + text
+            handle.write(text.encode("utf-8"))
             if durable:
                 handle.flush()
                 os.fsync(handle.fileno())
-        own = not healed and start == self._own_end
-        self._own_end = start + len(data) if own else None
 
     def rewrite(self, lines: Iterable[str]) -> None:
         """Atomically and durably replace the file, one line per item."""
@@ -359,12 +343,6 @@ class CampaignStore:
     exactly the nondeterminism that invariant excludes.  The sidecar is
     append-only observability data -- consumers take the latest row per
     ``(scenario, cell_key)`` -- and losing it never affects resume.
-
-    Two more sidecars exist only for ``--shared`` multi-writer campaigns
-    (see :mod:`repro.scenarios.coordination`): ``<store>.lock`` -- the
-    advisory lockfile serializing appends -- and ``<stem>.leases.jsonl`` --
-    the lease ledger partitioning pending cells across workers.  Both are
-    coordination state: deleting them never loses campaign results.
     """
 
     def __init__(self, path: "Path | str") -> None:
@@ -376,14 +354,6 @@ class CampaignStore:
     @property
     def resources_path(self) -> Path:
         return self.path.with_name(self.path.stem + ".resources.jsonl")
-
-    @property
-    def lock_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".lock")
-
-    @property
-    def leases_path(self) -> Path:
-        return self.path.with_name(self.path.stem + ".leases.jsonl")
 
     def append_resources(self, rows: Sequence[Dict[str, Any]]) -> None:
         """Append per-cell resource rows to the sidecar (not fsynced: the
@@ -409,17 +379,6 @@ class CampaignStore:
         index, self.load_stats = self.log.fold(
             self._fresh, self._fold_line,
             lambda state: (dict(state[0]), replace(state[1])))
-        return index
-
-    def reload(self) -> Optional[Dict[RecordKey, CellRecord]]:
-        """:meth:`load`, or ``None`` when every line read since the last
-        load or reload was appended through this store -- records its
-        writer already holds, so neither a copy of the index nor a walk
-        over it can tell the writer anything new."""
-        index, self.load_stats = self.log.fold(
-            self._fresh, self._fold_line,
-            lambda state: (dict(state[0]) if self.log.foreign else None,
-                           replace(state[1])))
         return index
 
     def _fresh(self) -> Tuple[Dict[RecordKey, CellRecord], StoreLoadStats]:
@@ -480,7 +439,6 @@ class CampaignResult:
     executed_cells: int = 0
     skipped_cells: int = 0
     failed_cells: int = 0
-    reclaimed_leases: int = 0
     interrupted: bool = False
     interrupt_signum: Optional[int] = None
 
@@ -493,10 +451,8 @@ class CampaignResult:
             f"cells={self.total_cells} executed={self.executed_cells} "
             f"skipped={self.skipped_cells} failed={self.failed_cells}"
         )
-        # Suffixes only when relevant: the base four tokens are a stable
+        # A suffix only when relevant: the base four tokens are a stable
         # grep surface for tests and CI.
-        if self.reclaimed_leases:
-            line += f" reclaimed={self.reclaimed_leases}"
         if self.interrupted:
             line += " interrupted"
         return line
@@ -577,7 +533,6 @@ no caller needs another value."""
 
 def _shards(
     pending: Iterable[PendingCell], executor: Executor,
-    carry: Optional[Dict[RecordKey, bool]] = None,
 ) -> Iterator[List[PendingCell]]:
     """Cut ``pending`` into shards, in order, by the work a kill would
     forfeit rather than by a cell count.
@@ -594,26 +549,16 @@ def _shards(
     Cells are probed as their shard is built, just before it runs: one
     ``stat`` per cached spec (:meth:`ResultCache.has`), never a read.  A
     probe that goes stale only means the cell simulates inside a larger
-    shard.  The cached cell that closes a shard opens the next one, so a
-    caller that takes one shard per call passes the same ``carry`` dict
-    each time and that cell is not probed twice.
+    shard.  The cached cell that closes a shard opens the next one.
     """
-    if carry is None:
-        carry = {}
-    known = dict(carry)  # the cell the previous call stopped at, if any
-    carry.clear()
     at_risk_limit = max(1, executor.jobs) * 4
     shard: List[PendingCell] = []
     at_risk = n_specs = 0
     for item in pending:
         specs = item[1].specs
-        rides_along = known.pop(item[2], None)
-        if rides_along is None:
-            rides_along = all(executor.cached(spec) for spec in specs)
+        rides_along = all(executor.cached(spec) for spec in specs)
         if rides_along and shard and n_specs + len(specs) > REPLAY_SHARD_SPECS:
-            carry[item[2]] = True  # probed: a caller stopping here keeps it
             yield shard
-            carry.clear()
             shard, at_risk, n_specs = [], 0, 0
         shard.append(item)
         n_specs += len(specs)
@@ -634,7 +579,7 @@ def _execute_shard(
     progress: Optional[Any],
 ) -> Tuple[List[CellRecord], List[Dict[str, Any]]]:
     """Execute one shard through the executor and settle its records
-    (store appends are the caller's job, under the store lock)."""
+    (store appends are the caller's job)."""
     cells = [cell for _, cell, _ in shard]
     outcomes = executor.run([spec for cell in cells for spec in cell.specs])
     shard_records: List[CellRecord] = []
@@ -662,20 +607,6 @@ def _execute_shard(
     return shard_records, shard_resources
 
 
-class _EveryCellIsMine:
-    """A lone writer's lease board: no ledger, no other workers, so it
-    takes the first ``limit`` remaining cells and never claims or
-    releases anything."""
-
-    def partition(self, pending, worker, limit=None):
-        return itertools.islice(pending, limit), []
-
-    def claim(self, keys, worker):
-        pass
-
-    release = claim
-
-
 def _run(
     result: CampaignResult,
     store: CampaignStore,
@@ -683,91 +614,50 @@ def _run(
     max_cells: Optional[int],
     progress: Optional[Any],
     shutdown: Optional[Any],
-    lock: Any,
-    board: Any,
-    worker: Optional[str],
 ) -> None:
-    """The campaign loop, one for both modes: load and claim under
-    ``lock``, execute outside it, append and release under it.
-
-    Each round re-loads the store (other workers may append concurrently;
-    the one ``store`` and ``board`` read only what was appended since the
-    last round), accounts newly-ok cells as skipped, polls the shutdown
-    latch, and claims one shard of the cells ``board`` lets this process
-    take.  The walk over the remaining cells happens in the first round
-    and after any round whose load read a line this process did not append
-    (:meth:`CampaignStore.reload`); a lone writer's own shards never
-    trigger one, so its rounds cost their shard, not the campaign.  The
-    loop stops when nothing is claimable -- the campaign is done, ``max_cells`` is spent, the latch fired, or every remaining cell
-    is leased to a live worker (rerun later to pick up whatever they drop).
+    """The campaign loop.  It loads the store once and accounts the cells
+    already ``ok`` there as skipped; then it cuts the first ``max_cells``
+    remaining cells into shards (:func:`_shards`) and executes and appends
+    each in turn.  The shutdown latch is polled before each shard, so an
+    interrupted pass stops with every shard it started appended.
     """
     from .. import __version__
 
     provenance = (git_sha(), __version__)
-    # Cells this pass has neither skipped nor executed yet, in grid order.
-    remaining: Dict[RecordKey, PendingCell] = {
-        item[2]: item for item in _iter_cells(result.compiled)
-    }
-    budget = max_cells
-    first_round = True
-    carry: Dict[RecordKey, bool] = {}  # see _shards
+    index = store.load()
+    pending: List[PendingCell] = []
+    skipped: List[Tuple[str, str]] = []
+    for item in _iter_cells(result.compiled):
+        record = index.get(item[2])
+        if record is not None and record.status == "ok":
+            result.records.append(record)
+            result.skipped_cells += 1
+            skipped.append((item[0].scenario.name, item[1].key))
+        else:
+            pending.append(item)
+    if max_cells is not None:
+        del pending[max_cells:]
+    if progress is not None:
+        progress.add_total(len(skipped) + len(pending))
+        for _ in skipped:
+            progress.cell_done("skipped")
+    for name, cell_key in skipped:
+        _notify(name, cell_key, "skipped")
+    shards = _shards(pending, executor)
     while True:
-        with lock:
-            index = store.load() if first_round else store.reload()
-            skipped: List[Tuple[str, str]] = []
-            if index is not None:  # None: nothing but this writer's lines
-                for key, (comp, cell, _) in list(remaining.items()):
-                    record = index.get(key)
-                    if record is not None and record.status == "ok":
-                        del remaining[key]
-                        result.records.append(record)
-                        result.skipped_cells += 1
-                        skipped.append((comp.scenario.name, cell.key))
-            if shutdown is not None and shutdown.requested:
-                # Records the interruption so the CLI can exit 128 + signum.
-                result.interrupted = True
-                result.interrupt_signum = shutdown.signum
-                free, stale = [], []
-            else:
-                free, stale = board.partition(remaining, worker, limit=budget)
-            # The shard is cut from the cells this process may claim, not
-            # from what remains: the rule counts the work at risk here.
-            shard = next(
-                _shards((remaining[key] for key in free), executor, carry), []
-            )
-            claimed = [key for _, _, key in shard]
-            taken = set(claimed)
-            reclaimed = [previous for key, previous in stale if key in taken]
-            board.claim(claimed, worker)
-        if progress is not None:
-            if first_round:
-                progress.add_total(len(skipped) + (
-                    len(remaining) if budget is None
-                    else min(budget, len(remaining))))
-            for _ in skipped:
-                progress.cell_done("skipped")
-        for name, cell_key in skipped:
-            _notify(name, cell_key, "skipped")
-        first_round = False
-        if not shard:
-            break
-        telemetry = get_active()
-        for previous in reclaimed:
-            result.reclaimed_leases += 1
-            if telemetry is not None:
-                telemetry.on_lease_reclaim(previous)
-
-        for key in claimed:
-            del remaining[key]
+        if shutdown is not None and shutdown.requested:
+            # Records the interruption so the CLI can exit 128 + signum.
+            result.interrupted = True
+            result.interrupt_signum = shutdown.signum
+            return
+        shard = next(shards, None)
+        if shard is None:
+            return
         shard_records, shard_resources = _execute_shard(
             executor, shard, provenance, result, progress
         )
-        with lock:
-            store.append(shard_records)
-            store.append_resources(shard_resources)
-            board.release(claimed, worker)
-        if budget is not None:
-            budget -= len(claimed)
+        store.append(shard_records)
+        store.append_resources(shard_resources)
 
 
 def run_campaign(
@@ -776,10 +666,6 @@ def run_campaign(
     executor: Optional[Executor] = None,
     max_cells: Optional[int] = None,
     progress: Optional[Any] = None,
-    shared: bool = False,
-    worker_id: Optional[str] = None,
-    lease_ttl: Optional[float] = None,
-    lock_timeout: Optional[float] = None,
     shutdown: Optional[Any] = None,
     fidelity: Optional[str] = None,
 ) -> CampaignResult:
@@ -798,20 +684,14 @@ def run_campaign(
     pending cells this pass executes (the deterministic "kill after N
     cells" used by the resume tests); the next run picks up the rest.
 
-    ``shared=True`` runs the same loop under the multi-writer protocol
-    (:mod:`repro.scenarios.coordination`): loads and appends happen under
-    the store's advisory lock and pending cells are partitioned across
-    workers through lease records, with stale leases (a killed worker's)
-    reclaimed after ``lease_ttl`` seconds.  ``worker_id`` defaults to
-    ``host:pid``.  Any number of ``shared`` processes may target the same
-    store concurrently; the settled result converges to exactly a
-    single-writer run's records, and one ``shared`` worker alone writes
-    the same bytes.
+    The store has one writer: this pass.  To spread a campaign over
+    several hosts, give each its own store and join them afterwards with
+    :func:`~repro.scenarios.coordination.merge_stores`.
 
     ``shutdown`` is an optional latch with ``requested``/``signum``
     attributes (see :class:`~repro.scenarios.coordination.GracefulShutdown`)
     polled between shards: on SIGINT/SIGTERM the in-flight shard is
-    finished and appended, leases released, and ``result.interrupted`` set
+    finished and appended, and ``result.interrupted`` set
     so the CLI can exit ``128 + signum`` with the store fully resumable.
 
     ``progress`` is an optional
@@ -832,17 +712,7 @@ def run_campaign(
                             scenario=scenario.name):
                 compiled.append(compile_scenario(scenario, fidelity=fidelity))
         result = CampaignResult(compiled=compiled)
-        if shared:
-            from .coordination import LeaseBoard, StoreLock, default_worker_id
-
-            lock: Any = StoreLock(store.lock_path, timeout=lock_timeout)
-            board: Any = LeaseBoard(store.leases_path, ttl=lease_ttl)
-            worker = worker_id or default_worker_id()
-        else:
-            lock, board = contextlib.nullcontext(), _EveryCellIsMine()
-            worker = None
-        _run(result, store, executor, max_cells, progress, shutdown, lock,
-             board, worker)
+        _run(result, store, executor, max_cells, progress, shutdown)
     return result
 
 

@@ -1,320 +1,43 @@
-"""Multi-writer campaign coordination: store locks, cell leases, merging.
+"""Campaign resilience and cross-store bookkeeping: shutdown, merging,
+fingerprints.
 
-The campaign store is crash-safe for one writer: append-only JSONL, fsync
-per shard, torn trailing lines skipped on load.  This module adds what a
-fleet of ``repro scenario run --shared`` workers on one store needs:
+The campaign store is crash-safe for its one writer: append-only JSONL,
+fsync per shard, torn trailing lines skipped on load.  This module holds
+what a campaign needs around that store:
 
-* :class:`StoreLock` -- the advisory ``<store>.lock`` around each round's
-  load-and-claim and append-and-release; a dead or stale holder's lock is
-  broken, so a SIGKILLed writer can never wedge the campaign.
-* :class:`LeaseBoard` -- the ``<stem>.leases.jsonl`` ledger partitioning
-  pending cells across workers; a killed worker's stale leases are
-  reclaimed, so its cells re-run exactly once.
 * :class:`GracefulShutdown` -- the SIGINT/SIGTERM latch that lets an
-  interrupted worker append its shard and exit ``128 + signum``.
+  interrupted campaign append its shard and exit ``128 + signum``.
 * :func:`merge_stores` -- the idempotent N-store merge, which refuses two
   ``ok`` records that disagree (a determinism bug, never papered over).
+  Independent stores written on several hosts become one this way.
 * :func:`store_fingerprint` -- canonical bytes of a store's settled cells:
-  N writers under kills and tears converge to a single writer's.
-
-Lock and lease files are coordination state only: a lone ``--shared``
-worker writes a single writer's store bytes, and deleting them never loses
-campaign results.
+  a campaign resumed after kills and tears converges to an uninterrupted
+  run's, and merged stores to the single store that ran every cell.
 """
 
 from __future__ import annotations
 
-import os
-import socket
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .campaign import (
     CampaignStore,
     CellRecord,
-    JsonlTail,
     RecordKey,
     as_store,
     canonical_json,
 )
 
 __all__ = [
-    "DEFAULT_LEASE_TTL",
-    "DEFAULT_LOCK_TIMEOUT",
     "GracefulShutdown",
-    "LOCK_POLL_INTERVAL",
-    "LOCK_STALE_AFTER",
-    "Lease",
-    "LeaseBoard",
-    "LockTimeout",
     "MergeConflictError",
     "MergeResult",
-    "StoreLock",
     "canonical_sort_key",
-    "default_worker_id",
     "fingerprint_records",
     "merge_stores",
     "store_fingerprint",
 ]
-
-DEFAULT_LEASE_TTL = 60.0
-"""Seconds a claimed lease stays exclusive without being released.  Tuned
-for "worker died", not "worker is slow": a worker holds its lease only
-while executing one shard, and re-running a cell is merely wasted work
-(results are deterministic), never a correctness problem."""
-
-DEFAULT_LOCK_TIMEOUT = 60.0
-
-LOCK_STALE_AFTER = 30.0
-"""Age in seconds past which a lock whose holder cannot be checked (it
-lives on another host, or its body is unreadable) is stale.  A holder keeps
-the lock only for one round's load-and-claim or append-and-release --
-milliseconds, never a shard's execution -- so a lock this old was
-abandoned."""
-
-LOCK_POLL_INTERVAL = 0.05
-"""Seconds a waiting worker sleeps between attempts to take the lock."""
-
-
-def default_worker_id() -> str:
-    """``host:pid`` -- unique per concurrently live worker process."""
-    return f"{socket.gethostname()}:{os.getpid()}"
-
-
-# ------------------------------------------------------------------- lock
-
-
-class LockTimeout(RuntimeError):
-    """Raised when the store lock cannot be acquired within the timeout."""
-
-
-class StoreLock:
-    """Advisory exclusive lockfile around campaign-store appends.
-
-    Creation is ``O_CREAT|O_EXCL`` (atomic on every filesystem that
-    matters here); the file body is ``pid host``.  Liveness has two
-    tiers: a dead owner pid on the same host is detected immediately via
-    ``kill(pid, 0)``, and a cross-host (or unreadable) lock falls back to
-    its mtime -- the lock is held only for one round's load-and-claim or
-    append-and-release, so an mtime older than :data:`LOCK_STALE_AFTER`
-    marks an abandoned lock.  Breaking is rename-based: racing breakers
-    rename the stale file aside, and only the winner of that atomic rename
-    unlinks it; everyone then races the normal O_EXCL create.
-    """
-
-    def __init__(
-        self, path: "Path | str", timeout: Optional[float] = None
-    ) -> None:
-        self.path = Path(path)
-        self.timeout = DEFAULT_LOCK_TIMEOUT if timeout is None else timeout
-        self.broken_stale = 0
-        """Stale locks this instance has broken (observability)."""
-        self._held = False
-
-    def acquire(self) -> "StoreLock":
-        deadline = time.monotonic() + self.timeout
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        while True:
-            try:
-                fd = os.open(
-                    self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-                )
-            except FileExistsError:
-                if self._break_if_stale():
-                    continue
-                if time.monotonic() >= deadline:
-                    raise LockTimeout(
-                        f"could not acquire {self.path} within "
-                        f"{self.timeout:g}s (held by {self._describe_holder()})"
-                    )
-                time.sleep(LOCK_POLL_INTERVAL)
-                continue
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(f"{os.getpid()} {socket.gethostname()}\n")
-            self._held = True
-            return self
-
-    def release(self) -> None:
-        if not self._held:
-            return
-        self._held = False
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-
-    def __enter__(self) -> "StoreLock":
-        return self.acquire()
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    # ------------------------------------------------------------ staleness
-
-    def _read_holder(self) -> Tuple[Optional[int], Optional[str], Optional[float]]:
-        """``(pid, host, mtime)`` of the current lock, or Nones if it
-        vanished or is unreadable (a lock mid-creation has no body yet)."""
-        try:
-            mtime = self.path.stat().st_mtime
-            body = self.path.read_text(encoding="utf-8").split()
-        except OSError:
-            return None, None, None
-        try:
-            pid = int(body[0]) if body else None
-        except ValueError:
-            pid = None
-        return pid, body[1] if len(body) > 1 else None, mtime
-
-    def _describe_holder(self) -> str:
-        pid, host, _ = self._read_holder()
-        if pid is None:
-            return "unknown holder"
-        return f"pid {pid} on {host or 'unknown host'}"
-
-    def _is_stale(self) -> bool:
-        pid, host, mtime = self._read_holder()
-        if mtime is None:
-            return False  # lock vanished; retry the create immediately
-        if (
-            pid is not None
-            and host == socket.gethostname()
-            and not _pid_alive(pid)
-        ):
-            return True
-        return (time.time() - mtime) > LOCK_STALE_AFTER
-
-    def _break_if_stale(self) -> bool:
-        """Atomically take a stale lock aside; True if this process won
-        the break (or the lock vanished) and should retry the create."""
-        if not self._is_stale():
-            return False
-        aside = self.path.with_name(
-            f"{self.path.name}.stale.{os.getpid()}"
-        )
-        try:
-            os.replace(self.path, aside)
-        except OSError:
-            return True  # another breaker won; the path is free to race
-        try:
-            os.unlink(aside)
-        except OSError:
-            pass
-        self.broken_stale += 1
-        return True
-
-
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - exists, other user
-        return True
-    except OSError:  # pragma: no cover - platform oddity: assume alive
-        return True
-    return True
-
-
-# ------------------------------------------------------------------ leases
-
-
-@dataclass(frozen=True)
-class Lease:
-    """Latest lease state for one cell key."""
-
-    worker: str
-    state: str  # "claimed" | "released"
-    acquired_at: float
-
-
-class LeaseBoard:
-    """Append-only lease ledger in the store's ``.leases.jsonl`` sidecar.
-
-    One JSON object per line (``key``, ``worker``, ``state``, ``t``);
-    the latest line per key wins.  All mutation happens under the
-    :class:`StoreLock`, so appends never interleave; torn lines from a
-    crash are skipped on load exactly like the main store's, and like the
-    main store a reused board reads only the rows appended since its last
-    load.  The file is coordination state, not campaign state: deleting it
-    merely releases every lease.
-    """
-
-    def __init__(
-        self, path: "Path | str", ttl: Optional[float] = None
-    ) -> None:
-        self.path = Path(path)
-        self.ttl = DEFAULT_LEASE_TTL if ttl is None else ttl
-        if self.ttl <= 0:
-            raise ValueError("lease ttl must be positive")
-        self.log = JsonlTail(self.path)
-
-    def load(self) -> Dict[RecordKey, Lease]:
-        return self.log.fold(dict, _fold_lease)
-
-    def partition(
-        self,
-        pending: Iterable[RecordKey],
-        worker: str,
-        limit: Optional[int] = None,
-        now: Optional[float] = None,
-    ) -> Tuple[List[RecordKey], List[Tuple[RecordKey, str]]]:
-        """Select up to ``limit`` claimable keys from ``pending`` in order.
-
-        Returns ``(claimable, reclaimed)`` where ``reclaimed`` pairs each
-        key taken over from a stale lease with the worker that abandoned
-        it.  Keys under a live lease held by *another* worker are skipped;
-        this worker's own live leases are re-claimable (it is resuming its
-        own work, e.g. after a lock-released retry).
-        """
-        if now is None:
-            now = time.time()
-        index = self.load()
-        claimable: List[RecordKey] = []
-        reclaimed: List[Tuple[RecordKey, str]] = []
-        for key in pending:
-            if limit is not None and len(claimable) >= limit:
-                break
-            lease = index.get(key)
-            if lease is not None and lease.state == "claimed":
-                if now - lease.acquired_at >= self.ttl:
-                    reclaimed.append((key, lease.worker))
-                elif lease.worker != worker:
-                    continue
-            claimable.append(key)
-        return claimable, reclaimed
-
-    def claim(self, keys: Iterable[RecordKey], worker: str,
-              now: Optional[float] = None) -> None:
-        self._append(keys, worker, "claimed", now)
-
-    def release(self, keys: Iterable[RecordKey], worker: str,
-                now: Optional[float] = None) -> None:
-        self._append(keys, worker, "released", now)
-
-    def _append(self, keys: Iterable[RecordKey], worker: str, state: str,
-                now: Optional[float]) -> None:
-        t = now if now is not None else time.time()
-        self.log.append("".join(
-            canonical_json({"key": [key[0], list(key[1])], "worker": worker,
-                            "state": state, "t": t}) + "\n"
-            for key in keys
-        ), durable=True)
-
-
-def _fold_lease(index: Dict[RecordKey, Lease], line_no: int, row) -> None:
-    """One ledger row into the latest-lease-per-key index; a row that is
-    not a lease (torn, foreign, a malformed key) is skipped."""
-    try:
-        scenario_hash, tokens = row["key"]
-        key = (str(scenario_hash), tuple(str(t) for t in tokens))
-        index[key] = Lease(worker=str(row["worker"]), state=str(row["state"]),
-                           acquired_at=float(row["t"]))
-    except (KeyError, TypeError, ValueError):
-        pass
 
 
 # ------------------------------------------------------------- shutdown
@@ -326,8 +49,7 @@ class GracefulShutdown:
     Inside the context the default handlers are replaced (main thread
     only; elsewhere the latch simply never fires) by one that records the
     signal.  The campaign loop polls :attr:`requested` between shards,
-    finishes + appends the in-flight shard, releases its leases, and the
-    CLI exits ``128 + signum`` -- 130 for SIGINT, the interrupted-but-
+    finishes + appends the in-flight shard, and the CLI exits ``128 + signum`` -- 130 for SIGINT, the interrupted-but-
     resumable convention.
     """
 
@@ -426,7 +148,7 @@ class MergeResult:
 
 def _record_content(record: CellRecord) -> tuple:
     """The comparable payload of a record: everything except provenance
-    (git sha / package version legitimately differ across workers that
+    (git sha / package version legitimately differ across hosts that
     ran the same code state on different checkouts of the same commit --
     but metrics, status and failures must agree).  ``fidelity`` is also
     excluded: it is denormalized from the spec tokens (which embed the
@@ -536,7 +258,7 @@ def store_fingerprint(store: "CampaignStore | Path | str") -> bytes:
     """Canonical bytes of a store's settled cells: latest record per key,
     sorted, serialized exactly as the store writes them.  Two stores with
     equal fingerprints settled every cell identically, regardless of
-    append interleaving -- the equality chaos/convergence tests assert.
+    append order -- the equality chaos/convergence tests assert.
     """
     return fingerprint_records(
         sorted(as_store(store).load().values(), key=canonical_sort_key)

@@ -1,7 +1,7 @@
 """Campaign results service: a long-lived query daemon over JSONL stores.
 
-PR 9 made campaign stores multi-writer-safe and mergeable; this package
-adds the promised serving tier on top, so repeated queries hit memoized
+Campaign stores are crash-safe and mergeable; this package adds a
+serving tier on top, so repeated queries hit memoized
 summaries instead of re-parsing stores (or worse, re-running simulations).
 Everything is stdlib-only -- ``http.server`` + ``http.client`` -- and strictly
 read-only over the stores it serves:
@@ -10,8 +10,7 @@ read-only over the stores it serves:
   root directory, keys each by its canonical
   :func:`~repro.scenarios.coordination.store_fingerprint`, and revalidates
   with one ``stat`` per store (the store's own log answers "changed?"), so
-  appends by concurrent ``--shared`` writers become visible without a
-  restart.
+  appends by a live campaign become visible without a restart.
 * :mod:`~repro.service.query` -- filter cells by scenario / scheme /
   metric / fidelity / spec-token, aggregate into mean/percentile
   summaries, render JSON or CSV deterministically.

@@ -7,10 +7,10 @@ on every request whether the store changed since that load
 (:meth:`~repro.scenarios.campaign.JsonlTail.changed`: one ``stat(2)``, no
 reads, the identity the log's reader resumes by).  The store's
 ``.resources.jsonl`` sidecar is not served, so it is never read here.
-Appends by concurrent ``--shared`` writers change the store, so fresh
-cells become visible on the next request without restarting the daemon,
-and that load parses and serialises only the appended lines; a replaced
-or shrunken file is parsed again in full.  A change that leaves the fold
+Appends by a live campaign change the store, so fresh cells become
+visible on the next request without restarting the daemon, and that load
+parses and serialises only the appended lines; a replaced or shrunken file
+is parsed again in full.  A change that leaves the fold
 with nothing new (a ``touch``, a rename in place) keeps the entry: no
 re-sort, no re-fingerprint, no load counted
 (:attr:`~repro.scenarios.campaign.JsonlTail.grew`).
@@ -32,6 +32,7 @@ from ..scenarios.coordination import canonical_sort_key, fingerprint_records
 
 __all__ = ["StoreEntry", "StoreIndex"]
 
+# ``.leases.jsonl``: the lease ledger older releases' ``--shared`` runs left.
 _SIDECAR_SUFFIXES = (".resources.jsonl", ".leases.jsonl")
 
 

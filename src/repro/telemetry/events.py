@@ -31,7 +31,7 @@ CATEGORIES: tuple = (
     "failure", # experiment-level run failure (crash, stall, timeout, ...)
     "validation",  # fidelity-gate verdict (baseline cell or paper invariant)
     "scenario",    # campaign cell settled (executed, skipped or failed)
-    "resilience",  # lease reclaim, cache quarantine, chaos injection
+    "resilience",  # cache quarantine, chaos injection
     "fluid",       # flow-level fluid engine run completed
 )
 """Every category the built-in instrumentation emits."""

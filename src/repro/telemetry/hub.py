@@ -175,16 +175,6 @@ class Telemetry:
 
     # ------------------------------------------------------ resilience hooks
 
-    def on_lease_reclaim(self, previous_worker: str) -> None:
-        """Record one stale campaign lease reclaimed from a dead worker
-        (its cell re-runs on the reclaiming worker)."""
-        self.registry.counter("campaign_lease_reclaims_total").inc()
-        recorder = self.recorder
-        if recorder is not None and recorder.wants("resilience"):
-            recorder.emit(
-                0.0, "resilience", "lease_reclaim", worker=previous_worker,
-            )
-
     def on_cache_corrupt(self, entry: str) -> None:
         """Record one result-cache entry failing its checksum and being
         quarantined to ``*.corrupt``."""

@@ -224,46 +224,41 @@ class TestHalfWarmCampaign:
         assert half_warm.simulated == Counter(dict.fromkeys(
             half_warm.cold_tokens | {victim.token()}, 1))
 
-    @pytest.mark.parametrize("shared", [False, True])
     def test_max_cells_passes_resume_to_the_clean_store(
-        self, half_warm, tmp_path, shared
+        self, half_warm, tmp_path
     ):
         store = tmp_path / "s.jsonl"
         executed = []
         while sum(executed) < len(LOADS):
             result = run_campaign([half_warm.scenario], store,
-                                  half_warm.executor(), max_cells=3,
-                                  shared=shared)
+                                  half_warm.executor(), max_cells=3)
             executed.append(result.executed_cells)
         assert executed == [3, 3, 3, 1]
         assert_converged(half_warm, store)
 
-    @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("directive", ["torn_write:1", "kill_after:1"])
     def test_a_kill_at_the_first_append_resumes_to_the_clean_store(
-        self, half_warm, tmp_path, monkeypatch, directive, shared
+        self, half_warm, tmp_path, monkeypatch, directive
     ):
         """The first shard is eight cells, four of them simulated.  Torn, it
         re-runs whole on resume -- from the result cache, where the four
-        landed as they settled; killed after the append, it is durable.  (A
-        shared pass re-claims its own dangling leases: same worker id.)"""
+        landed as they settled; killed after the append, it is durable."""
         store = tmp_path / "s.jsonl"
         monkeypatch.setenv("REPRO_FAULT_INJECT", directive)
         with pytest.raises(Exited):
-            run_campaign([half_warm.scenario], store, half_warm.executor(),
-                         shared=shared)
+            run_campaign([half_warm.scenario], store, half_warm.executor())
         monkeypatch.delenv("REPRO_FAULT_INJECT")
         if directive == "kill_after:1":
             assert len(store.read_bytes().splitlines()) == 8
             resumed = run_campaign([half_warm.scenario], store,
-                                   half_warm.executor(), shared=shared)
+                                   half_warm.executor())
             assert (resumed.skipped_cells, resumed.executed_cells) == (8, 2)
             assert_converged(half_warm, store)
             return
         assert not store.read_bytes().endswith(b"\n")
         with pytest.warns(UserWarning, match="unreadable record"):
             resumed = run_campaign([half_warm.scenario], store,
-                                   half_warm.executor(), shared=shared)
+                                   half_warm.executor())
             fingerprint = store_fingerprint(store)
         assert resumed.executed_cells == len(LOADS)
         assert fingerprint == store_fingerprint(half_warm.clean)

@@ -115,6 +115,24 @@ class TestMain:
         assert len(errors) == 1 and errors[0].startswith("# error: ")
         assert variable in errors[0] and value in errors[0]
 
+    @pytest.mark.parametrize("flag", [
+        ["--shared"], ["--worker-id", "x"], ["--lease-ttl", "1"],
+        ["--lock-timeout", "1"],
+    ])
+    def test_scenario_run_has_no_multi_writer_flags(
+        self, flag, tmp_path, capsys
+    ):
+        """A store has one writer: the flags of the removed multi-writer
+        mode are usage errors, not ignored."""
+        store = tmp_path / "s.jsonl"
+        with pytest.raises(SystemExit) as exited:
+            main(["scenario", "run", "scenarios/fig10_microscopic.toml",
+                  "--store", str(store), *flag])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err)
+        assert not store.exists()
+
     def test_run_fast_experiment(self, capsys):
         assert main(["run", "fig5"]) == 0
         out = capsys.readouterr().out

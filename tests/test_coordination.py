@@ -1,24 +1,16 @@
-"""Tests for the multi-writer coordination layer: the advisory store
-lock, the lease board, graceful shutdown, store merging, and canonical
-store fingerprints."""
+"""Tests for campaign coordination: graceful shutdown, store merging, and
+canonical store fingerprints."""
 
 import json
 import os
 import signal
-import subprocess
-import sys
-import time
 
 import pytest
 
 from repro.scenarios import CampaignStore, CellRecord
 from repro.scenarios.coordination import (
     GracefulShutdown,
-    LeaseBoard,
-    LockTimeout,
     MergeConflictError,
-    StoreLock,
-    default_worker_id,
     merge_stores,
     store_fingerprint,
 )
@@ -31,120 +23,6 @@ def record(cell="k1", status="ok", metric=1.0, sha="abc", shash="h"):
         tokens=(cell,), status=status, metrics={"m": metric}, failures=(),
         git_sha=sha, version="0.1",
     )
-
-
-def dead_pid():
-    """A pid guaranteed dead: a reaped child of this process."""
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    return proc.pid
-
-
-class TestStoreLock:
-    def test_acquire_writes_pid_and_release_unlinks(self, tmp_path):
-        lock = StoreLock(tmp_path / "s.lock")
-        lock.acquire()
-        body = (tmp_path / "s.lock").read_text().split()
-        assert int(body[0]) == os.getpid()
-        lock.release()
-        assert not (tmp_path / "s.lock").exists()
-
-    def test_context_manager(self, tmp_path):
-        with StoreLock(tmp_path / "s.lock"):
-            assert (tmp_path / "s.lock").exists()
-        assert not (tmp_path / "s.lock").exists()
-
-    def test_contention_times_out(self, tmp_path):
-        path = tmp_path / "s.lock"
-        with StoreLock(path):
-            second = StoreLock(path, timeout=0.2)
-            with pytest.raises(LockTimeout, match=str(os.getpid())):
-                second.acquire()
-
-    def test_dead_pid_lock_is_broken_immediately(self, tmp_path):
-        path = tmp_path / "s.lock"
-        import socket
-
-        path.write_text(f"{dead_pid()} {socket.gethostname()}\n")
-        lock = StoreLock(path, timeout=5.0)
-        with lock:
-            assert lock.broken_stale == 1
-            assert int(path.read_text().split()[0]) == os.getpid()
-
-    def test_old_cross_host_lock_is_broken_by_mtime(self, tmp_path):
-        path = tmp_path / "s.lock"
-        path.write_text(f"{os.getpid()} not-this-host\n")
-        os.utime(path, (time.time() - 120, time.time() - 120))
-        lock = StoreLock(path, timeout=5.0)
-        with lock:
-            assert lock.broken_stale == 1
-
-
-class TestLeaseBoard:
-    def key(self, name):
-        return ("h", (name,))
-
-    def test_claim_release_roundtrip(self, tmp_path):
-        board = LeaseBoard(tmp_path / "s.leases.jsonl", ttl=60.0)
-        board.claim([self.key("a")], "w1")
-        assert board.load()[self.key("a")].state == "claimed"
-        board.release([self.key("a")], "w1")
-        assert board.load()[self.key("a")].state == "released"
-
-    def test_partition_skips_other_workers_live_leases(self, tmp_path):
-        board = LeaseBoard(tmp_path / "l.jsonl", ttl=60.0)
-        pending = [self.key("a"), self.key("b")]
-        board.claim([self.key("a")], "other")
-        claimable, reclaimed = board.partition(pending, "me")
-        assert claimable == [self.key("b")]
-        assert reclaimed == []
-
-    def test_partition_reclaims_own_live_lease(self, tmp_path):
-        board = LeaseBoard(tmp_path / "l.jsonl", ttl=60.0)
-        board.claim([self.key("a")], "me")
-        claimable, reclaimed = board.partition([self.key("a")], "me")
-        assert claimable == [self.key("a")]
-        assert reclaimed == []  # resuming one's own work is not a reclaim
-
-    def test_partition_reclaims_stale_lease(self, tmp_path):
-        board = LeaseBoard(tmp_path / "l.jsonl", ttl=60.0)
-        board.claim([self.key("a")], "dead-worker", now=time.time() - 120)
-        claimable, reclaimed = board.partition([self.key("a")], "me")
-        assert claimable == [self.key("a")]
-        assert reclaimed == [(self.key("a"), "dead-worker")]
-
-    def test_partition_honours_limit_in_order(self, tmp_path):
-        board = LeaseBoard(tmp_path / "l.jsonl", ttl=60.0)
-        pending = [self.key(n) for n in ("a", "b", "c")]
-        claimable, _ = board.partition(pending, "me", limit=2)
-        assert claimable == pending[:2]
-
-    def test_released_lease_is_claimable_again(self, tmp_path):
-        board = LeaseBoard(tmp_path / "l.jsonl", ttl=60.0)
-        board.claim([self.key("a")], "other")
-        board.release([self.key("a")], "other")
-        claimable, reclaimed = board.partition([self.key("a")], "me")
-        assert claimable == [self.key("a")]
-        assert reclaimed == []
-
-    def test_torn_lease_line_is_skipped(self, tmp_path):
-        path = tmp_path / "l.jsonl"
-        board = LeaseBoard(path, ttl=60.0)
-        board.claim([self.key("a")], "w1")
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('[1]\n"x"\n')  # parses, but is not a lease object
-            handle.write('{"key": ["h", ["b"]], "worker": "w')  # torn
-        assert set(board.load()) == {self.key("a")}
-        # the next append heals the torn trailing line first
-        board.claim([self.key("c")], "w1")
-        assert set(board.load()) == {self.key("a"), self.key("c")}
-
-    def test_rejects_nonpositive_ttl(self, tmp_path):
-        with pytest.raises(ValueError, match="ttl"):
-            LeaseBoard(tmp_path / "l.jsonl", ttl=0)
-
-    def test_default_worker_id_carries_pid(self):
-        assert default_worker_id().endswith(f":{os.getpid()}")
 
 
 class TestGracefulShutdown:

@@ -1,19 +1,19 @@
 """Incremental loads are indistinguishable from full ones, and cost what was
 appended.
 
-Two hypothesis state machines drive a long-lived ``CampaignStore`` /
-``StoreIndex`` and a long-lived ``LeaseBoard`` through every way their files
-change -- appends, torn tails, newline heals, foreign lines, atomic replaces,
-in-place rewrites, deletion -- and after every step compare them with fresh
-instances that parse the whole file.  A count test then pins the cost model:
-a warm replay hashes each spec and parses each store / ledger line a bounded
-number of times, single-writer and ``shared``.
+A hypothesis state machine drives a long-lived ``CampaignStore`` /
+``StoreIndex`` through every way their files change -- appends, torn tails,
+newline heals, foreign lines, atomic replaces, in-place rewrites, deletion --
+and after every step compares them with fresh instances that parse the whole
+file.  Count tests then pin the cost model: a warm replay hashes each spec a
+bounded number of times and parses each store line only when it loads the
+store, once per pass.
 
-The machines steer clear of the one thing the tail reader documents it cannot
+The machine steers clear of the one thing the tail reader documents it cannot
 see -- a file with the inode number it knows, at least the length it consumed
 and the same 64 bytes before that offset, but a different prefix: every line
-they write ends in a serial that is never reused, their in-place rewrites
-shift every byte, and a file they delete or replace keeps its inode number
+it writes ends in a serial that is never reused, its in-place rewrites
+shift every byte, and a file it deletes or replaces keeps its inode number
 pinned by an open handle (tmpfs hands a freed number to the very next file).
 """
 
@@ -37,7 +37,6 @@ from repro.experiments.specs import RunSpec
 from repro.scenarios import (
     CampaignStore,
     CellRecord,
-    LeaseBoard,
     Scenario,
     compile_scenario,
     coordination,
@@ -208,61 +207,10 @@ class StoreMachine(_FileMachine):
         live[("scribble", ())] = None
 
 
-class LeaseMachine(_FileMachine):
-    def __init__(self):
-        super().__init__()
-        self.path = self.dir / "s.leases.jsonl"
-        self.board = LeaseBoard(self.path, ttl=10.0)
-
-    KEYS = [("h", (f"t{n}",)) for n in range(5)]
-    keys = st.lists(st.sampled_from(KEYS), min_size=1, max_size=4)
-    workers = st.sampled_from(["w1", "w2"])
-
-    @rule(keys=keys, worker=workers)
-    def claim(self, keys, worker):
-        LeaseBoard(self.path).claim(keys, worker, now=self.next_serial())
-
-    @rule(keys=keys, worker=workers)
-    def release_through_the_long_lived_board(self, keys, worker):
-        self.board.release(keys, worker, now=self.next_serial())
-
-    @rule(row=st.sampled_from([
-        b'{"key":["h",["t1"]],"state":"claimed","t":1,"wor', b"[]\n",
-        b'{"key":7,"worker":"w1","state":"claimed","t":1}\n',
-        b'{"key":["h",["t2"]],"worker":"w1","state":"claimed"}\n',
-        b'{"key":["h",["t3"]],"worker":"w3","state":"claimed","t":2}',
-    ]))
-    def torn_or_foreign_row(self, row):
-        with open(self.path, "ab") as handle:
-            handle.write(row)
-
-    @rule(cut=st.integers(1, 40))
-    def tear_the_tail(self, cut):
-        if self.path.exists():
-            os.truncate(self.path, max(0, self.path.stat().st_size - cut))
-
-    @rule()
-    def delete(self):
-        self.pin_inode(self.path)
-        self.path.unlink(missing_ok=True)
-
-    @invariant()
-    def long_lived_equals_fresh(self):
-        live = self.board.load()
-        assert list(live.items()) == list(LeaseBoard(self.path).load().items())
-        now = self.serial + 5.0
-        assert self.board.partition(self.KEYS, "w1", limit=3, now=now) == (
-            LeaseBoard(self.path, ttl=10.0).partition(
-                self.KEYS, "w1", limit=3, now=now))
-        live.clear()
-
-
 machine_settings = settings(max_examples=60, stateful_step_count=30,
                             deadline=None)
 TestStoreMachine = StoreMachine.TestCase
 TestStoreMachine.settings = machine_settings
-TestLeaseMachine = LeaseMachine.TestCase
-TestLeaseMachine.settings = machine_settings
 
 
 class TestTornLineWarnings:
@@ -347,43 +295,29 @@ class TestCostIsLinear:
         counting(monkeypatch, RunSpec, "_canonical", counts, "spec_dumps")
         counting(monkeypatch, CampaignStore, "append", counts, "appends")
         counting(monkeypatch, CellRecord, "from_dict", counts, "records")
-        counting(monkeypatch, coordination, "Lease", counts, "lease_rows")
         counting(monkeypatch, Scenario, "content_hash", counts, "content_hash")
 
-        passes = {}
-        for mode in ("single", "shared"):
-            counts.clear()
-            executor = Executor(jobs=1, cache=True, cache_dir=cache.directory)
-            store = tmp_path / f"{mode}.jsonl"
-            replay = run_campaign([scenario], store, executor,
-                                  shared=(mode == "shared"))
-            assert replay.executed_cells == self.N_CELLS
-            assert executor.stats.executed == 0
-            assert executor.stats.cache_hits == n_specs
-            passes[mode] = dict(counts)
-            counts.clear()
-            resume = run_campaign([scenario], store, executor,
-                                  shared=(mode == "shared"))
-            assert resume.skipped_cells == self.N_CELLS
-            assert counts["spec_dumps"] <= n_specs
-            assert counts["appends"] == 0
-            assert counts["records"] <= 2 * self.N_CELLS
-            assert counts["content_hash"] == 1
+        executor = Executor(jobs=1, cache=True, cache_dir=cache.directory)
+        store = tmp_path / "s.jsonl"
+        replay = run_campaign([scenario], store, executor)
+        assert replay.executed_cells == self.N_CELLS
+        assert executor.stats.executed == 0
+        assert executor.stats.cache_hits == n_specs
+        # one serialisation feeds the token and the cache key
+        assert counts["spec_dumps"] <= n_specs, counts
+        assert counts["content_hash"] == 1, counts
+        # every cell rides along: a shard is 256 cached specs
+        assert counts["appends"] == -(-n_specs // REPLAY_SHARD_SPECS), counts
+        # the one load finds an empty store; no append is read back
+        assert counts["records"] == 0, counts
 
-        for mode, seen in passes.items():
-            # one serialisation feeds the token and the cache key
-            assert seen["spec_dumps"] <= n_specs, (mode, seen)
-            assert seen["content_hash"] == 1, (mode, seen)
-            # every cell rides along: a shard is 256 cached specs
-            assert seen["appends"] == -(-n_specs // REPLAY_SHARD_SPECS), (
-                mode, seen)
-            # each round tail-reads only what the last one appended
-            assert seen["records"] <= 2 * self.N_CELLS, (mode, seen)
-        shared = passes["shared"]
-        # a claim row and a release row per cell
-        assert shared["lease_rows"] <= 2 * (2 * self.N_CELLS), shared
-        assert store_fingerprint(tmp_path / "shared.jsonl") == (
-            store_fingerprint(tmp_path / "single.jsonl"))
+        counts.clear()
+        resume = run_campaign([scenario], store, executor)
+        assert resume.skipped_cells == self.N_CELLS
+        assert counts["spec_dumps"] <= n_specs
+        assert counts["appends"] == 0
+        assert counts["records"] == self.N_CELLS  # the one load
+        assert counts["content_hash"] == 1
 
     def test_a_warm_pass_serialises_each_cell_once_and_opens_each_entry_once(
         self, tmp_path, monkeypatch
@@ -447,11 +381,10 @@ class TestCostIsLinear:
     def test_a_lone_writers_rounds_cost_their_shard(
         self, tmp_path, monkeypatch
     ):
-        """Cold, cache off: one round per ``jobs x 4`` cells.  The walk
-        over the remaining cells runs in the first round only -- later
-        rounds read back nothing but this writer's own appends -- so the
-        index lookups and the records handed out grow with the grid, not
-        with grid x rounds (which is quadratic)."""
+        """Cold, cache off: one shard per ``jobs x 4`` cells.  The store is
+        loaded once per pass and each cell looked up in it once, so the
+        lookups grow with the grid, not with grid x shards (which is
+        quadratic)."""
         counts = Counter()
 
         class CountingIndex(dict):
@@ -459,17 +392,15 @@ class TestCostIsLinear:
                 counts["lookups"] += 1
                 return super().get(key, default)
 
-        for name in ("load", "reload"):
-            real = getattr(CampaignStore, name)
+        real_load = CampaignStore.load
 
-            def counted(store, real=real):
-                index = real(store)
-                if index is None:
-                    return None
-                counts["handed_out"] += len(index)
-                return CountingIndex(index)
+        def counted(store):
+            index = real_load(store)
+            counts["loads"] += 1
+            counts["handed_out"] += len(index)
+            return CountingIndex(index)
 
-            monkeypatch.setattr(CampaignStore, name, counted)
+        monkeypatch.setattr(CampaignStore, "load", counted)
         rounds = []
         real_append = CampaignStore.append
         monkeypatch.setattr(
@@ -488,8 +419,8 @@ class TestCostIsLinear:
                          Executor(jobs=1, cache=False))
             assert rounds == [4] * (n_cells // 4)
             seen[n_cells] = dict(counts)
-        assert seen[40] == {"lookups": 40, "handed_out": 0}
-        assert seen[80] == {"lookups": 80, "handed_out": 0}
+        assert seen[40] == {"loads": 1, "lookups": 40, "handed_out": 0}
+        assert seen[80] == {"loads": 1, "lookups": 80, "handed_out": 0}
 
     def test_without_a_cache_the_appends_are_the_jobs_x_4_slices(
         self, tmp_path, monkeypatch
@@ -509,14 +440,10 @@ class TestCostIsLinear:
 
         monkeypatch.setattr(CampaignStore, "append", append)
         cells = [cell.key for cell in compile_scenario(scenario).cells]
-        for mode in ("single", "shared"):
-            appended.clear()
-            executor = Executor(jobs=1, cache=False)
-            run_campaign([scenario], tmp_path / f"{mode}.jsonl", executor,
-                         shared=(mode == "shared"))
-            assert executor.stats.executed == len(specs)
-            assert appended == [cells[n:n + 4]
-                                for n in range(0, self.N_CELLS, 4)], mode
+        executor = Executor(jobs=1, cache=False)
+        run_campaign([scenario], tmp_path / "s.jsonl", executor)
+        assert executor.stats.executed == len(specs)
+        assert appended == [cells[n:n + 4] for n in range(0, self.N_CELLS, 4)]
 
 
 class TestResourcesSidecarIsTailRead:

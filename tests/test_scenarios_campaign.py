@@ -1,11 +1,9 @@
 """Tests for campaign orchestration: resumable execution over the JSONL
-store, crash safety, failure re-execution, shared multi-writer mode, and
-telemetry accounting."""
+store, crash safety, failure re-execution, the single-writer loop's shards,
+progress and shutdown latch, and telemetry accounting."""
 
 import io
 import json
-import shutil
-import time
 
 import pytest
 
@@ -13,7 +11,6 @@ from repro.experiments.executor import Executor
 from repro.scenarios import (
     CampaignStore,
     CellRecord,
-    LeaseBoard,
     Scenario,
     compile_scenario,
     render_store_report,
@@ -219,33 +216,31 @@ class TestStore:
             }
 
 
-class TestSharedMode:
-    """In-process coverage of the multi-writer path (cross-process
-    interleavings live in test_chaos.py)."""
-
-    def cell_keys(self, scenario):
-        compiled = compile_scenario(scenario)
-        shash = scenario.content_hash()
-        return [(shash, tuple(cell.tokens())) for cell in compiled.cells]
+class TestSingleWriterLoop:
+    """The loop loads the store once, skips what is settled, and appends the
+    first ``max_cells`` remaining cells in ``jobs x 4`` slices."""
 
     GRID = (0.2, 0.3, 0.4, 0.5, 0.6)  # five cells: two shards at jobs=1
 
-    @pytest.mark.parametrize(
-        "case", ["fresh", "max_cells=1", "max_cells=3", "settled", "failed"]
-    )
-    def test_shared_single_worker_matches_single_writer(
-        self, tmp_path, monkeypatch, case
+    @pytest.mark.parametrize("case, max_cells, appended, skipped", [
+        pytest.param(case, *rest, id=case) for case, *rest in (
+            ("fresh", None, [[0, 1, 2, 3], [4]], 0),
+            ("max_cells=1", 1, [[0]], 0),
+            ("max_cells=3", 3, [[0, 1, 2]], 0),
+            ("settled", None, [[2, 3, 4]], 2),
+            ("failed", None, [[0, 1, 2, 3], [4]], 0),
+        )
+    ])
+    def test_shards_follow_what_remains(
+        self, tmp_path, monkeypatch, case, max_cells, appended, skipped
     ):
-        """Both modes run one loop, so a lone ``shared`` worker writes a
-        single writer's bytes through the same appends, and reports the
-        same accounting and the same progress."""
+        """Store appends, summary line and final progress snapshot over
+        ``max_cells``, a half-settled store and a failed cell."""
         scenario = tiny_scenario(loads=self.GRID)
-        max_cells = None
-        if case.startswith("max_cells="):
-            max_cells = int(case.split("=")[1])
+        keys = [cell.key for cell in compile_scenario(scenario).cells]
+        store = CampaignStore(tmp_path / "s.jsonl")
         if case == "settled":  # two cells already ok in the store
-            run_campaign([scenario], tmp_path / "seed.jsonl", executor(),
-                         max_cells=2)
+            run_campaign([scenario], store.path, executor(), max_cells=2)
         if case == "failed":
             victim = compile_scenario(scenario).cells[1].specs[0].token()
             monkeypatch.setenv("REPRO_FAULT_INJECT", f"raise:{victim}")
@@ -257,49 +252,29 @@ class TestSharedMode:
             real_append(store, records)
 
         monkeypatch.setattr(CampaignStore, "append", append)
-        seen = {}
-        for mode in ("single", "shared"):
-            store = CampaignStore(tmp_path / f"{mode}.jsonl")
-            if case == "settled":
-                shutil.copy(tmp_path / "seed.jsonl", store.path)
-            appends.clear()
-            stream = io.StringIO()
-            progress = JsonlHeartbeat(stream=stream, min_interval=0.0)
-            options = {"shared": True, "worker_id": "w1", "lease_ttl": 60.0}
-            result = run_campaign(
-                [scenario], store, executor(), max_cells=max_cells,
-                progress=progress, **(options if mode == "shared" else {}),
-            )
-            progress.close()
-            final = json.loads(stream.getvalue().splitlines()[-1])
-            for wall_clock in ("events_per_sec", "eta_seconds",
-                               "elapsed_seconds"):
-                del final[wall_clock]
-            seen[mode] = (store.path.read_bytes(), result.summary_line(),
-                          list(appends), final)
-        assert seen["shared"] == seen["single"]
-        assert seen["single"][2]  # every case appends something
-        # coordination state is sidecar-only: leases released, lock gone
-        shared = CampaignStore(tmp_path / "shared.jsonl")
-        assert shared.leases_path.exists()
-        assert not shared.lock_path.exists()
-        leases = LeaseBoard(shared.leases_path, ttl=60.0).load()
-        assert all(lease.state == "released" for lease in leases.values())
-        # and a single writer leaves neither file behind
-        single = CampaignStore(tmp_path / "single.jsonl")
-        assert not single.leases_path.exists()
-        assert not single.lock_path.exists()
+        stream = io.StringIO()
+        progress = JsonlHeartbeat(stream=stream, min_interval=0.0)
+        result = run_campaign([scenario], store, executor(),
+                              max_cells=max_cells, progress=progress)
+        progress.close()
+        assert appends == [[keys[n] for n in shard] for shard in appended]
+        executed = sum(map(len, appended))
+        assert result.summary_line() == (
+            f"cells=5 executed={executed} skipped={skipped} "
+            f"failed={int(case == 'failed')}")
+        final = json.loads(stream.getvalue().splitlines()[-1])
+        assert final["done"] == final["total"] == executed + skipped
+        assert final["skipped"] == skipped
 
-    def test_shared_progress_total_is_the_grid_on_every_line(self, tmp_path):
-        """The total is added once, on the first round: a ``shared`` pass
-        over more than one shard reports the whole grid from its first
-        heartbeat on, not the shards it has claimed so far."""
+    def test_progress_total_is_the_grid_on_every_line(self, tmp_path):
+        """The total is added once, before the first shard: a pass over
+        more than one shard reports the whole grid from its first
+        heartbeat on, not the shards it has run so far."""
         loads = [round(0.1 + 0.05 * n, 2) for n in range(9)]
         stream = io.StringIO()
         progress = JsonlHeartbeat(stream=stream, min_interval=0.0)
         run_campaign([tiny_scenario(loads=loads)], tmp_path / "s.jsonl",
-                     executor(), progress=progress, shared=True,
-                     worker_id="w1")
+                     executor(), progress=progress)
         progress.close()
         lines = [json.loads(line) for line in stream.getvalue().splitlines()]
         beats = [line for line in lines if line["kind"] == "progress"]
@@ -307,83 +282,73 @@ class TestSharedMode:
         assert {beat["total"] for beat in beats} == {9}
         assert lines[-1]["done"] == lines[-1]["total"] == 9
 
-    def test_shared_rerun_skips_everything(self, tmp_path):
+    def test_rerun_skips_everything_on_one_load(self, tmp_path, monkeypatch):
+        """A rerun over a settled store reads it once, executes nothing and
+        skips every cell."""
         scenario = tiny_scenario()
-        store = tmp_path / "shared.jsonl"
-        run_campaign([scenario], store, executor(), shared=True,
-                     worker_id="w1", lease_ttl=60.0)
-        again = run_campaign([scenario], store, executor(), shared=True,
-                             worker_id="w2", lease_ttl=60.0)
+        store = tmp_path / "s.jsonl"
+        run_campaign([scenario], store, executor())
+        loads = []
+        real_load = CampaignStore.load
+
+        def load(self):
+            loads.append(self.path)
+            return real_load(self)
+
+        monkeypatch.setattr(CampaignStore, "load", load)
+        again = run_campaign([scenario], store, executor())
         assert again.executed_cells == 0
         assert again.skipped_cells == 2
+        assert loads == [store]
 
-    def test_live_foreign_lease_is_left_alone(self, tmp_path, monkeypatch):
-        # The TTL is the lease_ttl keyword (default 60 s) and nothing else:
-        # the deleted environment knob must not make a fresh lease stale.
-        monkeypatch.setenv("REPRO_LEASE_TTL", "0.001")
+    def test_duplicate_key_last_record_wins(self, tmp_path):
+        """A store holding two records for one key (an interrupted append
+        re-run, or a hand-concatenated store) keeps the later one on load,
+        and the loop treats the key as one settled cell."""
         scenario = tiny_scenario()
-        store = CampaignStore(tmp_path / "shared.jsonl")
-        keys = self.cell_keys(scenario)
-        LeaseBoard(store.leases_path, ttl=60.0).claim([keys[0]], "other")
-        result = run_campaign(
-            [scenario], store, executor(), shared=True, worker_id="me",
-        )
-        assert result.executed_cells == 1  # only the unleased cell
-        assert result.reclaimed_leases == 0
-        assert len(store.load()) == 1
-
-    def test_stale_lease_is_reclaimed_and_counted(self, tmp_path):
-        scenario = tiny_scenario()
-        store = CampaignStore(tmp_path / "shared.jsonl")
-        keys = self.cell_keys(scenario)
-        LeaseBoard(store.leases_path, ttl=60.0).claim(
-            keys, "dead-worker", now=time.time() - 120
-        )
-        telemetry = Telemetry()
-        with activate(telemetry):
-            result = run_campaign(
-                [scenario], store, executor(), shared=True, worker_id="me",
-                lease_ttl=60.0,
-            )
-        assert result.executed_cells == 2
-        assert result.reclaimed_leases == 2
-        assert result.summary_line() == (
-            "cells=2 executed=2 skipped=0 failed=0 reclaimed=2"
-        )
-        assert (
-            telemetry.registry.counter("campaign_lease_reclaims_total").value
-            == 2
-        )
-
-    def test_duplicate_key_last_record_wins_after_reclaim(self, tmp_path):
-        """A reclaimed lease re-runs a cell whose first run's append raced
-        in after all: the store then holds two records for the key and the
-        later one wins on load."""
-        scenario = tiny_scenario()
-        store = CampaignStore(tmp_path / "shared.jsonl")
-        run_campaign([scenario], store, executor(), shared=True,
-                     worker_id="w1", lease_ttl=60.0)
+        store = CampaignStore(tmp_path / "s.jsonl")
+        run_campaign([scenario], store, executor())
         index = store.load()
         key, re_run = next(iter(index.items()))
         store.append([re_run])  # the duplicate append
         assert len(store.load()) == 2  # still one record per key
         assert store.load_stats.records == 3  # three lines read
         assert store.load()[key] == re_run
+        content = store.path.read_bytes()
+        again = run_campaign([scenario], store, executor())
+        assert (again.executed_cells, again.skipped_cells) == (0, 2)
+        assert store.path.read_bytes() == content
 
     def test_interrupt_latch_stops_between_shards(self, tmp_path):
         class FakeShutdown:
             requested = True
             signum = 15
 
-        result = run_campaign(
-            [tiny_scenario()], tmp_path / "s.jsonl", executor(),
-            shared=True, worker_id="w1", lease_ttl=60.0,
-            shutdown=FakeShutdown(),
-        )
+        store = tmp_path / "s.jsonl"
+        result = run_campaign([tiny_scenario()], store, executor(),
+                              shutdown=FakeShutdown())
         assert result.interrupted
         assert result.interrupt_signum == 15
         assert result.executed_cells == 0
         assert result.summary_line().endswith(" interrupted")
+        assert not store.exists()
+
+    def test_the_latch_is_polled_before_each_shard(self, tmp_path):
+        """A signal during a shard: that shard is appended, the next never
+        starts."""
+        class LatchAfterFirstShard:
+            signum = 15
+
+            @property
+            def requested(self):
+                return store.exists()
+
+        store = tmp_path / "s.jsonl"
+        result = run_campaign([tiny_scenario(loads=self.GRID)], store,
+                              executor(), shutdown=LatchAfterFirstShard())
+        assert result.interrupted
+        assert result.executed_cells == 4
+        assert len(store.read_text().splitlines()) == 4
 
 
 class TestTelemetryAndReport:

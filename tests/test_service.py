@@ -1,7 +1,7 @@
 """Tests for the campaign results service: store index revalidation, the
 query engine, the summary-tier LRU cache, HTTP dispatch (ETag / 304 /
 content negotiation), the stdlib client against a live daemon, and
-concurrent serving while a ``--shared``-style writer appends cells."""
+concurrent serving while a campaign writer appends cells."""
 
 import gc
 import http.client
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import CampaignStore, CellRecord
-from repro.scenarios.coordination import StoreLock, store_fingerprint
+from repro.scenarios.coordination import store_fingerprint
 from repro.service import (
     Query,
     QueryError,
@@ -759,19 +759,18 @@ class TestDrain:
 
 class TestConcurrentServing:
     def test_readers_with_shared_writer(self, live_service):
-        """Satellite: clients hammer one daemon while a --shared-style
-        writer appends cells under the store lock.  No torn responses,
-        every body parses, ETags flip exactly when the fingerprint
-        changes, and 304s keep working on unchanged content."""
+        """Clients hammer one daemon while a writer appends cells to the
+        store they read.  No torn responses, every body parses, ETags flip
+        exactly when the fingerprint changes, and 304s keep working on
+        unchanged content."""
         store, _service, client = live_service
         stop = threading.Event()
         appended = []
 
         def writer():
             for index in range(8):
-                with StoreLock(store.lock_path, timeout=5.0):
-                    store.append([record(token=f"w{index}",
-                                         metrics={"fct": float(index)})])
+                store.append([record(token=f"w{index}",
+                                     metrics={"fct": float(index)})])
                 appended.append(index)
                 time.sleep(0.01)
             stop.set()
